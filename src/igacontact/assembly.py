@@ -2,8 +2,10 @@
 
 Displacement dofs are numbered ``basis_index * n_comp + component``
 with basis functions in flat C-order.  Element loops are chunked and
-vectorized over quadrature points; accumulation order is fixed, so
-repeated assembly of the same data is bitwise reproducible.
+vectorized over quadrature points; element matrices are batched matrix
+products, summed into one CSR pattern per patch through a scatter plan.
+Accumulation order is fixed, so repeated assembly of the same data is
+bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side
 from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial
 from .splines import eval_basis_batch
 
-_CHUNK = 1024
+_CHUNK = 256
 
 
 class AssemblyError(ValueError):
@@ -46,8 +48,8 @@ def gauss_rule(n: int) -> QuadratureRule:
 def _direction_tables(kv, rule: QuadratureRule):
     """Per-span Gauss data of one knot vector direction.
 
-    Returns (first_indices, points, weights, values, derivs) with element
-    axis first: shapes (nel,), (nel, n), (nel, n), (nel, n, p+1), same.
+    Returns (points, weights, values, derivs) with element axis first:
+    shapes (nel, n), (nel, n), (nel, n, p+1), same.
     """
     bounds = kv.element_bounds
     nel = bounds.shape[0]
@@ -55,16 +57,14 @@ def _direction_tables(kv, rule: QuadratureRule):
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
     pts = mid[:, None] + half[:, None] * rule.points[None, :]
     wts = half[:, None] * rule.weights[None, :]
-    flat = pts.ravel()
-    first, vals, ders = eval_basis_batch(kv, flat, n_deriv=min(1, kv.degree))
+    _, vals, ders = eval_basis_batch(kv, pts.ravel(), n_deriv=min(1, kv.degree))
     n = rule.n
-    first = first.reshape(nel, n)[:, 0]
     vals = vals.reshape(nel, n, -1)
     if ders.shape[1]:
         ders = ders[:, 0, :].reshape(nel, n, -1)
     else:
         ders = np.zeros_like(vals)
-    return first, pts, wts, vals, ders
+    return pts, wts, vals, ders
 
 
 def _tensor_combine(tables):
@@ -75,6 +75,17 @@ def _tensor_combine(tables):
         _, n, k = t.shape
         out = (out[:, :, None, :, None] * t[:, None, :, None, :]).reshape(ce, a * n, b * k)
     return out
+
+
+def _element_dofs(space) -> np.ndarray:
+    """(n_elements, nloc) flat basis indices of every element, elements in C-order.
+
+    The first nonzero function on knot span s is s - p in each direction.
+    """
+    firsts = np.meshgrid(*[kv.spans - kv.degree for kv in space.knot_vectors], indexing="ij")
+    offs = space._local_offsets
+    multi = tuple(f.ravel()[:, None] + offs[None, :, d] for d, f in enumerate(firsts))
+    return np.ravel_multi_index(multi, space.n_basis)
 
 
 @dataclass
@@ -89,38 +100,30 @@ class ElementBlock:
     jac_inv: np.ndarray  # (ce, nq, d, d)
 
 
-def iter_element_blocks(patch: NurbsPatch, n_gauss: int, chunk: int = _CHUNK):
-    """Yield vectorized per-element quadrature blocks of a patch."""
+def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
+    """Yield vectorized per-element quadrature blocks of a patch, elements in C-order."""
     rule = gauss_rule(n_gauss)
     nd = patch.ndim
     space = patch.space.space
     tabs = [_direction_tables(kv, rule) for kv in space.knot_vectors]
-    nel_dir = [t[0].shape[0] for t in tabs]
-    total = int(np.prod(nel_dir))
-    offs = space._local_offsets
-    strides = np.array([int(np.prod(space.n_basis[d + 1 :])) for d in range(nd)])
+    nel_dir = [kv.n_elements for kv in space.knot_vectors]
+    all_dofs = _element_dofs(space)
     weights = patch.space.weights
     ctrl = patch.control_points
 
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total))
-        multi = np.array(np.unravel_index(ids, nel_dir)).T  # (ce, nd)
-        ce = ids.size
-        firsts = [tabs[d][0][multi[:, d]] for d in range(nd)]
-        dofs = np.zeros((ce, offs.shape[0]), dtype=np.int64)
-        for d in range(nd):
-            dofs += (firsts[d][:, None] + offs[None, :, d]) * strides[d]
-
-        vals_d = [tabs[d][3][multi[:, d]] for d in range(nd)]
-        ders_d = [tabs[d][4][multi[:, d]] for d in range(nd)]
+    for start in range(0, all_dofs.shape[0], _CHUNK):
+        dofs = all_dofs[start : start + _CHUNK]
+        ce = dofs.shape[0]
+        multi = np.array(np.unravel_index(np.arange(start, start + ce), nel_dir)).T  # (ce, nd)
+        pts_d, wts_d, vals_d, ders_d = (
+            [tabs[d][k][multi[:, d]] for d in range(nd)] for k in range(4)
+        )
         bvals = _tensor_combine(vals_d)
         nq = bvals.shape[1]
         bgrads = np.empty(bvals.shape + (nd,))
         for g in range(nd):
             bgrads[..., g] = _tensor_combine([ders_d[d] if d == g else vals_d[d] for d in range(nd)])
 
-        pts_d = [tabs[d][1][multi[:, d]] for d in range(nd)]
-        wts_d = [tabs[d][2][multi[:, d]] for d in range(nd)]
         pts = np.empty((ce, nq, nd))
         grid_shape = (ce,) + tuple(rule.n for _ in range(nd))
         for d in range(nd):
@@ -139,20 +142,101 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int, chunk: int = _CHUNK):
         rgrads = (dnum - rvals[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
 
         cloc = ctrl[dofs]  # (ce, nloc, d)
-        J = np.einsum("ead,eqaj->eqdj", cloc, rgrads)
+        J = np.matmul(cloc.transpose(0, 2, 1)[:, None], rgrads)  # (ce, nq, d, d): dx_d/dxi_j
         det = np.linalg.det(J)
         if np.any(det <= 0):
             raise AssemblyError("singular or inverted geometry Jacobian at a quadrature point")
         Jinv = np.linalg.inv(J)
-        grads_phys = np.einsum("eqaj,eqji->eqai", rgrads, Jinv)
         yield ElementBlock(
             dofs=dofs,
             values=rvals,
-            grads_phys=grads_phys,
+            grads_phys=np.matmul(rgrads, Jinv),
             wdet=wq * det,
             points_param=pts,
             jac_inv=Jinv,
         )
+
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """CSR pattern of a patch's element matrices and the slot of every entry.
+
+    Row ``e`` of ``slots`` lists, in the row-major order of element e's
+    (nloc * n_comp)^2 matrix, the position of each entry in ``indices``
+    and in the data array.  Indices are sorted within each row.
+    """
+
+    indptr: np.ndarray  # (n_dofs + 1,) int32
+    indices: np.ndarray  # (nnz,) int32
+    slots: np.ndarray  # (n_elements, (nloc * n_comp) ** 2) int32
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def add(self, data: np.ndarray, start: int, ke: np.ndarray) -> None:
+        """Add the matrices ke (ce, n, n) of elements start .. start + ce - 1 into data.
+
+        One ``bincount`` per call sums in element order, so a fixed
+        sequence of calls is bitwise reproducible.
+        """
+        slots = self.slots[start : start + ke.shape[0]]
+        data += np.bincount(slots.ravel(), weights=ke.ravel(), minlength=data.size)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        n = self.indptr.size - 1
+        # the matrix gets its own index arrays: scipy may sort or prune them in place
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+
+def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
+    """Scatter plan of the vector-valued (n_comp = ndim) element matrices of a patch."""
+    nc = patch.ndim
+    n_basis = patch.space.dim
+    dofs = _element_dofs(patch.space.space)
+    ne, nloc = dofs.shape
+    # coupled basis pairs, sorted by (row, column)
+    pairs, pair_of = np.unique((dofs[:, :, None] * n_basis + dofs[:, None, :]).ravel(), return_inverse=True)
+    row, col = np.divmod(pairs, n_basis)
+    count = np.bincount(row, minlength=n_basis)  # coupled functions per basis row
+    first = np.cumsum(count) - count  # index of each basis row's first pair
+    # dof row b * nc + i holds all nc components of each function coupled to b
+    indptr = np.zeros(n_basis * nc + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.repeat(nc * count, nc))
+    comp = np.arange(nc)
+    base = nc * nc * first[row] + nc * (np.arange(pairs.size) - first[row])
+    slot = base[:, None, None] + (nc * count[row])[:, None, None] * comp[:, None] + comp  # (pair, i, k)
+    indices = np.empty(slot.size, dtype=np.int32)
+    indices[slot] = col[:, None, None] * nc + comp
+    slots = slot[pair_of.reshape(ne, nloc, nloc)].transpose(0, 1, 3, 2, 4).reshape(ne, -1)
+    return ScatterPlan(
+        indptr=indptr.astype(np.int32), indices=indices, slots=slots.astype(np.int32)
+    )
+
+
+def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_q c_eq w_eqai w_eqbk as (ce, nloc, d, nloc, d), one batched matmul."""
+    ce, nq, nloc, nd = w.shape
+    flat = w.reshape(ce, nq, nloc * nd)
+    prod = np.matmul((flat * c[:, :, None]).transpose(0, 2, 1), flat)
+    return prod.reshape(ce, nloc, nd, nloc, nd)
+
+
+def _isotropic_element_matrices(g, w, c_grad, c_pair, c_swap) -> np.ndarray:
+    """Element matrices of an isotropic tangent, (ce, nloc * d, nloc * d).
+
+    Entry (a i, b k) is the quadrature sum of
+    ``c_grad (g_a . g_b) delta_ik + c_pair w_ai w_bk + c_swap w_ak w_bi``.
+    Linear elasticity is w = g with weights (mu, lam, mu) x wdet; the
+    Neo-Hookean tangent has w = g F^-1 and (mu, lam, mu - lam ln J) x wdet.
+    """
+    ce, nq, nloc, nd = g.shape
+    ke = _pair_products(w, c_pair) + _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
+    gt = g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)  # (e, a, (q, j))
+    k1 = np.matmul(gt * np.repeat(c_grad, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
+    for i in range(nd):
+        ke[:, :, i, :, i] += k1
+    return ke.reshape(ce, nloc * nd, nloc * nd)
 
 
 @dataclass
@@ -169,37 +253,27 @@ class GlobalSystem:
     def n_dofs(self) -> int:
         return self.n_basis * self.n_comp
 
-    def dof(self, basis_index: int, comp: int) -> int:
-        return basis_index * self.n_comp + comp
-
-
-def _scatter_matrix(blocks_iter, n_dofs: int, n_comp: int, local_matrix):
-    """Accumulate per-chunk element matrices into a CSR matrix."""
-    K = sp.csr_matrix((n_dofs, n_dofs))
-    for block in blocks_iter:
-        ke = local_matrix(block)  # (ce, nloc*nc, nloc*nc)
-        ce, n, _ = ke.shape
-        dofs = (block.dofs[:, :, None] * n_comp + np.arange(n_comp)[None, None, :]).reshape(ce, n)
-        rows = np.broadcast_to(dofs[:, :, None], (ce, n, n)).ravel()
-        cols = np.broadcast_to(dofs[:, None, :], (ce, n, n)).ravel()
-        K = K + sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    return K
-
 
 def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | None = None) -> GlobalSystem:
-    """Linear elastic stiffness of the isoparametric displacement space."""
+    """Linear elastic stiffness of the isoparametric displacement space.
+
+    The material is isotropic, so the kernel needs only its Lame
+    parameters: a_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
+    """
     nd = patch.ndim
     n_gauss = n_gauss or max(patch.degrees) + 1
-    A = mat.stiffness_tensor(nd)
+    mu, lam = mat.lame()
+    plan = scatter_plan(patch)
+    data = np.zeros(plan.nnz)
+    start = 0
+    for block in iter_element_blocks(patch, n_gauss):
+        g, wdet = block.grads_phys, block.wdet
+        plan.add(data, start, _isotropic_element_matrices(g, g, mu * wdet, lam * wdet, mu * wdet))
+        start += wdet.shape[0]
     n_dofs = patch.space.dim * nd
-
-    def local(block):
-        return np.einsum(
-            "eqaj,ijkl,eqbl,eq->eaibk", block.grads_phys, A, block.grads_phys, block.wdet
-        ).reshape(block.dofs.shape[0], -1, block.dofs.shape[1] * nd)
-
-    K = _scatter_matrix(iter_element_blocks(patch, n_gauss), n_dofs, nd, local)
-    return GlobalSystem(stiffness=K, load=np.zeros(n_dofs), n_basis=patch.space.dim, n_comp=nd)
+    return GlobalSystem(
+        stiffness=plan.matrix(data), load=np.zeros(n_dofs), n_basis=patch.space.dim, n_comp=nd
+    )
 
 
 @dataclass(frozen=True)
@@ -210,7 +284,6 @@ class TraceQuadrature:
     weights: np.ndarray  # (m,) gauss weight x parametric span factor
     measure: np.ndarray  # (m,) surface Jacobian
     phys: np.ndarray  # (m, d)
-    element: np.ndarray  # (m,) flat trace element id
     vals: np.ndarray  # (m, nloc) primal surface basis values
     idx: np.ndarray  # (m, nloc) flat surface basis indices
 
@@ -224,17 +297,14 @@ def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int | None = None) -> 
     rule = gauss_rule(n_gauss)
     sd = trace.ndim
     tabs = [_direction_tables(kv, rule) for kv in trace.space.space.knot_vectors]
-    nel_dir = [t[0].shape[0] for t in tabs]
-    n = rule.n
-    flat_pts = [tabs[d][1].reshape(-1) for d in range(sd)]
-    flat_wts = [tabs[d][2].reshape(-1) for d in range(sd)]
+    flat_pts = [tabs[d][0].reshape(-1) for d in range(sd)]
+    flat_wts = [tabs[d][1].reshape(-1) for d in range(sd)]
     mesh = np.meshgrid(*[np.arange(x.size) for x in flat_pts], indexing="ij")
     pos = [m.ravel() for m in mesh]
     params = np.stack([flat_pts[d][pos[d]] for d in range(sd)], axis=1)
     weights = np.ones(params.shape[0])
     for d in range(sd):
         weights = weights * flat_wts[d][pos[d]]
-    element = np.ravel_multi_index(tuple(pos[d] // n for d in range(sd)), nel_dir)
     idx, vals, _ = trace.space.eval_many(params)
     measure = trace.measures(params)
     phys = trace.map_points(params)
@@ -243,7 +313,6 @@ def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int | None = None) -> 
         weights=weights,
         measure=measure,
         phys=phys,
-        element=element,
         vals=vals,
         idx=idx,
     )
@@ -328,54 +397,67 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, fl
     return Kc, Fc
 
 
+@dataclass(frozen=True)
+class PatchQuadrature:
+    """The element data a Neo-Hookean tangent reads, for a whole patch.
+
+    It depends on the patch alone, so a solve that assembles many
+    tangents builds it once with :func:`patch_quadrature`.
+    """
+
+    dofs: np.ndarray  # (ne, nloc) flat basis indices
+    grads_phys: np.ndarray  # (ne, nq, nloc, d)
+    wdet: np.ndarray  # (ne, nq) quadrature weight x |J|
+    plan: ScatterPlan
+
+
+def patch_quadrature(patch: NurbsPatch, n_gauss: int | None = None) -> PatchQuadrature:
+    n_gauss = n_gauss or max(patch.degrees) + 1
+    parts = [(b.dofs, b.grads_phys, b.wdet) for b in iter_element_blocks(patch, n_gauss)]
+    dofs, grads, wdet = (np.concatenate(p) for p in zip(*parts))
+    return PatchQuadrature(dofs=dofs, grads_phys=grads, wdet=wdet, plan=scatter_plan(patch))
+
+
 def neo_hookean_forces(
     patch: NurbsPatch,
     mat: NeoHookeanMaterial,
     u: np.ndarray,
     n_gauss: int | None = None,
+    quad: PatchQuadrature | None = None,
 ):
     """Internal force vector and consistent tangent at displacement state u.
 
     Total Lagrangian: gradients are taken with respect to the reference
     configuration; raises :class:`ElementInversionError` when det F <= 0
-    at any quadrature point.
+    at any quadrature point.  ``quad`` is the patch's
+    :func:`patch_quadrature`; it is built here when not given.
     """
     nd = patch.ndim
-    n_gauss = n_gauss or max(patch.degrees) + 1
-    n_dofs = patch.space.dim * nd
+    if quad is None:
+        quad = patch_quadrature(patch, n_gauss)
     u_mat = np.asarray(u, dtype=float).reshape(patch.space.dim, nd)
-    f_int = np.zeros(n_dofs)
-    K = sp.csr_matrix((n_dofs, n_dofs))
-    eye = np.eye(nd)
+    f_int = np.zeros(u_mat.size)
+    data = np.zeros(quad.plan.nnz)
     mu, lam = mat.lame()
-    for block in iter_element_blocks(patch, n_gauss):
-        uloc = u_mat[block.dofs]  # (ce, nloc, d)
-        gradu = np.einsum("eai,eqaj->eqij", uloc, block.grads_phys)
-        Fdef = eye[None, None, :, :] + gradu
+    for start in range(0, quad.dofs.shape[0], _CHUNK):
+        dofs = quad.dofs[start : start + _CHUNK]
+        g = quad.grads_phys[start : start + _CHUNK]
+        wdet = quad.wdet[start : start + _CHUNK]
+        ce, nq, nloc, _ = g.shape
+        gt = g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)  # (e, a, (q, j))
+        gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
+        Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
         J = np.linalg.det(Fdef)
         if np.any(J <= 0):
             raise ElementInversionError("element inversion: det F <= 0 at a quadrature point")
         P = mat.pk1(Fdef)
-        fe = np.einsum("eqij,eqaj,eq->eai", P, block.grads_phys, block.wdet)
-        dofs = (block.dofs[:, :, None] * nd + np.arange(nd)[None, None, :]).reshape(
-            block.dofs.shape[0], -1
-        )
-        np.add.at(f_int, dofs.ravel(), fe.reshape(dofs.shape).ravel())
-        # tangent dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam lnJ) swap-term:
-        # contract per term instead of forming the fourth-order tensor
-        FinvT = np.swapaxes(np.linalg.inv(Fdef), -1, -2)
-        lnJ = np.log(J)
-        w = np.einsum("eqiJ,eqaJ->eqai", FinvT, block.grads_phys)
-        g = block.grads_phys
-        k1 = np.einsum("eqaj,eqbj,eq->eab", g, g, mu * block.wdet)
-        nloc = dofs.shape[1] // nd
-        ke = np.zeros((dofs.shape[0], nloc, nd, nloc, nd))
-        ke += k1[:, :, None, :, None] * eye[None, None, :, None, :]
-        ke += np.einsum("eqai,eqbk,eq->eaibk", w, w, lam * block.wdet)
-        ke += np.einsum("eqak,eqbi,eq->eaibk", w, w, (mu - lam * lnJ) * block.wdet)
-        ke = ke.reshape(dofs.shape[0], dofs.shape[1], dofs.shape[1])
-        ce, nl, _ = ke.shape
-        rows = np.broadcast_to(dofs[:, :, None], (ce, nl, nl)).ravel()
-        cols = np.broadcast_to(dofs[:, None, :], (ce, nl, nl)).ravel()
-        K = K + sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    return f_int, K
+        # f_ai = sum_q,j g_qaj P_qij wdet_q
+        Pw = (P * wdet[:, :, None, None]).transpose(0, 1, 3, 2).reshape(ce, nq * nd, nd)
+        edofs = dofs[:, :, None] * nd + np.arange(nd)
+        f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
+        # dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam lnJ) swap-term, contracted
+        # per term with w = g F^-1 instead of forming the fourth-order tensor
+        w = np.matmul(g, np.linalg.inv(Fdef))
+        c_swap = (mu - lam * np.log(J)) * wdet
+        quad.plan.add(data, start, _isotropic_element_matrices(g, w, mu * wdet, lam * wdet, c_swap))
+    return f_int, quad.plan.matrix(data)

@@ -87,21 +87,3 @@ class NeoHookeanMaterial:
         FinvT = np.swapaxes(np.linalg.inv(F), -1, -2)
         lnJ = np.log(J)
         return mu * F + (lam * lnJ - mu)[..., None, None] * FinvT
-
-    def tangent(self, F) -> np.ndarray:
-        """Material tangent dP_iJ/dF_kL, batched over leading axes."""
-        F = np.asarray(F, dtype=float)
-        d = F.shape[-1]
-        mu, lam = self.lame()
-        J = np.linalg.det(F)
-        if np.any(J <= 0):
-            raise ElementInversionError("nonpositive deformation gradient determinant")
-        FinvT = np.swapaxes(np.linalg.inv(F), -1, -2)
-        lnJ = np.log(J)
-        eye = np.eye(d)
-        A = mu * np.einsum("ik,JL->iJkL", eye, eye)
-        A = A + lam * np.einsum("...iJ,...kL->...iJkL", FinvT, FinvT)
-        A = A + (mu - lam * lnJ)[..., None, None, None, None] * np.einsum(
-            "...iL,...kJ->...iJkL", FinvT, FinvT
-        )
-        return A

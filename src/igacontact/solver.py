@@ -17,7 +17,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import GlobalSystem, apply_constraints, assemble_load, neo_hookean_forces
+from .assembly import (
+    GlobalSystem,
+    apply_constraints,
+    assemble_load,
+    neo_hookean_forces,
+    patch_quadrature,
+)
 from .contact import ContactState, active_set_update
 from .materials import ElementInversionError, NeoHookeanMaterial
 
@@ -32,15 +38,12 @@ class SolveSettings:
     max_newton_iters: int = 40
     newton_tol: float = 1e-10
     gap_tol: float = 1e-10
-    linear_solver: str = "direct"
 
     def __post_init__(self):
         if self.max_active_set_iters < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.newton_tol <= 0 or self.gap_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.linear_solver != "direct":
-            raise ValueError("only the direct linear solver is implemented")
 
 
 @dataclass(frozen=True)
@@ -282,9 +285,11 @@ def solve_large_deformation(
 
     Both tractions and prescribed displacements are scaled by the load
     factor.  Element inversion inside a step triggers step halving (up
-    to 20 halvings).
+    to 20 halvings).  The patch's element data and scatter plan are
+    built once and reused for every tangent of the solve.
     """
     patch = problem.patch
+    quad = patch_quadrature(patch, problem.n_gauss)
     nd = patch.ndim
     n = patch.space.dim * nd
     F_full = assemble_load(patch, problem.tractions, n_gauss=problem.n_gauss)
@@ -323,7 +328,7 @@ def solve_large_deformation(
             active = active | problem.active_hint(t_try)
         try:
             u_new, lam, active, wg, recs = _newton_contact_step(
-                problem, settings, u, lam, active, Bhat, F_full * t_try, fixed,
+                problem, quad, settings, u, lam, active, Bhat, F_full * t_try, fixed,
                 vals_full * t_try, gap_tol, step,
             )
         except (ElementInversionError, SolverError):
@@ -354,7 +359,7 @@ def solve_large_deformation(
 
 
 def _newton_contact_step(
-    problem, settings, u0, lam0, active0, Bhat, F_t, fixed, vals_t, gap_tol, step
+    problem, quad, settings, u0, lam0, active0, Bhat, F_t, fixed, vals_t, gap_tol, step
 ):
     patch = problem.patch
     B = problem.coupling
@@ -374,7 +379,7 @@ def _newton_contact_step(
     seen: dict[bytes, int] = {}
     first_res = None
     for it in range(1, settings.max_newton_iters + 1):
-        f_int, K_T = neo_hookean_forces(patch, problem.material, u, problem.n_gauss)
+        f_int, K_T = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
         lam = np.where(active, lam, 0.0)
         r_u = f_int + B.T @ lam - F_t
         r_u_hat = r_u.copy()

@@ -16,6 +16,7 @@ from igacontact.assembly import (
     dirichlet_on_face,
     face_basis_indices,
     gauss_rule,
+    iter_element_blocks,
     merge_constraints,
     neo_hookean_forces,
 )
@@ -25,6 +26,7 @@ from igacontact.geometry import (
     QUARTER_DISC_SYMMETRY_FACE,
     face_id,
     quarter_disc_patch,
+    sphere_octant_patch,
     unit_square_patch,
 )
 from igacontact.materials import (
@@ -40,6 +42,74 @@ MAT = LinearMaterial(young=1.0, poisson=0.3)
 def disc_patch(n=4):
     breaks = np.linspace(0, 1, n + 1)[1:-1]
     return quarter_disc_patch(1.0).refine_to_breakpoints([breaks, breaks])
+
+
+def octant_patch(n=2):
+    breaks = np.linspace(0, 1, n + 1)[1:-1]
+    return sphere_octant_patch(1.0).refine_to_breakpoints([breaks, breaks, breaks])
+
+
+def neo_hookean_tangent(mat, F):
+    """Oracle: material tangent dP_iJ/dF_kL of the Neo-Hookean law, batched over leading axes."""
+    F = np.asarray(F, dtype=float)
+    d = F.shape[-1]
+    mu, lam = mat.lame()
+    J = np.linalg.det(F)
+    FinvT = np.swapaxes(np.linalg.inv(F), -1, -2)
+    lnJ = np.log(J)
+    eye = np.eye(d)
+    A = mu * np.einsum("ik,JL->iJkL", eye, eye)
+    A = A + lam * np.einsum("...iJ,...kL->...iJkL", FinvT, FinvT)
+    A = A + (mu - lam * lnJ)[..., None, None, None, None] * np.einsum(
+        "...iL,...kJ->...iJkL", FinvT, FinvT
+    )
+    return A
+
+
+def dense_oracle_assembly(patch, element_matrices, element_forces=None):
+    """Dense K (and f) summed element by element from einsum contractions of each block."""
+    nd = patch.ndim
+    n = patch.space.dim * nd
+    K = np.zeros((n, n))
+    f = np.zeros(n)
+    for block in iter_element_blocks(patch, max(patch.degrees) + 1):
+        ce, nloc = block.dofs.shape
+        dofs = (block.dofs[:, :, None] * nd + np.arange(nd)).reshape(ce, -1)
+        ke = element_matrices(block).reshape(ce, nloc * nd, nloc * nd)
+        for e in range(ce):
+            K[np.ix_(dofs[e], dofs[e])] += ke[e]
+        if element_forces is not None:
+            np.add.at(f, dofs.ravel(), element_forces(block).ravel())
+    return K, f
+
+
+def einsum_stiffness(patch, mat):
+    """Oracle: linear stiffness from the full elastic tensor, one 5-operand einsum per block."""
+    A = mat.stiffness_tensor(patch.ndim)
+    K, _ = dense_oracle_assembly(
+        patch,
+        lambda b: np.einsum("eqaj,ijkl,eqbl,eq->eaibk", b.grads_phys, A, b.grads_phys, b.wdet),
+    )
+    return K
+
+
+def einsum_neo_hookean(patch, mat, u):
+    """Oracle: internal force and tangent contracted with the fourth-order material tangent."""
+    nd = patch.ndim
+    u_mat = u.reshape(-1, nd)
+
+    def deformation(b):
+        return np.eye(nd) + np.einsum("eai,eqaj->eqij", u_mat[b.dofs], b.grads_phys)
+
+    def matrices(b):
+        A = neo_hookean_tangent(mat, deformation(b))
+        return np.einsum("eqaJ,eqiJkL,eqbL,eq->eaibk", b.grads_phys, A, b.grads_phys, b.wdet)
+
+    def forces(b):
+        P = mat.pk1(deformation(b))
+        return np.einsum("eqij,eqaj,eq->eai", P, b.grads_phys, b.wdet)
+
+    return dense_oracle_assembly(patch, matrices, forces)
 
 
 class TestGaussRule:
@@ -81,7 +151,9 @@ class TestMaterials:
     def test_neo_hookean_tangent_at_identity_is_elastic_tensor(self):
         mat = NeoHookeanMaterial(1.0, 0.3)
         lin = LinearMaterial(1.0, 0.3)
-        np.testing.assert_allclose(mat.tangent(np.eye(3)), lin.stiffness_tensor(3), atol=1e-14)
+        np.testing.assert_allclose(
+            neo_hookean_tangent(mat, np.eye(3)), lin.stiffness_tensor(3), atol=1e-14
+        )
 
 
 class TestStiffness:
@@ -120,6 +192,12 @@ class TestStiffness:
         u[0::2] = patch.control_points[:, 0]
         mu, lam = MAT.lame()
         assert abs(u @ (sys.stiffness @ u) - (lam + 2 * mu)) <= 1e-12
+
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_matches_einsum_oracle(self, patch):
+        K = assemble_stiffness(patch, MAT).stiffness.toarray()
+        ref = einsum_stiffness(patch, MAT)
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_patch_test_linear_field_reproduced(self):
         patch = unit_square_patch(2, 3)
@@ -234,6 +312,19 @@ class TestNeoHookean:
             fd[:, j] = (fp - fm) / (2 * h)
         scale = np.abs(K_T).max()
         assert np.abs(K_T - fd).max() <= 5e-6 * scale
+
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_matches_material_tangent_oracle(self, patch):
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        # random smooth field: a random node-wise state inverts the octant's collapsed elements
+        rng = np.random.default_rng(5)
+        x = patch.control_points
+        d = patch.ndim
+        u = (x @ rng.normal(scale=0.05, size=(d, d)) + x ** 2 @ rng.normal(scale=0.05, size=(d, d))).ravel()
+        f, K_T = neo_hookean_forces(patch, mat, u)
+        K_ref, f_ref = einsum_neo_hookean(patch, mat, u)
+        assert np.abs(K_T.toarray() - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+        assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
 
     def test_element_inversion_detected(self):
         patch = unit_square_patch(2, 1)

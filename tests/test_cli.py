@@ -23,6 +23,37 @@ def tiny_args(out, extra=()):
     ]
 
 
+def tiny_large_args(out):
+    return [
+        "hertz2d-large",
+        "--pressure",
+        "0.05",
+        "--levels",
+        "2",
+        "--base-spans",
+        "3,3",
+        "--load-steps",
+        "2",
+        "--out",
+        str(out),
+    ]
+
+
+RUN_FILES = (
+    "disp.csv",
+    "mult.csv",
+    "rates.txt",
+    "pressure_profile.csv",
+    "iterations.log",
+    "contact_state.csv",
+)
+
+
+def assert_same_bytes(out1, out2):
+    for name in RUN_FILES:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 class TestArgumentHandling:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -84,8 +115,21 @@ class TestRunOutputs:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(tiny_args(out1)) == 0
         assert main(tiny_args(out2)) == 0
-        for name in ("disp.csv", "mult.csv", "pressure_profile.csv", "contact_state.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert_same_bytes(out1, out2)
+
+    def test_large_deformation_rerun_byte_identical(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(tiny_large_args(out1)) == 0
+        assert main(tiny_large_args(out2)) == 0
+        assert_same_bytes(out1, out2)
+
+    def test_large_deformation_thread_count_independent(self, tmp_path, monkeypatch):
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        monkeypatch.setenv("IGA_CONTACT_THREADS", "1")
+        assert main(tiny_large_args(out1)) == 0
+        monkeypatch.setenv("IGA_CONTACT_THREADS", "2")
+        assert main(tiny_large_args(out2)) == 0
+        assert_same_bytes(out1, out2)
 
     def test_infsup_single_level(self, tmp_path):
         config = RunConfig(benchmark="infsup", levels=1, base_spans=(4,), out=str(tmp_path / "i"))

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from igacontact import assembly
 from igacontact.assembly import (
     assemble_load,
     assemble_stiffness,
@@ -222,6 +223,23 @@ class TestLargeDeformation:
         nl = solve_large_deformation(nl_problem, config.settings, n_steps=1)
         scale = np.abs(lin.u).max()
         assert np.abs(nl.u - lin.u).max() <= 1e-4 * scale
+
+    def test_one_element_pass_per_solve(self, monkeypatch):
+        # the tangent of every Newton iteration reuses the element data of the solve
+        passes = []
+        original = assembly.iter_element_blocks
+
+        def counting(*args, **kwargs):
+            passes.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "iter_element_blocks", counting)
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 0)
+        problem, _ = build_large_deformation_problem(patch, config)
+        bundle = solve_large_deformation(problem, config.settings, n_steps=2)
+        assert len(bundle.iterations) > 2
+        assert len(passes) == 1 and passes[0] is patch
 
     def test_moderate_pressure_run_converges(self):
         config = RunConfig(
