@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side
-from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial
+from .materials import LinearMaterial, NeoHookeanMaterial, det_and_inverse
 from .splines import eval_basis_batch
 
 _CHUNK = 256
@@ -374,7 +374,12 @@ def dirichlet_on_face(patch: NurbsPatch, face: int, component: int, value: float
 
 
 def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, float]):
-    """Symmetric elimination: unit diagonal rows/cols, right-hand side shifted."""
+    """Symmetric elimination: unit diagonal rows/cols, right-hand side shifted.
+
+    Works on K's own CSR slots in O(nnz): the entries of fixed rows and
+    columns are dropped and the fixed diagonals set to one, the result
+    the sparse products ``D K D + diag`` give, bit for bit.
+    """
     if not constraints:
         return K.tocsr(), F.copy()
     n = F.size
@@ -383,16 +388,27 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, fl
         raise AssemblyError("duplicate constraint dofs")
     if np.any(fixed < 0) or np.any(fixed >= n):
         raise AssemblyError("constraint dof out of range")
+    K = K.tocsr()
+    if not K.has_canonical_format:
+        K = K.copy()
+        K.sum_duplicates()
     values = np.fromiter(constraints.values(), dtype=float)
     u_fix = np.zeros(n)
     u_fix[fixed] = values
     Fc = F - K @ u_fix
-    free = np.ones(n)
-    free[fixed] = 0.0
-    Df = sp.diags(free)
-    unit = np.zeros(n)
-    unit[fixed] = 1.0
-    Kc = ((Df @ K @ Df) + sp.diags(unit)).tocsr()
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    counts = np.diff(K.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    fixed_row = ~np.repeat(free, counts)
+    unit = fixed_row & (rows == K.indices)
+    keep = ~fixed_row & np.take(free, K.indices)  # np.take: a faster gather than free[...]
+    data = np.where(keep, K.data, unit.astype(float))
+    Kc = sp.csr_matrix((data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
+    missing = np.setdiff1d(fixed, rows[unit])  # fixed diagonals K does not store
+    if missing.size:
+        Kc = Kc + sp.csr_matrix((np.ones(missing.size), (missing, missing)), shape=K.shape)
+    Kc.eliminate_zeros()
     Fc[fixed] = values
     return Kc, Fc
 
@@ -447,17 +463,15 @@ def neo_hookean_forces(
         gt = g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)  # (e, a, (q, j))
         gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
         Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
-        J = np.linalg.det(Fdef)
-        if np.any(J <= 0):
-            raise ElementInversionError("element inversion: det F <= 0 at a quadrature point")
-        P = mat.pk1(Fdef)
+        J, Finv = det_and_inverse(Fdef)
+        P = mat.pk1(Fdef, J, Finv)
         # f_ai = sum_q,j g_qaj P_qij wdet_q
         Pw = (P * wdet[:, :, None, None]).transpose(0, 1, 3, 2).reshape(ce, nq * nd, nd)
         edofs = dofs[:, :, None] * nd + np.arange(nd)
         f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
         # dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam lnJ) swap-term, contracted
         # per term with w = g F^-1 instead of forming the fourth-order tensor
-        w = np.matmul(g, np.linalg.inv(Fdef))
+        w = np.matmul(g, Finv)
         c_swap = (mu - lam * np.log(J)) * wdet
         quad.plan.add(data, start, _isotropic_element_matrices(g, w, mu * wdet, lam * wdet, c_swap))
     return f_int, quad.plan.matrix(data)

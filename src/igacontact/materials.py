@@ -77,13 +77,34 @@ class NeoHookeanMaterial:
         lnJ = np.log(J)
         return 0.5 * mu * (I1 - d) - mu * lnJ + 0.5 * lam * lnJ ** 2
 
-    def pk1(self, F) -> np.ndarray:
-        """First Piola-Kirchhoff stress, batched over leading axes."""
+    def pk1(self, F, J=None, F_inv=None) -> np.ndarray:
+        """First Piola-Kirchhoff stress, batched over leading axes.
+
+        ``J`` and ``F_inv`` are det F and F^-1 when the caller already has
+        them from :func:`det_and_inverse`.
+        """
         F = np.asarray(F, dtype=float)
+        if J is None or F_inv is None:
+            J, F_inv = det_and_inverse(F)
         mu, lam = self.lame()
-        J = np.linalg.det(F)
-        if np.any(J <= 0):
-            raise ElementInversionError("nonpositive deformation gradient determinant")
-        FinvT = np.swapaxes(np.linalg.inv(F), -1, -2)
-        lnJ = np.log(J)
-        return mu * F + (lam * lnJ - mu)[..., None, None] * FinvT
+        return mu * F + (lam * np.log(J) - mu)[..., None, None] * np.swapaxes(F_inv, -1, -2)
+
+
+def det_and_inverse(F) -> tuple[np.ndarray, np.ndarray]:
+    """det F and F^-1 of 2x2 or 3x3 deformation gradients, batched over leading axes.
+
+    Closed forms: batched LAPACK on matrices this small costs more than
+    the arithmetic.  Raises :class:`ElementInversionError` where det F <= 0.
+    """
+    F = np.asarray(F, dtype=float)
+    if F.shape[-1] == 2:
+        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+        adj = np.stack([F[..., 1, 1], -F[..., 0, 1], -F[..., 1, 0], F[..., 0, 0]], axis=-1)
+        adj = adj.reshape(F.shape)
+    else:
+        cof = np.cross(F[..., [1, 2, 0], :], F[..., [2, 0, 1], :])  # row i: cofactors of row i
+        J = (F[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
+        adj = np.swapaxes(cof, -1, -2)
+    if np.any(J <= 0):
+        raise ElementInversionError("element inversion: det F <= 0")
+    return J, adj / J[..., None, None]

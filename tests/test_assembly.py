@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igacontact.assembly import (
@@ -34,6 +35,7 @@ from igacontact.materials import (
     LinearMaterial,
     MaterialError,
     NeoHookeanMaterial,
+    det_and_inverse,
 )
 
 MAT = LinearMaterial(young=1.0, poisson=0.3)
@@ -147,6 +149,19 @@ class TestMaterials:
         mat = NeoHookeanMaterial(1.0, 0.3)
         P = mat.pk1(np.eye(2))
         np.testing.assert_allclose(P, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_closed_form_det_and_inverse_match_lapack(self, nd):
+        F = np.eye(nd) + 0.3 * np.random.default_rng(nd).normal(size=(5, 7, nd, nd))
+        F[np.linalg.det(F) < 0, 0] *= -1.0
+        J, F_inv = det_and_inverse(F)
+        np.testing.assert_allclose(J, np.linalg.det(F), rtol=1e-13)
+        np.testing.assert_allclose(F_inv, np.linalg.inv(F), rtol=1e-12, atol=1e-13)
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        np.testing.assert_array_equal(mat.pk1(F, J, F_inv), mat.pk1(F))
+        F[2, 3, 0] *= -1.0
+        with pytest.raises(ElementInversionError):
+            det_and_inverse(F)
 
     def test_neo_hookean_tangent_at_identity_is_elastic_tensor(self):
         mat = NeoHookeanMaterial(1.0, 0.3)
@@ -263,6 +278,27 @@ class TestConstraints:
     def test_contradictory_constraints(self):
         with pytest.raises(AssemblyError):
             merge_constraints({3: 0.0}, {3: 1.0})
+
+    def test_matches_sparse_product_oracle(self):
+        K = assemble_stiffness(disc_patch(3), MAT).stiffness.tolil()
+        K[4, 4] = 0.0  # a fixed dof whose diagonal K does not store
+        K = K.tocsr()
+        K.eliminate_zeros()
+        n = K.shape[0]
+        F = np.random.default_rng(5).normal(size=n)
+        constraints = {0: 0.0, 4: 0.5, 7: -1.0, n - 1: 0.0}
+        Kc, Fc = apply_constraints(K, F, constraints)
+        free = np.ones(n)
+        free[list(constraints)] = 0.0
+        Df = sp.diags(free)
+        K_ref = (Df @ K @ Df + sp.diags(1.0 - free)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(Kc, name), getattr(K_ref, name))
+        u_fix = np.zeros(n)
+        u_fix[list(constraints)] = list(constraints.values())
+        F_ref = F - K @ u_fix
+        F_ref[list(constraints)] = list(constraints.values())
+        np.testing.assert_array_equal(Fc, F_ref)
 
     def test_quarter_disc_roller_constraints_spd(self):
         patch = disc_patch(3)

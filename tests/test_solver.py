@@ -8,18 +8,23 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from igacontact import assembly
+from igacontact import assembly, solver
 from igacontact.assembly import (
+    apply_constraints,
     assemble_load,
     assemble_stiffness,
     dirichlet_on_face,
     merge_constraints,
+    neo_hookean_forces,
+    patch_quadrature,
 )
 from igacontact.benchmarks import (
     RunConfig,
     build_hertz2d_problem,
+    build_hertz3d_problem,
     build_large_deformation_problem,
     quarter_disc_level_patch,
+    sphere_octant_level_patch,
 )
 from igacontact.contact import (
     GapField,
@@ -35,6 +40,7 @@ from igacontact.solver import (
     SolveSettings,
     SolverError,
     complementarity_ok,
+    _CondensedSaddle,
     inf_sup_estimate,
     saddle_solve,
     solve_large_deformation,
@@ -153,8 +159,6 @@ class TestSmallDeformation:
         P = 0.02
         problem, _, _ = square_contact_problem(n=4, traction=(0.0, -P))
         bundle = solve_small_deformation(problem)
-        from igacontact.assembly import apply_constraints
-
         K, F = apply_constraints(
             problem.system.stiffness, problem.system.load, problem.system.constraints
         )
@@ -198,6 +202,82 @@ class TestSmallDeformation:
         assert bundle.active.all()
         np.testing.assert_allclose(bundle.lam, -P, atol=1e-11)
         np.testing.assert_allclose(bundle.weighted_gap, 0.0, atol=1e-11)
+
+
+def condensed_inputs(problem):
+    """K, F, masked coupling and gap right-hand side as solve_small_deformation forms them."""
+    system = problem.system
+    K, F = apply_constraints(system.stiffness, system.load, system.constraints)
+    fixed = np.fromiter(system.constraints.keys(), dtype=np.int64)
+    u_fix = np.zeros(F.size)
+    u_fix[fixed] = list(system.constraints.values())
+    Bhat = solver._masked_coupling(problem.coupling, fixed, F.size)
+    g = -(problem.gap_integrals + problem.coupling @ u_fix)
+    return K, F, Bhat, g
+
+
+def hertz2d_level1():
+    config = RunConfig(
+        benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1)
+    )
+    return build_hertz2d_problem(quarter_disc_level_patch(config, 1), config)[0], config
+
+
+def hertz3d_level0():
+    config = RunConfig(benchmark="hertz3d", levels=2)
+    return build_hertz3d_problem(sphere_octant_level_patch(config, 0), config)[0], config
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    original = solver.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    return calls
+
+
+class TestCondensedSaddle:
+    @pytest.mark.parametrize("build", [hertz2d_level1, hertz3d_level0], ids=["2d", "3d"])
+    def test_matches_saddle_solve_oracle(self, build):
+        problem, config = build()
+        K, F, Bhat, g = condensed_inputs(problem)
+        converged = solve_small_deformation(problem, config.settings).active
+        rng = np.random.default_rng(17)
+        subset = rng.random(converged.size) < 0.5
+        subset[rng.integers(converged.size)] = True
+        saddle = _CondensedSaddle(K, F, Bhat)
+        for active in (problem.initial_active, converged, subset):
+            act = np.flatnonzero(active)
+            u, lam = saddle.solve(act, g[act])
+            u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
+            assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+            assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        problem, config = hertz2d_level1()
+        calls = count_factorizations(monkeypatch)
+        bundle = solve_small_deformation(problem, config.settings)
+        assert len(bundle.iterations) >= 3
+        assert calls == [(problem.system.n_dofs,) * 2]
+
+    def test_one_factorization_when_seeding(self, monkeypatch):
+        # the gap-closing punch starts with an empty set and a singular stiffness
+        problem, _, _ = square_contact_problem(n=2, plane_offset=-0.05, traction=(0.0, -0.2))
+        calls = count_factorizations(monkeypatch)
+        bundle = solve_small_deformation(problem)
+        assert bundle.iterations[0].n_active == 1
+        assert len(calls) == 1
+
+    def test_singular_stiffness_with_empty_set_raises(self):
+        problem, _, _ = square_contact_problem(n=2, traction=(0.0, -0.2))
+        K, F, Bhat, g = condensed_inputs(problem)
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(SolverError, match="singular stiffness"):
+            _CondensedSaddle(K, F, Bhat).solve(empty, g[empty])
 
 
 class TestLargeDeformation:
