@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side
-from .materials import LinearMaterial, NeoHookeanMaterial, det_and_inverse
+from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial, det_and_inverse
 from .splines import eval_basis_batch
 
 _CHUNK = 256
@@ -96,8 +96,14 @@ class ElementBlock:
     values: np.ndarray  # (ce, nq, nloc) rational basis values
     grads_phys: np.ndarray  # (ce, nq, nloc, d)
     wdet: np.ndarray  # (ce, nq) quadrature weight x |J|
-    points_param: np.ndarray  # (ce, nq, d)
-    jac_inv: np.ndarray  # (ce, nq, d, d)
+
+
+def _geometry_det_and_inverse(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det J and J^-1 of geometry Jacobians in closed form; AssemblyError where det J <= 0."""
+    try:
+        return det_and_inverse(J)
+    except ElementInversionError:
+        raise AssemblyError("singular or inverted geometry Jacobian at a quadrature point") from None
 
 
 def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
@@ -115,22 +121,11 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
         dofs = all_dofs[start : start + _CHUNK]
         ce = dofs.shape[0]
         multi = np.array(np.unravel_index(np.arange(start, start + ce), nel_dir)).T  # (ce, nd)
-        pts_d, wts_d, vals_d, ders_d = (
-            [tabs[d][k][multi[:, d]] for d in range(nd)] for k in range(4)
-        )
+        wts_d, vals_d, ders_d = ([tabs[d][k][multi[:, d]] for d in range(nd)] for k in range(1, 4))
         bvals = _tensor_combine(vals_d)
-        nq = bvals.shape[1]
         bgrads = np.empty(bvals.shape + (nd,))
         for g in range(nd):
             bgrads[..., g] = _tensor_combine([ders_d[d] if d == g else vals_d[d] for d in range(nd)])
-
-        pts = np.empty((ce, nq, nd))
-        grid_shape = (ce,) + tuple(rule.n for _ in range(nd))
-        for d in range(nd):
-            expand = [None] * (nd + 1)
-            expand[0] = slice(None)
-            expand[d + 1] = slice(None)
-            pts[..., d] = np.broadcast_to(pts_d[d][tuple(expand)], grid_shape).reshape(ce, nq)
         wq = _tensor_combine([w[:, :, None] for w in wts_d])[:, :, 0]
 
         wloc = weights[dofs]
@@ -143,18 +138,8 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
 
         cloc = ctrl[dofs]  # (ce, nloc, d)
         J = np.matmul(cloc.transpose(0, 2, 1)[:, None], rgrads)  # (ce, nq, d, d): dx_d/dxi_j
-        det = np.linalg.det(J)
-        if np.any(det <= 0):
-            raise AssemblyError("singular or inverted geometry Jacobian at a quadrature point")
-        Jinv = np.linalg.inv(J)
-        yield ElementBlock(
-            dofs=dofs,
-            values=rvals,
-            grads_phys=np.matmul(rgrads, Jinv),
-            wdet=wq * det,
-            points_param=pts,
-            jac_inv=Jinv,
-        )
+        det, Jinv = _geometry_det_and_inverse(J)
+        yield ElementBlock(dofs=dofs, values=rvals, grads_phys=np.matmul(rgrads, Jinv), wdet=wq * det)
 
 
 @dataclass(frozen=True)
@@ -373,6 +358,15 @@ def dirichlet_on_face(patch: NurbsPatch, face: int, component: int, value: float
     return {int(b) * nd + component: float(value) for b in face_basis_indices(patch, face)}
 
 
+def _canonical_csr(A) -> sp.csr_matrix:
+    """A in CSR with sorted indices and no duplicates; a copy when A is not already so."""
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
 def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, float]):
     """Symmetric elimination: unit diagonal rows/cols, right-hand side shifted.
 
@@ -388,10 +382,7 @@ def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, fl
         raise AssemblyError("duplicate constraint dofs")
     if np.any(fixed < 0) or np.any(fixed >= n):
         raise AssemblyError("constraint dof out of range")
-    K = K.tocsr()
-    if not K.has_canonical_format:
-        K = K.copy()
-        K.sum_duplicates()
+    K = _canonical_csr(K)
     values = np.fromiter(constraints.values(), dtype=float)
     u_fix = np.zeros(n)
     u_fix[fixed] = values

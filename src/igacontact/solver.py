@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     GlobalSystem,
+    _canonical_csr,
     apply_constraints,
     assemble_load,
     neo_hookean_forces,
@@ -98,7 +99,7 @@ def saddle_solve(K: sp.spmatrix, F: np.ndarray, B_active: sp.spmatrix, g=None):
         mat = sp.csc_matrix(K)
         rhs = F
     else:
-        mat = sp.bmat([[K, B_active.T], [B_active, None]], format="csc")
+        mat = _saddle_matrix(K, B_active)
         rhs = np.concatenate([F, np.zeros(nK) if g is None else np.asarray(g, dtype=float)])
     try:
         lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
@@ -113,6 +114,21 @@ def saddle_solve(K: sp.spmatrix, F: np.ndarray, B_active: sp.spmatrix, g=None):
     if res > 1e-4 * max(rhs_norm, 1e-300):
         raise SolverError(f"saddle solve residual {res:.3e} exceeds 1e-4 * |rhs|")
     return x[:n], x[n:]
+
+
+def _saddle_matrix(K, B) -> sp.csc_matrix:
+    """``[[K, B^T], [B, 0]]`` in CSC, the arrays ``sp.bmat`` gives, without its COO round trip.
+
+    The first n columns are the CSC of the stacked rows ``[K; B]``; the
+    last m, ``[B^T; 0]``, have B's CSR arrays as their CSC arrays.  K and
+    B are taken in canonical form (sorted, duplicates summed), as bmat
+    leaves them.  K is converted, not read as its own transpose: a
+    Newton tangent need not be bitwise symmetric.
+    """
+    K, B = _canonical_csr(K), _canonical_csr(B)
+    left = sp.vstack([K, B], format="csr").tocsc()  # CSR blocks stack by concatenation
+    right = sp.csc_matrix((B.data, B.indices, B.indptr), shape=(left.shape[0], B.shape[0]))
+    return sp.hstack([left, right], format="csc")
 
 
 def _diagnose_saddle_failure(K, B_active, exc) -> str:

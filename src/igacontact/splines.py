@@ -67,16 +67,6 @@ class KnotVector:
         return np.unique(self.knots)
 
     @cached_property
-    def multiplicities(self) -> np.ndarray:
-        _, counts = np.unique(self.knots, return_counts=True)
-        return counts
-
-    @property
-    def is_open(self) -> bool:
-        m = self.multiplicities
-        return bool(m[0] == self.degree + 1 and m[-1] == self.degree + 1)
-
-    @cached_property
     def spans(self) -> np.ndarray:
         """Indices of nonempty knot spans inside the domain."""
         lo, hi = self.degree, self.knots.size - self.degree - 2
@@ -323,10 +313,6 @@ class TensorSpace:
     def _local_offsets(self) -> np.ndarray:
         grids = np.meshgrid(*[np.arange(kv.degree + 1) for kv in self.knot_vectors], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)  # (nloc, ndim)
-
-    @property
-    def n_local(self) -> int:
-        return int(np.prod([kv.degree + 1 for kv in self.knot_vectors]))
 
     def ravel_index(self, multi) -> int:
         return int(np.ravel_multi_index(tuple(multi), self.n_basis))

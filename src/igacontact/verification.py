@@ -1,11 +1,16 @@
 """Closed-form contact solutions, error norms, and convergence-rate fitting.
 
 Displacement errors are integrated in the shared parametric domain on
-the reference mesh's quadrature grid (coarse and reference solutions
-live on the same patch geometry).  Multiplier errors are L2 norms of
-the pressure mismatch on the contact boundary, with the classical
-profile mapped through the arc-length coordinate measured from the
-contact pole.
+the reference mesh's tensor Gauss grid (coarse and reference solutions
+live on the same patch geometry).  Both fields and the geometry are
+evaluated there by sum factorization: per parametric direction, sparse
+basis-value and derivative matrices at the grid abscissae are applied
+to the homogeneous (weight-scaled) coefficients one axis at a time, and
+the quotient rule gives the rational values and gradients.
+
+Multiplier errors are L2 norms of the pressure mismatch on the contact
+boundary, with the classical profile mapped through the arc-length
+coordinate measured from the contact pole.
 """
 from __future__ import annotations
 
@@ -13,10 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import build_trace_quadrature, iter_element_blocks
+from .assembly import _direction_tables, _geometry_det_and_inverse, build_trace_quadrature, gauss_rule
 from .contact import MultiplierBasis
 from .geometry import BoundaryTrace, NurbsPatch
+from .splines import eval_basis_batch
+
+_SLAB_POINTS = 1 << 14  # reference quadrature points per slab of element rows
 
 
 class VerificationError(ValueError):
@@ -75,6 +84,46 @@ def hertz_3d(R: float, E: float, nu: float, P: float) -> HertzAnalytic:
     return HertzAnalytic(mode="3d", radius=R, young=E, poisson=nu, load=P, a=a, p0=p0)
 
 
+def _direction_matrices(kv, z: np.ndarray):
+    """Sparse (z.size, n_basis) value and first-derivative matrices of one knot vector at z."""
+    first, vals, ders = eval_basis_batch(kv, z, min(1, kv.degree))
+    ders = ders[:, 0, :] if ders.shape[1] else np.zeros_like(vals)
+    p1 = kv.degree + 1
+    cols = (first[:, None] + np.arange(p1)).ravel()
+    indptr = np.arange(0, z.size * p1 + 1, p1)
+    shape = (z.size, kv.n_basis)
+    return tuple(sp.csr_matrix((t.ravel(), cols, indptr), shape=shape) for t in (vals, ders))
+
+
+def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis ``axis`` of X with the sparse (Q, n) matrix ``mat``."""
+    X = np.moveaxis(X, axis, 0)
+    Y = mat @ X.reshape(X.shape[0], -1)
+    return np.moveaxis(Y.reshape((mat.shape[0],) + X.shape[1:]), 0, axis)
+
+
+def _grid_fields(coefs: np.ndarray, mats, rows: slice):
+    """Rational fields and their parametric gradients on a slab of the quadrature grid.
+
+    ``coefs`` (k, n_0, ..., n_{d-1}) holds homogeneous coefficients, the
+    weights last; ``mats[a]`` is the (value, derivative) matrix pair of
+    direction a, of which direction 0 keeps the grid rows ``rows``.
+    Returns the k - 1 fields (k-1, Q_s, Q_1, ...) and their gradients
+    (k-1, d, Q_s, Q_1, ...) by the quotient rule.
+    """
+    grid = {None: coefs}  # keyed by the differentiated direction, None for values
+    for a, (vals, ders) in enumerate(mats):
+        if a == 0:
+            vals, ders = vals[rows], ders[rows]
+        nxt = {key: _along(vals, arr, a + 1) for key, arr in grid.items()}
+        nxt[a] = _along(ders, grid[None], a + 1)
+        grid = nxt
+    W = grid[None][-1]
+    f = grid[None][:-1] / W
+    grads = [(grid[a][:-1] - f * grid[a][-1]) / W for a in range(len(mats))]
+    return f, np.stack(grads, axis=1)
+
+
 def displacement_errors(
     u_coarse: np.ndarray,
     patch_coarse: NurbsPatch,
@@ -84,8 +133,10 @@ def displacement_errors(
 ) -> tuple[float, float]:
     """Absolute L2 and full H1 norms of the difference of two displacement fields.
 
-    Both patches must carry the same geometry map (nested refinements of
-    one patch); integration runs on the reference quadrature grid.
+    Both patches must carry the same geometry map (refinements of one
+    patch); integration runs on the reference quadrature grid, in slabs
+    of element rows along direction 0 so that transient memory stays
+    bounded and the sum order is fixed.
     """
     if patch_coarse.ndim != patch_ref.ndim:
         raise VerificationError("geometry dimension mismatch")
@@ -97,21 +148,34 @@ def displacement_errors(
         raise VerificationError("coefficient count does not match the space dimension")
     if uc.shape == ur.shape and np.array_equal(uc, ur) and patch_coarse.space.dim == patch_ref.space.dim:
         return 0.0, 0.0  # identical fields differ by the zero function
+    # the abscissae and weights of the reference element blocks, element rows first
+    tables = [_direction_tables(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
+    pts = [t[0].ravel() for t in tables]
+    wts = [t[1].ravel() for t in tables]
+    mats_r = [_direction_matrices(kv, z) for kv, z in zip(patch_ref.knot_vectors, pts)]
+    mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
+    w_r = patch_ref.space.weights[:, None]
+    w_c = patch_coarse.space.weights[:, None]
+    coef_r = np.hstack([patch_ref.control_points * w_r, ur * w_r, w_r]).T
+    coef_r = coef_r.reshape((2 * nd + 1,) + patch_ref.space.space.n_basis)
+    coef_c = np.hstack([uc * w_c, w_c]).T.reshape((nd + 1,) + patch_coarse.space.space.n_basis)
+    w_rest = wts[1]
+    for w in wts[2:]:
+        w_rest = w_rest[..., None] * w
+    # slabs of whole element rows along direction 0, summed in a fixed order
+    step = n_gauss * max(1, _SLAB_POINTS // (n_gauss * w_rest.size))
     l2_sq = 0.0
     h1_semi_sq = 0.0
-    for block in iter_element_blocks(patch_ref, n_gauss):
-        ce, nq = block.wdet.shape
-        vals_r = np.einsum("eqa,ead->eqd", block.values, ur[block.dofs])
-        grad_r = np.einsum("eai,eqaj->eqij", ur[block.dofs], block.grads_phys)
-        pts = block.points_param.reshape(-1, nd)
-        idx_c, vals_c, grads_c = patch_coarse.space.eval_many(pts, n_grad=1)
-        vals_cc = np.einsum("ma,mad->md", vals_c, uc[idx_c]).reshape(ce, nq, nd)
-        grad_param = np.einsum("mad,maj->mdj", uc[idx_c], grads_c).reshape(ce, nq, nd, nd)
-        grad_cc = np.einsum("eqdj,eqji->eqdi", grad_param, block.jac_inv)
-        dv = vals_cc - vals_r
-        dg = grad_cc - grad_r
-        l2_sq += float(np.einsum("eqd,eqd,eq->", dv, dv, block.wdet))
-        h1_semi_sq += float(np.einsum("eqij,eqij,eq->", dg, dg, block.wdet))
+    for start in range(0, pts[0].size, step):
+        rows = slice(start, start + step)
+        xu_r, grads_r = _grid_fields(coef_r, mats_r, rows)  # geometry, then u_ref
+        u_c, grads_c = _grid_fields(coef_c, mats_c, rows)
+        det, jac_inv = _geometry_det_and_inverse(np.moveaxis(grads_r[:nd], (0, 1), (-2, -1)))
+        wdet = wts[0][rows].reshape((-1,) + (1,) * (nd - 1)) * w_rest * det
+        dv = u_c - xu_r[nd:]
+        dg = np.matmul(np.moveaxis(grads_c - grads_r[nd:], (0, 1), (-2, -1)), jac_inv)
+        l2_sq += float(((dv * dv).sum(axis=0) * wdet).sum())
+        h1_semi_sq += float(((dg * dg).sum(axis=(-2, -1)) * wdet).sum())
     l2 = math.sqrt(l2_sq)
     return l2, math.sqrt(l2_sq + h1_semi_sq)
 

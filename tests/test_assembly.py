@@ -25,6 +25,7 @@ from igacontact.geometry import (
     QUARTER_DISC_CONTACT_FACE,
     QUARTER_DISC_LOAD_FACE,
     QUARTER_DISC_SYMMETRY_FACE,
+    NurbsPatch,
     face_id,
     quarter_disc_patch,
     sphere_octant_patch,
@@ -169,6 +170,31 @@ class TestMaterials:
         np.testing.assert_allclose(
             neo_hookean_tangent(mat, np.eye(3)), lin.stiffness_tensor(3), atol=1e-14
         )
+
+
+class TestElementBlocks:
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_closed_form_geometry_jacobian(self, nd):
+        # the physical gradient of the geometry map is the identity, and the
+        # weights x det J integrate the body's measure (quarter disc, octant)
+        patch = disc_patch(3) if nd == 2 else octant_patch(2)
+        measure = 0.0
+        for block in iter_element_blocks(patch, 4):
+            dxdx = np.einsum("ead,eqaj->eqdj", patch.control_points[block.dofs], block.grads_phys)
+            np.testing.assert_allclose(dxdx, np.broadcast_to(np.eye(nd), dxdx.shape), atol=1e-12)
+            measure += block.wdet.sum()
+        assert abs(measure - (math.pi / 4 if nd == 2 else math.pi / 6)) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "scale", [[-1.0, 1.0], [1.0, 0.0]], ids=["mirrored", "collapsed"]
+    )
+    def test_inverted_geometry_raises_assembly_error(self, scale):
+        patch = unit_square_patch(2, 2)
+        bad = NurbsPatch(patch.space, patch.control_points * scale)
+        for run in (lambda: list(iter_element_blocks(bad, 3)), lambda: assemble_stiffness(bad, MAT)):
+            with pytest.raises(AssemblyError, match="inverted geometry Jacobian") as err:
+                run()
+            assert not isinstance(err.value, ElementInversionError)
 
 
 class TestStiffness:

@@ -128,6 +128,44 @@ class TestSaddleSolve:
         rhs = np.concatenate([F, g])
         assert np.linalg.norm(mat @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    def test_matrix_matches_bmat(self, monkeypatch):
+        # a Newton-like tangent: not bitwise symmetric, with an explicit zero,
+        # a row of unsorted column indices and a duplicate entry
+        problem, _ = hertz2d_level1()
+        K, F, Bhat, g = condensed_inputs(problem)
+        K = K.tocsr(copy=True)
+        rows = np.flatnonzero(np.diff(K.indptr) > 3)
+        span = [slice(K.indptr[r], K.indptr[r + 1]) for r in rows[:3]]
+        K.data[span[0].start + 1] += 1e-3
+        K.data[span[1].start] = 0.0
+        K.indices[span[2]] = K.indices[span[2]][::-1].copy()
+        K.data[span[2]] = K.data[span[2]][::-1].copy()
+        at = K.indptr[rows[3] + 1]
+        indptr = K.indptr.copy()
+        indptr[rows[3] + 1 :] += 1
+        K = sp.csr_matrix(
+            (np.insert(K.data, at, 0.5), np.insert(K.indices, at, K.indices[at - 1]), indptr),
+            shape=K.shape,
+        )
+        assert not K.has_canonical_format and (K != K.T).nnz
+        rng = np.random.default_rng(41)
+        active = np.flatnonzero(rng.random(Bhat.shape[0]) < 0.5)
+        mats = []
+        original = solver.spla.splu
+
+        def capture(A, *args, **kwargs):
+            mats.append(A.copy())  # splu may canonicalize A in place
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", capture)
+        B = Bhat[active]
+        saddle_solve(K, F, B, g[active])
+        want = sp.bmat([[K, B.T], [B, None]], format="csc")
+        (got,) = mats
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_rank_deficient_active_block_reported(self):
         K = sp.csr_matrix(np.eye(3))
         B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))

@@ -9,8 +9,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from igacontact import assembly, verification
+from igacontact.assembly import AssemblyError, iter_element_blocks
+from igacontact.benchmarks import RunConfig, quarter_disc_level_patch, sphere_octant_level_patch
 from igacontact.contact import multiplier_basis, weighted_gap
-from igacontact.geometry import extract_trace, face_id, unit_square_patch
+from igacontact.geometry import (
+    NurbsPatch,
+    extract_trace,
+    face_id,
+    quarter_disc_patch,
+    unit_square_patch,
+)
+from igacontact.materials import ElementInversionError
 from igacontact.verification import (
     VerificationError,
     arc_coordinate_2d,
@@ -71,7 +81,119 @@ class TestHertz3D:
         assert abs(2 * sol.a ** 2 * sol.p0 / 3.0 - sol.radius ** 2 * sol.load) <= 1e-12
 
 
+def displacement_errors_oracle(u_coarse, patch_coarse, u_ref, patch_ref, n_gauss=None):
+    """Per-element L2 and H1 difference norms: the reference patch's element
+    blocks, the coarse space evaluated point by point at their parametric
+    points, LAPACK inverses of the reference geometry Jacobian."""
+    nd = patch_ref.ndim
+    n_gauss = n_gauss or max(patch_ref.degrees) + 1
+    uc = np.asarray(u_coarse, dtype=float).reshape(-1, nd)
+    ur = np.asarray(u_ref, dtype=float).reshape(-1, nd)
+    # parametric points of every element, elements and points in C-order
+    x, _ = np.polynomial.legendre.leggauss(n_gauss)
+    tables = []
+    for kv in patch_ref.knot_vectors:
+        b = kv.element_bounds
+        tables.append(0.5 * (b[:, :1] + b[:, 1:]) + 0.5 * (b[:, 1:] - b[:, :1]) * x)
+    elems = np.indices([t.shape[0] for t in tables]).reshape(nd, -1).T
+    qpts = np.indices((n_gauss,) * nd).reshape(nd, -1).T
+    points = np.stack(
+        [tables[d][elems[:, d]][:, qpts[:, d]] for d in range(nd)], axis=-1
+    )  # (ne, nq, d)
+    l2_sq = 0.0
+    h1_semi_sq = 0.0
+    start = 0
+    for block in iter_element_blocks(patch_ref, n_gauss):
+        ce, nq = block.wdet.shape
+        pts = points[start : start + ce].reshape(-1, nd)
+        start += ce
+        jac_inv = np.linalg.inv(patch_ref.jacobians(pts)[0]).reshape(ce, nq, nd, nd)
+        vals_r = np.einsum("eqa,ead->eqd", block.values, ur[block.dofs])
+        grad_r = np.einsum("eai,eqaj->eqij", ur[block.dofs], block.grads_phys)
+        idx_c, vals_c, grads_c = patch_coarse.space.eval_many(pts, n_grad=1)
+        vals_cc = np.einsum("ma,mad->md", vals_c, uc[idx_c]).reshape(ce, nq, nd)
+        grad_param = np.einsum("mad,maj->mdj", uc[idx_c], grads_c).reshape(ce, nq, nd, nd)
+        grad_cc = np.einsum("eqdj,eqji->eqdi", grad_param, jac_inv)
+        dv = vals_cc - vals_r
+        dg = grad_cc - grad_r
+        l2_sq += float(np.einsum("eqd,eqd,eq->", dv, dv, block.wdet))
+        h1_semi_sq += float(np.einsum("eqij,eqij,eq->", dg, dg, block.wdet))
+    return math.sqrt(l2_sq), math.sqrt(l2_sq + h1_semi_sq)
+
+
+def _disc_config(degree=2):
+    return RunConfig(benchmark="hertz2d", degree=degree, base_spans=(3, 6), grading=(0.8, 0.1))
+
+
+def _octant_config():
+    return RunConfig(benchmark="hertz3d", base_spans=(2, 4, 2), grading=(0.5, 0.2))
+
+
+def _non_nested_pair():
+    base = quarter_disc_patch(1.0)
+    coarse = base.refine_to_breakpoints([[1.0 / 3.0], [0.3, 0.55]])
+    ref = base.refine_to_breakpoints([[0.25, 0.5, 0.75], np.linspace(0.0, 1.0, 7)[1:-1]])
+    return coarse, ref
+
+
+ORACLE_PAIRS = {
+    "disc-0-vs-2": lambda: (
+        quarter_disc_level_patch(_disc_config(), 0),
+        quarter_disc_level_patch(_disc_config(), 2),
+    ),
+    "disc-cubic-0-vs-1": lambda: (
+        quarter_disc_level_patch(_disc_config(3), 0),
+        quarter_disc_level_patch(_disc_config(3), 1),
+    ),
+    "octant-0-vs-1": lambda: (
+        sphere_octant_level_patch(_octant_config(), 0),
+        sphere_octant_level_patch(_octant_config(), 1),
+    ),
+    "non-nested": _non_nested_pair,
+}
+
+
 class TestDisplacementErrors:
+    @pytest.mark.parametrize("pair", ORACLE_PAIRS.values(), ids=ORACLE_PAIRS.keys())
+    @pytest.mark.parametrize("slab_points", [None, 1], ids=["default-slabs", "row-slabs"])
+    def test_matches_per_element_oracle(self, pair, slab_points, monkeypatch):
+        if slab_points:  # one element row per slab: the slab sums add up to the same norms
+            monkeypatch.setattr(verification, "_SLAB_POINTS", slab_points)
+        coarse, ref = pair()
+        nd = ref.ndim
+        rng = np.random.default_rng(23)
+        u_c = rng.normal(size=coarse.space.dim * nd)
+        u_r = rng.normal(size=ref.space.dim * nd)
+        got = displacement_errors(u_c, coarse, u_r, ref)
+        want = displacement_errors_oracle(u_c, coarse, u_r, ref)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+    def test_no_element_block_pass(self, monkeypatch):
+        passes = []
+        original = assembly.iter_element_blocks
+
+        def counting(*args, **kwargs):
+            passes.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "iter_element_blocks", counting)
+        monkeypatch.setattr(verification, "iter_element_blocks", counting, raising=False)
+        coarse, ref = _non_nested_pair()
+        u_c = np.ones(coarse.space.dim * 2)
+        u_r = np.zeros(ref.space.dim * 2)
+        l2, _ = displacement_errors(u_c, coarse, u_r, ref)
+        assert l2 > 0.0
+        assert passes == []
+
+    def test_inverted_geometry_raises_assembly_error(self):
+        patch = unit_square_patch(2, 2)
+        mirrored = NurbsPatch(patch.space, patch.control_points * [-1.0, 1.0])
+        u = np.ones(patch.space.dim * 2)
+        with pytest.raises(AssemblyError, match="inverted geometry Jacobian") as err:
+            displacement_errors(u, patch, np.zeros_like(u), mirrored)
+        assert not isinstance(err.value, ElementInversionError)
+
     def test_identical_solutions_give_zero(self):
         patch = unit_square_patch(2, 3)
         u = np.random.default_rng(1).normal(size=patch.space.dim * 2)
