@@ -163,10 +163,13 @@ class ScatterPlan:
         """Add the matrices ke (ce, n, n) of elements start .. start + ce - 1 into data.
 
         One ``bincount`` per call sums in element order, so a fixed
-        sequence of calls is bitwise reproducible.
+        sequence of calls is bitwise reproducible.  It spans only the
+        slots the chunk touches, not the whole pattern.
         """
-        slots = self.slots[start : start + ke.shape[0]]
-        data += np.bincount(slots.ravel(), weights=ke.ravel(), minlength=data.size)
+        slots = self.slots[start : start + ke.shape[0]].ravel()
+        lo = int(slots.min())
+        part = np.bincount(slots - lo, weights=ke.ravel())
+        data[lo : lo + part.size] += part
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         n = self.indptr.size - 1
@@ -226,17 +229,20 @@ def _isotropic_element_matrices(g, w, c_grad, c_pair, c_swap) -> np.ndarray:
 
 @dataclass
 class GlobalSystem:
-    """Sparse stiffness, load vector, dof numbering and Dirichlet data."""
+    """Sparse stiffness, load vector, dof numbering and Dirichlet data.
+
+    ``grid_shape`` is the patch's basis grid, flat C-order basis indices.
+    """
 
     stiffness: sp.csr_matrix
     load: np.ndarray
-    n_basis: int
+    grid_shape: tuple[int, ...]
     n_comp: int
     constraints: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_dofs(self) -> int:
-        return self.n_basis * self.n_comp
+        return int(np.prod(self.grid_shape)) * self.n_comp
 
 
 def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | None = None) -> GlobalSystem:
@@ -255,9 +261,11 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | No
         g, wdet = block.grads_phys, block.wdet
         plan.add(data, start, _isotropic_element_matrices(g, g, mu * wdet, lam * wdet, mu * wdet))
         start += wdet.shape[0]
-    n_dofs = patch.space.dim * nd
     return GlobalSystem(
-        stiffness=plan.matrix(data), load=np.zeros(n_dofs), n_basis=patch.space.dim, n_comp=nd
+        stiffness=plan.matrix(data),
+        load=np.zeros(patch.space.dim * nd),
+        grid_shape=patch.space.space.n_basis,
+        n_comp=nd,
     )
 
 

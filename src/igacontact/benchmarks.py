@@ -18,8 +18,6 @@ Output files per run directory:
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,14 +132,6 @@ class RunConfig:
             object.__setattr__(self, "grading", _DEFAULT_GRADING[self.benchmark])
         if any(n < 1 for n in self.base_spans):
             raise ConfigError("base span counts must be positive")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("IGA_CONTACT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def bisect_breakpoints(breaks: np.ndarray, times: int) -> np.ndarray:
@@ -391,12 +381,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
     if config.levels < 2:
         raise ConfigError("convergence runs need at least 2 levels")
     level_ids = list(range(config.levels - 1)) + [config.levels]
-    workers = min(_thread_count(), len(level_ids))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda l: _solve_level(config, l), level_ids))
-    else:
-        results = [_solve_level(config, l) for l in level_ids]
+    results = [_solve_level(config, l) for l in level_ids]
     reference = results[-1]
     reported = results[:-1]
 
@@ -412,10 +397,10 @@ def run_benchmark(config: RunConfig) -> RunResult:
 
     disp_rows = []
     mult_rows = []
-    for res in reported:
-        l2, h1 = displacement_errors(
-            res.bundle.u, res.patch, reference.bundle.u, reference.patch
-        )
+    errors = displacement_errors(
+        [(res.bundle.u, res.patch) for res in reported], reference.bundle.u, reference.patch
+    )
+    for res, (l2, h1) in zip(reported, errors):
         disp_rows.append((res.h, l2, h1))
         e_ana = multiplier_error_analytic(res.bundle.lam, res.setup.basis, analytic, r_of)
         e_ref = multiplier_error_reference(

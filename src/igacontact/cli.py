@@ -22,8 +22,7 @@ _USAGE = (
     "usage: iga-contact [--config FILE] {hertz2d,hertz3d,hertz2d-large,"
     "hertz2d-large-dirichlet,infsup} [options]\n"
     "options: --pressure P --displacement U --degree P --levels N "
-    "--grading SF,LF --base-spans N,N[,N] --load-steps N --out DIR\n"
-    "environment: IGA_CONTACT_THREADS caps level parallelism"
+    "--grading SF,LF --base-spans N,N[,N] --load-steps N --out DIR"
 )
 
 

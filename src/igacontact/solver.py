@@ -1,14 +1,16 @@
 """Active-set solvers for the mixed contact problem.
 
-Small deformation: the constrained stiffness is factored once per
-solve, and an outer loop alternates saddle-point solves (gap pinned to
-zero on the active multiplier dofs) with activity updates until the set
-is stable and complementarity holds.  Each saddle solve condenses the
-active multipliers onto that one factorization and solves a small dense
-system in them.  Large deformation: load stepping with Newton
-iterations on the combined residual, the active set updated after every
-Newton solve; the tangent changes every iteration, so each Newton step
-factors its sparse saddle matrix.
+Every linear solve factors the shifted stiffness or tangent once, as a
+banded Cholesky factorization in an order taken from the patch's basis
+grid (:func:`band_order`), and condenses the active multipliers onto it:
+each saddle solve is then a small dense system in the active
+multipliers (:class:`_CondensedSaddle`).  Small deformation: one
+factorization per solve, and an outer loop alternates saddle solves
+(gap pinned to zero on the active multiplier dofs) with activity updates
+until the set is stable and complementarity holds.  Large deformation:
+load stepping with Newton iterations on the combined residual, the
+active set updated after every Newton solve; the tangent changes every
+iteration, so every Newton solve factors it once.
 """
 from __future__ import annotations
 
@@ -192,6 +194,84 @@ def _initial_active(wg0: np.ndarray, gap_tol: float) -> np.ndarray:
 _RCOND_MIN = 1e-10
 
 
+def band_order(shape, n_comp: int) -> np.ndarray:
+    """Dof order in which the stiffness of a tensor-grid patch is banded.
+
+    Entry k is the dof placed k-th.  The basis grid (flat C-order
+    indices of shape ``shape``) is walked with its axes by decreasing
+    length, the longest slowest (ties keep the earlier axis slower), and
+    the ``n_comp`` components of a function stay adjacent.  With degree p
+    in every direction the half-bandwidth is ``n_comp (p sum_a stride_a + 1) - 1``
+    over the walked axes' strides, the smallest any axis order gives.
+    """
+    axes = np.argsort([-n for n in shape], kind="stable")
+    grid = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape).transpose(axes)
+    return (grid.reshape(-1, 1) * n_comp + np.arange(n_comp, dtype=np.int32)).ravel()
+
+
+def _band_upper(K, order: np.ndarray, i: int, rho: float) -> np.ndarray:
+    """Upper band of ``P (K + rho e_i e_i^T) P^T`` in LAPACK storage ``ab[u + r - c, c]``.
+
+    ``P`` puts dof ``order[k]`` in row k.  The band is filled straight
+    from K's canonical CSR arrays, upper triangle only: a tangent that
+    is symmetric up to rounding is read as its upper half.
+    """
+    K = _canonical_csr(K)
+    n = K.shape[0]
+    pos = np.empty(n, dtype=np.int32)  # band row of every dof
+    pos[order] = np.arange(n, dtype=np.int32)
+    r = np.repeat(pos, np.diff(K.indptr))
+    c = pos[K.indices]
+    upper = r <= c
+    r, c = r[upper], c[upper]
+    u = int((c - r).max()) if r.size else 0
+    abT = np.zeros((n, u + 1))  # C-order transpose of the Fortran-order band
+    abT[c, u + r - c] = K.data[upper]
+    abT[pos[i], u] += rho
+    return abT.T
+
+
+def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``U^-T R`` in place of R, for an upper band factor U in LAPACK storage.
+
+    The columns of R must come in order of their first nonzero row.  A
+    slab of u rows of ``U^T`` couples only to the slab before it, so each
+    slab is one matmul and one dense triangular solve, and it solves only
+    the columns that have started: the rest of it is zero in R and in the
+    result.
+    """
+    n, m = R.shape
+    u = cb.shape[0] - 1
+    s = max(u, 1)
+    flat = cb.T.reshape(-1)  # U[r, c] = cb[u + r - c, c] sits at offset u + r + u c
+    step = flat.itemsize
+
+    def window(r0, c0, rows, cols):
+        """U[r0:r0 + rows, c0:c0 + cols] where inside the band, other band entries elsewhere."""
+        return np.lib.stride_tricks.as_strided(
+            flat[u + r0 + u * c0 :], shape=(rows, cols), strides=(step, u * step)
+        )
+
+    below = np.tri(s, k=u - s, dtype=bool)  # the band part of a block U[a - s:a, a:a + s]
+    nz = R != 0
+    first = np.where(nz.any(axis=0), nz.argmax(axis=0), n)
+    if np.any(np.diff(first) < 0):
+        raise ValueError("columns must come in order of their first nonzero row")
+    a0 = first[0] - first[0] % s if m else n  # earlier slabs are zero in every column
+    for a in range(a0, n, s):
+        h = min(s, n - a)
+        k = int(np.searchsorted(first, a + h))
+        rhs = R[a : a + h, :k]
+        if a > a0:
+            coupling = np.where(below[:, :h], window(a - s, a, s, h), 0.0)
+            rhs -= coupling.T @ R[a - s : a, :k]
+        # the diagonal block is read as upper triangular; its band holds all of it
+        R[a : a + h, :k] = sla.solve_triangular(
+            window(a, a, h, h), rhs, trans="T", check_finite=False
+        )
+    return R
+
+
 class _CondensedSaddle:
     """Saddle solves ``[[K, B_A^T], [B_A, 0]] [u, lam] = [F, g]`` on one factorization of K.
 
@@ -200,47 +280,84 @@ class _CondensedSaddle:
     exactly: with ``i`` the dof of the largest coupling column and
     ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T`` is factored and
     ``beta = rho u_i`` is one extra unknown, so that ``K u = K~ u - beta e_i``.
-    With ``X = K~^-1 B^T``, ``x_e = K~^-1 e_i`` and ``y_F = K~^-1 F``, an
-    active set A leaves the dense bordered system in ``(lam_A, beta)``
+    ``K~`` is symmetric positive definite; it is factored as
+    ``P K~ P^T = U^T U`` by banded Cholesky in the dof order ``order``
+    (:func:`band_order`).  With ``W = U^-T P B^T``, ``x_e = K~^-1 e_i``
+    and ``y_F = K~^-1 F``, an active set A leaves the dense bordered
+    system in ``(lam_A, beta)``
 
-        [[-B_A X_A, B_A x_e], [-rho X_A[i], rho x_e[i] - 1]]
+        [[-W_A^T W_A, B_A x_e], [-rho B_A x_e, rho x_e[i] - 1]]
 
-    and ``u = y_F - X_A lam_A + beta x_e``.  A column of X is solved the
-    first time its dof is active, one multi-RHS solve per batch.
+    (``(K~^-1 B_A^T)[i] = B_A x_e`` by symmetry), and
+    ``u = y_F + beta x_e - K~^-1 B_A^T lam_A``.  A column of W is solved
+    the first time its dof is active, one blocked forward substitution
+    per batch, and its Gram products with the earlier columns are kept.
     """
 
-    def __init__(self, K: sp.csr_matrix, F: np.ndarray, Bhat: sp.csr_matrix):
+    def __init__(self, K: sp.csr_matrix, F: np.ndarray, Bhat: sp.csr_matrix, order: np.ndarray):
         n = F.size
-        self.K, self.F, self.Bhat = K, F, Bhat
+        self.K, self.F, self.Bhat, self.order = K, F, Bhat, order
         self.i = int(np.argmax(np.asarray(Bhat.multiply(Bhat).sum(axis=0)).ravel()))
         self.rho = float(np.abs(K.diagonal()).max())
-        shift = sp.csr_matrix(([self.rho], ([self.i], [self.i])), shape=(n, n))
         try:
-            self.lu = spla.splu((K + shift).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(_diagnose_saddle_failure(K, Bhat[:0], exc)) from exc
+            self.cb = sla.cholesky_banded(
+                _band_upper(K, order, self.i, self.rho), overwrite_ab=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"shifted stiffness K + rho e_i e_i^T is not positive definite ({exc}): "
+                "an indefinite tangent or a constraint deficiency"
+            ) from exc
         e_i = np.zeros(n)
         e_i[self.i] = 1.0
-        self.y_F, self.x_e = self.lu.solve(np.column_stack([F, e_i])).T
+        self.y_F, self.x_e = self._solve(np.column_stack([F, e_i])).T
         self.By_F = Bhat @ self.y_F
         self.Bx_e = Bhat @ self.x_e
-        self.col = np.full(Bhat.shape[0], -1)  # column of X and BX per multiplier dof
-        self.X = np.empty((n, 0))
-        self.BX = np.empty((Bhat.shape[0], 0))
+        self.col = np.full(Bhat.shape[0], -1)  # Gram index per multiplier dof
+        self.W: list[tuple[int, np.ndarray]] = []  # (first row, rows of W from it) per batch
+        self.G = np.empty((0, 0))  # Gram matrix W^T W of the solved columns
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``K~^-1 rhs`` for a vector or the columns of an (n, k) array."""
+        y = sla.cho_solve_banded((self.cb, False), rhs[self.order], check_finite=False)
+        out = np.empty_like(y)
+        out[self.order] = y
+        return out
+
+    def _add_columns(self, new: np.ndarray) -> None:
+        rows = self.Bhat[new][:, self.order].tocsr()  # B P^T: columns in band order
+        rows.eliminate_zeros()
+        n = rows.shape[1]
+        first = np.full(new.size, n)  # first nonzero column of every row
+        filled = np.diff(rows.indptr) > 0
+        if filled.any():
+            first[filled] = np.minimum.reduceat(rows.indices, rows.indptr[:-1][filled])
+        sort = np.argsort(first, kind="stable")
+        new = new[sort]
+        r0 = int(first[sort[0]])  # rows before it are zero in every new column of W
+        Wn = _forward_substitution(self.cb[:, r0:], rows[sort][:, r0:].toarray().T)
+        # Gram products with each earlier batch, over the rows where both can be nonzero
+        cross = [Wo[max(r0 - ro, 0) :].T @ Wn[max(ro - r0, 0) :] for ro, Wo in self.W]
+        k = self.G.shape[0]
+        G = np.empty((k + new.size,) * 2)
+        G[:k, :k] = self.G
+        G[:k, k:] = np.vstack(cross) if cross else np.empty((0, new.size))
+        G[k:, :k] = G[:k, k:].T
+        G[k:, k:] = Wn.T @ Wn
+        self.G = G
+        self.col[new] = k + np.arange(new.size)
+        self.W.append((r0, Wn))
 
     def solve(self, act: np.ndarray, g: np.ndarray):
         new = act[self.col[act] < 0]
         if new.size:
-            Xn = self.lu.solve(self.Bhat[new].T.toarray())
-            self.col[new] = self.X.shape[1] + np.arange(new.size)
-            self.X = np.hstack([self.X, Xn])
-            self.BX = np.hstack([self.BX, self.Bhat @ Xn])
+            self._add_columns(new)
         c = self.col[act]
         nA, i, rho = act.size, self.i, self.rho
         M = np.empty((nA + 1, nA + 1))
-        M[:nA, :nA] = -self.BX[np.ix_(act, c)]
+        M[:nA, :nA] = -self.G[np.ix_(c, c)]
         M[:nA, nA] = self.Bx_e[act]
-        M[nA, :nA] = -rho * self.X[i, c]
+        M[nA, :nA] = -rho * self.Bx_e[act]
         M[nA, nA] = rho * self.x_e[i] - 1.0
         rhs = np.append(g - self.By_F[act], -rho * self.y_F[i])
         B_A = self.Bhat[act]
@@ -260,7 +377,7 @@ class _CondensedSaddle:
             )
         z = Minv @ rhs
         lam, beta = z[:nA], z[nA]
-        u = self.y_F - self.X[:, c] @ lam + beta * self.x_e
+        u = self.y_F + beta * self.x_e - self._solve(B_A.T @ lam)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):
             raise SolverError(_diagnose_saddle_failure(self.K, B_A, "non-finite solution"))
         res = np.hypot(
@@ -294,7 +411,7 @@ def solve_small_deformation(
     measures = problem.measures
     wg0 = (problem.gap_integrals + gap_shift) / measures
     gap_tol = settings.gap_tol
-    saddle = _CondensedSaddle(K, F, Bhat)
+    saddle = _CondensedSaddle(K, F, Bhat, band_order(system.grid_shape, system.n_comp))
 
     if problem.initial_active is not None:
         active = problem.initial_active.copy()
@@ -473,6 +590,7 @@ def _newton_contact_step(
     B = problem.coupling
     measures = problem.measures
     n = u0.size
+    order = band_order(patch.space.space.n_basis, patch.ndim)
     u = u0.copy()
     # prescribed increments enter through the first tangent solve so the free
     # dofs follow along; jumping u[fixed] directly inverts elements next to
@@ -550,19 +668,18 @@ def _newton_contact_step(
         if not pending and res_u == 0.0 and r_lam.size == 0:
             continue  # exact equilibrium, only activity bookkeeping changed
         Kc, _ = apply_constraints(K_T, np.zeros(n), zero_fix)
+        rhs_u = -r_u_hat
+        if pending:
+            rhs_u -= K_T @ dv
+            rhs_u[fixed] = dv[fixed]
 
-        def _rhs(idx):
-            rhs_u = -r_u_hat.copy()
+        def _rhs_lam(idx):
             rhs_l = -(wg[idx] * measures[idx])
-            if pending:
-                rhs_u -= K_T @ dv
-                rhs_u[fixed] = dv[fixed]
-                rhs_l -= (B @ dv)[idx]
-            return rhs_u, rhs_l
+            return rhs_l - (B @ dv)[idx] if pending else rhs_l
 
+        saddle = _CondensedSaddle(Kc, rhs_u, Bhat, order)
         try:
-            rhs_u, rhs_l = _rhs(act_idx)
-            du, dlam = saddle_solve(Kc, rhs_u, Bhat[act_idx], rhs_l)
+            du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
         except SolverError:
             if act_idx.size or seeded:
                 raise
@@ -570,8 +687,7 @@ def _newton_contact_step(
             seeded = True
             active[int(np.argmin(wg))] = True
             act_idx = np.flatnonzero(active)
-            rhs_u, rhs_l = _rhs(act_idx)
-            du, dlam = saddle_solve(Kc, rhs_u, Bhat[act_idx], rhs_l)
+            du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
         u = u + du
         lam[act_idx] += dlam
         dv[:] = 0.0

@@ -125,59 +125,64 @@ def _grid_fields(coefs: np.ndarray, mats, rows: slice):
 
 
 def displacement_errors(
-    u_coarse: np.ndarray,
-    patch_coarse: NurbsPatch,
+    coarse,
     u_ref: np.ndarray,
     patch_ref: NurbsPatch,
     n_gauss: int | None = None,
-) -> tuple[float, float]:
-    """Absolute L2 and full H1 norms of the difference of two displacement fields.
+) -> list[tuple[float, float]]:
+    """Absolute L2 and full H1 norms of the difference of each coarse field from the reference.
 
-    Both patches must carry the same geometry map (refinements of one
-    patch); integration runs on the reference quadrature grid, in slabs
-    of element rows along direction 0 so that transient memory stays
-    bounded and the sum order is fixed.
+    ``coarse`` is a sequence of ``(u, patch)`` pairs; one ``(L2, H1)``
+    pair is returned for each.  Every patch must carry the same geometry
+    map as ``patch_ref`` (refinements of one patch).  Integration runs on
+    the reference quadrature grid, in slabs of element rows along
+    direction 0 so that transient memory stays bounded and each sum's
+    order is fixed; the reference field and geometry are evaluated once
+    per slab for all coarse fields.
     """
-    if patch_coarse.ndim != patch_ref.ndim:
-        raise VerificationError("geometry dimension mismatch")
     nd = patch_ref.ndim
     n_gauss = n_gauss or max(patch_ref.degrees) + 1
-    uc = np.asarray(u_coarse, dtype=float).reshape(-1, nd)
     ur = np.asarray(u_ref, dtype=float).reshape(-1, nd)
-    if uc.shape[0] != patch_coarse.space.dim or ur.shape[0] != patch_ref.space.dim:
-        raise VerificationError("coefficient count does not match the space dimension")
-    if uc.shape == ur.shape and np.array_equal(uc, ur) and patch_coarse.space.dim == patch_ref.space.dim:
-        return 0.0, 0.0  # identical fields differ by the zero function
     # the abscissae and weights of the reference element blocks, element rows first
     tables = [_direction_tables(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
     pts = [t[0].ravel() for t in tables]
     wts = [t[1].ravel() for t in tables]
+    fields = []  # (pair index, homogeneous coefficients, direction matrices)
+    for k, (u_coarse, patch_coarse) in enumerate(coarse):
+        if patch_coarse.ndim != nd:
+            raise VerificationError("geometry dimension mismatch")
+        uc = np.asarray(u_coarse, dtype=float).reshape(-1, nd)
+        if uc.shape[0] != patch_coarse.space.dim or ur.shape[0] != patch_ref.space.dim:
+            raise VerificationError("coefficient count does not match the space dimension")
+        if uc.shape == ur.shape and np.array_equal(uc, ur):
+            continue  # identical fields differ by the zero function
+        w_c = patch_coarse.space.weights[:, None]
+        coef_c = np.hstack([uc * w_c, w_c]).T.reshape((nd + 1,) + patch_coarse.space.space.n_basis)
+        mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
+        fields.append((k, coef_c, mats_c))
+    sums = np.zeros((len(coarse), 2))  # squared L2 norm and H1 seminorm of each difference
+    if not fields:
+        return [(0.0, 0.0)] * len(coarse)
     mats_r = [_direction_matrices(kv, z) for kv, z in zip(patch_ref.knot_vectors, pts)]
-    mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
     w_r = patch_ref.space.weights[:, None]
-    w_c = patch_coarse.space.weights[:, None]
     coef_r = np.hstack([patch_ref.control_points * w_r, ur * w_r, w_r]).T
     coef_r = coef_r.reshape((2 * nd + 1,) + patch_ref.space.space.n_basis)
-    coef_c = np.hstack([uc * w_c, w_c]).T.reshape((nd + 1,) + patch_coarse.space.space.n_basis)
     w_rest = wts[1]
     for w in wts[2:]:
         w_rest = w_rest[..., None] * w
-    # slabs of whole element rows along direction 0, summed in a fixed order
     step = n_gauss * max(1, _SLAB_POINTS // (n_gauss * w_rest.size))
-    l2_sq = 0.0
-    h1_semi_sq = 0.0
     for start in range(0, pts[0].size, step):
         rows = slice(start, start + step)
         xu_r, grads_r = _grid_fields(coef_r, mats_r, rows)  # geometry, then u_ref
-        u_c, grads_c = _grid_fields(coef_c, mats_c, rows)
         det, jac_inv = _geometry_det_and_inverse(np.moveaxis(grads_r[:nd], (0, 1), (-2, -1)))
         wdet = wts[0][rows].reshape((-1,) + (1,) * (nd - 1)) * w_rest * det
-        dv = u_c - xu_r[nd:]
-        dg = np.matmul(np.moveaxis(grads_c - grads_r[nd:], (0, 1), (-2, -1)), jac_inv)
-        l2_sq += float(((dv * dv).sum(axis=0) * wdet).sum())
-        h1_semi_sq += float(((dg * dg).sum(axis=(-2, -1)) * wdet).sum())
-    l2 = math.sqrt(l2_sq)
-    return l2, math.sqrt(l2_sq + h1_semi_sq)
+        for k, coef_c, mats_c in fields:
+            u_c, grads_c = _grid_fields(coef_c, mats_c, rows)
+            dv = u_c - xu_r[nd:]
+            dg = np.matmul(np.moveaxis(grads_c - grads_r[nd:], (0, 1), (-2, -1)), jac_inv)
+            sums[k, 0] += float(((dv * dv).sum(axis=0) * wdet).sum())
+            sums[k, 1] += float(((dg * dg).sum(axis=(-2, -1)) * wdet).sum())
+    return [(math.sqrt(l2_sq), math.sqrt(l2_sq + h1_sq)) for l2_sq, h1_sq in sums.tolist()]
 
 
 def arc_coordinate_2d(trace: BoundaryTrace, n_samples: int = 4001):

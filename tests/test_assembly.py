@@ -20,6 +20,7 @@ from igacontact.assembly import (
     iter_element_blocks,
     merge_constraints,
     neo_hookean_forces,
+    scatter_plan,
 )
 from igacontact.geometry import (
     QUARTER_DISC_CONTACT_FACE,
@@ -239,6 +240,21 @@ class TestStiffness:
         K = assemble_stiffness(patch, MAT).stiffness.toarray()
         ref = einsum_stiffness(patch, MAT)
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_scatter_add_matches_full_bincount(self, patch):
+        # chunk sums over the touched slots only equal full-length bincounts bit for bit
+        plan = scatter_plan(patch)
+        ne, size = plan.slots.shape
+        ke = np.random.default_rng(3).normal(size=(ne, size))
+        got, want = np.zeros(plan.nnz), np.zeros(plan.nnz)
+        for start in range(0, ne, 5):
+            n = ke[start : start + 5].shape[0]
+            side = math.isqrt(size)
+            plan.add(got, start, ke[start : start + n].reshape(n, side, side))
+            slots = plan.slots[start : start + n]
+            want += np.bincount(slots.ravel(), weights=ke[start : start + n].ravel(), minlength=plan.nnz)
+        assert np.array_equal(got, want)
 
     def test_patch_test_linear_field_reproduced(self):
         patch = unit_square_patch(2, 3)

@@ -123,14 +123,6 @@ class TestRunOutputs:
         assert main(tiny_large_args(out2)) == 0
         assert_same_bytes(out1, out2)
 
-    def test_large_deformation_thread_count_independent(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        monkeypatch.setenv("IGA_CONTACT_THREADS", "1")
-        assert main(tiny_large_args(out1)) == 0
-        monkeypatch.setenv("IGA_CONTACT_THREADS", "2")
-        assert main(tiny_large_args(out2)) == 0
-        assert_same_bytes(out1, out2)
-
     def test_infsup_single_level(self, tmp_path):
         config = RunConfig(benchmark="infsup", levels=1, base_spans=(4,), out=str(tmp_path / "i"))
         result = run_infsup(config)

@@ -1,6 +1,7 @@
 """Solver tests: saddle solves, active-set loops, Newton stepping, stability estimate."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from igacontact.solver import (
     SmallDeformationProblem,
     SolveSettings,
     SolverError,
+    band_order,
     complementarity_ok,
     _CondensedSaddle,
     inf_sup_estimate,
@@ -266,29 +268,136 @@ def hertz3d_level0():
     return build_hertz3d_problem(sphere_octant_level_patch(config, 0), config)[0], config
 
 
+def linear_case(build):
+    """Condensed-solve inputs of a linear problem: warm-start, converged and random active sets."""
+    problem, config = build()
+    K, F, Bhat, g = condensed_inputs(problem)
+    converged = solve_small_deformation(problem, config.settings).active
+    rng = np.random.default_rng(17)
+    subset = rng.random(converged.size) < 0.5
+    subset[rng.integers(converged.size)] = True
+    order = band_order(problem.system.grid_shape, problem.system.n_comp)
+    return K, F, Bhat, g, order, (problem.initial_active, converged, subset)
+
+
+def neo_hookean_case():
+    """Constrained Neo-Hookean tangent at a random smooth state, random nonempty active sets."""
+    config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+    patch = quarter_disc_level_patch(config, 1)
+    problem, _ = build_large_deformation_problem(patch, config)
+    rng = np.random.default_rng(23)
+    x = patch.control_points
+    a, b = rng.uniform(0.0, 2.0 * np.pi, size=(2, 2))
+    u = 0.03 * np.column_stack([np.sin(2 * x[:, 0] + a[0]) * np.cos(x[:, 1] + b[0]),
+                                np.cos(x[:, 0] + a[1]) * np.sin(2 * x[:, 1] + b[1])]).ravel()
+    _, K_T = neo_hookean_forces(patch, problem.material, u)
+    n = u.size
+    fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
+    K, _ = apply_constraints(K_T, np.zeros(n), {int(d): 0.0 for d in fixed})
+    F = rng.normal(size=n)
+    F[fixed] = 0.0
+    Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+    m = Bhat.shape[0]
+    g = 1e-3 * rng.normal(size=m)
+    actives = []
+    for frac in (0.2, 0.6):
+        active = rng.random(m) < frac
+        active[rng.integers(m)] = True
+        actives.append(active)
+    return K, F, Bhat, g, band_order(patch.space.space.n_basis, 2), actives
+
+
 def count_factorizations(monkeypatch):
     calls = []
-    original = solver.spla.splu
+    original = solver.sla.cholesky_banded
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0].shape[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver.spla, "splu", counting)
+    monkeypatch.setattr(solver.sla, "cholesky_banded", counting)
     return calls
 
 
+def tensor_half_bandwidth(order, shape, n_comp, degree):
+    """Half-bandwidth, in the dof order ``order``, of the coupling of degree-p tensor B-splines."""
+    pattern = sp.csr_matrix(np.ones((n_comp, n_comp)))
+    for n in reversed(shape):
+        idx = np.arange(n)
+        pattern = sp.kron(sp.csr_matrix(np.abs(idx[:, None] - idx) <= degree), pattern, format="csr")
+    coo = pattern.tocoo()
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    return int(np.abs(pos[coo.row] - pos[coo.col]).max())
+
+
+class TestBandOrder:
+    @pytest.mark.parametrize(
+        "shape,n_comp,expected", [((26, 50), 2, 109), ((50, 98), 2, 205), ((10, 18, 10), 3, 668)]
+    )
+    def test_half_bandwidth(self, shape, n_comp, expected):
+        order = band_order(shape, n_comp)
+        assert np.array_equal(np.sort(order), np.arange(int(np.prod(shape)) * n_comp))
+        assert tensor_half_bandwidth(order, shape, n_comp, 2) == expected
+
+    @pytest.mark.parametrize(
+        "shape", [(26, 50), (50, 26), (7, 7), (3, 9), (10, 18, 10), (4, 6, 4), (9, 3, 5), (3, 5, 9)]
+    )
+    def test_never_above_natural_order(self, shape):
+        n_comp = len(shape)
+        natural = np.arange(int(np.prod(shape)) * n_comp)
+        for degree in (2, 3):
+            band = tensor_half_bandwidth(band_order(shape, n_comp), shape, n_comp, degree)
+            assert band <= tensor_half_bandwidth(natural, shape, n_comp, degree)
+
+    def test_matches_assembled_stiffness(self):
+        # the reference level of hertz2d-large-p01: a 26 x 50 basis grid
+        config = RunConfig(benchmark="hertz2d", base_spans=(3, 6), grading=(0.7, 0.45))
+        system = assemble_stiffness(quarter_disc_level_patch(config, 3), MAT)
+        assert system.grid_shape == (26, 50)
+        ab = solver._band_upper(system.stiffness, band_order(system.grid_shape, 2), 0, 1.0)
+        assert ab.shape == (110, system.n_dofs)
+
+
+class TestForwardSubstitution:
+    @pytest.mark.parametrize("n,u", [(23, 5), (40, 8), (7, 0)])
+    def test_matches_dense_triangular_solve(self, n, u):
+        rng = np.random.default_rng(n + u)
+        A = np.zeros((n, n))
+        for k in range(1, u + 1):
+            off = rng.normal(size=n - k)
+            A += np.diag(off, k) + np.diag(off, -k)
+        A += np.diag(2.0 * u + 1.0 + rng.random(n))  # diagonally dominant, so SPD
+        ab = np.zeros((u + 1, n))
+        for k in range(u + 1):
+            ab[u - k, k:] = np.diag(A, k)
+        cb = sla.cholesky_banded(ab)
+        U = sla.cholesky(A)
+        # first nonzero rows, in order: at a slab start, mid-slab, in the last (short)
+        # slab when n is not a multiple of u, and none
+        R = rng.normal(size=(n, 6))
+        for col, first in enumerate([0, 1, u + 2, min(2 * u + 3, n - 1), n - 1]):
+            R[:first, col] = 0.0
+        R[:, 5] = 0.0
+        want = sla.solve_triangular(U, R, trans="T")
+        got = solver._forward_substitution(cb, R.copy())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.all(got[:, 5] == 0.0)
+        with pytest.raises(ValueError, match="first nonzero row"):
+            solver._forward_substitution(cb, R[:, ::-1].copy())
+
+
 class TestCondensedSaddle:
-    @pytest.mark.parametrize("build", [hertz2d_level1, hertz3d_level0], ids=["2d", "3d"])
+    @pytest.mark.parametrize(
+        "build",
+        [functools.partial(linear_case, hertz2d_level1), functools.partial(linear_case, hertz3d_level0),
+         neo_hookean_case],
+        ids=["2d", "3d", "neo-hookean"],
+    )
     def test_matches_saddle_solve_oracle(self, build):
-        problem, config = build()
-        K, F, Bhat, g = condensed_inputs(problem)
-        converged = solve_small_deformation(problem, config.settings).active
-        rng = np.random.default_rng(17)
-        subset = rng.random(converged.size) < 0.5
-        subset[rng.integers(converged.size)] = True
-        saddle = _CondensedSaddle(K, F, Bhat)
-        for active in (problem.initial_active, converged, subset):
+        K, F, Bhat, g, order, actives = build()
+        saddle = _CondensedSaddle(K, F, Bhat, order)
+        for active in actives:
             act = np.flatnonzero(active)
             u, lam = saddle.solve(act, g[act])
             u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
@@ -300,7 +409,7 @@ class TestCondensedSaddle:
         calls = count_factorizations(monkeypatch)
         bundle = solve_small_deformation(problem, config.settings)
         assert len(bundle.iterations) >= 3
-        assert calls == [(problem.system.n_dofs,) * 2]
+        assert calls == [problem.system.n_dofs]
 
     def test_one_factorization_when_seeding(self, monkeypatch):
         # the gap-closing punch starts with an empty set and a singular stiffness
@@ -313,9 +422,16 @@ class TestCondensedSaddle:
     def test_singular_stiffness_with_empty_set_raises(self):
         problem, _, _ = square_contact_problem(n=2, traction=(0.0, -0.2))
         K, F, Bhat, g = condensed_inputs(problem)
+        order = band_order(problem.system.grid_shape, 2)
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(SolverError, match="singular stiffness"):
-            _CondensedSaddle(K, F, Bhat).solve(empty, g[empty])
+            _CondensedSaddle(K, F, Bhat, order).solve(empty, g[empty])
+
+    def test_indefinite_stiffness_raises(self):
+        K = sp.csr_matrix(np.diag([2.0, 1.0, -3.0, 2.0]) + np.diag([0.5] * 3, 1) + np.diag([0.5] * 3, -1))
+        Bhat = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(SolverError, match="not positive definite"):
+            _CondensedSaddle(K, np.ones(4), Bhat, np.arange(4))
 
 
 class TestLargeDeformation:
@@ -358,6 +474,37 @@ class TestLargeDeformation:
         bundle = solve_large_deformation(problem, config.settings, n_steps=2)
         assert len(bundle.iterations) > 2
         assert len(passes) == 1 and passes[0] is patch
+
+    def test_one_factorization_per_newton_solve(self, monkeypatch):
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 0)
+        problem, _ = build_large_deformation_problem(patch, config)
+        calls = count_factorizations(monkeypatch)
+        bundle = solve_large_deformation(problem, config.settings, n_steps=2)
+        steps = {r.step for r in bundle.iterations}
+        # the last iteration of every step converged and solved nothing
+        assert steps == {1, 2}
+        assert len(calls) == len(bundle.iterations) - len(steps) > 0
+        assert set(calls) == {patch.space.dim * 2}
+
+    def test_newton_reseed_adds_no_factorization(self, monkeypatch):
+        # an empty set and a singular tangent: the first solve re-seeds the closest dof
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 0)
+        problem, _ = build_large_deformation_problem(patch, config)
+        n = patch.space.dim * 2
+        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
+        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+        F_t = 0.5 * assemble_load(patch, problem.tractions)
+        calls = count_factorizations(monkeypatch)
+        empty = np.zeros(problem.coupling.shape[0], dtype=bool)
+        *_, records = solver._newton_contact_step(
+            problem, patch_quadrature(patch), config.settings, np.zeros(n),
+            np.zeros(empty.size), empty, Bhat, F_t, fixed, np.zeros(fixed.size),
+            config.settings.gap_tol, 1,
+        )
+        assert records[0].n_active == 0 and records[1].n_active == 1
+        assert len(calls) == len(records) - 1
 
     def test_moderate_pressure_run_converges(self):
         config = RunConfig(

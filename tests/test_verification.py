@@ -164,10 +164,36 @@ class TestDisplacementErrors:
         rng = np.random.default_rng(23)
         u_c = rng.normal(size=coarse.space.dim * nd)
         u_r = rng.normal(size=ref.space.dim * nd)
-        got = displacement_errors(u_c, coarse, u_r, ref)
+        got = displacement_errors([(u_c, coarse)], u_r, ref)[0]
         want = displacement_errors_oracle(u_c, coarse, u_r, ref)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w
+
+    def test_reference_evaluated_once_for_all_levels(self, monkeypatch):
+        # three coarse fields in one call: each equals its own call bit for bit, and
+        # every slab evaluates the reference once and each coarse field once
+        monkeypatch.setattr(verification, "_SLAB_POINTS", 1)
+        config = _disc_config()
+        ref = quarter_disc_level_patch(config, 3)
+        rng = np.random.default_rng(29)
+        u_r = rng.normal(size=ref.space.dim * 2)
+        coarse = []
+        for level in range(3):
+            patch = quarter_disc_level_patch(config, level)
+            coarse.append((rng.normal(size=patch.space.dim * 2), patch))
+        alone = [displacement_errors([pair], u_r, ref)[0] for pair in coarse]
+        evaluations = []
+        original = verification._grid_fields
+
+        def counting(coefs, mats, rows):
+            evaluations.append(coefs.shape[0])
+            return original(coefs, mats, rows)
+
+        monkeypatch.setattr(verification, "_grid_fields", counting)
+        together = displacement_errors(coarse + [(u_r, ref)], u_r, ref)
+        assert together == alone + [(0.0, 0.0)]
+        n_slabs = evaluations.count(5)  # reference: geometry, u_ref and the weight
+        assert n_slabs > 1 and len(evaluations) == 4 * n_slabs
 
     def test_no_element_block_pass(self, monkeypatch):
         passes = []
@@ -182,7 +208,7 @@ class TestDisplacementErrors:
         coarse, ref = _non_nested_pair()
         u_c = np.ones(coarse.space.dim * 2)
         u_r = np.zeros(ref.space.dim * 2)
-        l2, _ = displacement_errors(u_c, coarse, u_r, ref)
+        ((l2, _),) = displacement_errors([(u_c, coarse)], u_r, ref)
         assert l2 > 0.0
         assert passes == []
 
@@ -191,13 +217,13 @@ class TestDisplacementErrors:
         mirrored = NurbsPatch(patch.space, patch.control_points * [-1.0, 1.0])
         u = np.ones(patch.space.dim * 2)
         with pytest.raises(AssemblyError, match="inverted geometry Jacobian") as err:
-            displacement_errors(u, patch, np.zeros_like(u), mirrored)
+            displacement_errors([(u, patch)], np.zeros_like(u), mirrored)
         assert not isinstance(err.value, ElementInversionError)
 
     def test_identical_solutions_give_zero(self):
         patch = unit_square_patch(2, 3)
         u = np.random.default_rng(1).normal(size=patch.space.dim * 2)
-        l2, h1 = displacement_errors(u, patch, u, patch)
+        ((l2, h1),) = displacement_errors([(u, patch)], u, patch)
         assert l2 == 0.0 and h1 == 0.0
 
     def test_constant_difference(self):
@@ -207,7 +233,7 @@ class TestDisplacementErrors:
         c = 0.37
         v = u.copy()
         v[0::2] += c
-        l2, h1 = displacement_errors(v, patch, u, patch)
+        ((l2, h1),) = displacement_errors([(v, patch)], u, patch)
         assert abs(l2 - c) <= 1e-12
         assert abs(h1 - c) <= 1e-12
 
@@ -229,14 +255,14 @@ class TestDisplacementErrors:
         u_c = np.zeros(coarse.space.dim * 2)
         u_c[0::2] = np.repeat(coef_x2, coarse.space.space.n_basis[1])
         u_r = np.zeros(ref.space.dim * 2)
-        l2, h1 = displacement_errors(u_c, coarse, u_r, ref)
+        ((l2, h1),) = displacement_errors([(u_c, coarse)], u_r, ref)
         assert abs(l2 - math.sqrt(1.0 / 5.0)) <= 1e-10
         assert abs(h1 - math.sqrt(1.0 / 5.0 + 4.0 / 3.0)) <= 1e-10
 
     def test_dimension_mismatch_raises(self):
         p2 = unit_square_patch(2, 2)
         with pytest.raises(VerificationError):
-            displacement_errors(np.zeros(4), p2, np.zeros(p2.space.dim * 2), p2)
+            displacement_errors([(np.zeros(4), p2)], np.zeros(p2.space.dim * 2), p2)
 
 
 class TestMultiplierErrors:
