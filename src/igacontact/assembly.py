@@ -3,12 +3,16 @@
 Displacement dofs are numbered ``basis_index * n_comp + component``
 with basis functions in flat C-order.  Element loops are chunked and
 vectorized over quadrature points; element matrices are batched matrix
-products, summed into one CSR pattern per patch through a scatter plan.
+products, summed into one CSR pattern per patch through a scatter plan,
+whose pattern follows in closed form from the per-direction couplings.
+What a Neo-Hookean tangent needs of the patch (gradients in kernel
+layout, the state-free gradient block) is built once per patch.
 Accumulation order is fixed, so repeated assembly of the same data is
 bitwise reproducible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,28 +182,52 @@ class ScatterPlan:
 
 
 def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
-    """Scatter plan of the vector-valued (n_comp = ndim) element matrices of a patch."""
+    """Scatter plan of the vector-valued (n_comp = ndim) element matrices of a patch.
+
+    The pattern is known in closed form: two functions of a tensor grid
+    share an element iff their 1D factors share one in every direction,
+    so a basis row's coupled functions, sorted, are the C-order product
+    of its per-direction couplings, and the rank of one of them in the
+    row is its per-direction ranks read in mixed radix.
+    """
     nc = patch.ndim
-    n_basis = patch.space.dim
-    dofs = _element_dofs(patch.space.space)
+    space = patch.space.space
+    dofs = _element_dofs(space)
     ne, nloc = dofs.shape
-    # coupled basis pairs, sorted by (row, column)
-    pairs, pair_of = np.unique((dofs[:, :, None] * n_basis + dofs[:, None, :]).ravel(), return_inverse=True)
-    row, col = np.divmod(pairs, n_basis)
-    count = np.bincount(row, minlength=n_basis)  # coupled functions per basis row
+    counts, ranks = [], []
+    for kv, n in zip(space.knot_vectors, space.n_basis):
+        local = (kv.spans - kv.degree)[:, None] + np.arange(kv.degree + 1)
+        coupled = np.zeros((n, n), dtype=bool)
+        coupled[local[:, :, None], local[:, None, :]] = True
+        counts.append(coupled.sum(axis=1, dtype=np.int32))
+        ranks.append(np.cumsum(coupled, axis=1, dtype=np.int32) - 1)  # where coupled
+    count = functools.reduce(np.multiply.outer, counts).ravel()  # coupled functions per basis row
     first = np.cumsum(count) - count  # index of each basis row's first pair
+    # rank of function b in the row of function a, for every element pair (a, b); the grid
+    # index is unraveled in 2D, as numpy 2.4's np.unravel_index misreads a length-1 axis
+    multi = np.unravel_index(dofs, space.n_basis)
+    rank = np.zeros((ne, nloc, nloc), dtype=np.int32)
+    for d, m in enumerate(multi):
+        rank = rank * counts[d][m][:, :, None] + ranks[d][m[:, :, None], m[:, None, :]]
+    n_pairs = int(count.sum())
+    col = np.empty(n_pairs, dtype=np.int64)  # coupled pairs sorted by (row, column)
+    col[first[dofs][:, :, None] + rank] = np.broadcast_to(dofs[:, None, :], rank.shape)
+    row = np.repeat(np.arange(count.size), count)
     # dof row b * nc + i holds all nc components of each function coupled to b
-    indptr = np.zeros(n_basis * nc + 1, dtype=np.int64)
+    indptr = np.zeros(count.size * nc + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.repeat(nc * count, nc))
     comp = np.arange(nc)
-    base = nc * nc * first[row] + nc * (np.arange(pairs.size) - first[row])
-    slot = base[:, None, None] + (nc * count[row])[:, None, None] * comp[:, None] + comp  # (pair, i, k)
+    row_start = nc * nc * first[:, None] + (nc * count)[:, None] * comp  # (basis row, i)
+    slot = row_start[row][:, :, None] + nc * (np.arange(n_pairs) - first[row])[:, None, None] + comp
     indices = np.empty(slot.size, dtype=np.int32)
     indices[slot] = col[:, None, None] * nc + comp
-    slots = slot[pair_of.reshape(ne, nloc, nloc)].transpose(0, 1, 3, 2, 4).reshape(ne, -1)
-    return ScatterPlan(
-        indptr=indptr.astype(np.int32), indices=indices, slots=slots.astype(np.int32)
+    # element entry (a i, b k) sits at the start of dof row (a, i) plus nc x the rank of b, plus k
+    slots = (
+        row_start[dofs].astype(np.int32)[:, :, :, None, None]
+        + (nc * rank)[:, :, None, :, None]
+        + comp.astype(np.int32)
     )
+    return ScatterPlan(indptr=indptr.astype(np.int32), indices=indices, slots=slots.reshape(ne, -1))
 
 
 def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -210,20 +238,32 @@ def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return prod.reshape(ce, nloc, nd, nloc, nd)
 
 
-def _isotropic_element_matrices(g, w, c_grad, c_pair, c_swap) -> np.ndarray:
+def _grad_layout(g: np.ndarray) -> np.ndarray:
+    """Gradients (ce, nq, nloc, d) as (ce, nloc, nq * d), the (e, a, (q, j)) layout of the kernels."""
+    ce, nq, nloc, nd = g.shape
+    return g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)
+
+
+def _grad_products(gt: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_q c_eq g_qa . g_qb as (ce, nloc, nloc), one batched matmul over gt = _grad_layout(g)."""
+    nd = gt.shape[2] // c.shape[1]
+    return np.matmul(gt * np.repeat(c, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
+
+
+def _isotropic_element_matrices(w, k_grad, c_pair, c_swap) -> np.ndarray:
     """Element matrices of an isotropic tangent, (ce, nloc * d, nloc * d).
 
     Entry (a i, b k) is the quadrature sum of
-    ``c_grad (g_a . g_b) delta_ik + c_pair w_ai w_bk + c_swap w_ak w_bi``.
-    Linear elasticity is w = g with weights (mu, lam, mu) x wdet; the
-    Neo-Hookean tangent has w = g F^-1 and (mu, lam, mu - lam ln J) x wdet.
+    ``c_grad (g_a . g_b) delta_ik + c_pair w_ai w_bk + c_swap w_ak w_bi``,
+    its first term passed in as ``k_grad``, the (ce, nloc, nloc) block of
+    :func:`_grad_products`.  Linear elasticity is w = g with weights
+    (mu, lam, mu) x wdet; the Neo-Hookean tangent has w = g F^-1 and
+    (mu, lam, mu - lam ln J) x wdet.
     """
-    ce, nq, nloc, nd = g.shape
+    ce, nq, nloc, nd = w.shape
     ke = _pair_products(w, c_pair) + _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
-    gt = g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)  # (e, a, (q, j))
-    k1 = np.matmul(gt * np.repeat(c_grad, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
     for i in range(nd):
-        ke[:, :, i, :, i] += k1
+        ke[:, :, i, :, i] += k_grad
     return ke.reshape(ce, nloc * nd, nloc * nd)
 
 
@@ -259,7 +299,8 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | No
     start = 0
     for block in iter_element_blocks(patch, n_gauss):
         g, wdet = block.grads_phys, block.wdet
-        plan.add(data, start, _isotropic_element_matrices(g, g, mu * wdet, lam * wdet, mu * wdet))
+        k_grad = _grad_products(_grad_layout(g), mu * wdet)
+        plan.add(data, start, _isotropic_element_matrices(g, k_grad, lam * wdet, mu * wdet))
         start += wdet.shape[0]
     return GlobalSystem(
         stiffness=plan.matrix(data),
@@ -417,20 +458,25 @@ class PatchQuadrature:
     """The element data a Neo-Hookean tangent reads, for a whole patch.
 
     It depends on the patch alone, so a solve that assembles many
-    tangents builds it once with :func:`patch_quadrature`.
+    tangents builds it once with :func:`patch_quadrature`.  Gradients are
+    kept in the (e, a, (q, j)) layout only; ``grad_block`` is the part of
+    the tangent that does not depend on the state, up to the factor mu.
     """
 
     dofs: np.ndarray  # (ne, nloc) flat basis indices
-    grads_phys: np.ndarray  # (ne, nq, nloc, d)
+    gt: np.ndarray  # (ne, nloc, nq * d) physical gradients, _grad_layout
     wdet: np.ndarray  # (ne, nq) quadrature weight x |J|
+    grad_block: np.ndarray  # (ne, nloc, nloc) sum_q wdet g_qa . g_qb
     plan: ScatterPlan
 
 
 def patch_quadrature(patch: NurbsPatch, n_gauss: int | None = None) -> PatchQuadrature:
     n_gauss = n_gauss or max(patch.degrees) + 1
-    parts = [(b.dofs, b.grads_phys, b.wdet) for b in iter_element_blocks(patch, n_gauss)]
-    dofs, grads, wdet = (np.concatenate(p) for p in zip(*parts))
-    return PatchQuadrature(dofs=dofs, grads_phys=grads, wdet=wdet, plan=scatter_plan(patch))
+    parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in iter_element_blocks(patch, n_gauss)]
+    dofs, gt, wdet = (np.concatenate(p) for p in zip(*parts))
+    return PatchQuadrature(
+        dofs=dofs, gt=gt, wdet=wdet, grad_block=_grad_products(gt, wdet), plan=scatter_plan(patch)
+    )
 
 
 def neo_hookean_forces(
@@ -455,11 +501,10 @@ def neo_hookean_forces(
     data = np.zeros(quad.plan.nnz)
     mu, lam = mat.lame()
     for start in range(0, quad.dofs.shape[0], _CHUNK):
-        dofs = quad.dofs[start : start + _CHUNK]
-        g = quad.grads_phys[start : start + _CHUNK]
-        wdet = quad.wdet[start : start + _CHUNK]
-        ce, nq, nloc, _ = g.shape
-        gt = g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)  # (e, a, (q, j))
+        chunk = slice(start, start + _CHUNK)
+        dofs, gt, wdet = quad.dofs[chunk], quad.gt[chunk], quad.wdet[chunk]
+        ce, nloc, nqd = gt.shape
+        nq = nqd // nd
         gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
         Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
         J, Finv = det_and_inverse(Fdef)
@@ -470,7 +515,8 @@ def neo_hookean_forces(
         f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
         # dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam lnJ) swap-term, contracted
         # per term with w = g F^-1 instead of forming the fourth-order tensor
-        w = np.matmul(g, Finv)
+        w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), Finv)
         c_swap = (mu - lam * np.log(J)) * wdet
-        quad.plan.add(data, start, _isotropic_element_matrices(g, w, mu * wdet, lam * wdet, c_swap))
+        ke = _isotropic_element_matrices(w, mu * quad.grad_block[chunk], lam * wdet, c_swap)
+        quad.plan.add(data, start, ke)
     return f_int, quad.plan.matrix(data)

@@ -4,13 +4,18 @@ Every linear solve factors the shifted stiffness or tangent once, as a
 banded Cholesky factorization in an order taken from the patch's basis
 grid (:func:`band_order`), and condenses the active multipliers onto it:
 each saddle solve is then a small dense system in the active
-multipliers (:class:`_CondensedSaddle`).  Small deformation: one
-factorization per solve, and an outer loop alternates saddle solves
-(gap pinned to zero on the active multiplier dofs) with activity updates
-until the set is stable and complementarity holds.  Large deformation:
-load stepping with Newton iterations on the combined residual, the
-active set updated after every Newton solve; the tangent changes every
-iteration, so every Newton solve factors it once.
+multipliers (:class:`_CondensedSaddle`).  The grid is walked towards the
+contact rows expected active, so that their columns of the condensation
+come last in the band.  The band layout of a CSR pattern (order, fixed
+dofs, gather indices, coupling in band order) is built once, and a
+matrix with that pattern goes into the band by one gather.  Small
+deformation: one factorization per solve, and an outer loop alternates
+saddle solves (gap pinned to zero on the active multiplier dofs) with
+activity updates until the set is stable and complementarity holds.
+Large deformation: load stepping with Newton iterations on the combined
+residual, the active set updated after every Newton solve; the tangent
+changes every iteration, so every Newton solve factors it once, through
+the one layout of the tangent's fixed pattern.
 """
 from __future__ import annotations
 
@@ -194,7 +199,7 @@ def _initial_active(wg0: np.ndarray, gap_tol: float) -> np.ndarray:
 _RCOND_MIN = 1e-10
 
 
-def band_order(shape, n_comp: int) -> np.ndarray:
+def band_order(shape, n_comp: int, last=()) -> np.ndarray:
     """Dof order in which the stiffness of a tensor-grid patch is banded.
 
     Entry k is the dof placed k-th.  The basis grid (flat C-order
@@ -203,32 +208,102 @@ def band_order(shape, n_comp: int) -> np.ndarray:
     the ``n_comp`` components of a function stay adjacent.  With degree p
     in every direction the half-bandwidth is ``n_comp (p sum_a stride_a + 1) - 1``
     over the walked axes' strides, the smallest any axis order gives.
+    Each axis is walked towards the mean grid position of the basis
+    functions ``last`` (flat indices), so that they come as late as the
+    walk allows; the direction leaves the bandwidth unchanged.
     """
-    axes = np.argsort([-n for n in shape], kind="stable")
-    grid = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape).transpose(axes)
+    grid = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
+    if len(last):
+        centre = np.mean(np.unravel_index(np.asarray(last), shape), axis=1)
+        grid = np.flip(grid, axis=tuple(np.flatnonzero(centre < (np.array(shape) - 1) / 2)))
+    grid = grid.transpose(np.argsort([-n for n in shape], kind="stable"))
     return (grid.reshape(-1, 1) * n_comp + np.arange(n_comp, dtype=np.int32)).ravel()
 
 
-def _band_upper(K, order: np.ndarray, i: int, rho: float) -> np.ndarray:
-    """Upper band of ``P (K + rho e_i e_i^T) P^T`` in LAPACK storage ``ab[u + r - c, c]``.
+def _contact_order(shape, n_comp: int, Bhat: sp.csr_matrix, expected: np.ndarray) -> np.ndarray:
+    """:func:`band_order` walked towards the functions the expected-active rows of Bhat couple to.
 
-    ``P`` puts dof ``order[k]`` in row k.  The band is filled straight
-    from K's canonical CSR arrays, upper triangle only: a tangent that
-    is symmetric up to rounding is read as its upper half.
+    A column of ``W = U^-T P B^T`` is forward-substituted from its first
+    nonzero row to the end, so the rows expected active go last.
     """
-    K = _canonical_csr(K)
-    n = K.shape[0]
-    pos = np.empty(n, dtype=np.int32)  # band row of every dof
+    rows = Bhat[np.flatnonzero(expected)]
+    return band_order(shape, n_comp, last=np.unique(rows.indices[rows.data != 0] // n_comp))
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """What every condensed solve on one CSR pattern shares, built once by :func:`_band_layout`.
+
+    ``fill(data)`` is a gather: the upper band, in LAPACK storage
+    ``ab[u + r - c, c]``, of ``P apply_constraints(K) P^T`` for the K with
+    that pattern and data, where ``P`` puts dof ``order[k]`` in row k and
+    the fixed rows and columns are dropped and get a unit diagonal.  A
+    tangent that is symmetric up to rounding is read as its upper half.
+    The coupling rows are kept in band order, with the first nonzero
+    band column of each, and ``i`` is the kernel dof of the shift
+    (the dof of the largest coupling column).
+    """
+
+    order: np.ndarray  # (n,) int32, the dof placed k-th
+    pos: np.ndarray  # (n,) int32, band row of every dof
+    u: int  # half-bandwidth
+    src: np.ndarray  # CSR data positions of the band entries
+    dest: np.ndarray  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
+    unit: np.ndarray  # flat positions of the fixed dofs' unit diagonals
+    free: np.ndarray | None  # free-dof mask; None when nothing is fixed
+    Bhat: sp.csr_matrix
+    Bband: sp.csr_matrix  # Bhat P^T: columns in band order, stored zeros dropped
+    first: np.ndarray  # first nonzero column of every row of Bband (n when empty)
+    i: int
+
+    def fill(self, data: np.ndarray) -> np.ndarray:
+        n, w = self.order.size, self.u + 1
+        abT = np.zeros(n * w)
+        abT[self.dest] = np.take(data, self.src)
+        abT[self.unit] = 1.0
+        return abT.reshape(n, w).T
+
+    def matvec(self, K: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """``apply_constraints(K) @ x``: fixed rows and columns act as the identity."""
+        if self.free is None:
+            return K @ x
+        return np.where(self.free, K @ np.where(self.free, x, 0.0), x)
+
+
+def _band_layout(indptr, indices, order, Bhat: sp.csr_matrix, fixed=()) -> _BandLayout:
+    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates)."""
+    n = indptr.size - 1
+    fixed = np.asarray(fixed, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
-    r = np.repeat(pos, np.diff(K.indptr))
-    c = pos[K.indices]
-    upper = r <= c
-    r, c = r[upper], c[upper]
-    u = int((c - r).max()) if r.size else 0
-    abT = np.zeros((n, u + 1))  # C-order transpose of the Fortran-order band
-    abT[c, u + r - c] = K.data[upper]
-    abT[pos[i], u] += rho
-    return abT.T
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    r, c = pos[rows], pos[indices]
+    src = np.flatnonzero((r <= c) & free[rows] & free[indices])
+    r, c = r[src], c[src]
+    u = int((c - r).max()) if src.size else 0
+    index = np.int32 if n * (u + 1) < 2**31 else np.int64
+    dest = c.astype(index) * (u + 1) + (u + r - c)
+    Bband = Bhat[:, order].tocsr()
+    Bband.eliminate_zeros()
+    first = np.full(Bband.shape[0], n)
+    filled = np.diff(Bband.indptr) > 0
+    if filled.any():
+        first[filled] = np.minimum.reduceat(Bband.indices, Bband.indptr[:-1][filled])
+    return _BandLayout(
+        order=np.asarray(order, dtype=np.int32),
+        pos=pos,
+        u=u,
+        src=src.astype(index),
+        dest=dest,
+        unit=pos[fixed].astype(index) * (u + 1) + u,
+        free=free if fixed.size else None,
+        Bhat=Bhat,
+        Bband=Bband,
+        first=first,
+        i=int(np.argmax(np.asarray(Bhat.multiply(Bhat).sum(axis=0)).ravel())),
+    )
 
 
 def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -275,14 +350,17 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
 class _CondensedSaddle:
     """Saddle solves ``[[K, B_A^T], [B_A, 0]] [u, lam] = [F, g]`` on one factorization of K.
 
-    K may have one kernel mode, a rigid translation normal to the plane,
-    which the active rows remove.  It is removed from the factorization
-    exactly: with ``i`` the dof of the largest coupling column and
-    ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T`` is factored and
-    ``beta = rho u_i`` is one extra unknown, so that ``K u = K~ u - beta e_i``.
-    ``K~`` is symmetric positive definite; it is factored as
-    ``P K~ P^T = U^T U`` by banded Cholesky in the dof order ``order``
-    (:func:`band_order`).  With ``W = U^-T P B^T``, ``x_e = K~^-1 e_i``
+    K is read through ``layout`` (:func:`_band_layout`, built for K's
+    pattern), which eliminates the layout's fixed dofs as
+    :func:`apply_constraints` does, in the factor and in the residual
+    check alike; ``B`` is the layout's coupling.  K may have one kernel
+    mode, a rigid translation normal to the plane, which the active rows
+    remove.  It is removed from the factorization exactly: with ``i`` the
+    layout's kernel dof and ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T``
+    is factored and ``beta = rho u_i`` is one extra unknown, so that
+    ``K u = K~ u - beta e_i``.  ``K~`` is symmetric positive definite; it
+    is factored as ``P K~ P^T = U^T U`` by banded Cholesky in the
+    layout's dof order.  With ``W = U^-T P B^T``, ``x_e = K~^-1 e_i``
     and ``y_F = K~^-1 F``, an active set A leaves the dense bordered
     system in ``(lam_A, beta)``
 
@@ -294,15 +372,15 @@ class _CondensedSaddle:
     per batch, and its Gram products with the earlier columns are kept.
     """
 
-    def __init__(self, K: sp.csr_matrix, F: np.ndarray, Bhat: sp.csr_matrix, order: np.ndarray):
+    def __init__(self, K: sp.csr_matrix, F: np.ndarray, layout: _BandLayout):
         n = F.size
-        self.K, self.F, self.Bhat, self.order = K, F, Bhat, order
-        self.i = int(np.argmax(np.asarray(Bhat.multiply(Bhat).sum(axis=0)).ravel()))
-        self.rho = float(np.abs(K.diagonal()).max())
+        self.K, self.F, self.layout = K, F, layout
+        self.Bhat, self.order, self.i = layout.Bhat, layout.order, layout.i
+        ab = layout.fill(K.data)
+        self.rho = float(np.abs(ab[layout.u]).max())
+        ab[layout.u, layout.pos[self.i]] += self.rho
         try:
-            self.cb = sla.cholesky_banded(
-                _band_upper(K, order, self.i, self.rho), overwrite_ab=True, check_finite=False
-            )
+            self.cb = sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"shifted stiffness K + rho e_i e_i^T is not positive definite ({exc}): "
@@ -311,9 +389,9 @@ class _CondensedSaddle:
         e_i = np.zeros(n)
         e_i[self.i] = 1.0
         self.y_F, self.x_e = self._solve(np.column_stack([F, e_i])).T
-        self.By_F = Bhat @ self.y_F
-        self.Bx_e = Bhat @ self.x_e
-        self.col = np.full(Bhat.shape[0], -1)  # Gram index per multiplier dof
+        self.By_F = self.Bhat @ self.y_F
+        self.Bx_e = self.Bhat @ self.x_e
+        self.col = np.full(self.Bhat.shape[0], -1)  # Gram index per multiplier dof
         self.W: list[tuple[int, np.ndarray]] = []  # (first row, rows of W from it) per batch
         self.G = np.empty((0, 0))  # Gram matrix W^T W of the solved columns
 
@@ -325,17 +403,11 @@ class _CondensedSaddle:
         return out
 
     def _add_columns(self, new: np.ndarray) -> None:
-        rows = self.Bhat[new][:, self.order].tocsr()  # B P^T: columns in band order
-        rows.eliminate_zeros()
-        n = rows.shape[1]
-        first = np.full(new.size, n)  # first nonzero column of every row
-        filled = np.diff(rows.indptr) > 0
-        if filled.any():
-            first[filled] = np.minimum.reduceat(rows.indices, rows.indptr[:-1][filled])
-        sort = np.argsort(first, kind="stable")
-        new = new[sort]
-        r0 = int(first[sort[0]])  # rows before it are zero in every new column of W
-        Wn = _forward_substitution(self.cb[:, r0:], rows[sort][:, r0:].toarray().T)
+        first = self.layout.first[new]
+        new = new[np.argsort(first, kind="stable")]
+        r0 = int(first.min())  # rows before it are zero in every new column of W
+        rows = self.layout.Bband[new][:, r0:]  # B P^T: columns in band order
+        Wn = _forward_substitution(self.cb[:, r0:], rows.toarray().T)
         # Gram products with each earlier batch, over the rows where both can be nonzero
         cross = [Wo[max(r0 - ro, 0) :].T @ Wn[max(ro - r0, 0) :] for ro, Wo in self.W]
         k = self.G.shape[0]
@@ -381,7 +453,8 @@ class _CondensedSaddle:
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):
             raise SolverError(_diagnose_saddle_failure(self.K, B_A, "non-finite solution"))
         res = np.hypot(
-            np.linalg.norm(self.K @ u + B_A.T @ lam - self.F), np.linalg.norm(B_A @ u - g)
+            np.linalg.norm(self.layout.matvec(self.K, u) + B_A.T @ lam - self.F),
+            np.linalg.norm(B_A @ u - g),
         )
         rhs_norm = np.hypot(np.linalg.norm(self.F), np.linalg.norm(g))
         if res > 1e-4 * max(rhs_norm, 1e-300):
@@ -399,6 +472,7 @@ def solve_small_deformation(
     """
     system = problem.system
     K, F = apply_constraints(system.stiffness, system.load, system.constraints)
+    K = _canonical_csr(K)
     n = F.size
     fixed = np.fromiter(system.constraints.keys(), dtype=np.int64) if system.constraints else np.empty(0, np.int64)
     u_fix = np.zeros(n)
@@ -411,12 +485,14 @@ def solve_small_deformation(
     measures = problem.measures
     wg0 = (problem.gap_integrals + gap_shift) / measures
     gap_tol = settings.gap_tol
-    saddle = _CondensedSaddle(K, F, Bhat, band_order(system.grid_shape, system.n_comp))
-
     if problem.initial_active is not None:
         active = problem.initial_active.copy()
     else:
         active = _initial_active(wg0, gap_tol)
+    # the rows expected active: the starting set, else the closest approach
+    expected = active if active.any() else wg0 == wg0.min()
+    order = _contact_order(system.grid_shape, system.n_comp, Bhat, expected)
+    saddle = _CondensedSaddle(K, F, _band_layout(K.indptr, K.indices, order, Bhat))
     lam = np.zeros(B.shape[0])
     records: list[IterationRecord] = []
     seen: dict[bytes, int] = {}
@@ -511,7 +587,9 @@ def solve_large_deformation(
     Both tractions and prescribed displacements are scaled by the load
     factor.  Element inversion inside a step triggers step halving (up
     to 20 halvings).  The patch's element data and scatter plan are
-    built once and reused for every tangent of the solve.
+    built once and reused for every tangent of the solve, and so is the
+    band layout of the tangent's pattern: each tangent goes into the
+    banded factor by one gather.
     """
     patch = problem.patch
     quad = patch_quadrature(patch, problem.n_gauss)
@@ -538,6 +616,8 @@ def solve_large_deformation(
         active = _initial_active(wg0, gap_tol)
         if not active.any():
             active[int(np.argmin(wg0))] = True
+    order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
+    layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
 
     records: list[IterationRecord] = []
     bundle_state = None
@@ -553,7 +633,7 @@ def solve_large_deformation(
             active = active | problem.active_hint(t_try)
         try:
             u_new, lam, active, wg, recs = _newton_contact_step(
-                problem, quad, settings, u, lam, active, Bhat, F_full * t_try, fixed,
+                problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
                 vals_full * t_try, gap_tol, step,
             )
         except (ElementInversionError, SolverError):
@@ -584,13 +664,12 @@ def solve_large_deformation(
 
 
 def _newton_contact_step(
-    problem, quad, settings, u0, lam0, active0, Bhat, F_t, fixed, vals_t, gap_tol, step
+    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, gap_tol, step
 ):
     patch = problem.patch
     B = problem.coupling
     measures = problem.measures
     n = u0.size
-    order = band_order(patch.space.space.n_basis, patch.ndim)
     u = u0.copy()
     # prescribed increments enter through the first tangent solve so the free
     # dofs follow along; jumping u[fixed] directly inverts elements next to
@@ -599,7 +678,6 @@ def _newton_contact_step(
     dv[fixed] = vals_t - u[fixed]
     lam = lam0.copy()
     active = active0.copy()
-    zero_fix = {int(d): 0.0 for d in fixed}
     records: list[IterationRecord] = []
     seeded = False
     seen: dict[bytes, int] = {}
@@ -634,7 +712,9 @@ def _newton_contact_step(
             new_state, gap_tol
         ):
             return u, new_state.lam, new_state.active, wg, records
-        if first_res is None and res_u > 0.0:
+        if first_res is None and res_u > settings.newton_tol * ref:
+            # a converged residual carried over from the previous step is no scale: a
+            # displacement-driven step's increment enters through dv, not r_u
             first_res = res_u
         if it > 6 and first_res is not None and res_u > 1e3 * first_res:
             raise SolverError("Newton residual diverged")
@@ -667,7 +747,6 @@ def _newton_contact_step(
         r_lam = wg[act_idx] * measures[act_idx]
         if not pending and res_u == 0.0 and r_lam.size == 0:
             continue  # exact equilibrium, only activity bookkeeping changed
-        Kc, _ = apply_constraints(K_T, np.zeros(n), zero_fix)
         rhs_u = -r_u_hat
         if pending:
             rhs_u -= K_T @ dv
@@ -677,7 +756,7 @@ def _newton_contact_step(
             rhs_l = -(wg[idx] * measures[idx])
             return rhs_l - (B @ dv)[idx] if pending else rhs_l
 
-        saddle = _CondensedSaddle(Kc, rhs_u, Bhat, order)
+        saddle = _CondensedSaddle(K_T, rhs_u, layout)
         try:
             du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
         except SolverError:

@@ -9,8 +9,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from igacontact import assembly
 from igacontact.assembly import (
     AssemblyError,
+    _grad_layout,
+    _grad_products,
+    _isotropic_element_matrices,
     apply_constraints,
     assemble_load,
     assemble_stiffness,
@@ -20,6 +24,7 @@ from igacontact.assembly import (
     iter_element_blocks,
     merge_constraints,
     neo_hookean_forces,
+    patch_quadrature,
     scatter_plan,
 )
 from igacontact.geometry import (
@@ -27,6 +32,7 @@ from igacontact.geometry import (
     QUARTER_DISC_LOAD_FACE,
     QUARTER_DISC_SYMMETRY_FACE,
     NurbsPatch,
+    elevate_bezier_degree,
     face_id,
     quarter_disc_patch,
     sphere_octant_patch,
@@ -51,6 +57,27 @@ def disc_patch(n=4):
 def octant_patch(n=2):
     breaks = np.linspace(0, 1, n + 1)[1:-1]
     return sphere_octant_patch(1.0).refine_to_breakpoints([breaks, breaks, breaks])
+
+
+def unique_scatter_plan(patch):
+    """Oracle: the scatter plan from np.unique over every element's (row, column) basis pairs."""
+    nc = patch.ndim
+    n_basis = patch.space.dim
+    dofs = assembly._element_dofs(patch.space.space)
+    ne, nloc = dofs.shape
+    pairs, pair_of = np.unique((dofs[:, :, None] * n_basis + dofs[:, None, :]).ravel(), return_inverse=True)
+    row, col = np.divmod(pairs, n_basis)
+    count = np.bincount(row, minlength=n_basis)
+    first = np.cumsum(count) - count
+    indptr = np.zeros(n_basis * nc + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.repeat(nc * count, nc))
+    comp = np.arange(nc)
+    base = nc * nc * first[row] + nc * (np.arange(pairs.size) - first[row])
+    slot = base[:, None, None] + (nc * count[row])[:, None, None] * comp[:, None] + comp
+    indices = np.empty(slot.size, dtype=np.int32)
+    indices[slot] = col[:, None, None] * nc + comp
+    slots = slot[pair_of.reshape(ne, nloc, nloc)].transpose(0, 1, 3, 2, 4).reshape(ne, -1)
+    return indptr.astype(np.int32), indices, slots.astype(np.int32)
 
 
 def neo_hookean_tangent(mat, F):
@@ -256,6 +283,22 @@ class TestStiffness:
             want += np.bincount(slots.ravel(), weights=ke[start : start + n].ravel(), minlength=plan.nnz)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            disc_patch(4),
+            quarter_disc_patch(1.0).refine_to_breakpoints([[0.5], [0.2, 0.4, 0.6, 0.8]]),
+            octant_patch(3),
+            elevate_bezier_degree(quarter_disc_patch(1.0)).refine_to_breakpoints([[0.25, 0.5, 0.75]] * 2),
+            elevate_bezier_degree(sphere_octant_patch(1.0)).refine_to_breakpoints([[0.5]] * 3),
+        ],
+        ids=["2d", "2d-aniso", "3d", "2d-p3", "3d-p3"],
+    )
+    def test_scatter_plan_matches_unique_oracle(self, patch):
+        plan = scatter_plan(patch)
+        for got, want in zip((plan.indptr, plan.indices, plan.slots), unique_scatter_plan(patch)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_patch_test_linear_field_reproduced(self):
         patch = unit_square_patch(2, 3)
         sys = assemble_stiffness(patch, MAT)
@@ -403,6 +446,30 @@ class TestNeoHookean:
         K_ref, f_ref = einsum_neo_hookean(patch, mat, u)
         assert np.abs(K_T.toarray() - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_hoisted_tangent_matches_per_call_formulation(self, patch):
+        # the state-free block sum_q wdet g_a . g_b is built once per patch and scaled by
+        # mu; forming mu wdet inside the quadrature sum at every call agrees to rounding
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        mu, lam = mat.lame()
+        x = patch.control_points
+        u = (0.05 * np.sin(x) + 0.02 * x ** 2).ravel()
+        f, K_T = neo_hookean_forces(patch, mat, u, quad=patch_quadrature(patch))
+        nd = patch.ndim
+        plan = scatter_plan(patch)
+        data = np.zeros(plan.nnz)
+        start = 0
+        for b in iter_element_blocks(patch, max(patch.degrees) + 1):
+            g, wdet = b.grads_phys, b.wdet
+            Fdef = np.eye(nd) + np.einsum("eai,eqaj->eqij", u.reshape(-1, nd)[b.dofs], g)
+            J, Finv = det_and_inverse(Fdef)
+            k_grad = _grad_products(_grad_layout(g), mu * wdet)
+            c_swap = (mu - lam * np.log(J)) * wdet
+            plan.add(data, start, _isotropic_element_matrices(g @ Finv, k_grad, lam * wdet, c_swap))
+            start += g.shape[0]
+        assert np.array_equal(K_T.indices, plan.indices) and np.array_equal(K_T.indptr, plan.indptr)
+        assert np.abs(K_T.data - data).max() <= 1e-14 * np.abs(data).max()
 
     def test_element_inversion_detected(self):
         patch = unit_square_patch(2, 1)

@@ -123,6 +123,13 @@ class TestRunOutputs:
         assert main(tiny_large_args(out2)) == 0
         assert_same_bytes(out1, out2)
 
+    def test_dirichlet_large_deformation_run(self, tmp_path):
+        # a displacement-driven step enters through the prescribed increment, so its
+        # first residual is the previous step's converged one (about 1e-16); taken as
+        # the divergence scale, it failed step 2 at every halving of the load step
+        args = ["hertz2d-large-dirichlet", "--displacement", "0.1", "--levels", "2"]
+        assert main([*args, "--out", str(tmp_path / "d")]) == 0
+
     def test_infsup_single_level(self, tmp_path):
         config = RunConfig(benchmark="infsup", levels=1, base_spans=(4,), out=str(tmp_path / "i"))
         result = run_infsup(config)

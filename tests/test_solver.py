@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from igacontact import assembly, solver
+from igacontact import assembly, benchmarks, solver
 from igacontact.assembly import (
     apply_constraints,
     assemble_load,
@@ -34,7 +34,7 @@ from igacontact.contact import (
     scalar_coupling_and_masses,
     weighted_gap,
 )
-from igacontact.geometry import extract_trace, face_id, unit_square_patch
+from igacontact.geometry import SPHERE_OCTANT_CONTACT_FACE, extract_trace, face_id, unit_square_patch
 from igacontact.materials import LinearMaterial
 from igacontact.solver import (
     SmallDeformationProblem,
@@ -48,7 +48,7 @@ from igacontact.solver import (
     solve_large_deformation,
     solve_small_deformation,
 )
-from igacontact.verification import arc_coordinate_2d, hertz_2d
+from igacontact.verification import arc_coordinate_2d, hertz_2d, hertz_3d
 
 MAT = LinearMaterial(1.0, 0.3)
 
@@ -307,6 +307,11 @@ def neo_hookean_case():
     return K, F, Bhat, g, band_order(patch.space.space.n_basis, 2), actives
 
 
+def condensed_saddle(K, F, Bhat, order):
+    """_CondensedSaddle of a constrained K on the band layout of its own pattern."""
+    return _CondensedSaddle(K, F, solver._band_layout(K.indptr, K.indices, order, Bhat))
+
+
 def count_factorizations(monkeypatch):
     calls = []
     original = solver.sla.cholesky_banded
@@ -355,8 +360,103 @@ class TestBandOrder:
         config = RunConfig(benchmark="hertz2d", base_spans=(3, 6), grading=(0.7, 0.45))
         system = assemble_stiffness(quarter_disc_level_patch(config, 3), MAT)
         assert system.grid_shape == (26, 50)
-        ab = solver._band_upper(system.stiffness, band_order(system.grid_shape, 2), 0, 1.0)
+        K = system.stiffness
+        no_coupling = sp.csr_matrix((1, system.n_dofs))
+        ab = solver._band_layout(K.indptr, K.indices, band_order(system.grid_shape, 2), no_coupling).fill(K.data)
         assert ab.shape == (110, system.n_dofs)
+
+
+def dense_band(A, u):
+    """Oracle: the upper band of a dense matrix in LAPACK storage ab[u + r - c, c]."""
+    ab = np.zeros((u + 1, A.shape[0]))
+    for k in range(u + 1):
+        ab[u - k, k:] = np.diag(A, k)
+    return ab
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("kind", ["linear", "neo-hookean"])
+    def test_fill_matches_dense_oracle(self, kind):
+        # the gather equals the band of P apply_constraints(K) P^T bit for bit, and
+        # the masked product equals the product with the constrained matrix
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 1)
+        problem, _ = build_large_deformation_problem(patch, config)
+        n = patch.space.dim * 2
+        if kind == "linear":
+            K = assemble_stiffness(patch, MAT).stiffness
+        else:
+            x = patch.control_points
+            u = 0.03 * np.column_stack([np.sin(2 * x[:, 0]), np.cos(x[:, 1])]).ravel()
+            K = neo_hookean_forces(patch, problem.material, u)[1]
+        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
+        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, problem.initial_active)
+        layout = solver._band_layout(K.indptr, K.indices, order, Bhat, fixed)
+        Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in fixed})
+        PKP = Kc.toarray()[np.ix_(order, order)]
+        assert not np.triu(PKP, layout.u + 1).any()
+        assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
+        x = np.random.default_rng(4).normal(size=n)
+        assert np.array_equal(layout.matvec(K, x), Kc @ x)
+
+    def test_fixed_dofs_solve_as_constrained_matrix(self):
+        # the Newton path hands the raw tangent and its fixed dofs to the layout
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 1)
+        problem, _ = build_large_deformation_problem(patch, config)
+        n = patch.space.dim * 2
+        x = patch.control_points
+        K_T = neo_hookean_forces(patch, problem.material, 0.02 * np.sin(x).ravel())[1]
+        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
+        Kc, _ = apply_constraints(K_T, np.zeros(n), {int(d): 0.0 for d in fixed})
+        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, problem.initial_active)
+        rng = np.random.default_rng(8)
+        F = rng.normal(size=n)
+        F[fixed] = 0.0
+        act = np.flatnonzero(problem.initial_active)
+        g = 1e-3 * rng.normal(size=act.size)
+        raw = _CondensedSaddle(K_T, F, solver._band_layout(K_T.indptr, K_T.indices, order, Bhat, fixed))
+        u, lam = raw.solve(act, g)
+        u_ref, lam_ref = saddle_solve(Kc, F, Bhat[act], g)
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+        assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
+        assert np.array_equal(u, condensed_saddle(Kc, F, Bhat, order).solve(act, g)[0])
+
+    @pytest.mark.parametrize("grid", ["26x50", "10x18x10"])
+    def test_contact_rows_come_last(self, grid):
+        # the warm-start rows' columns of W start in the second half of the band
+        if grid == "26x50":  # the reference level of hertz2d-large-p01
+            config = RunConfig(
+                benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45)
+            )
+            patch = quarter_disc_level_patch(config, 3)
+            problem, setup = build_large_deformation_problem(patch, config)
+            warm = problem.initial_active
+        else:
+            config = RunConfig(
+                benchmark="hertz3d", pressure=1e-4, levels=2, base_spans=(2, 4, 2), grading=(0.5, 0.2)
+            )
+            patch = sphere_octant_level_patch(config, 2)
+            setup = benchmarks._contact_setup(
+                patch, SPHERE_OCTANT_CONTACT_FACE, [0.0, 0.0, 1.0], -config.radius
+            )
+            a = hertz_3d(config.radius, config.young, config.poisson, config.pressure).a
+            warm = benchmarks._warm_active_set(setup, config.radius, a)
+        shape, nd = patch.space.space.n_basis, patch.ndim
+        assert "x".join(map(str, shape)) == grid
+        n = patch.space.dim * nd
+        plain = band_order(shape, nd)
+        order = solver._contact_order(shape, nd, setup.coupling, warm)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        rows = setup.coupling[np.flatnonzero(warm)]
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        assert pos[rows.indices[rows.data != 0]].min() > n / 2
+        # the walk direction leaves the bandwidth alone
+        degree = max(patch.degrees)
+        assert tensor_half_bandwidth(order, shape, nd, degree) == tensor_half_bandwidth(plain, shape, nd, degree)
 
 
 class TestForwardSubstitution:
@@ -396,7 +496,7 @@ class TestCondensedSaddle:
     )
     def test_matches_saddle_solve_oracle(self, build):
         K, F, Bhat, g, order, actives = build()
-        saddle = _CondensedSaddle(K, F, Bhat, order)
+        saddle = condensed_saddle(K, F, Bhat, order)
         for active in actives:
             act = np.flatnonzero(active)
             u, lam = saddle.solve(act, g[act])
@@ -425,13 +525,13 @@ class TestCondensedSaddle:
         order = band_order(problem.system.grid_shape, 2)
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(SolverError, match="singular stiffness"):
-            _CondensedSaddle(K, F, Bhat, order).solve(empty, g[empty])
+            condensed_saddle(K, F, Bhat, order).solve(empty, g[empty])
 
     def test_indefinite_stiffness_raises(self):
         K = sp.csr_matrix(np.diag([2.0, 1.0, -3.0, 2.0]) + np.diag([0.5] * 3, 1) + np.diag([0.5] * 3, -1))
         Bhat = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(SolverError, match="not positive definite"):
-            _CondensedSaddle(K, np.ones(4), Bhat, np.arange(4))
+            condensed_saddle(K, np.ones(4), Bhat, np.arange(4))
 
 
 class TestLargeDeformation:
@@ -496,11 +596,14 @@ class TestLargeDeformation:
         fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
         Bhat = solver._masked_coupling(problem.coupling, fixed, n)
         F_t = 0.5 * assemble_load(patch, problem.tractions)
+        quad = patch_quadrature(patch)
+        order = band_order(patch.space.space.n_basis, 2)
+        layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
         calls = count_factorizations(monkeypatch)
         empty = np.zeros(problem.coupling.shape[0], dtype=bool)
         *_, records = solver._newton_contact_step(
-            problem, patch_quadrature(patch), config.settings, np.zeros(n),
-            np.zeros(empty.size), empty, Bhat, F_t, fixed, np.zeros(fixed.size),
+            problem, quad, config.settings, np.zeros(n),
+            np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size),
             config.settings.gap_tol, 1,
         )
         assert records[0].n_active == 0 and records[1].n_active == 1
