@@ -261,7 +261,8 @@ def _isotropic_element_matrices(w, k_grad, c_pair, c_swap) -> np.ndarray:
     (mu, lam, mu - lam ln J) x wdet.
     """
     ce, nq, nloc, nd = w.shape
-    ke = _pair_products(w, c_pair) + _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
+    ke = _pair_products(w, c_pair)
+    ke += _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
     for i in range(nd):
         ke[:, :, i, :, i] += k_grad
     return ke.reshape(ce, nloc * nd, nloc * nd)

@@ -13,9 +13,11 @@ deformation: one factorization per solve, and an outer loop alternates
 saddle solves (gap pinned to zero on the active multiplier dofs) with
 activity updates until the set is stable and complementarity holds.
 Large deformation: load stepping with Newton iterations on the combined
-residual, the active set updated after every Newton solve; the tangent
-changes every iteration, so every Newton solve factors it once, through
-the one layout of the tangent's fixed pattern.
+residual, the active set updated after every Newton solve, where a dof
+released for tension stays inactive until the residual converges.  The
+tangent changes every iteration, so every Newton solve factors it once,
+through the one layout of the tangent's fixed pattern; the tangent a
+step's convergence check evaluated is the next step's first.
 """
 from __future__ import annotations
 
@@ -589,7 +591,10 @@ def solve_large_deformation(
     to 20 halvings).  The patch's element data and scatter plan are
     built once and reused for every tangent of the solve, and so is the
     band layout of the tangent's pattern: each tangent goes into the
-    banded factor by one gather.
+    banded factor by one gather.  A step starts at the u where the last
+    step converged, so the internal force and tangent evaluated there
+    for its convergence check are carried into its first iteration, and
+    into a retry after a halving, which starts from the same u.
     """
     patch = problem.patch
     quad = patch_quadrature(patch, problem.n_gauss)
@@ -605,7 +610,6 @@ def solve_large_deformation(
     B = problem.coupling
     Bhat = _masked_coupling(B, fixed, n)
     measures = problem.measures
-    gap_tol = settings.gap_tol
 
     u = np.zeros(n)
     lam = np.zeros(B.shape[0])
@@ -613,14 +617,14 @@ def solve_large_deformation(
     if problem.initial_active is not None and problem.initial_active.any():
         active = problem.initial_active.copy()
     else:
-        active = _initial_active(wg0, gap_tol)
+        active = _initial_active(wg0, settings.gap_tol)
         if not active.any():
             active[int(np.argmin(wg0))] = True
     order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
     layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
 
     records: list[IterationRecord] = []
-    bundle_state = None
+    tangent = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
     t = 0.0
     dt_base = 1.0 / n_steps
     dt = dt_base
@@ -632,9 +636,9 @@ def solve_large_deformation(
         if problem.active_hint is not None:
             active = active | problem.active_hint(t_try)
         try:
-            u_new, lam, active, wg, recs = _newton_contact_step(
+            u, lam, active, wg, tangent, recs = _newton_contact_step(
                 problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
-                vals_full * t_try, gap_tol, step,
+                vals_full * t_try, step, tangent,
             )
         except (ElementInversionError, SolverError):
             halvings += 1
@@ -644,14 +648,9 @@ def solve_large_deformation(
             step -= 1
             continue
         records.extend(recs)
-        u = u_new
         t = t_try
         halvings = 0
         dt = min(2.0 * dt, dt_base)  # recover after halvings
-        bundle_state = (u, lam, active, wg)
-    if bundle_state is None:
-        raise SolverError("no load step executed")
-    u, lam, active, wg = bundle_state
     return SolutionBundle(
         u=u,
         lam=lam,
@@ -663,9 +662,25 @@ def solve_large_deformation(
     )
 
 
+def _hold_released(active: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """The updated set ``active`` of an unconverged Newton iterate, less the dofs ``held``.
+
+    ``held`` are the dofs released for tension in this load step.  A
+    slightly negative gap at an unconverged iterate would re-activate such
+    a dof only for the next update to release it again (cf. Hüeber &
+    Wohlmuth, CMAME 194 (2005)).
+    """
+    return active & ~held
+
+
 def _newton_contact_step(
-    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, gap_tol, step
+    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, tangent
 ):
+    """Newton iterations of one load step from ``u0``, whose ``(f_int, K_T)`` is ``tangent``.
+
+    Returns the converged ``(u, lam, active, weighted gap)``, the
+    ``(f_int, K_T)`` evaluated at that u and the iteration records.
+    """
     patch = problem.patch
     B = problem.coupling
     measures = problem.measures
@@ -678,25 +693,24 @@ def _newton_contact_step(
     dv[fixed] = vals_t - u[fixed]
     lam = lam0.copy()
     active = active0.copy()
+    held = np.zeros_like(active)  # released for tension in this step, not re-activated since
     records: list[IterationRecord] = []
     seeded = False
-    seen: dict[bytes, int] = {}
     first_res = None
     for it in range(1, settings.max_newton_iters + 1):
-        f_int, K_T = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
+        if it > 1:
+            tangent = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
+        f_int, K_T = tangent
         lam = np.where(active, lam, 0.0)
         r_u = f_int + B.T @ lam - F_t
-        r_u_hat = r_u.copy()
-        r_u_hat[fixed] = 0.0
+        r_u[fixed] = 0.0
         wg = (problem.gap_integrals + B @ u) / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
-        new_state, changed = active_set_update(state, gap_tol)
+        new_state, changed = active_set_update(state, settings.gap_tol)
         cur_idx = np.flatnonzero(active)
         ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30)
-        res_u = np.linalg.norm(r_u_hat)
-        res_lam = (
-            np.linalg.norm(wg[cur_idx] * measures[cur_idx]) if cur_idx.size else 0.0
-        )
+        res_u = np.linalg.norm(r_u)
+        res_lam = np.linalg.norm(wg[cur_idx] * measures[cur_idx])
         records.append(
             IterationRecord(
                 step=step,
@@ -707,47 +721,30 @@ def _newton_contact_step(
                 changed=changed,
             )
         )
+        converged = res_u <= settings.newton_tol * ref
         pending = bool(np.abs(dv).max() > 0.0) if dv.size else False
-        if not pending and changed == 0 and res_u <= settings.newton_tol * ref and complementarity_ok(
-            new_state, gap_tol
+        if not pending and changed == 0 and converged and complementarity_ok(
+            new_state, settings.gap_tol
         ):
-            return u, new_state.lam, new_state.active, wg, records
-        if first_res is None and res_u > settings.newton_tol * ref:
+            return u, new_state.lam, new_state.active, wg, tangent, records
+        if first_res is None and not converged:
             # a converged residual carried over from the previous step is no scale: a
             # displacement-driven step's increment enters through dv, not r_u
             first_res = res_u
         if it > 6 and first_res is not None and res_u > 1e3 * first_res:
             raise SolverError("Newton residual diverged")
-        if it == 1 and (pending or res_u > settings.newton_tol * ref):
+        if it == 1 and (pending or not converged):
             # trust the inherited/seeded set for the first solve of a loaded
             # step; the not-yet-displaced state would deactivate everything
             new_state = state
-            changed = 0
-        if changed:
-            key = new_state.active.tobytes()
-            if key in seen:
-                # activity chatter: keep the larger of the repeating sets and
-                # tighten the gap test, as in the linear active-set loop
-                if new_state.active.sum() < active.sum():
-                    keep = active.copy()
-                    lam_keep = lam.copy()
-                else:
-                    keep = new_state.active.copy()
-                    lam_keep = new_state.lam.copy()
-                gap_tol = gap_tol / 10.0
-                seen.clear()
-                new_state = ContactState(
-                    lam=lam_keep, weighted_gap=wg, active=keep, measures=measures
-                )
-            else:
-                seen[key] = it
-        active = new_state.active.copy()
+        active = new_state.active if converged else _hold_released(new_state.active, held)
+        held = (held | (lam > 0)) & ~active
         lam = new_state.lam.copy()
         act_idx = np.flatnonzero(active)
         r_lam = wg[act_idx] * measures[act_idx]
         if not pending and res_u == 0.0 and r_lam.size == 0:
             continue  # exact equilibrium, only activity bookkeeping changed
-        rhs_u = -r_u_hat
+        rhs_u = -r_u
         if pending:
             rhs_u -= K_T @ dv
             rhs_u[fixed] = dv[fixed]
@@ -767,6 +764,7 @@ def _newton_contact_step(
             active[int(np.argmin(wg))] = True
             act_idx = np.flatnonzero(active)
             du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
+        del saddle  # its factor is done with: free it before the next tangent is built
         u = u + du
         lam[act_idx] += dlam
         dv[:] = 0.0

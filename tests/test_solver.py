@@ -603,11 +603,108 @@ class TestLargeDeformation:
         empty = np.zeros(problem.coupling.shape[0], dtype=bool)
         *_, records = solver._newton_contact_step(
             problem, quad, config.settings, np.zeros(n),
-            np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size),
-            config.settings.gap_tol, 1,
+            np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size), 1,
+            neo_hookean_forces(patch, problem.material, np.zeros(n), quad=quad),
         )
         assert records[0].n_active == 0 and records[1].n_active == 1
         assert len(calls) == len(records) - 1
+
+    def test_converged_tangent_carried_into_next_step(self, monkeypatch):
+        # a step starts where the last one converged, and its convergence check
+        # evaluated the tangent there: only step 1 evaluates at its start
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 0)
+        problem, _ = build_large_deformation_problem(patch, config)
+        calls = []
+        original = solver.neo_hookean_forces
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "neo_hookean_forces", counting)
+        bundle = solve_large_deformation(problem, config.settings, n_steps=3)
+        steps = {r.step for r in bundle.iterations}
+        assert steps == {1, 2, 3}
+        assert len(calls) == len(bundle.iterations) - (len(steps) - 1)
+
+    def test_carried_tangent_leaves_iterations_unchanged(self, monkeypatch):
+        # with the hold of released dofs off, the carry alone changes nothing:
+        # the carried pair is the one a fresh evaluation at the step's start gives
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 0)
+        problem, _ = build_large_deformation_problem(patch, config)
+        monkeypatch.setattr(solver, "_hold_released", lambda active, held: active)
+        carried = solve_large_deformation(problem, config.settings, n_steps=3)
+        original = solver._newton_contact_step
+
+        def fresh(problem, quad, settings, u0, *args):
+            tangent = neo_hookean_forces(problem.patch, problem.material, u0, problem.n_gauss, quad)
+            return original(problem, quad, settings, u0, *args[:-1], tangent)
+
+        monkeypatch.setattr(solver, "_newton_contact_step", fresh)
+        evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
+        assert len({r.step for r in carried.iterations}) == 3
+        assert carried.log_text() == evaluated.log_text()
+        assert np.array_equal(carried.u, evaluated.u)
+
+    def test_no_activity_chatter_within_a_load_step(self, monkeypatch, tmp_path):
+        # a dof released for tension used to be re-activated by a slightly negative
+        # gap at the next, unconverged iterate and released again; the Newton
+        # loop's cycle rule then fired 24 times on this run
+        updates, forces, steps, failed = [], [], [], []
+        original_update = solver.active_set_update
+        original_forces = solver.neo_hookean_forces
+        original_step = solver._newton_contact_step
+
+        def update(state, gap_tol):
+            updates.append((state.active.copy(), state.lam > 0))
+            return original_update(state, gap_tol)
+
+        def evaluate(*args, **kwargs):
+            f_int, K_T = original_forces(*args, **kwargs)
+            forces.append(np.linalg.norm(f_int))
+            return f_int, K_T
+
+        def step(*args):
+            start = len(updates)
+            try:
+                out = original_step(*args)
+            except Exception:
+                failed.append(args)
+                raise
+            records = out[-1]
+            # f_int of every record: the last evaluations made up to now
+            steps.append((records, updates[start:], forces[-len(records):], np.linalg.norm(args[7])))
+            return out
+
+        monkeypatch.setattr(solver, "active_set_update", update)
+        monkeypatch.setattr(solver, "neo_hookean_forces", evaluate)
+        monkeypatch.setattr(solver, "_newton_contact_step", step)
+        config = RunConfig(
+            benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
+        )
+        benchmarks.run_benchmark(config)
+        assert not failed and len(steps) == 2 * config.n_load_steps  # level 0 and the reference
+        for records, states, _, _ in steps:
+            assert len(states) == len(records)
+            sets = [active.tobytes() for active, _ in states]
+            left = set()
+            for prev, cur in zip(sets, sets[1:]):
+                if cur != prev:
+                    left.add(prev)
+                    assert cur not in left, f"active set recurs in step {records[0].step}"
+        tol = config.settings.newton_tol
+        for records, states, f_norms, F_norm in steps:
+            released = np.zeros_like(states[0][0])
+            for rec, f_norm, (active, tension), (nxt, _) in zip(records, f_norms, states, states[1:]):
+                reactivated = released & ~active & nxt
+                if reactivated.any():
+                    assert rec.residual_u <= tol * max(F_norm, f_norm, 1e-30), (
+                        f"dof released for tension re-activated at step {rec.step}, "
+                        f"iteration {rec.iteration}, unconverged residual {rec.residual_u:.2e}"
+                    )
+                released = (released | (active & tension)) & ~nxt
 
     def test_moderate_pressure_run_converges(self):
         config = RunConfig(
