@@ -4,11 +4,14 @@ Every linear solve factors the shifted stiffness or tangent once, as a
 banded Cholesky factorization in an order taken from the patch's basis
 grid (:func:`band_order`), and condenses the active multipliers onto it:
 each saddle solve is then a small dense system in the active
-multipliers (:class:`_CondensedSaddle`).  The grid is walked towards the
-contact rows expected active, so that their columns of the condensation
-come last in the band.  The band layout of a CSR pattern (order, fixed
-dofs, gather indices, coupling in band order) is built once, and a
-matrix with that pattern goes into the band by one gather.  Small
+multipliers (:class:`_CondensedSaddle`).  The factorization is followed
+by two forward sweeps, of the load and of the shift's unit vector, and
+each solve by one back sweep for u; the triangular sweeps call LAPACK
+directly.  The grid is walked towards the contact rows expected active,
+so that their columns of the condensation come last in the band.  The
+band layout of a CSR pattern (order, fixed dofs, gather indices, and the
+coupling as one dense block over the dofs it touches) is built once, and
+a matrix with that pattern goes into the band by one gather.  Small
 deformation: one factorization per solve, and an outer loop alternates
 saddle solves (gap pinned to zero on the active multiplier dofs) with
 activity updates until the set is stable and complementarity holds.
@@ -143,7 +146,7 @@ def _saddle_matrix(K, B) -> sp.csc_matrix:
 def _diagnose_saddle_failure(K, B_active, exc) -> str:
     nK = B_active.shape[0]
     if nK:
-        Bd = np.asarray(B_active.todense())
+        Bd = B_active.toarray() if sp.issparse(B_active) else B_active
         rank = np.linalg.matrix_rank(Bd) if min(Bd.shape) else 0
         if rank < nK:
             sv = sla.svdvals(Bd)
@@ -241,9 +244,12 @@ class _BandLayout:
     that pattern and data, where ``P`` puts dof ``order[k]`` in row k and
     the fixed rows and columns are dropped and get a unit diagonal.  A
     tangent that is symmetric up to rounding is read as its upper half.
-    The coupling rows are kept in band order, with the first nonzero
-    band column of each, and ``i`` is the kernel dof of the shift
-    (the dof of the largest coupling column).
+    The coupling B is kept as one dense block over the dofs where it has
+    a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]`` and
+    ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B with
+    the fixed columns zeroed, and ``first`` is the first band row of
+    every one of its rows.  ``i`` is the kernel dof of the shift (the dof
+    of the largest column of ``Bhc``).
     """
 
     order: np.ndarray  # (n,) int32, the dof placed k-th
@@ -253,9 +259,11 @@ class _BandLayout:
     dest: np.ndarray  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
     unit: np.ndarray  # flat positions of the fixed dofs' unit diagonals
     free: np.ndarray | None  # free-dof mask; None when nothing is fixed
-    Bhat: sp.csr_matrix
-    Bband: sp.csr_matrix  # Bhat P^T: columns in band order, stored zeros dropped
-    first: np.ndarray  # first nonzero column of every row of Bband (n when empty)
+    cols: np.ndarray  # sorted dofs where B has a stored entry
+    bpos: np.ndarray  # their band rows, pos[cols]
+    Bc: np.ndarray  # dense B[:, cols]
+    Bhc: np.ndarray  # Bc with the fixed columns zeroed (Bc itself when none is coupled)
+    first: np.ndarray  # first band row where each row of Bhc is nonzero (n when none)
     i: int
 
     def fill(self, data: np.ndarray) -> np.ndarray:
@@ -271,9 +279,25 @@ class _BandLayout:
             return K @ x
         return np.where(self.free, K @ np.where(self.free, x, 0.0), x)
 
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """The n-vector that is ``values`` on ``cols`` and zero elsewhere."""
+        out = np.zeros(self.pos.size)
+        out[self.cols] = values
+        return out
 
-def _band_layout(indptr, indices, order, Bhat: sp.csr_matrix, fixed=()) -> _BandLayout:
-    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates)."""
+    def band_rows(self, rows: np.ndarray, r0: int) -> np.ndarray:
+        """``(Bhat P^T)[rows, r0:]^T``: those rows of Bhc placed in band order from band row r0 on.
+
+        Entries before r0 must be zero.
+        """
+        R = np.zeros((self.pos.size - r0, rows.size))
+        late = self.bpos >= r0
+        R[self.bpos[late] - r0] = self.Bhc[rows][:, late].T
+        return R
+
+
+def _band_layout(indptr, indices, order, B: sp.csr_matrix, fixed=()) -> _BandLayout:
+    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates) and coupling B."""
     n = indptr.size - 1
     fixed = np.asarray(fixed, dtype=np.int64)
     pos = np.empty(n, dtype=np.int32)
@@ -287,12 +311,13 @@ def _band_layout(indptr, indices, order, Bhat: sp.csr_matrix, fixed=()) -> _Band
     u = int((c - r).max()) if src.size else 0
     index = np.int32 if n * (u + 1) < 2**31 else np.int64
     dest = c.astype(index) * (u + 1) + (u + r - c)
-    Bband = Bhat[:, order].tocsr()
-    Bband.eliminate_zeros()
-    first = np.full(Bband.shape[0], n)
-    filled = np.diff(Bband.indptr) > 0
-    if filled.any():
-        first[filled] = np.minimum.reduceat(Bband.indices, Bband.indptr[:-1][filled])
+    B = B.tocsr()
+    cols = np.unique(B.indices)
+    Bc = B[:, cols].toarray()
+    Bhc = Bc if free[cols].all() else np.where(free[cols], Bc, 0.0)
+    bpos = pos[cols]
+    weight = np.zeros(n)
+    weight[cols] = (Bhc * Bhc).sum(axis=0)
     return _BandLayout(
         order=np.asarray(order, dtype=np.int32),
         pos=pos,
@@ -301,11 +326,21 @@ def _band_layout(indptr, indices, order, Bhat: sp.csr_matrix, fixed=()) -> _Band
         dest=dest,
         unit=pos[fixed].astype(index) * (u + 1) + u,
         free=free if fixed.size else None,
-        Bhat=Bhat,
-        Bband=Bband,
-        first=first,
-        i=int(np.argmax(np.asarray(Bhat.multiply(Bhat).sum(axis=0)).ravel())),
+        cols=cols,
+        bpos=bpos,
+        Bc=Bc,
+        Bhc=Bhc,
+        first=np.where(Bhc != 0, bpos, n).min(axis=1, initial=n),
+        i=int(np.argmax(weight)),
     )
+
+
+def _band_sweep(cb: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
+    """``U^-T b`` (``trans="T"``) or ``U^-1 b`` (``"N"``) for an upper band factor U in LAPACK storage."""
+    x, info = sla.lapack.dtbtrs(cb, b, uplo="U", trans=trans)
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise SolverError(f"banded triangular solve failed (info {info}) or gave a non-finite result")
+    return x
 
 
 def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -313,9 +348,9 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
 
     The columns of R must come in order of their first nonzero row.  A
     slab of u rows of ``U^T`` couples only to the slab before it, so each
-    slab is one matmul and one dense triangular solve, and it solves only
-    the columns that have started: the rest of it is zero in R and in the
-    result.
+    slab is one matmul and one dense triangular solve (LAPACK ``dtrtrs``),
+    and it solves only the columns that have started: the rest of it is
+    zero in R and in the result.
     """
     n, m = R.shape
     u = cb.shape[0] - 1
@@ -334,6 +369,7 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
     first = np.where(nz.any(axis=0), nz.argmax(axis=0), n)
     if np.any(np.diff(first) < 0):
         raise ValueError("columns must come in order of their first nonzero row")
+    trtrs = sla.lapack.dtrtrs
     a0 = first[0] - first[0] % s if m else n  # earlier slabs are zero in every column
     for a in range(a0, n, s):
         h = min(s, n - a)
@@ -343,9 +379,10 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
             coupling = np.where(below[:, :h], window(a - s, a, s, h), 0.0)
             rhs -= coupling.T @ R[a - s : a, :k]
         # the diagonal block is read as upper triangular; its band holds all of it
-        R[a : a + h, :k] = sla.solve_triangular(
-            window(a, a, h, h), rhs, trans="T", check_finite=False
-        )
+        x, info = trtrs(window(a, a, h, h), rhs, trans=1)
+        if info != 0:
+            raise SolverError(f"triangular solve failed at band row {a} (info {info})")
+        R[a : a + h, :k] = x
     return R
 
 
@@ -355,32 +392,36 @@ class _CondensedSaddle:
     K is read through ``layout`` (:func:`_band_layout`, built for K's
     pattern), which eliminates the layout's fixed dofs as
     :func:`apply_constraints` does, in the factor and in the residual
-    check alike; ``B`` is the layout's coupling.  K may have one kernel
-    mode, a rigid translation normal to the plane, which the active rows
-    remove.  It is removed from the factorization exactly: with ``i`` the
-    layout's kernel dof and ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T``
-    is factored and ``beta = rho u_i`` is one extra unknown, so that
+    check alike; ``B`` is the layout's coupling with the fixed columns
+    zeroed, kept as one dense block.  K may have one kernel mode, a
+    rigid translation normal to the plane, which the active rows remove.
+    It is removed from the factorization exactly: with ``i`` the layout's
+    kernel dof and ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T`` is
+    factored and ``beta = rho u_i`` is one extra unknown, so that
     ``K u = K~ u - beta e_i``.  ``K~`` is symmetric positive definite; it
     is factored as ``P K~ P^T = U^T U`` by banded Cholesky in the
-    layout's dof order.  With ``W = U^-T P B^T``, ``x_e = K~^-1 e_i``
-    and ``y_F = K~^-1 F``, an active set A leaves the dense bordered
-    system in ``(lam_A, beta)``
+    layout's dof order.  Two forward sweeps give ``z_F = U^-T P F`` and
+    ``z_e = U^-T e_p`` with ``p = pos[i]`` (zero above row p); with
+    ``W = U^-T P B^T``, an active set A leaves the dense bordered system
+    in ``(lam_A, beta)``
 
-        [[-W_A^T W_A, B_A x_e], [-rho B_A x_e, rho x_e[i] - 1]]
+        [[-W_A^T W_A, W_A^T z_e], [-rho W_A^T z_e, rho z_e^T z_e - 1]]
+        = [g - W_A^T z_F, -rho z_e^T z_F]
 
-    (``(K~^-1 B_A^T)[i] = B_A x_e`` by symmetry), and
-    ``u = y_F + beta x_e - K~^-1 B_A^T lam_A``.  A column of W is solved
-    the first time its dof is active, one blocked forward substitution
-    per batch, and its Gram products with the earlier columns are kept.
+    (``B_A K~^-1 e_i = W_A^T z_e``, ``(K~^-1)_ii = z_e^T z_e``), and one
+    back sweep gives ``u = P^T U^-1 (z_F + beta z_e - W_A lam_A)``.  A
+    column of W is solved the first time its dof is active, one blocked
+    forward substitution per batch, and its Gram products with the
+    earlier columns, ``z_F`` and ``z_e`` are kept.
     """
 
     def __init__(self, K: sp.csr_matrix, F: np.ndarray, layout: _BandLayout):
         n = F.size
         self.K, self.F, self.layout = K, F, layout
-        self.Bhat, self.order, self.i = layout.Bhat, layout.order, layout.i
         ab = layout.fill(K.data)
         self.rho = float(np.abs(ab[layout.u]).max())
-        ab[layout.u, layout.pos[self.i]] += self.rho
+        p = int(layout.pos[layout.i])
+        ab[layout.u, p] += self.rho
         try:
             self.cb = sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
@@ -388,30 +429,26 @@ class _CondensedSaddle:
                 f"shifted stiffness K + rho e_i e_i^T is not positive definite ({exc}): "
                 "an indefinite tangent or a constraint deficiency"
             ) from exc
-        e_i = np.zeros(n)
-        e_i[self.i] = 1.0
-        self.y_F, self.x_e = self._solve(np.column_stack([F, e_i])).T
-        self.By_F = self.Bhat @ self.y_F
-        self.Bx_e = self.Bhat @ self.x_e
-        self.col = np.full(self.Bhat.shape[0], -1)  # Gram index per multiplier dof
-        self.W: list[tuple[int, np.ndarray]] = []  # (first row, rows of W from it) per batch
+        self.z_F = _band_sweep(self.cb, F[layout.order], "T")
+        e = np.zeros(n - p)
+        e[0] = 1.0
+        self.z_e = np.zeros(n)
+        self.z_e[p:] = _band_sweep(self.cb[:, p:], e, "T")
+        self.x_ei = self.z_e[p:] @ self.z_e[p:]  # (K~^-1)_ii
+        self.y_Fi = self.z_e[p:] @ self.z_F[p:]  # (K~^-1 F)_i
+        self.col = np.full(layout.Bhc.shape[0], -1)  # Gram index per multiplier dof
+        self.W: list[tuple[int, int, np.ndarray]] = []  # (first row, first Gram index, rows of W) per batch
         self.G = np.empty((0, 0))  # Gram matrix W^T W of the solved columns
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``K~^-1 rhs`` for a vector or the columns of an (n, k) array."""
-        y = sla.cho_solve_banded((self.cb, False), rhs[self.order], check_finite=False)
-        out = np.empty_like(y)
-        out[self.order] = y
-        return out
+        self.Wz_F = np.empty(0)  # W^T z_F per solved column
+        self.Wz_e = np.empty(0)  # W^T z_e per solved column
 
     def _add_columns(self, new: np.ndarray) -> None:
         first = self.layout.first[new]
         new = new[np.argsort(first, kind="stable")]
         r0 = int(first.min())  # rows before it are zero in every new column of W
-        rows = self.layout.Bband[new][:, r0:]  # B P^T: columns in band order
-        Wn = _forward_substitution(self.cb[:, r0:], rows.toarray().T)
+        Wn = _forward_substitution(self.cb[:, r0:], self.layout.band_rows(new, r0))
         # Gram products with each earlier batch, over the rows where both can be nonzero
-        cross = [Wo[max(r0 - ro, 0) :].T @ Wn[max(ro - r0, 0) :] for ro, Wo in self.W]
+        cross = [Wo[max(r0 - ro, 0) :].T @ Wn[max(ro - r0, 0) :] for ro, _, Wo in self.W]
         k = self.G.shape[0]
         G = np.empty((k + new.size,) * 2)
         G[:k, :k] = self.G
@@ -419,27 +456,29 @@ class _CondensedSaddle:
         G[k:, :k] = G[:k, k:].T
         G[k:, k:] = Wn.T @ Wn
         self.G = G
+        self.Wz_F = np.append(self.Wz_F, Wn.T @ self.z_F[r0:])
+        self.Wz_e = np.append(self.Wz_e, Wn.T @ self.z_e[r0:])
         self.col[new] = k + np.arange(new.size)
-        self.W.append((r0, Wn))
+        self.W.append((r0, k, Wn))
 
     def solve(self, act: np.ndarray, g: np.ndarray):
         new = act[self.col[act] < 0]
         if new.size:
             self._add_columns(new)
         c = self.col[act]
-        nA, i, rho = act.size, self.i, self.rho
+        nA, rho, layout = act.size, self.rho, self.layout
+        B_A = layout.Bhc[act]
         M = np.empty((nA + 1, nA + 1))
         M[:nA, :nA] = -self.G[np.ix_(c, c)]
-        M[:nA, nA] = self.Bx_e[act]
-        M[nA, :nA] = -rho * self.Bx_e[act]
-        M[nA, nA] = rho * self.x_e[i] - 1.0
-        rhs = np.append(g - self.By_F[act], -rho * self.y_F[i])
-        B_A = self.Bhat[act]
-        # rcond relative to the entries before the cancellation in rho x_e[i] - 1:
+        M[:nA, nA] = self.Wz_e[c]
+        M[nA, :nA] = -rho * self.Wz_e[c]
+        M[nA, nA] = rho * self.x_ei - 1.0
+        rhs = np.append(g - self.Wz_F[c], -rho * self.y_Fi)
+        # rcond relative to the entries before the cancellation in rho x_ei - 1:
         # with a singular K and no row that removes its kernel mode, that entry
         # is rounding noise while the full-system residual stays small
         mag = np.abs(M)
-        mag[nA, nA] = abs(rho * self.x_e[i]) + 1.0
+        mag[nA, nA] = abs(rho * self.x_ei) + 1.0
         try:
             Minv = np.linalg.inv(M)
         except np.linalg.LinAlgError as exc:
@@ -451,12 +490,20 @@ class _CondensedSaddle:
             )
         z = Minv @ rhs
         lam, beta = z[:nA], z[nA]
-        u = self.y_F + beta * self.x_e - self._solve(B_A.T @ lam)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam))):
+        coef = np.zeros(self.G.shape[0])  # lam_A per solved column
+        coef[c] = lam
+        v = self.z_F + beta * self.z_e
+        for r0, k0, Wn in self.W:
+            part = coef[k0 : k0 + Wn.shape[1]]
+            if part.any():
+                v[r0:] -= Wn @ part
+        if not np.all(np.isfinite(v)):
             raise SolverError(_diagnose_saddle_failure(self.K, B_A, "non-finite solution"))
+        u = np.empty_like(v)
+        u[layout.order] = _band_sweep(self.cb, v, "N")
         res = np.hypot(
-            np.linalg.norm(self.layout.matvec(self.K, u) + B_A.T @ lam - self.F),
-            np.linalg.norm(B_A @ u - g),
+            np.linalg.norm(layout.matvec(self.K, u) + layout.scatter(B_A.T @ lam) - self.F),
+            np.linalg.norm(B_A @ u[layout.cols] - g),
         )
         rhs_norm = np.hypot(np.linalg.norm(self.F), np.linalg.norm(g))
         if res > 1e-4 * max(rhs_norm, 1e-300):
@@ -494,7 +541,8 @@ def solve_small_deformation(
     # the rows expected active: the starting set, else the closest approach
     expected = active if active.any() else wg0 == wg0.min()
     order = _contact_order(system.grid_shape, system.n_comp, Bhat, expected)
-    saddle = _CondensedSaddle(K, F, _band_layout(K.indptr, K.indices, order, Bhat))
+    layout = _band_layout(K.indptr, K.indices, order, B, fixed)
+    saddle = _CondensedSaddle(K, F, layout)
     lam = np.zeros(B.shape[0])
     records: list[IterationRecord] = []
     seen: dict[bytes, int] = {}
@@ -515,10 +563,10 @@ def solve_small_deformation(
             raise
         lam = np.zeros(B.shape[0])
         lam[act_idx] = lam_act
-        wg = (problem.gap_integrals + B @ u) / measures
+        wg = (problem.gap_integrals + layout.Bc @ u[layout.cols]) / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state, gap_tol)
-        res_u = np.linalg.norm(K @ u + Bhat.T @ lam - F)
+        res_u = np.linalg.norm(K @ u + layout.scatter(layout.Bhc.T @ lam) - F)
         res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
         records.append(
             IterationRecord(
@@ -593,8 +641,9 @@ def solve_large_deformation(
     band layout of the tangent's pattern: each tangent goes into the
     banded factor by one gather.  A step starts at the u where the last
     step converged, so the internal force and tangent evaluated there
-    for its convergence check are carried into its first iteration, and
-    into a retry after a halving, which starts from the same u.
+    for its convergence check are carried into its first iteration; the
+    pair is not kept past it, so a retry after a halving, which starts
+    from the same u, evaluates it again.
     """
     patch = problem.patch
     quad = patch_quadrature(patch, problem.n_gauss)
@@ -621,10 +670,12 @@ def solve_large_deformation(
         if not active.any():
             active[int(np.argmin(wg0))] = True
     order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
-    layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
+    layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, B, fixed)
 
     records: list[IterationRecord] = []
-    tangent = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
+    # (f_int, K_T) at u, in a list the step takes it from: the step drops it once
+    # used, and a retry after a halving evaluates it again
+    carried = [neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)]
     t = 0.0
     dt_base = 1.0 / n_steps
     dt = dt_base
@@ -635,10 +686,12 @@ def solve_large_deformation(
         step += 1
         if problem.active_hint is not None:
             active = active | problem.active_hint(t_try)
+        if not carried:
+            carried.append(neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad))
         try:
-            u, lam, active, wg, tangent, recs = _newton_contact_step(
+            u, lam, active, wg, *carried, recs = _newton_contact_step(
                 problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
-                vals_full * t_try, step, tangent,
+                vals_full * t_try, step, carried.pop(),
             )
         except (ElementInversionError, SolverError):
             halvings += 1
@@ -682,8 +735,8 @@ def _newton_contact_step(
     ``(f_int, K_T)`` evaluated at that u and the iteration records.
     """
     patch = problem.patch
-    B = problem.coupling
     measures = problem.measures
+    cols, Bc = layout.cols, layout.Bc
     n = u0.size
     u = u0.copy()
     # prescribed increments enter through the first tangent solve so the free
@@ -702,9 +755,9 @@ def _newton_contact_step(
             tangent = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
         f_int, K_T = tangent
         lam = np.where(active, lam, 0.0)
-        r_u = f_int + B.T @ lam - F_t
+        r_u = f_int + layout.scatter(Bc.T @ lam) - F_t
         r_u[fixed] = 0.0
-        wg = (problem.gap_integrals + B @ u) / measures
+        wg = (problem.gap_integrals + Bc @ u[cols]) / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state, settings.gap_tol)
         cur_idx = np.flatnonzero(active)
@@ -751,7 +804,7 @@ def _newton_contact_step(
 
         def _rhs_lam(idx):
             rhs_l = -(wg[idx] * measures[idx])
-            return rhs_l - (B @ dv)[idx] if pending else rhs_l
+            return rhs_l - Bc[idx] @ dv[cols] if pending else rhs_l
 
         saddle = _CondensedSaddle(K_T, rhs_u, layout)
         try:

@@ -424,6 +424,38 @@ class TestBandLayout:
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
         assert np.array_equal(u, condensed_saddle(Kc, F, Bhat, order).solve(act, g)[0])
 
+    @pytest.mark.parametrize("build", [hertz2d_level1, hertz3d_level0], ids=["2d", "3d"])
+    def test_dense_coupling_matches_sparse(self, build):
+        # the dense block over the coupled dofs gives the sparse products, and its
+        # masked rows placed in band order are the rows of Bhat P^T
+        problem, _ = build()
+        system = problem.system
+        B = problem.coupling
+        n, m = system.n_dofs, B.shape[0]
+        # every fifth coupled dof fixed as well, so that the mask acts inside the block
+        fixed = np.union1d(np.fromiter(system.constraints.keys(), dtype=np.int64), np.unique(B.indices)[::5])
+        Bhat = solver._masked_coupling(B, fixed, n)
+        K = system.stiffness
+        order = band_order(system.grid_shape, system.n_comp)
+        layout = solver._band_layout(K.indptr, K.indices, order, B, fixed)
+        assert np.array_equal(layout.cols, np.unique(B.indices))
+        rng = np.random.default_rng(5)
+        x, lam = rng.normal(size=n), rng.normal(size=m)
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+        assert close(layout.Bc @ x[layout.cols], B @ x)
+        assert close(layout.scatter(layout.Bc.T @ lam), B.T @ lam)
+        assert close(layout.scatter(layout.Bhc.T @ lam), Bhat.T @ lam)
+        rows = np.flatnonzero(np.diff(Bhat.indptr) > 0)
+        Bband = Bhat[:, order].toarray()
+        first = np.array([np.flatnonzero(Bband[r])[0] for r in rows])
+        assert np.array_equal(layout.first[rows], first)
+        for take in (rows, rows[rows.size // 2 :], rows[-1:]):
+            r0 = int(layout.first[take].min())
+            assert np.array_equal(layout.band_rows(take, r0), Bband[take, r0:].T)
+
     @pytest.mark.parametrize("grid", ["26x50", "10x18x10"])
     def test_contact_rows_come_last(self, grid):
         # the warm-start rows' columns of W start in the second half of the band
@@ -503,6 +535,31 @@ class TestCondensedSaddle:
             u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
             assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
             assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
+
+    def test_two_forward_sweeps_then_one_back_sweep_per_solve(self, monkeypatch):
+        # z_F and z_e at construction; every solve recovers u by one back sweep
+        K, F, Bhat, g, order, actives = linear_case(hertz2d_level1)
+        sweeps = []
+        original = solver.sla.lapack.dtbtrs
+
+        def counting(ab, b, **kwargs):
+            sweeps.append((kwargs["trans"], b.ndim))
+            return original(ab, b, **kwargs)
+
+        monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
+        saddle = condensed_saddle(K, F, Bhat, order)
+        assert sweeps == [("T", 1), ("T", 1)]
+        for k, active in enumerate(actives, start=1):
+            act = np.flatnonzero(active)
+            saddle.solve(act, g[act])
+            assert sweeps[2:] == [("N", 1)] * k
+
+    def test_band_sweep_failures_raise(self):
+        # a zero diagonal (LAPACK info > 0) and an overflowing sweep
+        with pytest.raises(SolverError, match="info 2"):
+            solver._band_sweep(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), "N")
+        with pytest.raises(SolverError, match="non-finite"):
+            solver._band_sweep(np.array([[0.0, 1.0], [1e-300, 1.0]]), np.array([1e300, 1.0]), "T")
 
     def test_one_factorization_per_solve(self, monkeypatch):
         problem, config = hertz2d_level1()
