@@ -9,10 +9,10 @@ import sys
 
 # One BLAS thread unless the caller sets one: every Newton solve factors and
 # solves a banded system of at most 9,800 dofs, too small for threads to pay.
-# On a 2-core machine (nproc 2) the pressure half took 17.1-17.4 s with two
-# OpenBLAS threads, the default there, and 8.6-9.0 s with one; the whole
-# script takes about 20 s with one.  Set before numpy is imported, which
-# reads them.
+# On a 2-core machine (nproc 2, OpenBLAS 0.3.31) the pressure half took
+# 16.4-16.5 s with two OpenBLAS threads, the default there, and 9.3-10.4 s
+# with one; the Dirichlet half took 11.5-12.0 s with one, so the whole script
+# takes about 22 s with one.  Set before numpy is imported, which reads them.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 

@@ -6,7 +6,11 @@ vectorized over quadrature points; element matrices are batched matrix
 products, summed into one CSR pattern per patch through a scatter plan,
 whose pattern follows in closed form from the per-direction couplings.
 What a Neo-Hookean tangent needs of the patch (gradients in kernel
-layout, the state-free gradient block) is built once per patch.
+layout, the state-free gradient term as CSR data) is built once per
+patch.  A Neo-Hookean evaluation has two phases: the residual phase gives
+the internal force and keeps the kinematics (det F, F^-1) at every
+quadrature point, and the tangent phase assembles the tangent from them,
+so a caller that needs only the force never pays for the tangent.
 Accumulation order is fixed, so repeated assembly of the same data is
 bitwise reproducible.
 """
@@ -256,15 +260,17 @@ def _isotropic_element_matrices(w, k_grad, c_pair, c_swap) -> np.ndarray:
     Entry (a i, b k) is the quadrature sum of
     ``c_grad (g_a . g_b) delta_ik + c_pair w_ai w_bk + c_swap w_ak w_bi``,
     its first term passed in as ``k_grad``, the (ce, nloc, nloc) block of
-    :func:`_grad_products`.  Linear elasticity is w = g with weights
-    (mu, lam, mu) x wdet; the Neo-Hookean tangent has w = g F^-1 and
-    (mu, lam, mu - lam ln J) x wdet.
+    :func:`_grad_products`, or left out when ``k_grad`` is None.  Linear
+    elasticity is w = g with weights (mu, lam, mu) x wdet; the Neo-Hookean
+    tangent has w = g F^-1 and (mu, lam, mu - lam ln J) x wdet, its first
+    term added once per patch (``PatchQuadrature.grad_data``).
     """
     ce, nq, nloc, nd = w.shape
     ke = _pair_products(w, c_pair)
     ke += _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
-    for i in range(nd):
-        ke[:, :, i, :, i] += k_grad
+    if k_grad is not None:
+        for i in range(nd):
+            ke[:, :, i, :, i] += k_grad
     return ke.reshape(ce, nloc * nd, nloc * nd)
 
 
@@ -460,24 +466,104 @@ class PatchQuadrature:
 
     It depends on the patch alone, so a solve that assembles many
     tangents builds it once with :func:`patch_quadrature`.  Gradients are
-    kept in the (e, a, (q, j)) layout only; ``grad_block`` is the part of
-    the tangent that does not depend on the state, up to the factor mu.
+    kept in the (e, a, (q, j)) layout only; ``grad_data`` is the part of
+    the tangent that does not depend on the state, up to the factor mu,
+    as data of the scatter plan's CSR pattern.
     """
 
     dofs: np.ndarray  # (ne, nloc) flat basis indices
     gt: np.ndarray  # (ne, nloc, nq * d) physical gradients, _grad_layout
     wdet: np.ndarray  # (ne, nq) quadrature weight x |J|
-    grad_block: np.ndarray  # (ne, nloc, nloc) sum_q wdet g_qa . g_qb
+    grad_data: np.ndarray  # (nnz,) sum_q wdet g_qa . g_qb delta_ik, summed over elements
     plan: ScatterPlan
+
+    @property
+    def ndim(self) -> int:
+        return self.gt.shape[2] // self.wdet.shape[1]
 
 
 def patch_quadrature(patch: NurbsPatch, n_gauss: int | None = None) -> PatchQuadrature:
     n_gauss = n_gauss or max(patch.degrees) + 1
     parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in iter_element_blocks(patch, n_gauss)]
     dofs, gt, wdet = (np.concatenate(p) for p in zip(*parts))
-    return PatchQuadrature(
-        dofs=dofs, gt=gt, wdet=wdet, grad_block=_grad_products(gt, wdet), plan=scatter_plan(patch)
-    )
+    plan = scatter_plan(patch)
+    nd = patch.ndim
+    eye = np.eye(nd)[None, None, :, None, :]
+    grad_data = np.zeros(plan.nnz)
+    for start in range(0, dofs.shape[0], _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        k_grad = _grad_products(gt[chunk], wdet[chunk])
+        ce, nloc, _ = k_grad.shape
+        plan.add(grad_data, start, (k_grad[:, :, None, :, None] * eye).reshape(ce, nloc * nd, nloc * nd))
+    return PatchQuadrature(dofs=dofs, gt=gt, wdet=wdet, grad_data=grad_data, plan=plan)
+
+
+@dataclass(frozen=True)
+class NeoHookeanState:
+    """The residual phase of a Neo-Hookean evaluation at one displacement state.
+
+    ``f_int`` is the internal force; ``J`` and ``Finv`` are det F and F^-1
+    at every quadrature point of the patch, all :func:`neo_hookean_tangent`
+    needs of the state.
+    """
+
+    f_int: np.ndarray  # (n_dofs,)
+    J: np.ndarray  # (ne, nq)
+    Finv: np.ndarray  # (ne, nq, d, d)
+
+
+def neo_hookean_residual(quad: PatchQuadrature, mat: NeoHookeanMaterial, u: np.ndarray) -> NeoHookeanState:
+    """Internal force at displacement state u, with the kinematics its tangent needs.
+
+    Total Lagrangian: gradients are taken with respect to the reference
+    configuration; raises :class:`ElementInversionError` when det F <= 0
+    at any quadrature point.
+    """
+    nd = quad.ndim
+    ne, _, nqd = quad.gt.shape
+    nq = nqd // nd
+    u_mat = np.asarray(u, dtype=float).reshape(-1, nd)
+    f_int = np.zeros(u_mat.size)
+    J = np.empty((ne, nq))
+    Finv = np.empty((ne, nq, nd, nd))
+    for start in range(0, ne, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        dofs, gt, wdet = quad.dofs[chunk], quad.gt[chunk], quad.wdet[chunk]
+        ce = gt.shape[0]
+        gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
+        Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
+        J[chunk], Finv[chunk] = det_and_inverse(Fdef)
+        P = mat.pk1(Fdef, J[chunk], Finv[chunk])
+        # f_ai = sum_q,j g_qaj P_qij wdet_q
+        Pw = (P * wdet[:, :, None, None]).transpose(0, 1, 3, 2).reshape(ce, nq * nd, nd)
+        edofs = dofs[:, :, None] * nd + np.arange(nd)
+        f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
+    return NeoHookeanState(f_int=f_int, J=J, Finv=Finv)
+
+
+def neo_hookean_tangent(
+    quad: PatchQuadrature, mat: NeoHookeanMaterial, state: NeoHookeanState
+) -> sp.csr_matrix:
+    """Consistent tangent at the state whose residual phase gave ``state``.
+
+    dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam ln J) swap-term: the
+    first term is the patch's ``grad_data`` times mu, and the other two are
+    contracted per term with w = g F^-1 instead of forming the
+    fourth-order tensor.
+    """
+    nd = quad.ndim
+    ne, nloc, nqd = quad.gt.shape
+    nq = nqd // nd
+    mu, lam = mat.lame()
+    data = mu * quad.grad_data
+    for start in range(0, ne, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        gt, wdet = quad.gt[chunk], quad.wdet[chunk]
+        ce = gt.shape[0]
+        w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), state.Finv[chunk])
+        c_swap = (mu - lam * np.log(state.J[chunk])) * wdet
+        quad.plan.add(data, start, _isotropic_element_matrices(w, None, lam * wdet, c_swap))
+    return quad.plan.matrix(data)
 
 
 def neo_hookean_forces(
@@ -489,35 +575,13 @@ def neo_hookean_forces(
 ):
     """Internal force vector and consistent tangent at displacement state u.
 
-    Total Lagrangian: gradients are taken with respect to the reference
-    configuration; raises :class:`ElementInversionError` when det F <= 0
-    at any quadrature point.  ``quad`` is the patch's
-    :func:`patch_quadrature`; it is built here when not given.
+    The two phases :func:`neo_hookean_residual` and
+    :func:`neo_hookean_tangent` in one call; raises
+    :class:`ElementInversionError` when det F <= 0 at any quadrature
+    point.  ``quad`` is the patch's :func:`patch_quadrature`; it is built
+    here when not given.
     """
-    nd = patch.ndim
     if quad is None:
         quad = patch_quadrature(patch, n_gauss)
-    u_mat = np.asarray(u, dtype=float).reshape(patch.space.dim, nd)
-    f_int = np.zeros(u_mat.size)
-    data = np.zeros(quad.plan.nnz)
-    mu, lam = mat.lame()
-    for start in range(0, quad.dofs.shape[0], _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        dofs, gt, wdet = quad.dofs[chunk], quad.gt[chunk], quad.wdet[chunk]
-        ce, nloc, nqd = gt.shape
-        nq = nqd // nd
-        gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
-        Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
-        J, Finv = det_and_inverse(Fdef)
-        P = mat.pk1(Fdef, J, Finv)
-        # f_ai = sum_q,j g_qaj P_qij wdet_q
-        Pw = (P * wdet[:, :, None, None]).transpose(0, 1, 3, 2).reshape(ce, nq * nd, nd)
-        edofs = dofs[:, :, None] * nd + np.arange(nd)
-        f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
-        # dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam lnJ) swap-term, contracted
-        # per term with w = g F^-1 instead of forming the fourth-order tensor
-        w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), Finv)
-        c_swap = (mu - lam * np.log(J)) * wdet
-        ke = _isotropic_element_matrices(w, mu * quad.grad_block[chunk], lam * wdet, c_swap)
-        quad.plan.add(data, start, ke)
-    return f_int, quad.plan.matrix(data)
+    state = neo_hookean_residual(quad, mat, u)
+    return state.f_int, neo_hookean_tangent(quad, mat, state)

@@ -17,10 +17,12 @@ saddle solves (gap pinned to zero on the active multiplier dofs) with
 activity updates until the set is stable and complementarity holds.
 Large deformation: load stepping with Newton iterations on the combined
 residual, the active set updated after every Newton solve, where a dof
-released for tension stays inactive until the residual converges.  The
-tangent changes every iteration, so every Newton solve factors it once,
-through the one layout of the tangent's fixed pattern; the tangent a
-step's convergence check evaluated is the next step's first.
+released for tension stays inactive until the residual converges.  Each
+Newton iterate evaluates the residual first, and the tangent is assembled
+and factored, through the one layout of the tangent's fixed pattern, only
+when the iterate is not converged.  The factor of a step's last Newton
+solve serves the next step's first, with only its right-hand side
+replaced.
 """
 from __future__ import annotations
 
@@ -36,7 +38,9 @@ from .assembly import (
     _canonical_csr,
     apply_constraints,
     assemble_load,
-    neo_hookean_forces,
+    neo_hookean_forces,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
+    neo_hookean_residual,
+    neo_hookean_tangent,
     patch_quadrature,
 )
 from .contact import ContactState, active_set_update
@@ -412,12 +416,14 @@ class _CondensedSaddle:
     back sweep gives ``u = P^T U^-1 (z_F + beta z_e - W_A lam_A)``.  A
     column of W is solved the first time its dof is active, one blocked
     forward substitution per batch, and its Gram products with the
-    earlier columns, ``z_F`` and ``z_e`` are kept.
+    earlier columns, ``z_F`` and ``z_e`` are kept.  :meth:`set_rhs`
+    replaces F on the same factor: one forward sweep for ``z_F``, and
+    ``W^T z_F`` re-read over the kept columns.
     """
 
     def __init__(self, K: sp.csr_matrix, F: np.ndarray, layout: _BandLayout):
         n = F.size
-        self.K, self.F, self.layout = K, F, layout
+        self.K, self.layout = K, layout
         ab = layout.fill(K.data)
         self.rho = float(np.abs(ab[layout.u]).max())
         p = int(layout.pos[layout.i])
@@ -429,18 +435,25 @@ class _CondensedSaddle:
                 f"shifted stiffness K + rho e_i e_i^T is not positive definite ({exc}): "
                 "an indefinite tangent or a constraint deficiency"
             ) from exc
-        self.z_F = _band_sweep(self.cb, F[layout.order], "T")
+        self.p = p
         e = np.zeros(n - p)
         e[0] = 1.0
         self.z_e = np.zeros(n)
         self.z_e[p:] = _band_sweep(self.cb[:, p:], e, "T")
         self.x_ei = self.z_e[p:] @ self.z_e[p:]  # (K~^-1)_ii
-        self.y_Fi = self.z_e[p:] @ self.z_F[p:]  # (K~^-1 F)_i
         self.col = np.full(layout.Bhc.shape[0], -1)  # Gram index per multiplier dof
         self.W: list[tuple[int, int, np.ndarray]] = []  # (first row, first Gram index, rows of W) per batch
         self.G = np.empty((0, 0))  # Gram matrix W^T W of the solved columns
-        self.Wz_F = np.empty(0)  # W^T z_F per solved column
         self.Wz_e = np.empty(0)  # W^T z_e per solved column
+        self.set_rhs(F)
+
+    def set_rhs(self, F: np.ndarray) -> None:
+        """Make F the right-hand side of the next solves, on the same factor and W columns."""
+        self.F = F
+        self.z_F = _band_sweep(self.cb, F[self.layout.order], "T")
+        self.y_Fi = self.z_e[self.p :] @ self.z_F[self.p :]  # (K~^-1 F)_i
+        # W^T z_F per solved column, batch by batch in Gram order
+        self.Wz_F = np.concatenate([np.empty(0)] + [Wn.T @ self.z_F[r0:] for r0, _, Wn in self.W])
 
     def _add_columns(self, new: np.ndarray) -> None:
         first = self.layout.first[new]
@@ -640,10 +653,12 @@ def solve_large_deformation(
     built once and reused for every tangent of the solve, and so is the
     band layout of the tangent's pattern: each tangent goes into the
     banded factor by one gather.  A step starts at the u where the last
-    step converged, so the internal force and tangent evaluated there
-    for its convergence check are carried into its first iteration; the
-    pair is not kept past it, so a retry after a halving, which starts
-    from the same u, evaluates it again.
+    step converged, so the residual phase its convergence check evaluated
+    there is carried into its first iteration, and so is the last
+    :class:`_CondensedSaddle` of that step: its factor, of the tangent
+    one Newton correction before u, serves the first solve.  Neither is
+    kept past that step, so a retry after a halving, which starts from
+    the same u, evaluates and factors afresh.
     """
     patch = problem.patch
     quad = patch_quadrature(patch, problem.n_gauss)
@@ -673,9 +688,9 @@ def solve_large_deformation(
     layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, B, fixed)
 
     records: list[IterationRecord] = []
-    # (f_int, K_T) at u, in a list the step takes it from: the step drops it once
-    # used, and a retry after a halving evaluates it again
-    carried = [neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)]
+    # (residual state at u, saddle or None) in a list the step takes it from: the
+    # step drops it once used, and a retry after a halving evaluates it again
+    carried = [(neo_hookean_residual(quad, problem.material, u), None)]
     t = 0.0
     dt_base = 1.0 / n_steps
     dt = dt_base
@@ -687,7 +702,7 @@ def solve_large_deformation(
         if problem.active_hint is not None:
             active = active | problem.active_hint(t_try)
         if not carried:
-            carried.append(neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad))
+            carried.append((neo_hookean_residual(quad, problem.material, u), None))
         try:
             u, lam, active, wg, *carried, recs = _newton_contact_step(
                 problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
@@ -727,14 +742,24 @@ def _hold_released(active: np.ndarray, held: np.ndarray) -> np.ndarray:
 
 
 def _newton_contact_step(
-    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, tangent
+    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, start
 ):
-    """Newton iterations of one load step from ``u0``, whose ``(f_int, K_T)`` is ``tangent``.
+    """Newton iterations of one load step from ``u0``.
 
-    Returns the converged ``(u, lam, active, weighted gap)``, the
-    ``(f_int, K_T)`` evaluated at that u and the iteration records.
+    ``start`` is the pair ``(residual, saddle)``: the residual phase at
+    ``u0`` and a :class:`_CondensedSaddle` of the previous step or None.
+    Every iterate evaluates the residual (:func:`neo_hookean_residual`),
+    and one that is not converged assembles the tangent from it and
+    factors it for its solve.  The first solve reuses the factor of
+    ``saddle`` with its right-hand side replaced, or factors the tangent
+    at ``u0`` when ``saddle`` is None.  Every solve keeps its checks, the
+    residual one against the K its factor was built from.  Returns the
+    converged ``(u, lam, active, weighted gap)``, the pair ``(residual,
+    saddle)`` of the residual phase at that u and the step's last saddle,
+    and the iteration records.
     """
-    patch = problem.patch
+    residual, saddle = start
+    del start  # the saddle is referenced here alone, so the step can free its factor
     measures = problem.measures
     cols, Bc = layout.cols, layout.Bc
     n = u0.size
@@ -750,10 +775,11 @@ def _newton_contact_step(
     records: list[IterationRecord] = []
     seeded = False
     first_res = None
+    fresh = saddle is None  # the next solve factors the tangent at the current u
     for it in range(1, settings.max_newton_iters + 1):
         if it > 1:
-            tangent = neo_hookean_forces(patch, problem.material, u, problem.n_gauss, quad)
-        f_int, K_T = tangent
+            residual = neo_hookean_residual(quad, problem.material, u)
+        f_int = residual.f_int
         lam = np.where(active, lam, 0.0)
         r_u = f_int + layout.scatter(Bc.T @ lam) - F_t
         r_u[fixed] = 0.0
@@ -779,7 +805,7 @@ def _newton_contact_step(
         if not pending and changed == 0 and converged and complementarity_ok(
             new_state, settings.gap_tol
         ):
-            return u, new_state.lam, new_state.active, wg, tangent, records
+            return u, new_state.lam, new_state.active, wg, (residual, saddle), records
         if first_res is None and not converged:
             # a converged residual carried over from the previous step is no scale: a
             # displacement-driven step's increment enters through dv, not r_u
@@ -797,6 +823,11 @@ def _newton_contact_step(
         r_lam = wg[act_idx] * measures[act_idx]
         if not pending and res_u == 0.0 and r_lam.size == 0:
             continue  # exact equilibrium, only activity bookkeeping changed
+        if fresh:
+            saddle = K_T = None  # free the last factor and its tangent before the next are built
+            K_T = neo_hookean_tangent(quad, problem.material, residual)
+        else:
+            K_T = saddle.K
         rhs_u = -r_u
         if pending:
             rhs_u -= K_T @ dv
@@ -806,7 +837,11 @@ def _newton_contact_step(
             rhs_l = -(wg[idx] * measures[idx])
             return rhs_l - Bc[idx] @ dv[cols] if pending else rhs_l
 
-        saddle = _CondensedSaddle(K_T, rhs_u, layout)
+        if fresh:
+            saddle = _CondensedSaddle(K_T, rhs_u, layout)
+        else:
+            saddle.set_rhs(rhs_u)
+        fresh = True
         try:
             du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
         except SolverError:
@@ -817,7 +852,6 @@ def _newton_contact_step(
             active[int(np.argmin(wg))] = True
             act_idx = np.flatnonzero(active)
             du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
-        del saddle  # its factor is done with: free it before the next tangent is built
         u = u + du
         lam[act_idx] += dlam
         dv[:] = 0.0

@@ -17,6 +17,7 @@ from igacontact.assembly import (
     dirichlet_on_face,
     merge_constraints,
     neo_hookean_forces,
+    neo_hookean_residual,
     patch_quadrature,
 )
 from igacontact.benchmarks import (
@@ -312,6 +313,32 @@ def condensed_saddle(K, F, Bhat, order):
     return _CondensedSaddle(K, F, solver._band_layout(K.indptr, K.indices, order, Bhat))
 
 
+def count_step_attempts(monkeypatch):
+    """Calls of the Newton load-step driver: one per load step when no step halves."""
+    calls = []
+    original = solver._newton_contact_step
+
+    def counting(*args):
+        calls.append(args[10])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_newton_contact_step", counting)
+    return calls
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls of ``module.name`` made through that module."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def count_factorizations(monkeypatch):
     calls = []
     original = solver.sla.cholesky_banded
@@ -554,6 +581,53 @@ class TestCondensedSaddle:
             saddle.solve(act, g[act])
             assert sweeps[2:] == [("N", 1)] * k
 
+    @pytest.mark.parametrize(
+        "build", [functools.partial(linear_case, hertz2d_level1), neo_hookean_case], ids=["2d", "neo-hookean"]
+    )
+    def test_set_rhs_matches_fresh_factorization(self, build):
+        # a new load on a built saddle: the same (u, lam) as a saddle built on it,
+        # on the columns solved for the old load and on new ones, and the oracle's
+        K, F, Bhat, g, order, actives = build()
+        layout = solver._band_layout(K.indptr, K.indices, order, Bhat)
+        saddle = _CondensedSaddle(K, F, layout)
+        first = np.flatnonzero(actives[0])
+        saddle.solve(first, g[first])
+        F2 = np.random.default_rng(31).normal(size=F.size) * np.abs(F).max()
+        saddle.set_rhs(F2)
+        grown = np.flatnonzero(np.logical_or.reduce(actives))
+        assert (saddle.col[grown] < 0).any()
+        for act in (first, grown):
+            u, lam = saddle.solve(act, g[act])
+            u_new, lam_new = _CondensedSaddle(K, F2, layout).solve(act, g[act])
+            assert np.abs(u - u_new).max() <= 1e-13 * np.abs(u_new).max()
+            assert np.abs(lam - lam_new).max() <= 1e-13 * np.abs(lam_new).max()
+            u_ref, lam_ref = saddle_solve(K, F2, Bhat[act], g[act])
+            assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+            assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
+
+    def test_set_rhs_reuses_the_solved_columns(self, monkeypatch):
+        # one forward sweep for the new load; an active set already solved needs no
+        # further forward substitution of W columns
+        K, F, Bhat, g, order, actives = linear_case(hertz2d_level1)
+        saddle = condensed_saddle(K, F, Bhat, order)
+        act = np.flatnonzero(actives[1])
+        saddle.solve(act, g[act])
+        substitutions = count_calls(monkeypatch, solver, "_forward_substitution")
+        sweeps = []
+        original = solver.sla.lapack.dtbtrs
+
+        def counting(ab, b, **kwargs):
+            sweeps.append((kwargs["trans"], b.ndim))
+            return original(ab, b, **kwargs)
+
+        monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
+        saddle.set_rhs(0.5 * F)
+        assert sweeps == [("T", 1)]
+        u, lam = saddle.solve(act, g[act])
+        assert substitutions == [] and sweeps == [("T", 1), ("N", 1)]
+        u_ref, lam_ref = saddle_solve(K, 0.5 * F, Bhat[act], g[act])
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+
     def test_band_sweep_failures_raise(self):
         # a zero diagonal (LAPACK info > 0) and an overflowing sweep
         with pytest.raises(SolverError, match="info 2"):
@@ -633,15 +707,19 @@ class TestLargeDeformation:
         assert len(passes) == 1 and passes[0] is patch
 
     def test_one_factorization_per_newton_solve(self, monkeypatch):
+        # every Newton solve factors once, except the first of each step after the
+        # first, which reuses the factor of the step before
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
         calls = count_factorizations(monkeypatch)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=2)
+        attempts = count_step_attempts(monkeypatch)
+        bundle = solve_large_deformation(problem, config.settings, n_steps=3)
         steps = {r.step for r in bundle.iterations}
+        assert steps == {1, 2, 3} and len(attempts) == len(steps)  # no step halved
         # the last iteration of every step converged and solved nothing
-        assert steps == {1, 2}
-        assert len(calls) == len(bundle.iterations) - len(steps) > 0
+        solves = len(bundle.iterations) - len(steps)
+        assert len(calls) == solves - (len(steps) - 1) > 0
         assert set(calls) == {patch.space.dim * 2}
 
     def test_newton_reseed_adds_no_factorization(self, monkeypatch):
@@ -661,49 +739,58 @@ class TestLargeDeformation:
         *_, records = solver._newton_contact_step(
             problem, quad, config.settings, np.zeros(n),
             np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size), 1,
-            neo_hookean_forces(patch, problem.material, np.zeros(n), quad=quad),
+            (neo_hookean_residual(quad, problem.material, np.zeros(n)), None),
         )
         assert records[0].n_active == 0 and records[1].n_active == 1
+        # no saddle handed in: the first solve factors, and its re-seed solves on that factor
         assert len(calls) == len(records) - 1
 
     def test_converged_tangent_carried_into_next_step(self, monkeypatch):
         # a step starts where the last one converged, and its convergence check
-        # evaluated the tangent there: only step 1 evaluates at its start
+        # evaluated the residual there: only step 1 evaluates at its start.  A
+        # converged iterate assembles no tangent, and every tangent is factored
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
-        calls = []
-        original = solver.neo_hookean_forces
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "neo_hookean_forces", counting)
+        residuals = count_calls(monkeypatch, solver, "neo_hookean_residual")
+        tangents = count_calls(monkeypatch, solver, "neo_hookean_tangent")
+        factorizations = count_factorizations(monkeypatch)
         bundle = solve_large_deformation(problem, config.settings, n_steps=3)
         steps = {r.step for r in bundle.iterations}
         assert steps == {1, 2, 3}
-        assert len(calls) == len(bundle.iterations) - (len(steps) - 1)
+        assert len(residuals) == len(bundle.iterations) - (len(steps) - 1)
+        assert len(tangents) == len(factorizations) > 0
 
     def test_carried_tangent_leaves_iterations_unchanged(self, monkeypatch):
-        # with the hold of released dofs off, the carry alone changes nothing:
-        # the carried pair is the one a fresh evaluation at the step's start gives
+        # the first solve of a step on the factor of the step before, one Newton
+        # correction off, takes the iterations a fresh factorization at the step's
+        # start takes, with the hold of released dofs on and off
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
-        monkeypatch.setattr(solver, "_hold_released", lambda active, held: active)
-        carried = solve_large_deformation(problem, config.settings, n_steps=3)
         original = solver._newton_contact_step
 
-        def fresh(problem, quad, settings, u0, *args):
-            tangent = neo_hookean_forces(problem.patch, problem.material, u0, problem.n_gauss, quad)
-            return original(problem, quad, settings, u0, *args[:-1], tangent)
+        def fresh(*args):
+            residual, _ = args[-1]
+            return original(*args[:-1], (residual, None))
 
-        monkeypatch.setattr(solver, "_newton_contact_step", fresh)
-        evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
-        assert len({r.step for r in carried.iterations}) == 3
-        assert carried.log_text() == evaluated.log_text()
-        assert np.array_equal(carried.u, evaluated.u)
+        def columns(bundle):  # step, iter, n_active, changed
+            return [line.split()[:3] + line.split()[-1:] for line in bundle.log_text().splitlines()]
+
+        for hold in (True, False):
+            with monkeypatch.context() as m:
+                if not hold:
+                    m.setattr(solver, "_hold_released", lambda active, held: active)
+                factorizations = count_factorizations(m)
+                carried = solve_large_deformation(problem, config.settings, n_steps=3)
+                reusing = len(factorizations)
+                m.setattr(solver, "_newton_contact_step", fresh)
+                evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
+            assert len({r.step for r in carried.iterations}) == 3
+            # one factorization per solve afresh, two fewer when steps 2 and 3 reuse one
+            assert len(factorizations) - reusing == len(evaluated.iterations) - 3 == reusing + 2
+            assert columns(carried) == columns(evaluated)
+            assert np.abs(carried.u - evaluated.u).max() <= 1e-12 * np.abs(evaluated.u).max()
 
     def test_no_activity_chatter_within_a_load_step(self, monkeypatch, tmp_path):
         # a dof released for tension used to be re-activated by a slightly negative
@@ -711,7 +798,7 @@ class TestLargeDeformation:
         # loop's cycle rule then fired 24 times on this run
         updates, forces, steps, failed = [], [], [], []
         original_update = solver.active_set_update
-        original_forces = solver.neo_hookean_forces
+        original_residual = solver.neo_hookean_residual
         original_step = solver._newton_contact_step
 
         def update(state, gap_tol):
@@ -719,9 +806,9 @@ class TestLargeDeformation:
             return original_update(state, gap_tol)
 
         def evaluate(*args, **kwargs):
-            f_int, K_T = original_forces(*args, **kwargs)
-            forces.append(np.linalg.norm(f_int))
-            return f_int, K_T
+            residual = original_residual(*args, **kwargs)
+            forces.append(np.linalg.norm(residual.f_int))
+            return residual
 
         def step(*args):
             start = len(updates)
@@ -736,15 +823,16 @@ class TestLargeDeformation:
             return out
 
         monkeypatch.setattr(solver, "active_set_update", update)
-        monkeypatch.setattr(solver, "neo_hookean_forces", evaluate)
+        monkeypatch.setattr(solver, "neo_hookean_residual", evaluate)
         monkeypatch.setattr(solver, "_newton_contact_step", step)
         config = RunConfig(
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
         )
         benchmarks.run_benchmark(config)
         assert not failed and len(steps) == 2 * config.n_load_steps  # level 0 and the reference
-        for records, states, _, _ in steps:
+        for records, states, f_norms, _ in steps:
             assert len(states) == len(records)
+            assert len(f_norms) == len(records)
             sets = [active.tobytes() for active, _ in states]
             left = set()
             for prev, cur in zip(sets, sets[1:]):
