@@ -14,8 +14,6 @@ from .contact import (
     GapField,
     MultiplierBasis,
     active_set_update,
-    contact_residual,
-    contact_tangent,
     coupling_matrix,
     gap_value,
     multiplier_basis,
@@ -64,4 +62,16 @@ from .verification import (
     multiplier_error_reference,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "active_set_update", "apply_constraints", "assemble_load", "assemble_stiffness",
+    "BasisEvaluation", "BoundaryTrace", "ContactState", "coupling_matrix",
+    "displacement_errors", "eval_basis", "eval_nurbs_basis", "extract_trace", "find_span",
+    "fit_rate", "gap_value", "GapField", "gauss_rule", "GlobalSystem", "graded_breakpoints",
+    "hertz_2d", "hertz_3d", "HertzAnalytic", "inf_sup_estimate", "interior_knot_vector",
+    "jacobian", "knot_insertion", "KnotVector", "LinearMaterial", "make_open_knot_vector",
+    "mesh_view", "MeshView", "multiplier_basis", "multiplier_error_analytic",
+    "multiplier_error_reference", "multiplier_space", "MultiplierBasis", "neo_hookean_forces",
+    "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule", "quarter_disc_patch", "saddle_solve",
+    "SolutionBundle", "solve_large_deformation", "solve_small_deformation", "SolveSettings",
+    "sphere_octant_patch", "TensorSpace", "weighted_gap", "WeightedSpace",
+]

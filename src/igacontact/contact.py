@@ -179,24 +179,6 @@ def active_set_update(state: ContactState, gap_tol: float = 0.0) -> tuple[Contac
     return replace(state, lam=lam, active=new_active), changed
 
 
-def contact_residual(state: ContactState, basis: MultiplierBasis, coupling: sp.csr_matrix):
-    """Contact blocks of the global residual for a fixed active set.
-
-    Returns ``(R_u, R_lam)``: the surface virtual-work force
-    ``coupling.T @ lam`` (inactive multipliers are pinned to zero) and,
-    per active dof, the weighted gap scaled by the basis measure.
-    """
-    lam = np.where(state.active, state.lam, 0.0)
-    r_u = coupling.T @ lam
-    r_lam = state.weighted_gap[state.active] * state.measures[state.active]
-    return r_u, r_lam
-
-
-def contact_tangent(state: ContactState, coupling: sp.csr_matrix) -> sp.csr_matrix:
-    """Active-row restriction of the coupling operator (its transpose is the u-block)."""
-    return coupling[np.flatnonzero(state.active), :]
-
-
 def scalar_coupling_and_masses(basis: MultiplierBasis):
     """Scalar-pairing matrices on the contact face for stability estimates.
 

@@ -11,18 +11,20 @@ directly.  The grid is walked towards the contact rows expected active,
 so that their columns of the condensation come last in the band.  The
 band layout of a CSR pattern (order, fixed dofs, gather indices, and the
 coupling as one dense block over the dofs it touches) is built once, and
-a matrix with that pattern goes into the band by one gather.  Small
-deformation: one factorization per solve, and an outer loop alternates
-saddle solves (gap pinned to zero on the active multiplier dofs) with
-activity updates until the set is stable and complementarity holds.
-Large deformation: load stepping with Newton iterations on the combined
-residual, the active set updated after every Newton solve, where a dof
-released for tension stays inactive until the residual converges.  Each
-Newton iterate evaluates the residual first, and the tangent is assembled
-and factored, through the one layout of the tangent's fixed pattern, only
-when the iterate is not converged.  The factor of a step's last Newton
-solve serves the next step's first, with only its right-hand side
-replaced.
+a matrix with that pattern goes into the band by one gather.  One
+active-set loop (:func:`_settle_active_set`) serves both drivers: on one
+factor it alternates saddle solves (gap pinned to zero on the active
+multiplier dofs) with activity updates until the set is stable and
+complementarity holds.  Small deformation runs it once, on the
+stiffness.  Large deformation: load stepping with Newton iterations on
+the combined residual, where every unconverged iterate runs the loop on
+its own tangent's factor; the gap is linear in u, so the set it settles
+is exact for the linearization, and a change of activity costs a
+condensed solve, not a tangent and a factorization.  Each Newton iterate
+evaluates the residual first, and the tangent is assembled and factored,
+through the one layout of the tangent's fixed pattern, only when the
+iterate is not converged.  The factor of a step's last Newton solve
+serves the next step's first, with only its right-hand side replaced.
 """
 from __future__ import annotations
 
@@ -196,11 +198,6 @@ def _masked_coupling(coupling: sp.csr_matrix, fixed: np.ndarray, n: int) -> sp.c
     free = np.ones(n)
     free[fixed] = 0.0
     return (coupling @ sp.diags(free)).tocsr()
-
-
-def _initial_active(wg0: np.ndarray, gap_tol: float) -> np.ndarray:
-    active = wg0 <= gap_tol
-    return active
 
 
 # a singular K with no active row left reads about 1e-16; solvable systems read
@@ -524,10 +521,80 @@ class _CondensedSaddle:
         return u, lam
 
 
+def _settle_active_set(saddle, active, gap, g, measures, settings, records=None):
+    """Active-set loop of one linear(ized) contact problem on the factor of ``saddle``.
+
+    ``gap`` holds the gap integrals where the unknown x that ``saddle``
+    solves for is zero, ``g`` the right-hand side of every gap row
+    (``B x = g`` on the active rows), and ``active`` the starting set.
+    Each iteration solves on the kept factor, takes the bare
+    :func:`active_set_update` of the solved pair (lam, weighted gap
+    ``(gap + B x) / measures``), and stops when the set is stable and
+    complementarity holds.  When a set recurs, the larger of the
+    repeating sets is kept and the gap test tightened tenfold.  When the
+    stiffness alone is singular with no active row, the dof closest to
+    contact is seeded.  Each iteration is appended to ``records`` when it
+    is given.  Returns x and the settled :class:`ContactState`.
+    """
+    layout = saddle.layout
+    gap_tol = settings.gap_tol
+    active = active.copy()
+    seen: dict[bytes, int] = {}
+    seeded = False
+    it = 0
+    while it < settings.max_active_set_iters:
+        it += 1
+        act_idx = np.flatnonzero(active)
+        try:
+            x, lam_act = saddle.solve(act_idx, g[act_idx])
+        except SolverError:
+            if act_idx.size == 0 and not seeded:
+                # tangent-plane start: every weighted gap is positive but the
+                # stiffness alone is singular; seed the closest dof
+                active[int(np.argmin(-g / measures))] = True
+                seeded = True
+                continue
+            raise
+        lam = np.zeros(active.size)
+        lam[act_idx] = lam_act
+        wg = (gap + layout.Bc @ x[layout.cols]) / measures
+        state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
+        new_state, changed = active_set_update(state, gap_tol)
+        if records is not None:
+            res_u = np.linalg.norm(saddle.K @ x + layout.scatter(layout.Bhc.T @ lam) - saddle.F)
+            res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
+            records.append(
+                IterationRecord(
+                    step=0,
+                    iteration=it,
+                    n_active=int(active.sum()),
+                    residual_u=res_u,
+                    residual_lam=res_lam,
+                    changed=changed,
+                )
+            )
+        if changed == 0 and complementarity_ok(new_state, gap_tol):
+            return x, new_state
+        key = new_state.active.tobytes()
+        if key in seen and changed:
+            # cycling: keep the larger of the repeating sets, tighten the gap test
+            if new_state.active.sum() < active.sum():
+                new_active = active
+            else:
+                new_active = new_state.active
+            gap_tol = gap_tol / 10.0
+            seen.clear()
+            active = new_active.copy()
+        else:
+            seen[key] = it
+            active = new_state.active.copy()
+    raise SolverError(f"active-set loop did not converge in {settings.max_active_set_iters} iterations")
+
+
 def solve_small_deformation(
     problem: SmallDeformationProblem, settings: SolveSettings = SolveSettings()
 ) -> SolutionBundle:
-    """Outer active-set loop around linear saddle-point solves.
+    """The active-set loop (:func:`_settle_active_set`) on the linear saddle problem.
 
     The constrained stiffness is factored once per call; each iteration
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
@@ -542,80 +609,27 @@ def solve_small_deformation(
         u_fix[d] = v
     B = problem.coupling
     Bhat = _masked_coupling(B, fixed, n)
-    gap_shift = B @ u_fix
-    g_rhs = -(problem.gap_integrals + gap_shift)
-    measures = problem.measures
-    wg0 = (problem.gap_integrals + gap_shift) / measures
-    gap_tol = settings.gap_tol
-    if problem.initial_active is not None:
-        active = problem.initial_active.copy()
-    else:
-        active = _initial_active(wg0, gap_tol)
+    gap0 = problem.gap_integrals + B @ u_fix
+    wg0 = gap0 / problem.measures
+    active = problem.initial_active.copy() if problem.initial_active is not None else wg0 <= settings.gap_tol
     # the rows expected active: the starting set, else the closest approach
     expected = active if active.any() else wg0 == wg0.min()
     order = _contact_order(system.grid_shape, system.n_comp, Bhat, expected)
     layout = _band_layout(K.indptr, K.indices, order, B, fixed)
-    saddle = _CondensedSaddle(K, F, layout)
-    lam = np.zeros(B.shape[0])
     records: list[IterationRecord] = []
-    seen: dict[bytes, int] = {}
-    seeded = False
-    it = 0
-    while it < settings.max_active_set_iters:
-        it += 1
-        act_idx = np.flatnonzero(active)
-        try:
-            u, lam_act = saddle.solve(act_idx, g_rhs[act_idx])
-        except SolverError:
-            if act_idx.size == 0 and not seeded:
-                # tangent-plane start: every weighted gap is positive but the
-                # stiffness alone is singular; seed the closest dof
-                active[int(np.argmin(wg0))] = True
-                seeded = True
-                continue
-            raise
-        lam = np.zeros(B.shape[0])
-        lam[act_idx] = lam_act
-        wg = (problem.gap_integrals + layout.Bc @ u[layout.cols]) / measures
-        state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
-        new_state, changed = active_set_update(state, gap_tol)
-        res_u = np.linalg.norm(K @ u + layout.scatter(layout.Bhc.T @ lam) - F)
-        res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
-        records.append(
-            IterationRecord(
-                step=0,
-                iteration=it,
-                n_active=int(active.sum()),
-                residual_u=res_u,
-                residual_lam=res_lam,
-                changed=changed,
-            )
-        )
-        if changed == 0 and complementarity_ok(new_state, gap_tol):
-            return SolutionBundle(
-                u=u,
-                lam=new_state.lam,
-                active=new_state.active,
-                weighted_gap=wg,
-                measures=measures,
-                iterations=records,
-                converged=True,
-            )
-        key = new_state.active.tobytes()
-        if key in seen and changed:
-            # cycling: keep the larger of the repeating sets, tighten the gap test
-            if new_state.active.sum() < active.sum():
-                new_active = active
-            else:
-                new_active = new_state.active
-            gap_tol = gap_tol / 10.0
-            seen.clear()
-            active = new_active.copy()
-        else:
-            seen[key] = it
-            active = new_state.active.copy()
-        lam = new_state.lam
-    raise SolverError(f"active-set loop did not converge in {settings.max_active_set_iters} iterations")
+    u, state = _settle_active_set(
+        _CondensedSaddle(K, F, layout), active, problem.gap_integrals, -gap0, problem.measures, settings,
+        records,
+    )
+    return SolutionBundle(
+        u=u,
+        lam=state.lam,
+        active=state.active,
+        weighted_gap=state.weighted_gap,
+        measures=problem.measures,
+        iterations=records,
+        converged=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -645,11 +659,12 @@ def solve_large_deformation(
     settings: SolveSettings = SolveSettings(),
     n_steps: int = 10,
 ) -> SolutionBundle:
-    """Incremental loading with Newton iterations and embedded activity updates.
+    """Incremental loading with Newton iterations, the active set settled on each Newton factor.
 
     Both tractions and prescribed displacements are scaled by the load
-    factor.  Element inversion inside a step triggers step halving (up
-    to 20 halvings).  The patch's element data and scatter plan are
+    factor.  Element inversion inside a step, a failed solve or an
+    active-set loop that does not settle triggers step halving (up to 20
+    halvings).  The patch's element data and scatter plan are
     built once and reused for every tangent of the solve, and so is the
     band layout of the tangent's pattern: each tangent goes into the
     banded factor by one gather.  A step starts at the u where the last
@@ -681,7 +696,7 @@ def solve_large_deformation(
     if problem.initial_active is not None and problem.initial_active.any():
         active = problem.initial_active.copy()
     else:
-        active = _initial_active(wg0, settings.gap_tol)
+        active = wg0 <= settings.gap_tol
         if not active.any():
             active[int(np.argmin(wg0))] = True
     order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
@@ -730,17 +745,6 @@ def solve_large_deformation(
     )
 
 
-def _hold_released(active: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """The updated set ``active`` of an unconverged Newton iterate, less the dofs ``held``.
-
-    ``held`` are the dofs released for tension in this load step.  A
-    slightly negative gap at an unconverged iterate would re-activate such
-    a dof only for the next update to release it again (cf. Hüeber &
-    Wohlmuth, CMAME 194 (2005)).
-    """
-    return active & ~held
-
-
 def _newton_contact_step(
     problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, start
 ):
@@ -750,40 +754,41 @@ def _newton_contact_step(
     ``u0`` and a :class:`_CondensedSaddle` of the previous step or None.
     Every iterate evaluates the residual (:func:`neo_hookean_residual`),
     and one that is not converged assembles the tangent from it and
-    factors it for its solve.  The first solve reuses the factor of
-    ``saddle`` with its right-hand side replaced, or factors the tangent
-    at ``u0`` when ``saddle`` is None.  Every solve keeps its checks, the
-    residual one against the K its factor was built from.  Returns the
-    converged ``(u, lam, active, weighted gap)``, the pair ``(residual,
-    saddle)`` of the residual phase at that u and the step's last saddle,
-    and the iteration records.
+    factors it.  On that factor it settles the active set of its
+    linearization (:func:`_settle_active_set`): the multipliers are solved
+    in total form, ``K_T du + B_A^T lam = F_t - f_int``, with the gap rows
+    linearized at u, and activity is decided on the predicted pair
+    ``(lam, weighted gap at u + du)``, which is exact because the gap is
+    linear in u.  The first solve reuses the factor of ``saddle`` with its
+    right-hand side replaced, or factors the tangent at ``u0`` when
+    ``saddle`` is None.  Every solve keeps its checks, the residual one
+    against the K its factor was built from.  Returns the converged ``(u,
+    lam, active, weighted gap)``, the pair ``(residual, saddle)`` of the
+    residual phase at that u and the step's last saddle, and the iteration
+    records.
     """
     residual, saddle = start
     del start  # the saddle is referenced here alone, so the step can free its factor
     measures = problem.measures
     cols, Bc = layout.cols, layout.Bc
-    n = u0.size
     u = u0.copy()
     # prescribed increments enter through the first tangent solve so the free
     # dofs follow along; jumping u[fixed] directly inverts elements next to
     # the constrained faces
-    dv = np.zeros(n)
+    dv = np.zeros(u.size)
     dv[fixed] = vals_t - u[fixed]
-    lam = lam0.copy()
-    active = active0.copy()
-    held = np.zeros_like(active)  # released for tension in this step, not re-activated since
+    lam, active = lam0, active0
     records: list[IterationRecord] = []
-    seeded = False
     first_res = None
     fresh = saddle is None  # the next solve factors the tangent at the current u
     for it in range(1, settings.max_newton_iters + 1):
         if it > 1:
             residual = neo_hookean_residual(quad, problem.material, u)
         f_int = residual.f_int
-        lam = np.where(active, lam, 0.0)
         r_u = f_int + layout.scatter(Bc.T @ lam) - F_t
         r_u[fixed] = 0.0
-        wg = (problem.gap_integrals + Bc @ u[cols]) / measures
+        gap = problem.gap_integrals + Bc @ u[cols]
+        wg = gap / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state, settings.gap_tol)
         cur_idx = np.flatnonzero(active)
@@ -812,48 +817,31 @@ def _newton_contact_step(
             first_res = res_u
         if it > 6 and first_res is not None and res_u > 1e3 * first_res:
             raise SolverError("Newton residual diverged")
-        if it == 1 and (pending or not converged):
-            # trust the inherited/seeded set for the first solve of a loaded
-            # step; the not-yet-displaced state would deactivate everything
-            new_state = state
-        active = new_state.active if converged else _hold_released(new_state.active, held)
-        held = (held | (lam > 0)) & ~active
-        lam = new_state.lam.copy()
-        act_idx = np.flatnonzero(active)
-        r_lam = wg[act_idx] * measures[act_idx]
-        if not pending and res_u == 0.0 and r_lam.size == 0:
+        # a loaded step's first solve starts from the inherited/seeded set; the
+        # not-yet-displaced state would deactivate everything
+        if not (it == 1 and (pending or not converged)):
+            active = new_state.active
+        if not pending and res_u == 0.0 and not active.any():
+            lam = new_state.lam
             continue  # exact equilibrium, only activity bookkeeping changed
         if fresh:
             saddle = K_T = None  # free the last factor and its tangent before the next are built
             K_T = neo_hookean_tangent(quad, problem.material, residual)
         else:
             K_T = saddle.K
-        rhs_u = -r_u
+        rhs_u = F_t - f_int
+        rhs_u[fixed] = 0.0
         if pending:
             rhs_u -= K_T @ dv
             rhs_u[fixed] = dv[fixed]
-
-        def _rhs_lam(idx):
-            rhs_l = -(wg[idx] * measures[idx])
-            return rhs_l - Bc[idx] @ dv[cols] if pending else rhs_l
-
         if fresh:
             saddle = _CondensedSaddle(K_T, rhs_u, layout)
         else:
             saddle.set_rhs(rhs_u)
         fresh = True
-        try:
-            du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
-        except SolverError:
-            if act_idx.size or seeded:
-                raise
-            # stiffness alone is singular: re-seed the closest multiplier dof
-            seeded = True
-            active[int(np.argmin(wg))] = True
-            act_idx = np.flatnonzero(active)
-            du, dlam = saddle.solve(act_idx, _rhs_lam(act_idx))
+        du, settled = _settle_active_set(saddle, active, gap, -(gap + Bc @ dv[cols]), measures, settings)
         u = u + du
-        lam[act_idx] += dlam
+        lam, active = settled.lam, settled.active
         dv[:] = 0.0
     raise SolverError(f"Newton did not converge in {settings.max_newton_iters} iterations")
 

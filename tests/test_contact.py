@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from igacontact.assembly import build_trace_quadrature
+from igacontact import solver
+from igacontact.assembly import assemble_stiffness, build_trace_quadrature, dirichlet_on_face
 from igacontact.contact import (
     ContactState,
     GapField,
     active_set_update,
-    contact_residual,
-    contact_tangent,
     coupling_matrix,
     dump_contact_state,
     gap_value,
@@ -26,6 +25,7 @@ from igacontact.geometry import (
     quarter_disc_patch,
     unit_square_patch,
 )
+from igacontact.materials import LinearMaterial
 
 PLANE_NORMAL_2D = np.array([-1.0, 0.0])  # rigid half-space {x >= R}
 
@@ -193,53 +193,66 @@ class TestActiveSetUpdate:
 
 
 class TestContactResidualAndTangent:
-    def setup_state(self, basis, lam=None, gaps=None, active=None):
-        n = basis.n_multipliers
-        return ContactState(
-            lam=np.zeros(n) if lam is None else np.asarray(lam, float),
-            weighted_gap=np.zeros(n) if gaps is None else np.asarray(gaps, float),
-            active=np.zeros(n, bool) if active is None else np.asarray(active, bool),
-            measures=basis.measures,
-        )
+    """The contact blocks of the residual and tangent, as the solvers read them.
+
+    The contact force ``B^T lam`` and the active constraint rows of the
+    coupling come from the dense block of a band layout over the dofs the
+    coupling touches (``solver._BandLayout``).
+    """
+
+    def layout(self, n_spans, fixed_face=None):
+        trace, patch = flat_trace(n_spans)
+        basis = multiplier_basis(trace)
+        B = coupling_matrix(basis, 2, patch.space.dim)
+        fixed = np.empty(0, dtype=np.int64)
+        if fixed_face is not None:
+            fixed = np.fromiter(dirichlet_on_face(patch, fixed_face, component=1), dtype=np.int64)
+        system = assemble_stiffness(patch, LinearMaterial(1.0, 0.3))
+        K = system.stiffness
+        order = solver.band_order(system.grid_shape, 2)
+        return solver._band_layout(K.indptr, K.indices, order, B, fixed), B, basis, fixed
 
     def test_zero_multipliers_zero_force(self):
-        trace, patch = flat_trace(3)
-        basis = multiplier_basis(trace)
-        B = coupling_matrix(basis, 2, patch.space.dim)
-        state = self.setup_state(basis, active=np.ones(3, bool))
-        r_u, r_lam = contact_residual(state, basis, B)
-        assert np.all(r_u == 0.0)
+        layout, B, basis, _ = self.layout(3)
+        r_u = layout.scatter(layout.Bc.T @ np.zeros(basis.n_multipliers))
+        assert r_u.shape == (B.shape[1],) and np.all(r_u == 0.0)
 
     def test_zero_gap_zero_constraint_residual(self):
-        trace, patch = flat_trace(3)
-        basis = multiplier_basis(trace)
-        B = coupling_matrix(basis, 2, patch.space.dim)
-        state = self.setup_state(basis, lam=[-1, -2, -3], active=np.ones(3, bool))
-        _, r_lam = contact_residual(state, basis, B)
-        np.testing.assert_array_equal(r_lam, 0.0)
+        # the face on the plane, slid along it: every weighted gap stays zero; lifted
+        # by d, every weighted gap is d
+        layout, B, basis, _ = self.layout(3)
+        g0 = GapField(trace=basis.trace, normal=np.array([0.0, 1.0]), offset=0.0).gap_at(
+            basis.quadrature.params
+        )
+        gap_integrals = weighted_gap(g0, basis) * basis.measures
+        u = np.zeros(B.shape[1])
+        u[0::2] = 0.37
+        np.testing.assert_array_equal(gap_integrals + layout.Bc @ u[layout.cols], 0.0)
+        u[1::2] = 0.25
+        wg = (gap_integrals + layout.Bc @ u[layout.cols]) / basis.measures
+        np.testing.assert_allclose(wg, 0.25, rtol=1e-13)
 
     def test_force_matches_coupling_transpose(self):
-        trace, patch = flat_trace(1)
-        basis = multiplier_basis(trace)
-        B = coupling_matrix(basis, 2, patch.space.dim)
-        state = self.setup_state(basis, lam=[-1.0], active=[True])
-        r_u, _ = contact_residual(state, basis, B)
-        np.testing.assert_allclose(r_u, B.T @ np.array([-1.0]), atol=1e-13)
+        layout, B, basis, _ = self.layout(1)
+        lam = np.array([-1.0])
+        np.testing.assert_allclose(layout.scatter(layout.Bc.T @ lam), B.T @ lam, atol=1e-13)
 
     def test_tangent_rows(self):
-        trace, patch = flat_trace(5)
-        basis = multiplier_basis(trace)
-        B = coupling_matrix(basis, 2, patch.space.dim)
-        none = self.setup_state(basis)
-        assert contact_tangent(none, B).nnz == 0
-        all_on = self.setup_state(basis, active=np.ones(5, bool))
-        assert abs(contact_tangent(all_on, B) - B).max() <= 1e-14
+        # the active rows of the masked block are those of the coupling, with the
+        # fixed columns zeroed
+        layout, B, basis, fixed = self.layout(5, fixed_face=face_id(1, 0))
+        assert fixed.size and np.isin(fixed, layout.cols).any()
+        n = B.shape[1]
+        Bhat = solver._masked_coupling(B, fixed, n).toarray()
         rng = np.random.default_rng(2)
-        mask = rng.uniform(size=5) < 0.5
-        sub = self.setup_state(basis, active=mask)
-        np.testing.assert_allclose(
-            contact_tangent(sub, B).toarray(), B.toarray()[mask], atol=1e-15
-        )
+        for mask in (np.zeros(5, bool), np.ones(5, bool), rng.uniform(size=5) < 0.5):
+            rows = np.flatnonzero(mask)
+            full = np.zeros((rows.size, n))
+            full[:, layout.cols] = layout.Bhc[rows]
+            np.testing.assert_allclose(full, Bhat[rows], atol=1e-15)
+        full = np.zeros(B.shape)
+        full[:, layout.cols] = layout.Bc
+        assert np.array_equal(full, B.toarray())
 
 
 class TestStateDump:

@@ -339,6 +339,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def record_settled(monkeypatch):
+    """Record the (x, settled state) of every active-set loop the solver runs."""
+    settled = []
+    original = solver._settle_active_set
+
+    def recording(*args, **kwargs):
+        settled.append(original(*args, **kwargs))
+        return settled[-1]
+
+    monkeypatch.setattr(solver, "_settle_active_set", recording)
+    return settled
+
+
 def count_factorizations(monkeypatch):
     calls = []
     original = solver.sla.cholesky_banded
@@ -723,7 +736,8 @@ class TestLargeDeformation:
         assert set(calls) == {patch.space.dim * 2}
 
     def test_newton_reseed_adds_no_factorization(self, monkeypatch):
-        # an empty set and a singular tangent: the first solve re-seeds the closest dof
+        # an empty set and a singular tangent: the first solve re-seeds the closest dof,
+        # and the active-set loop settles on that same factor
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
@@ -734,6 +748,7 @@ class TestLargeDeformation:
         quad = patch_quadrature(patch)
         order = band_order(patch.space.space.n_basis, 2)
         layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
+        settled = record_settled(monkeypatch)
         calls = count_factorizations(monkeypatch)
         empty = np.zeros(problem.coupling.shape[0], dtype=bool)
         *_, records = solver._newton_contact_step(
@@ -741,9 +756,64 @@ class TestLargeDeformation:
             np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size), 1,
             (neo_hookean_residual(quad, problem.material, np.zeros(n)), None),
         )
-        assert records[0].n_active == 0 and records[1].n_active == 1
+        seeded = int(np.argmin(problem.gap_integrals / problem.measures))
+        assert records[0].n_active == 0
+        active = settled[0][1].active
+        assert active[seeded] and records[1].n_active == active.sum()
         # no saddle handed in: the first solve factors, and its re-seed solves on that factor
         assert len(calls) == len(records) - 1
+
+    def test_linearization_settles_as_the_linear_solver(self, monkeypatch):
+        # one Newton linearization is a linear contact problem: K = K_T, F = F_t - f_int,
+        # gap integrals + B u and the fixed dofs at zero; the active-set loop on the
+        # iterate's factor gives what solve_small_deformation gives for it
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 3), levels=2)
+        patch = quarter_disc_level_patch(config, 1)
+        problem, _ = build_large_deformation_problem(patch, config)
+        half = solve_large_deformation(problem, config.settings, n_steps=4)  # a deformed state
+        quad = patch_quadrature(patch)
+        n = patch.space.dim * 2
+        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
+        assert not any(problem.constraints.values())
+        F_t = 1.5 * assemble_load(patch, problem.tractions)
+        residual = neo_hookean_residual(quad, problem.material, half.u)
+        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, half.active)
+        layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, problem.coupling, fixed)
+        settled = record_settled(monkeypatch)
+        solver._newton_contact_step(
+            problem, quad, config.settings, half.u, half.lam, half.active, layout, F_t, fixed,
+            np.zeros(fixed.size), 1, (residual, None),
+        )
+        du, state = settled[0]
+        linear = SmallDeformationProblem(
+            system=assembly.GlobalSystem(
+                stiffness=solver.neo_hookean_tangent(quad, problem.material, residual),
+                load=F_t - residual.f_int,
+                grid_shape=patch.space.space.n_basis,
+                n_comp=2,
+                constraints={int(d): 0.0 for d in fixed},
+            ),
+            coupling=problem.coupling,
+            gap_integrals=problem.gap_integrals + problem.coupling @ half.u,
+            measures=problem.measures,
+        )
+        oracle = solve_small_deformation(linear, config.settings)
+        assert state.active.any() and np.array_equal(state.active, oracle.active)
+        assert not np.array_equal(state.active, half.active)  # the loop changed the set
+        assert np.abs(du - oracle.u).max() <= 1e-10 * np.abs(oracle.u).max()
+        assert np.abs(state.lam - oracle.lam).max() <= 1e-10 * np.abs(oracle.lam).max()
+
+    def test_dirichlet_factorizations_per_call(self, monkeypatch, tmp_path):
+        # the active set is settled on each Newton factor: an activity change costs a
+        # condensed solve, not a tangent and a factorization (a set updated once per
+        # Newton iterate takes 90)
+        config = RunConfig(
+            benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
+        )
+        factorizations = count_factorizations(monkeypatch)
+        benchmarks.run_benchmark(config)
+        assert len(factorizations) == 44
 
     def test_converged_tangent_carried_into_next_step(self, monkeypatch):
         # a step starts where the last one converged, and its convergence check
@@ -764,7 +834,7 @@ class TestLargeDeformation:
     def test_carried_tangent_leaves_iterations_unchanged(self, monkeypatch):
         # the first solve of a step on the factor of the step before, one Newton
         # correction off, takes the iterations a fresh factorization at the step's
-        # start takes, with the hold of released dofs on and off
+        # start takes
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
@@ -777,33 +847,40 @@ class TestLargeDeformation:
         def columns(bundle):  # step, iter, n_active, changed
             return [line.split()[:3] + line.split()[-1:] for line in bundle.log_text().splitlines()]
 
-        for hold in (True, False):
-            with monkeypatch.context() as m:
-                if not hold:
-                    m.setattr(solver, "_hold_released", lambda active, held: active)
-                factorizations = count_factorizations(m)
-                carried = solve_large_deformation(problem, config.settings, n_steps=3)
-                reusing = len(factorizations)
-                m.setattr(solver, "_newton_contact_step", fresh)
-                evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
-            assert len({r.step for r in carried.iterations}) == 3
-            # one factorization per solve afresh, two fewer when steps 2 and 3 reuse one
-            assert len(factorizations) - reusing == len(evaluated.iterations) - 3 == reusing + 2
-            assert columns(carried) == columns(evaluated)
-            assert np.abs(carried.u - evaluated.u).max() <= 1e-12 * np.abs(evaluated.u).max()
+        factorizations = count_factorizations(monkeypatch)
+        carried = solve_large_deformation(problem, config.settings, n_steps=3)
+        reusing = len(factorizations)
+        monkeypatch.setattr(solver, "_newton_contact_step", fresh)
+        evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
+        assert len({r.step for r in carried.iterations}) == 3
+        # one factorization per solve afresh, two fewer when steps 2 and 3 reuse one
+        assert len(factorizations) - reusing == len(evaluated.iterations) - 3 == reusing + 2
+        assert columns(carried) == columns(evaluated)
+        assert np.abs(carried.u - evaluated.u).max() <= 1e-12 * np.abs(evaluated.u).max()
 
     def test_no_activity_chatter_within_a_load_step(self, monkeypatch, tmp_path):
         # a dof released for tension used to be re-activated by a slightly negative
         # gap at the next, unconverged iterate and released again; the Newton
-        # loop's cycle rule then fired 24 times on this run
-        updates, forces, steps, failed = [], [], [], []
+        # loop's cycle rule then fired 24 times on this run.  The set of a record is
+        # the one its Newton iterate updates, not those of the active-set loop on
+        # the iterate's factor
+        updates, forces, steps, failed, inner = [], [], [], [], []
         original_update = solver.active_set_update
         original_residual = solver.neo_hookean_residual
         original_step = solver._newton_contact_step
+        original_settle = solver._settle_active_set
 
         def update(state, gap_tol):
-            updates.append((state.active.copy(), state.lam > 0))
+            if not inner:
+                updates.append((state.active.copy(), state.lam > 0))
             return original_update(state, gap_tol)
+
+        def settle(*args, **kwargs):
+            inner.append(True)
+            try:
+                return original_settle(*args, **kwargs)
+            finally:
+                inner.pop()
 
         def evaluate(*args, **kwargs):
             residual = original_residual(*args, **kwargs)
@@ -823,6 +900,7 @@ class TestLargeDeformation:
             return out
 
         monkeypatch.setattr(solver, "active_set_update", update)
+        monkeypatch.setattr(solver, "_settle_active_set", settle)
         monkeypatch.setattr(solver, "neo_hookean_residual", evaluate)
         monkeypatch.setattr(solver, "_newton_contact_step", step)
         config = RunConfig(
