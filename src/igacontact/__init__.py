@@ -15,7 +15,6 @@ from .contact import (
     MultiplierBasis,
     active_set_update,
     coupling_matrix,
-    gap_value,
     multiplier_basis,
     weighted_gap,
 )
@@ -25,7 +24,6 @@ from .geometry import (
     NurbsPatch,
     extract_trace,
     graded_breakpoints,
-    jacobian,
     mesh_view,
     quarter_disc_patch,
     sphere_octant_patch,
@@ -45,10 +43,9 @@ from .splines import (
     TensorSpace,
     WeightedSpace,
     eval_basis,
-    eval_nurbs_basis,
     find_span,
     interior_knot_vector,
-    knot_insertion,
+    insertion_matrix,
     make_open_knot_vector,
     multiplier_space,
 )
@@ -65,12 +62,12 @@ from .verification import (
 __all__ = [
     "active_set_update", "apply_constraints", "assemble_load", "assemble_stiffness",
     "BasisEvaluation", "BoundaryTrace", "ContactState", "coupling_matrix",
-    "displacement_errors", "eval_basis", "eval_nurbs_basis", "extract_trace", "find_span",
-    "fit_rate", "gap_value", "GapField", "gauss_rule", "GlobalSystem", "graded_breakpoints",
-    "hertz_2d", "hertz_3d", "HertzAnalytic", "inf_sup_estimate", "interior_knot_vector",
-    "jacobian", "knot_insertion", "KnotVector", "LinearMaterial", "make_open_knot_vector",
-    "mesh_view", "MeshView", "multiplier_basis", "multiplier_error_analytic",
-    "multiplier_error_reference", "multiplier_space", "MultiplierBasis", "neo_hookean_forces",
+    "displacement_errors", "eval_basis", "extract_trace", "find_span", "fit_rate", "GapField",
+    "gauss_rule", "GlobalSystem", "graded_breakpoints", "hertz_2d", "hertz_3d", "HertzAnalytic",
+    "inf_sup_estimate", "insertion_matrix", "interior_knot_vector", "KnotVector",
+    "LinearMaterial", "make_open_knot_vector", "mesh_view", "MeshView", "multiplier_basis",
+    "multiplier_error_analytic", "multiplier_error_reference", "multiplier_space",
+    "MultiplierBasis", "neo_hookean_forces",
     "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule", "quarter_disc_patch", "saddle_solve",
     "SolutionBundle", "solve_large_deformation", "solve_small_deformation", "SolveSettings",
     "sphere_octant_patch", "TensorSpace", "weighted_gap", "WeightedSpace",

@@ -2,15 +2,22 @@
 
 Displacement dofs are numbered ``basis_index * n_comp + component``
 with basis functions in flat C-order.  Element loops are chunked and
-vectorized over quadrature points; element matrices are batched matrix
-products, summed into one CSR pattern per patch through a scatter plan,
-whose pattern follows in closed form from the per-direction couplings.
-What a Neo-Hookean tangent needs of the patch (gradients in kernel
-layout, the state-free gradient term as CSR data) is built once per
-patch.  A Neo-Hookean evaluation has two phases: the residual phase gives
-the internal force and keeps the kinematics (det F, F^-1) at every
-quadrature point, and the tangent phase assembles the tangent from them,
-so a caller that needs only the force never pays for the tangent.
+vectorized over quadrature points; the rational basis and its gradient
+come from one outer product of per-direction tables and one batched
+matmul against the local weights, gradients kept transposed (component
+before basis function) until the physical gradients are formed.  Element matrices are batched matrix
+products, summed into one CSR pattern per patch through a scatter plan.
+The plan is closed-form: its pattern, ranks and slots are broadcasts of
+per-direction coupling tables, with no search or sort.  A linear
+element matrix needs one quadrature pair product sum_q wdet g_ai g_bk,
+from which the lam term, the mu swap term and the mu (g_a . g_b)
+delta_ik term are all read.  What a Neo-Hookean tangent needs of the
+patch (gradients in kernel layout, the state-free gradient term as CSR
+data) is built once per patch.  A Neo-Hookean evaluation has two
+phases: the residual phase gives the internal force and keeps the
+kinematics (det F, F^-1) at every quadrature point, and the tangent
+phase assembles the tangent from them, so a caller that needs only the
+force never pays for the tangent.
 Accumulation order is fixed, so repeated assembly of the same data is
 bitwise reproducible.
 """
@@ -76,12 +83,14 @@ def _direction_tables(kv, rule: QuadratureRule):
 
 
 def _tensor_combine(tables):
-    """Outer product over directions: list of (ce, n_d, k_d) -> (ce, prod n, prod k)."""
+    """Outer product over directions: list of (ce, n_d, ..., k_d) -> (ce, prod n, ..., prod k).
+
+    Axes between the first two and the last are multiplied entry by entry.
+    """
     out = tables[0]
     for t in tables[1:]:
-        ce, a, b = out.shape
-        _, n, k = t.shape
-        out = (out[:, :, None, :, None] * t[:, None, :, None, :]).reshape(ce, a * n, b * k)
+        shape = (out.shape[0], out.shape[1] * t.shape[1]) + out.shape[2:-1] + (out.shape[-1] * t.shape[-1],)
+        out = (out[:, :, None, ..., :, None] * t[:, None, ..., None, :]).reshape(shape)
     return out
 
 
@@ -120,6 +129,12 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
     nd = patch.ndim
     space = patch.space.space
     tabs = [_direction_tables(kv, rule) for kv in space.knot_vectors]
+    # per direction, (nel, n, 1 + d, p+1): the values, then for each gradient axis g the
+    # derivatives on axis g and the values elsewhere, so one outer product gives both
+    basis = [
+        np.stack([vals] + [ders if g == d else vals for g in range(nd)], axis=-2)
+        for d, (_, _, vals, ders) in enumerate(tabs)
+    ]
     nel_dir = [kv.n_elements for kv in space.knot_vectors]
     all_dofs = _element_dofs(space)
     weights = patch.space.weights
@@ -129,25 +144,19 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
         dofs = all_dofs[start : start + _CHUNK]
         ce = dofs.shape[0]
         multi = np.array(np.unravel_index(np.arange(start, start + ce), nel_dir)).T  # (ce, nd)
-        wts_d, vals_d, ders_d = ([tabs[d][k][multi[:, d]] for d in range(nd)] for k in range(1, 4))
-        bvals = _tensor_combine(vals_d)
-        bgrads = np.empty(bvals.shape + (nd,))
-        for g in range(nd):
-            bgrads[..., g] = _tensor_combine([ders_d[d] if d == g else vals_d[d] for d in range(nd)])
-        wq = _tensor_combine([w[:, :, None] for w in wts_d])[:, :, 0]
+        bspl = _tensor_combine([basis[d][multi[:, d]] for d in range(nd)])  # (ce, nq, 1 + d, nloc)
+        wq = _tensor_combine([tabs[d][1][multi[:, d], :, None] for d in range(nd)])[:, :, 0]
 
         wloc = weights[dofs]
-        num = wloc[:, None, :] * bvals
-        W = num.sum(axis=2)
-        rvals = num / W[:, :, None]
-        dnum = wloc[:, None, :, None] * bgrads
-        dW = dnum.sum(axis=2)
-        rgrads = (dnum - rvals[..., None] * dW[:, :, None, :]) / W[:, :, None, None]
+        W = np.matmul(bspl, wloc[:, None, :, None])  # (ce, nq, 1 + d, 1): W and its gradient
+        R = bspl * wloc[:, None, None, :] / W[:, :, :1]
+        rvals = R[:, :, 0]
+        rgrads_t = R[:, :, 1:] - R[:, :, :1] * (W[:, :, 1:] / W[:, :, :1])  # (ce, nq, d, nloc)
 
-        cloc = ctrl[dofs]  # (ce, nloc, d)
-        J = np.matmul(cloc.transpose(0, 2, 1)[:, None], rgrads)  # (ce, nq, d, d): dx_d/dxi_j
-        det, Jinv = _geometry_det_and_inverse(J)
-        yield ElementBlock(dofs=dofs, values=rvals, grads_phys=np.matmul(rgrads, Jinv), wdet=wq * det)
+        Jt = np.matmul(rgrads_t, ctrl[dofs][:, None])  # (ce, nq, d, d): dx_d/dxi_j at [j, d]
+        det, Jinv_t = _geometry_det_and_inverse(Jt)
+        grads_phys = np.matmul(rgrads_t.transpose(0, 1, 3, 2), Jinv_t.transpose(0, 1, 3, 2))
+        yield ElementBlock(dofs=dofs, values=rvals, grads_phys=grads_phys, wdet=wq * det)
 
 
 @dataclass(frozen=True)
@@ -188,50 +197,63 @@ class ScatterPlan:
 def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
     """Scatter plan of the vector-valued (n_comp = ndim) element matrices of a patch.
 
-    The pattern is known in closed form: two functions of a tensor grid
+    The pattern is known in closed form.  Two functions of a tensor grid
     share an element iff their 1D factors share one in every direction,
-    so a basis row's coupled functions, sorted, are the C-order product
-    of its per-direction couplings, and the rank of one of them in the
-    row is its per-direction ranks read in mixed radix.
+    and in 1D the functions coupled to function a are the contiguous run
+    lo[a] .. lo[a] + count[a] - 1.  So a basis row's coupled functions,
+    sorted, are the C-order product of its per-direction runs, and the
+    rank of one of them in the row is its per-direction ranks read in
+    mixed radix.  Every table below is a broadcast of per-direction ones.
     """
     nc = patch.ndim
     space = patch.space.space
+    nd, n_basis = space.ndim, space.n_basis
+    comp = np.arange(nc, dtype=np.int32)
+    los, counts, offset = [], [], np.zeros((), dtype=np.int32)
+    for d, kv in enumerate(space.knot_vectors):
+        local = (kv.spans - kv.degree).astype(np.int32)[:, None] + np.arange(kv.degree + 1, dtype=np.int32)
+        coupled = np.zeros((n_basis[d], n_basis[d]), dtype=bool)
+        coupled[local[:, :, None], local[:, None, :]] = True
+        lo, count = coupled.argmax(axis=1).astype(np.int32), coupled.sum(axis=1, dtype=np.int32)
+        los.append(lo)
+        counts.append(count)
+        # nc x the rank of local function j in the row of local function i, per element,
+        # on the axes (element, i, j) of direction d; the last direction's j carries k too
+        rank = nc * (local[:, None, :] - lo[local][:, :, None])
+        if d == nd - 1:
+            rank = (rank[..., None] + comp).reshape(rank.shape[0], rank.shape[1], -1)
+        shape = [1] * (3 * nd)
+        shape[d], shape[nd + d], shape[2 * nd + d] = rank.shape
+        offset = offset * count[local].reshape(shape[: 2 * nd] + [1] * nd) + rank.reshape(shape)
     dofs = _element_dofs(space)
     ne, nloc = dofs.shape
-    counts, ranks = [], []
-    for kv, n in zip(space.knot_vectors, space.n_basis):
-        local = (kv.spans - kv.degree)[:, None] + np.arange(kv.degree + 1)
-        coupled = np.zeros((n, n), dtype=bool)
-        coupled[local[:, :, None], local[:, None, :]] = True
-        counts.append(coupled.sum(axis=1, dtype=np.int32))
-        ranks.append(np.cumsum(coupled, axis=1, dtype=np.int32) - 1)  # where coupled
     count = functools.reduce(np.multiply.outer, counts).ravel()  # coupled functions per basis row
-    first = np.cumsum(count) - count  # index of each basis row's first pair
-    # rank of function b in the row of function a, for every element pair (a, b); the grid
-    # index is unraveled in 2D, as numpy 2.4's np.unravel_index misreads a length-1 axis
-    multi = np.unravel_index(dofs, space.n_basis)
-    rank = np.zeros((ne, nloc, nloc), dtype=np.int32)
-    for d, m in enumerate(multi):
-        rank = rank * counts[d][m][:, :, None] + ranks[d][m[:, :, None], m[:, None, :]]
-    n_pairs = int(count.sum())
-    col = np.empty(n_pairs, dtype=np.int64)  # coupled pairs sorted by (row, column)
-    col[first[dofs][:, :, None] + rank] = np.broadcast_to(dofs[:, None, :], rank.shape)
-    row = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count, dtype=np.int32) - count  # index of each basis row's first pair
+    nnz = int(nc * nc * count.sum())
     # dof row b * nc + i holds all nc components of each function coupled to b
-    indptr = np.zeros(count.size * nc + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.repeat(nc * count, nc))
-    comp = np.arange(nc)
     row_start = nc * nc * first[:, None] + (nc * count)[:, None] * comp  # (basis row, i)
-    slot = row_start[row][:, :, None] + nc * (np.arange(n_pairs) - first[row])[:, None, None] + comp
-    indices = np.empty(slot.size, dtype=np.int32)
-    indices[slot] = col[:, None, None] * nc + comp
     # element entry (a i, b k) sits at the start of dof row (a, i) plus nc x the rank of b, plus k
-    slots = (
-        row_start[dofs].astype(np.int32)[:, :, :, None, None]
-        + (nc * rank)[:, :, None, :, None]
-        + comp.astype(np.int32)
-    )
-    return ScatterPlan(indptr=indptr.astype(np.int32), indices=indices, slots=slots.reshape(ne, -1))
+    slots = row_start[dofs][:, :, :, None] + offset.reshape(ne, nloc, 1, nloc * nc)
+    # with its ranks in all directions but the last fixed, a dof row's columns are one run
+    # of nc x count consecutive indices: runs on a padded (basis row, i, leading ranks) grid
+    start, keep = np.zeros((), dtype=np.int32), np.ones((), dtype=bool)
+    for d in range(nd - 1):
+        r = np.arange(counts[d].max(), dtype=np.int32)
+        shape = [1] * (2 * nd)
+        shape[d], shape[nd + 1 + d] = n_basis[d], r.size
+        start = start * n_basis[d] + (los[d][:, None] + r).reshape(shape)
+        keep = keep & (r < counts[d][:, None]).reshape(shape)
+    shape = [1] * (2 * nd)
+    shape[nd - 1] = n_basis[-1]
+    start = nc * (start * n_basis[-1] + los[-1].reshape(shape))
+    grid = n_basis + (nc,) + tuple(int(c.max()) for c in counts[:-1])
+    keep = np.broadcast_to(keep, grid)
+    start = np.broadcast_to(start, grid)[keep]
+    length = np.broadcast_to((nc * counts[-1]).reshape(shape), grid)[keep]
+    end = np.cumsum(length, dtype=np.int32)
+    indices = np.repeat(start - end + length, length) + np.arange(nnz, dtype=np.int32)
+    indptr = np.append(row_start.ravel(), np.int32(nnz))
+    return ScatterPlan(indptr=indptr, indices=indices, slots=slots.reshape(ne, -1))
 
 
 def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -254,23 +276,17 @@ def _grad_products(gt: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.matmul(gt * np.repeat(c, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
 
 
-def _isotropic_element_matrices(w, k_grad, c_pair, c_swap) -> np.ndarray:
-    """Element matrices of an isotropic tangent, (ce, nloc * d, nloc * d).
+def _isotropic_element_matrices(w, c_pair, c_swap) -> np.ndarray:
+    """Pair and swap terms of an isotropic tangent's element matrices, (ce, nloc * d, nloc * d).
 
     Entry (a i, b k) is the quadrature sum of
-    ``c_grad (g_a . g_b) delta_ik + c_pair w_ai w_bk + c_swap w_ak w_bi``,
-    its first term passed in as ``k_grad``, the (ce, nloc, nloc) block of
-    :func:`_grad_products`, or left out when ``k_grad`` is None.  Linear
-    elasticity is w = g with weights (mu, lam, mu) x wdet; the Neo-Hookean
-    tangent has w = g F^-1 and (mu, lam, mu - lam ln J) x wdet, its first
-    term added once per patch (``PatchQuadrature.grad_data``).
+    ``c_pair w_ai w_bk + c_swap w_ak w_bi``.  The Neo-Hookean tangent has
+    w = g F^-1 and (lam, mu - lam ln J) x wdet; its mu (g_a . g_b)
+    delta_ik term is added once per patch (``PatchQuadrature.grad_data``).
     """
     ce, nq, nloc, nd = w.shape
     ke = _pair_products(w, c_pair)
     ke += _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
-    if k_grad is not None:
-        for i in range(nd):
-            ke[:, :, i, :, i] += k_grad
     return ke.reshape(ce, nloc * nd, nloc * nd)
 
 
@@ -305,10 +321,17 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | No
     data = np.zeros(plan.nnz)
     start = 0
     for block in iter_element_blocks(patch, n_gauss):
-        g, wdet = block.grads_phys, block.wdet
-        k_grad = _grad_products(_grad_layout(g), mu * wdet)
-        plan.add(data, start, _isotropic_element_matrices(g, k_grad, lam * wdet, mu * wdet))
-        start += wdet.shape[0]
+        # P = sum_q wdet g_ai g_bk carries all three terms: lam P, its swap mu P_(ak)(bi),
+        # and mu (g_a . g_b) delta_ik from its trace over i = k
+        P = _pair_products(block.grads_phys, block.wdet)
+        ke = lam * P
+        ke += mu * P.transpose(0, 1, 4, 3, 2)
+        ce, nloc = block.dofs.shape
+        grad = mu * sum(P[:, :, i, :, i] for i in range(nd))
+        for i in range(nd):
+            ke[:, :, i, :, i] += grad
+        plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
+        start += ce
     return GlobalSystem(
         stiffness=plan.matrix(data),
         load=np.zeros(patch.space.dim * nd),
@@ -562,7 +585,7 @@ def neo_hookean_tangent(
         ce = gt.shape[0]
         w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), state.Finv[chunk])
         c_swap = (mu - lam * np.log(state.J[chunk])) * wdet
-        quad.plan.add(data, start, _isotropic_element_matrices(w, None, lam * wdet, c_swap))
+        quad.plan.add(data, start, _isotropic_element_matrices(w, lam * wdet, c_swap))
     return quad.plan.matrix(data)
 
 

@@ -86,14 +86,16 @@ BENCHMARKS = ("hertz2d", "hertz3d", "hertz2d-large", "hertz2d-large-dirichlet", 
 _DEFAULT_BASE_SPANS = {
     "hertz2d": (6, 6),
     "hertz2d-large": (6, 6),
-    "hertz2d-large-dirichlet": (6, 6),
+    # the Dirichlet mesh of scripts/run_large_deformation.py: on the 6,6 / 0.8,0.1 mesh the
+    # multiplier does not converge under a push (rates 0.0002 analytic, 0.04 reference)
+    "hertz2d-large-dirichlet": (3, 6),
     "hertz3d": (4, 6, 4),
     "infsup": (4,),
 }
 _DEFAULT_GRADING = {
     "hertz2d": (0.8, 0.1),
     "hertz2d-large": (0.8, 0.1),
-    "hertz2d-large-dirichlet": (0.8, 0.1),
+    "hertz2d-large-dirichlet": (0.65, 0.6),
     "hertz3d": (0.75, 0.1),
     "infsup": (0.5, 0.5),
 }

@@ -114,12 +114,6 @@ class GapField:
         return x @ self.normal - self.offset
 
 
-def gap_value(gap: GapField, zeta, u: np.ndarray | None = None) -> float:
-    """Gap at one surface parameter; positive means separation."""
-    z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    return float(gap.gap_at(z[None, :], u)[0])
-
-
 def coupling_matrix(basis: MultiplierBasis, n_comp: int, n_vol_basis: int) -> sp.csr_matrix:
     """Coupling B[K, dof] = integral(B_K N_A n_comp); columns live on contact-face dofs."""
     tq = basis.quadrature

@@ -7,23 +7,27 @@ collapsed parametric face at the body center (and, in 3D, at the pole
 axis); quadrature points are always placed strictly inside elements, so
 assembly never touches the degenerate sets.
 
+Refinement inserts all of an axis's new breakpoints at once: one
+knot-insertion matrix per direction (:func:`splines.insertion_matrix`)
+multiplies the homogeneous control net along that axis.  Element sizes
+come from the breakpoint grid, mapped once, whose 2^d points around an
+element are its corners.
+
 Face ids are integers ``2*axis + side`` with ``side`` 0 at parameter 0
 and 1 at parameter 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .splines import (
     KnotVector,
-    SplineError,
     TensorSpace,
     WeightedSpace,
-    knot_insertion,
+    insertion_matrix,
     make_open_knot_vector,
 )
 
@@ -88,39 +92,27 @@ class NurbsPatch:
         w = self.space.weights
         return np.concatenate([self.control_points * w[:, None], w[:, None]], axis=1)
 
-    def insert_knots(self, axis: int, values) -> "NurbsPatch":
-        """Refine by Boehm insertion along one axis; the map is unchanged."""
+    def refine_to_breakpoints(self, breakpoints_per_axis) -> "NurbsPatch":
+        """Insert every listed breakpoint (once) that is not yet a knot; the map is unchanged.
+
+        Each axis gets one knot-insertion matrix, applied to the
+        homogeneous net (w x, w) along that axis.
+        """
         kvs = list(self.knot_vectors)
-        shape = self.space.space.n_basis
-        hw = self.homogeneous_controls().reshape(shape + (self.ndim + 1,))
-        hw = np.moveaxis(hw, axis, 0)
-        kv = kvs[axis]
-        for z in np.atleast_1d(values):
-            kv, flat = knot_insertion(kv, hw.reshape(hw.shape[0], -1), float(z))
-            hw = flat.reshape((kv.n_basis,) + hw.shape[1:])
-        hw = np.moveaxis(hw, 0, axis)
-        kvs[axis] = kv
+        refined = False
+        hw = self.homogeneous_controls().reshape(self.space.space.n_basis + (self.ndim + 1,))
+        for axis, breaks in enumerate(breakpoints_per_axis):
+            z = np.unique(np.asarray(breaks, dtype=float))
+            new = z[~np.isclose(z[:, None], kvs[axis].breakpoints).any(axis=1)]
+            if new.size:
+                kvs[axis], T = insertion_matrix(kvs[axis], new)
+                hw = np.moveaxis(np.tensordot(T, hw, axes=(1, axis)), 0, axis)
+                refined = True
+        if not refined:
+            return self
         weights = hw[..., -1].ravel()
         controls = hw[..., :-1].reshape(-1, self.ndim) / weights[:, None]
         return NurbsPatch(WeightedSpace(TensorSpace(tuple(kvs)), weights), controls)
-
-    def refine_to_breakpoints(self, breakpoints_per_axis) -> "NurbsPatch":
-        """Insert every listed breakpoint (once) that is not yet a knot."""
-        patch = self
-        for axis, breaks in enumerate(breakpoints_per_axis):
-            existing = patch.knot_vectors[axis].breakpoints
-            new = [z for z in np.asarray(breaks, float) if not np.any(np.isclose(existing, z))]
-            if new:
-                patch = patch.insert_knots(axis, sorted(new))
-        return patch
-
-
-def jacobian(patch: NurbsPatch, zeta):
-    """Jacobian matrix and determinant at one parametric point; det must be positive."""
-    J, det = patch.jacobians(np.atleast_2d(zeta))
-    if det[0] <= 0:
-        raise GeometryError(f"nonpositive Jacobian determinant {det[0]} at {zeta}")
-    return J[0], float(det[0])
 
 
 def graded_breakpoints(n_spans: int, span_fraction: float, length_fraction: float) -> np.ndarray:
@@ -334,36 +326,35 @@ class MeshView:
         return float(self.sizes.max())
 
 
+def _element_sizes(knot_vectors, map_points) -> tuple[np.ndarray, np.ndarray]:
+    """Parametric bounds and physical sizes of the elements of a tensor grid, elements in C-order.
+
+    The breakpoint grid is mapped once; an element's size is the largest
+    distance between its 2^d mapped corners.
+    """
+    per_dir = [kv.element_bounds for kv in knot_vectors]
+    nel = tuple(b.shape[0] for b in per_dir)
+    nd = len(nel)
+    grid = np.meshgrid(*[np.append(b[:, 0], b[-1, 1]) for b in per_dir], indexing="ij")
+    mapped = map_points(np.stack([g.ravel() for g in grid], axis=1))
+    mapped = mapped.reshape(grid[0].shape + (-1,))
+    corners = [mapped[tuple(slice(c, c + n) for c, n in zip(at, nel))] for at in product((0, 1), repeat=nd)]
+    corners = np.stack(corners, axis=-2).reshape(-1, 2 ** nd, mapped.shape[-1])
+    diff = corners[:, :, None, :] - corners[:, None, :, :]
+    sizes = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    index = np.meshgrid(*[np.arange(n) for n in nel], indexing="ij")
+    bounds = np.stack([b[i.ravel()] for b, i in zip(per_dir, index)], axis=1)
+    return bounds, sizes
+
+
 def mesh_view(patch: NurbsPatch) -> MeshView:
     """Elements as products of nonempty spans; h_Q from the 2^d mapped corners."""
-    per_dir = [kv.element_bounds for kv in patch.knot_vectors]
-    combos = list(product(*[range(len(b)) for b in per_dir]))
-    nd = patch.ndim
-    bounds = np.array([[per_dir[d][c[d]] for d in range(nd)] for c in combos])
-    corners = np.array(list(product(*[(0, 1)] * nd)))  # (2^d, nd)
-    pts = bounds[:, :, 0][:, None, :] + corners[None, :, :] * (
-        bounds[:, :, 1] - bounds[:, :, 0]
-    )[:, None, :]
-    mapped = patch.map_points(pts.reshape(-1, nd)).reshape(len(combos), -1, nd)
-    diff = mapped[:, :, None, :] - mapped[:, None, :, :]
-    sizes = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
-    return MeshView(bounds=bounds, sizes=sizes)
+    return MeshView(*_element_sizes(patch.knot_vectors, patch.map_points))
 
 
 def trace_mesh_sizes(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray]:
     """Per-element parametric bounds and physical sizes of a boundary trace."""
-    per_dir = [kv.element_bounds for kv in trace.space.space.knot_vectors]
-    combos = list(product(*[range(len(b)) for b in per_dir]))
-    nd = trace.ndim
-    bounds = np.array([[per_dir[d][c[d]] for d in range(nd)] for c in combos])
-    corners = np.array(list(product(*[(0, 1)] * nd)))
-    pts = bounds[:, :, 0][:, None, :] + corners[None, :, :] * (
-        bounds[:, :, 1] - bounds[:, :, 0]
-    )[:, None, :]
-    mapped = trace.map_points(pts.reshape(-1, nd)).reshape(len(combos), -1, trace.patch.ndim)
-    diff = mapped[:, :, None, :] - mapped[:, None, :, :]
-    sizes = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
-    return bounds, sizes
+    return _element_sizes(trace.space.space.knot_vectors, trace.map_points)
 
 
 def export_patch_text(patch: NurbsPatch, path) -> None:

@@ -1,7 +1,9 @@
 """B-spline and NURBS basis machinery on open knot vectors.
 
 Univariate evaluation follows the span-local Cox-de Boor recursion
-(NURBS Book algorithms A2.1-A2.3), vectorized over evaluation points.
+(NURBS Book algorithms A2.1-A2.3), vectorized over evaluation points;
+knot insertion builds a direction's whole insertion matrix in one pass
+of the Oslo algorithm.
 Tensor-product and rational (NURBS) spaces are thin wrappers combining
 per-direction evaluations; the multiplier space used by the contact
 formulation is derived here by stripping boundary knots and dropping
@@ -231,37 +233,35 @@ def eval_basis_batch(kv: KnotVector, zetas, n_deriv: int = 0):
     return spans - kv.degree, values, ders
 
 
-def knot_insertion(kv: KnotVector, controls, zeta_new: float):
-    """Boehm insertion of a single knot; leading axis of ``controls`` indexes basis functions.
+def insertion_matrix(kv: KnotVector, values):
+    """Refined knot vector and the knot-insertion matrix of inserting ``values``.
 
-    The represented curve/field is unchanged.  For degree >= 2 the
-    resulting interior multiplicity must stay <= degree - 1.
+    The matrix T (n_fine, n_coarse) maps coefficients on ``kv`` to the
+    same function's coefficients on the refined knots, ``c_fine = T @
+    c_coarse``.  Its rows are the discrete B-splines of the Oslo
+    algorithm (Cohen, Lyche & Riesenfeld 1980), all rows in one pass.
     """
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape[0] != kv.n_basis:
-        raise SplineError("one control entry per basis function required")
+    values = np.asarray(values, dtype=float)
     lo, hi = kv.domain
-    if not (lo < zeta_new < hi):
-        raise SplineError("insertion point must lie strictly inside the domain")
-    p = kv.degree
-    U = kv.knots
-    current_mult = int(np.count_nonzero(np.abs(U - zeta_new) <= _DOMAIN_SLACK))
-    limit = p - 1 if p >= 2 else p
-    if current_mult + 1 > limit:
-        raise SplineError(
-            f"multiplicity overflow: inserting {zeta_new} would reach multiplicity "
-            f"{current_mult + 1} > {limit}"
-        )
-    k = find_span(kv, zeta_new)
-    new_knots = np.insert(U, k + 1, zeta_new)
-    n = controls.shape[0]
-    out = np.empty((n + 1,) + controls.shape[1:], dtype=float)
-    out[: k - p + 1] = controls[: k - p + 1]
-    out[k + 1 :] = controls[k:]
-    for i in range(k - p + 1, k + 1):
-        alpha = (zeta_new - U[i]) / (U[i + p] - U[i])
-        out[i] = alpha * controls[i] + (1.0 - alpha) * controls[i - 1]
-    return KnotVector(new_knots, p), out
+    if np.any(values <= lo) or np.any(values >= hi):
+        raise SplineError("insertion points must lie strictly inside the domain")
+    p, t = kv.degree, kv.knots
+    tau = np.sort(np.concatenate([t, values]))
+    mult = np.searchsorted(tau, values, side="right") - np.searchsorted(tau, values, side="left")
+    if mult.max(initial=0) > max(p - 1, 1):
+        raise SplineError(f"an inserted knot's multiplicity would exceed {max(p - 1, 1)}")
+    n = tau.size - p - 1
+    rows = np.arange(n)
+    mu = np.searchsorted(t, tau[:n], side="right")[:, None] - 1  # t[mu] <= tau[i] < t[mu + 1]
+    b = np.ones((n, 1))
+    for k in range(1, p + 1):
+        j = np.arange(k)
+        t1, t2 = t[mu - k + 1 + j], t[mu + 1 + j]
+        w = (tau[rows + k][:, None] - t1) / (t2 - t1)
+        b = np.pad((1.0 - w) * b, ((0, 0), (0, 1))) + np.pad(w * b, ((0, 0), (1, 0)))
+    T = np.zeros((n, kv.n_basis))
+    T[rows[:, None], mu - p + np.arange(p + 1)] = b
+    return KnotVector(tau, p), T
 
 
 def interior_knot_vector(kv: KnotVector) -> KnotVector:
@@ -313,9 +313,6 @@ class TensorSpace:
     def _local_offsets(self) -> np.ndarray:
         grids = np.meshgrid(*[np.arange(kv.degree + 1) for kv in self.knot_vectors], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)  # (nloc, ndim)
-
-    def ravel_index(self, multi) -> int:
-        return int(np.ravel_multi_index(tuple(multi), self.n_basis))
 
     def eval_many(self, points, n_grad: int = 0):
         """Nonzero basis values (and parametric gradients) at many points.
@@ -392,18 +389,6 @@ class WeightedSpace:
             dW = dnum.sum(axis=1)
             grads = (dnum - values[:, :, None] * dW[:, None, :]) / W[:, None, None]
         return indices, values, grads
-
-
-def eval_nurbs_basis(ws: WeightedSpace, zeta, n_deriv: int = 0):
-    """Rational basis values (and first-order gradients) at one parametric point.
-
-    Returns a tuple ``(indices, values, grads)`` of the nonzero
-    functions; ``grads`` is ``None`` for ``n_deriv == 0``.
-    """
-    if n_deriv not in (0, 1):
-        raise SplineError("rational evaluation supports derivative orders 0 and 1")
-    indices, values, grads = ws.eval_many(np.atleast_2d(zeta), n_deriv)
-    return indices[0], values[0], (grads[0] if n_deriv else None)
 
 
 def multiplier_space(primal: TensorSpace) -> TensorSpace:

@@ -57,6 +57,23 @@ def test_small_deformation_rates(tmp_path):
 
 
 @pytest.mark.acceptance(
+    criterion="rates", summary="hertz2d-p003 degree 3: L2 >= 1.5, H1 >= 1.0, multiplier >= 0.5"
+)
+def test_small_deformation_rates_degree_3(tmp_path):
+    """Degree 3 (linear multipliers) on the mesh of the degree-2 check.
+
+    The bounds are the degree-2 ones, for the same reason: the estimate
+    is limited by the H^{5/2-eps} regularity at the contact edge, not by
+    the degree, so a cubic displacement and a linear multiplier give no
+    higher order.  Measured: L2 2.34, H1 1.61, multiplier 0.90.
+    """
+    r = run(GATED_P003 + ["--degree", "3"], tmp_path)
+    assert r["L2_disp_rate"] >= 1.5
+    assert r["H1_disp_rate"] >= 1.0
+    assert r["mult_ana_rate"] >= 0.5
+
+
+@pytest.mark.acceptance(
     criterion="rates", summary="hertz2d-large-p01: L2 >= 1.5, H1 >= 1.0, multiplier vs reference >= 0.5"
 )
 def test_large_deformation_pressure_rates(tmp_path):
@@ -104,6 +121,23 @@ def test_inf_sup_constant_does_not_decay(tmp_path):
     ratio 1.0455, smallest beta 0.873.
     """
     assert cli.main(["infsup", "--out", str(tmp_path)]) == 0
+    betas = [float(line.split(",")[1]) for line in (tmp_path / "infsup.csv").read_text().split()[1:]]
+    ratio = float((tmp_path / "rates.txt").read_text().split()[1])
+    assert len(betas) == 5
+    assert all(0.0 < b <= 1.0 for b in betas)
+    assert ratio == pytest.approx(max(betas) / min(betas), rel=1e-8)
+    assert ratio <= 2.0 ** 0.25
+
+
+@pytest.mark.acceptance(criterion="infsup", summary="infsup degree 3: beta in (0, 1], max/min <= 2^(1/4)")
+def test_inf_sup_constant_does_not_decay_degree_3(tmp_path):
+    """The default sweep with degree 3 primal and degree 1 multiplier spaces.
+
+    The paper's stability result holds for every p >= 2, so the bounds
+    and their reasons are those of the degree-2 sweep.  Measured: ratio
+    1.0175, smallest beta 0.971.
+    """
+    assert cli.main(["infsup", "--degree", "3", "--out", str(tmp_path)]) == 0
     betas = [float(line.split(",")[1]) for line in (tmp_path / "infsup.csv").read_text().split()[1:]]
     ratio = float((tmp_path / "rates.txt").read_text().split()[1])
     assert len(betas) == 5

@@ -45,6 +45,7 @@ from igacontact.materials import (
     NeoHookeanMaterial,
     det_and_inverse,
 )
+from igacontact.splines import TensorSpace, WeightedSpace, make_open_knot_vector
 
 MAT = LinearMaterial(young=1.0, poisson=0.3)
 
@@ -57,6 +58,18 @@ def disc_patch(n=4):
 def octant_patch(n=2):
     breaks = np.linspace(0, 1, n + 1)[1:-1]
     return sphere_octant_patch(1.0).refine_to_breakpoints([breaks, breaks, breaks])
+
+
+def double_knot_patch(nd):
+    """p = 3 identity map with interior knots of multiplicity 2: the 1D couplings are no plain band."""
+    kvs = (
+        make_open_knot_vector([0, 0.3, 0.6, 1], 3, [2, 1]),
+        make_open_knot_vector([0, 0.5, 1], 3, [2]),
+        make_open_knot_vector([0, 0.4, 1], 3, [1]),
+    )[:nd]
+    grid = np.meshgrid(*[kv.greville() for kv in kvs], indexing="ij")
+    ctrl = np.stack([g.ravel() for g in grid], axis=1)
+    return NurbsPatch(WeightedSpace(TensorSpace(kvs), np.ones(ctrl.shape[0])), ctrl)
 
 
 def unique_scatter_plan(patch):
@@ -291,8 +304,10 @@ class TestStiffness:
             octant_patch(3),
             elevate_bezier_degree(quarter_disc_patch(1.0)).refine_to_breakpoints([[0.25, 0.5, 0.75]] * 2),
             elevate_bezier_degree(sphere_octant_patch(1.0)).refine_to_breakpoints([[0.5]] * 3),
+            double_knot_patch(2),
+            double_knot_patch(3),
         ],
-        ids=["2d", "2d-aniso", "3d", "2d-p3", "3d-p3"],
+        ids=["2d", "2d-aniso", "3d", "2d-p3", "3d-p3", "2d-p3-double-knot", "3d-p3-double-knot"],
     )
     def test_scatter_plan_matches_unique_oracle(self, patch):
         plan = scatter_plan(patch)
@@ -466,7 +481,11 @@ class TestNeoHookean:
             J, Finv = det_and_inverse(Fdef)
             k_grad = _grad_products(_grad_layout(g), mu * wdet)
             c_swap = (mu - lam * np.log(J)) * wdet
-            plan.add(data, start, _isotropic_element_matrices(g @ Finv, k_grad, lam * wdet, c_swap))
+            ce, nloc = b.dofs.shape
+            ke = _isotropic_element_matrices(g @ Finv, lam * wdet, c_swap).reshape(ce, nloc, nd, nloc, nd)
+            for i in range(nd):
+                ke[:, :, i, :, i] += k_grad
+            plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
             start += g.shape[0]
         assert np.array_equal(K_T.indices, plan.indices) and np.array_equal(K_T.indptr, plan.indptr)
         assert np.abs(K_T.data - data).max() <= 1e-14 * np.abs(data).max()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from igacontact.benchmarks import ConfigError, RunConfig, run_benchmark, run_infsup
-from igacontact.cli import main, parse_config_file
+from igacontact.cli import build_run_config, main, parse_config_file
 
 
 def tiny_args(out, extra=()):
@@ -129,6 +129,18 @@ class TestRunOutputs:
         # the divergence scale, it failed step 2 at every halving of the load step
         args = ["hertz2d-large-dirichlet", "--displacement", "0.1", "--levels", "2"]
         assert main([*args, "--out", str(tmp_path / "d")]) == 0
+
+    def test_dirichlet_default_mesh_is_the_script_mesh(self):
+        """The Dirichlet default mesh is the one of ``scripts/run_large_deformation.py``.
+
+        On the 6,6 / 0.8,0.1 mesh of the other 2D ids the multiplier does
+        not converge under a push: ``--displacement 0.1 --levels 3`` fits
+        multiplier rates of 0.0002 (closed form) and 0.037 (reference),
+        against 0.94 and 0.93 on the script mesh at the same push.
+        """
+        config = build_run_config("hertz2d-large-dirichlet", {})
+        assert config.base_spans == (3, 6)
+        assert config.grading == (0.65, 0.6)
 
     def test_infsup_single_level(self, tmp_path):
         config = RunConfig(benchmark="infsup", levels=1, base_spans=(4,), out=str(tmp_path / "i"))

@@ -14,7 +14,6 @@ from igacontact.contact import (
     active_set_update,
     coupling_matrix,
     dump_contact_state,
-    gap_value,
     multiplier_basis,
     weighted_gap,
 )
@@ -94,7 +93,7 @@ class TestGapField:
     def test_touching_pole(self):
         trace, _ = disc_trace(8)
         gap = GapField(trace=trace, normal=PLANE_NORMAL_2D, offset=-1.0)
-        assert abs(gap_value(gap, 0.0)) <= 1e-14  # pole (R, 0) touches the plane x = 1
+        assert abs(gap.gap_at([[0.0]])[0]) <= 1e-14  # pole (R, 0) touches the plane x = 1
 
     def test_translation_affinity(self):
         trace, patch = disc_trace(8)
@@ -104,14 +103,14 @@ class TestGapField:
         u[0::2] = delta  # rigid translation toward the plane
         zs = np.linspace(0, 1, 7)
         for z in zs:
-            g0 = gap_value(gap, z)
-            g1 = gap_value(gap, z, u)
+            g0 = gap.gap_at([[z]])[0]
+            g1 = gap.gap_at([[z]], u)[0]
             assert abs((g0 - g1) - delta) <= 1e-13
 
     def test_gap_at_45_degrees(self):
         trace, _ = disc_trace(8)
         gap = GapField(trace=trace, normal=PLANE_NORMAL_2D, offset=-1.0)
-        g = gap_value(gap, 0.5)  # arc midpoint sits at 45 degrees
+        g = gap.gap_at([[0.5]])[0]  # arc midpoint sits at 45 degrees
         assert abs(g - (1.0 - 1.0 / math.sqrt(2.0))) <= 1e-14
 
 

@@ -2,11 +2,17 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from igacontact.assembly import build_trace_quadrature, iter_element_blocks
+from igacontact.assembly import (
+    AssemblyError,
+    _geometry_det_and_inverse,
+    build_trace_quadrature,
+    iter_element_blocks,
+)
 from igacontact.geometry import (
     QUARTER_DISC_CONTACT_FACE,
     QUARTER_DISC_LOAD_FACE,
@@ -19,10 +25,10 @@ from igacontact.geometry import (
     face_id,
     graded_breakpoints,
     graded_breakpoints_toward_end,
-    jacobian,
     mesh_view,
     quarter_disc_patch,
     sphere_octant_patch,
+    trace_mesh_sizes,
     unit_square_patch,
 )
 
@@ -30,6 +36,24 @@ from igacontact.geometry import (
 def refine_patch(patch, n_per_dir):
     breaks = [np.linspace(0, 1, n + 1)[1:-1] for n in n_per_dir]
     return patch.refine_to_breakpoints(breaks)
+
+
+def jacobian(patch, zeta):
+    """Jacobian matrix and determinant at one parametric point."""
+    J, det = patch.jacobians(np.atleast_2d(zeta))
+    return J[0], det[0]
+
+
+def corner_sizes(knot_vectors, map_points, nd):
+    """Oracle: element bounds and sizes from the 2^d corners of every element, mapped one by one."""
+    per_dir = [kv.element_bounds for kv in knot_vectors]
+    combos = list(product(*[range(len(b)) for b in per_dir]))
+    bounds = np.array([[per_dir[d][c[d]] for d in range(nd)] for c in combos])
+    corners = np.array(list(product(*[(0, 1)] * nd)))  # (2^d, nd)
+    pts = bounds[:, :, 0][:, None, :] + corners[None, :, :] * (bounds[:, :, 1] - bounds[:, :, 0])[:, None, :]
+    mapped = map_points(pts.reshape(-1, nd)).reshape(len(combos), len(corners), -1)
+    diff = mapped[:, :, None, :] - mapped[:, None, :, :]
+    return bounds, np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
 
 
 def patch_volume(patch, n_per_dir, n_gauss=8):
@@ -160,9 +184,12 @@ class TestJacobian:
                 np.testing.assert_allclose(J[:, d], fd, atol=1e-6)
 
     def test_degenerate_center_rejected(self):
+        # the collapsed center edge has det J = 0, which assembly's closed-form inverse rejects
         patch = quarter_disc_patch(1.0)
-        with pytest.raises(GeometryError):
-            jacobian(patch, [0.0, 0.5])  # collapsed center edge
+        J, det = patch.jacobians([[0.0, 0.5]])
+        assert abs(det[0]) <= 1e-14
+        with pytest.raises(AssemblyError):
+            _geometry_det_and_inverse(J)
 
 
 class TestExtractTrace:
@@ -226,6 +253,31 @@ class TestMeshView:
             sizes = mv.sizes[sel]
             assert sizes.size > 0
             assert sizes.max() / sizes.min() <= 2.0
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            quarter_disc_patch(1.0).refine_to_breakpoints(
+                [graded_breakpoints_toward_end(8, 0.8, 0.1)[1:-1], graded_breakpoints(12, 0.8, 0.1)[1:-1]]
+            ),
+            elevate_bezier_degree(quarter_disc_patch(1.0)).refine_to_breakpoints([[0.3, 0.6], [0.1, 0.5]]),
+            sphere_octant_patch(1.0).refine_to_breakpoints(
+                [[0.5], graded_breakpoints(4, 0.5, 0.2)[1:-1], [0.4, 0.8]]
+            ),
+        ],
+        ids=["2d", "2d-p3", "3d"],
+    )
+    def test_sizes_match_corner_oracle(self, patch):
+        mv = mesh_view(patch)
+        bounds, sizes = corner_sizes(patch.knot_vectors, patch.map_points, patch.ndim)
+        assert np.array_equal(mv.bounds, bounds)
+        assert np.abs(mv.sizes - sizes).max() <= 1e-14 * sizes.max()
+        face = QUARTER_DISC_CONTACT_FACE if patch.ndim == 2 else SPHERE_OCTANT_CONTACT_FACE
+        trace = extract_trace(patch, face)
+        t_bounds, t_sizes = trace_mesh_sizes(trace)
+        bounds, sizes = corner_sizes(trace.space.space.knot_vectors, trace.map_points, trace.ndim)
+        assert np.array_equal(t_bounds, bounds)
+        assert np.abs(t_sizes - sizes).max() <= 1e-14 * sizes.max()
 
 
 class TestDegreeElevation:

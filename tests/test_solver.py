@@ -807,9 +807,10 @@ class TestLargeDeformation:
     def test_dirichlet_factorizations_per_call(self, monkeypatch, tmp_path):
         # the active set is settled on each Newton factor: an activity change costs a
         # condensed solve, not a tangent and a factorization (a set updated once per
-        # Newton iterate takes 90)
+        # Newton iterate takes 90), counted on the 6,6 / 0.8,0.1 mesh
         config = RunConfig(
-            benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
+            benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2,
+            base_spans=(6, 6), grading=(0.8, 0.1), out=str(tmp_path),
         )
         factorizations = count_factorizations(monkeypatch)
         benchmarks.run_benchmark(config)

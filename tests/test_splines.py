@@ -1,4 +1,4 @@
-"""Spline core tests: knot vectors, Cox-de Boor evaluation, refinement, multiplier spaces."""
+"""Spline core tests: knot vectors, Cox-de Boor evaluation, insertion, refinement, multiplier spaces."""
 from __future__ import annotations
 
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igacontact.geometry import elevate_bezier_degree, quarter_disc_patch, sphere_octant_patch
 from igacontact.splines import (
     KnotVector,
     SplineError,
@@ -15,13 +16,38 @@ from igacontact.splines import (
     WeightedSpace,
     eval_basis,
     eval_basis_batch,
-    eval_nurbs_basis,
     find_span,
+    insertion_matrix,
     interior_knot_vector,
-    knot_insertion,
     make_open_knot_vector,
     multiplier_space,
 )
+
+
+def knot_insertion(kv, controls, zeta_new):
+    """Oracle: Boehm insertion of a single knot; leading axis of ``controls`` indexes basis functions."""
+    p, U = kv.degree, kv.knots
+    k = find_span(kv, zeta_new)
+    out = np.empty((controls.shape[0] + 1,) + controls.shape[1:])
+    out[: k - p + 1] = controls[: k - p + 1]
+    out[k + 1 :] = controls[k:]
+    for i in range(k - p + 1, k + 1):
+        alpha = (zeta_new - U[i]) / (U[i + p] - U[i])
+        out[i] = alpha * controls[i] + (1.0 - alpha) * controls[i - 1]
+    return KnotVector(np.insert(U, k + 1, zeta_new), p), out
+
+
+def boehm_refine(patch, breakpoints_per_axis):
+    """Oracle: the patch refined by sequential Boehm insertion of each new breakpoint."""
+    kvs = list(patch.knot_vectors)
+    hw = patch.homogeneous_controls().reshape(patch.space.space.n_basis + (patch.ndim + 1,))
+    for axis, breaks in enumerate(breakpoints_per_axis):
+        hw = np.moveaxis(hw, axis, 0)
+        for z in breaks:
+            kvs[axis], flat = knot_insertion(kvs[axis], hw.reshape(hw.shape[0], -1), z)
+            hw = flat.reshape((-1,) + hw.shape[1:])
+        hw = np.moveaxis(hw, 0, axis)
+    return kvs, hw[..., :-1].reshape(-1, patch.ndim) / hw[..., -1].reshape(-1, 1), hw[..., -1].ravel()
 
 
 def expand_by_multiplicity(breakpoints, degree, interior):
@@ -169,26 +195,26 @@ class TestNurbsBasis:
     def test_unit_weights_reduce_to_bsplines(self):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         ws = WeightedSpace(TensorSpace((kv,)), np.ones(kv.n_basis))
-        idx, vals, _ = eval_nurbs_basis(ws, [0.3])
+        idx, vals, _ = ws.eval_many([[0.3]])
         ev = eval_basis(kv, 0.3)
-        np.testing.assert_allclose(vals, ev.values, atol=1e-15)
-        assert idx[0] == ev.first_index
+        np.testing.assert_allclose(vals[0], ev.values, atol=1e-15)
+        assert idx[0, 0] == ev.first_index
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_rational_partition_of_unity(self, z):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         ws = WeightedSpace(TensorSpace((kv,)), np.array([1.0, 0.5, 2.0, 1.5]))
-        _, vals, _ = eval_nurbs_basis(ws, [z])
+        _, vals, _ = ws.eval_many([[z]])
         assert abs(vals.sum() - 1.0) <= 1e-12
 
     def test_circle_arc_weights_midpoint(self):
         kv = make_open_knot_vector([0, 1], 2)
         w = np.array([1.0, 1.0 / math.sqrt(2.0), 1.0])
         ws = WeightedSpace(TensorSpace((kv,)), w)
-        _, vals, _ = eval_nurbs_basis(ws, [0.5])
+        _, vals, _ = ws.eval_many([[0.5]])
         # direct formula: w_i B_i / sum(w B) with Bernstein (0.25, 0.5, 0.25)
         raw = w * np.array([0.25, 0.5, 0.25])
-        np.testing.assert_allclose(vals, raw / raw.sum(), atol=1e-15)
+        np.testing.assert_allclose(vals[0], raw / raw.sum(), atol=1e-15)
 
     def test_gradient_quotient_rule_against_fd(self):
         kvx = make_open_knot_vector([0, 0.5, 1], 2, [1])
@@ -211,7 +237,8 @@ class TestKnotInsertion:
     def test_identity_line_preserved(self):
         kv = make_open_knot_vector([0, 1], 2)
         controls = np.array([0.0, 0.5, 1.0])  # identity map coefficients
-        kv2, c2 = knot_insertion(kv, controls, 0.5)
+        kv2, T = insertion_matrix(kv, [0.5])
+        c2 = T @ controls
         zs = np.linspace(0, 1, 10)
         for z in zs:
             ev = eval_basis(kv2, z)
@@ -219,13 +246,18 @@ class TestKnotInsertion:
             assert abs(val - z) <= 1e-14
 
     def test_insertions_commute(self):
+        # inserting 0.3 then 0.7, 0.7 then 0.3, or both at once gives one refinement
         kv = make_open_knot_vector([0, 1], 3)
         rng = np.random.default_rng(11)
         controls = rng.normal(size=(4, 2))
-        kva, ca = knot_insertion(*knot_insertion(kv, controls, 0.3), 0.7)
-        kvb, cb = knot_insertion(*knot_insertion(kv, controls, 0.7), 0.3)
-        assert np.array_equal(kva.knots, kvb.knots)
-        np.testing.assert_allclose(ca, cb, atol=1e-15)
+        kv3, T3 = insertion_matrix(kv, [0.3])
+        kva, Ta = insertion_matrix(kv3, [0.7])
+        kv7, T7 = insertion_matrix(kv, [0.7])
+        kvb, Tb = insertion_matrix(kv7, [0.3])
+        kvc, Tc = insertion_matrix(kv, [0.7, 0.3])
+        assert np.array_equal(kva.knots, kvb.knots) and np.array_equal(kva.knots, kvc.knots)
+        np.testing.assert_allclose(Ta @ T3 @ controls, Tb @ T7 @ controls, atol=1e-15)
+        np.testing.assert_allclose(Tc @ controls, Ta @ T3 @ controls, atol=1e-15)
 
     def test_random_quadratic_curve_sample_and_compare(self):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
@@ -237,15 +269,77 @@ class TestKnotInsertion:
             return ev.values @ c[ev.first_index : ev.first_index + k.degree + 1]
 
         before = np.array([sample(kv, controls, z) for z in np.linspace(0, 1, 17)])
-        kv2, c2 = knot_insertion(kv, controls, 0.3)
-        after = np.array([sample(kv2, c2, z) for z in np.linspace(0, 1, 17)])
+        kv2, T = insertion_matrix(kv, [0.3])
+        after = np.array([sample(kv2, T @ controls, z) for z in np.linspace(0, 1, 17)])
         np.testing.assert_allclose(after, before, rtol=1e-13, atol=1e-14)
 
     def test_multiplicity_overflow(self):
-        kv, c = knot_insertion(make_open_knot_vector([0, 1], 3), np.zeros(4), 0.5)
-        kv, c = knot_insertion(kv, c, 0.5)
+        kv, _ = insertion_matrix(make_open_knot_vector([0, 1], 3), [0.5, 0.5])
         with pytest.raises(SplineError):
-            knot_insertion(kv, c, 0.5)  # would reach multiplicity 3 > p - 1 = 2
+            insertion_matrix(kv, [0.5])  # would reach multiplicity 3 > p - 1 = 2
+
+    def test_outside_domain_raises(self):
+        with pytest.raises(SplineError):
+            insertion_matrix(make_open_knot_vector([0, 1], 2), [1.0])
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            make_open_knot_vector([0, 1], 2),
+            make_open_knot_vector([0, 0.3, 1], 2),
+            make_open_knot_vector([0, 0.5, 1], 3, [2]),
+            make_open_knot_vector([0, 0.2, 0.6, 1], 4, [3, 1]),
+        ],
+        ids=["p2-bezier", "p2", "p3-double-knot", "p4-triple-knot"],
+    )
+    def test_matches_sequential_boehm(self, kv):
+        rng = np.random.default_rng(kv.degree)
+        new = np.sort(rng.uniform(0.01, 0.99, 9))
+        controls = rng.normal(size=(kv.n_basis, 3))
+        kv_seq, c_seq = kv, controls
+        for z in new:
+            kv_seq, c_seq = knot_insertion(kv_seq, c_seq, z)
+        kv_one, T = insertion_matrix(kv, new)
+        assert np.array_equal(kv_one.knots, kv_seq.knots)
+        assert np.abs(T @ controls - c_seq).max() <= 1e-14 * np.abs(c_seq).max()
+
+
+def _patch_cases():
+    graded = np.array([0.05, 0.1, 0.15, 0.2, 0.5, 0.8])
+    return {
+        "2d-p2": (quarter_disc_patch(1.0), [1 - graded[::-1], graded]),
+        "2d-p3": (elevate_bezier_degree(quarter_disc_patch(1.0)), [[0.25, 0.5, 0.75], graded]),
+        "3d": (sphere_octant_patch(1.0), [[0.5], graded[:4], [0.3, 0.9]]),
+    }
+
+
+class TestRefineToBreakpoints:
+    @pytest.mark.parametrize("case", ["2d-p2", "2d-p3", "3d"])
+    def test_matches_sequential_boehm(self, case):
+        base, breaks = _patch_cases()[case]
+        refined = base.refine_to_breakpoints(breaks)
+        kvs, controls, weights = boehm_refine(base, breaks)
+        for got, want in zip(refined.knot_vectors, kvs):
+            assert np.array_equal(got.knots, want.knots)
+        assert np.abs(refined.control_points - controls).max() <= 1e-14 * np.abs(controls).max()
+        assert np.abs(refined.space.weights - weights).max() <= 1e-14 * weights.max()
+
+    @pytest.mark.parametrize("case", ["2d-p2", "2d-p3", "3d"])
+    def test_map_unchanged(self, case):
+        base, breaks = _patch_cases()[case]
+        refined = base.refine_to_breakpoints(breaks)
+        pts = np.random.default_rng(4).uniform(0, 1, (200, base.ndim))
+        want = base.map_points(pts)
+        assert np.abs(refined.map_points(pts) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_existing_breakpoints_skipped(self):
+        base, breaks = _patch_cases()["2d-p2"]
+        refined = base.refine_to_breakpoints(breaks)
+        assert refined.refine_to_breakpoints(breaks) is refined
+        again = refined.refine_to_breakpoints([breaks[0], [0.5, 0.9]])
+        assert again.knot_vectors[0] is refined.knot_vectors[0]
+        want = np.union1d(refined.knot_vectors[1].breakpoints, [0.9])
+        assert np.array_equal(again.knot_vectors[1].breakpoints, want)
 
 
 class TestInteriorKnotVector:
@@ -312,4 +406,4 @@ class TestTensorSpace:
         expected = np.outer(ex.values, ey.values).ravel()
         np.testing.assert_allclose(vals[0], expected, atol=1e-15)
         multi0 = (ex.first_index, ey.first_index)
-        assert idx[0, 0] == ts.ravel_index(multi0)
+        assert idx[0, 0] == np.ravel_multi_index(multi0, ts.n_basis)
