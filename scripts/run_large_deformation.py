@@ -11,10 +11,12 @@ import sys
 # solves a banded system of at most 9,800 dofs, too small for threads to pay.
 # On a 2-core machine (nproc 2, OpenBLAS 0.3.31) the pressure half took
 # 16.4-16.5 s with two OpenBLAS threads, the default there, and 9.3-10.4 s
-# with one, before the active set was settled on each Newton factor; with one
-# thread the pressure half now takes 4.7-5.2 s and the Dirichlet half
-# 4.4-5.0 s, so the whole script takes about 10 s.  Set before numpy is
-# imported, which reads them.
+# with one, before the active set was settled on each Newton factor.  With one
+# thread, since a Newton correction predicted to converge keeps the last
+# factor, the pressure half takes 3.9-4.1 s (102 factorizations; 125 and
+# 4.5-4.7 s before, three alternating runs) and the Dirichlet half 3.8-4.3 s
+# (95 factorizations; 124 and 4.0-4.5 s before), so the whole script takes
+# about 8 s.  Set before numpy is imported, which reads them.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 

@@ -279,24 +279,6 @@ def build_large_deformation_problem(patch: NurbsPatch, config: RunConfig):
         )
     else:
         tractions[QUARTER_DISC_LOAD_FACE] = np.array([config.pressure, 0.0])
-    # pre-activate the expected contact band per load step: the set then grows
-    # in one batch, while over-activation would trim one dof at a time
-    wg0 = setup.gap_integrals / setup.basis.measures
-    if config.benchmark == "hertz2d-large-dirichlet":
-        push = 0.4 if config.displacement is None else abs(config.displacement)
-
-        def width(t):
-            return np.sqrt(2.0 * config.radius * push * t)
-
-    else:
-
-        def width(t):
-            return hertz_2d(config.radius, config.young, config.poisson, config.pressure * t).a
-
-    def active_hint(t):
-        return wg0 <= (0.9 * width(t)) ** 2 / (2.0 * config.radius)
-
-    seed = active_hint(1.0 / config.n_load_steps)
     problem = LargeDeformationProblem(
         patch=patch,
         material=mat,
@@ -305,8 +287,6 @@ def build_large_deformation_problem(patch: NurbsPatch, config: RunConfig):
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
-        initial_active=seed if seed.any() else None,
-        active_hint=active_hint,
     )
     return problem, setup
 
@@ -466,7 +446,7 @@ def write_run_outputs(result: RunResult) -> Path:
         tq = ref.setup.basis.quadrature
         p = multiplier_pressure_at(ref.bundle.lam, ref.setup.basis, tq.params)
         r = result.r_of(tq)
-        order = np.argsort(r, kind="stable")
+        order = np.lexsort((p, r))  # by r, ties by p: the row order depends on the solution alone
         rows = np.column_stack([r[order] / result.analytic.a, p[order] / result.analytic.p0])
         _write_csv(outdir / "pressure_profile.csv", "r_over_a,p_over_p0", rows)
     log_lines = []

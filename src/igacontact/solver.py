@@ -25,6 +25,10 @@ evaluates the residual first, and the tangent is assembled and factored,
 through the one layout of the tangent's fixed pattern, only when the
 iterate is not converged.  The factor of a step's last Newton solve
 serves the next step's first, with only its right-hand side replaced.
+A correction keeps the factor of the one before it, once, when Newton's
+quadratic rate predicts that a chord step on it converges (residual r,
+r_prev where that factor was built: ``r^2 / r_prev <= newton_tol * ref``,
+the convergence test's bound), as a fresh factor then buys nothing.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     GlobalSystem,
     _canonical_csr,
-    apply_constraints,
+    apply_constraints,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
     assemble_load,
     neo_hookean_forces,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
     neo_hookean_residual,
@@ -344,6 +348,11 @@ def _band_sweep(cb: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     return x
 
 
+# batches of W columns up to this width take one dtbtrs sweep, wider ones the slab loop: on one OpenBLAS
+# thread the sweep took at most 0.95x the loop's time up to 16 columns (half-bandwidths 25-781), 1.3x at 64
+_SWEEP_COLUMNS = 16
+
+
 def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
     """``U^-T R`` in place of R, for an upper band factor U in LAPACK storage.
 
@@ -456,7 +465,11 @@ class _CondensedSaddle:
         first = self.layout.first[new]
         new = new[np.argsort(first, kind="stable")]
         r0 = int(first.min())  # rows before it are zero in every new column of W
-        Wn = _forward_substitution(self.cb[:, r0:], self.layout.band_rows(new, r0))
+        R = self.layout.band_rows(new, r0)
+        if new.size <= _SWEEP_COLUMNS:
+            Wn = _band_sweep(self.cb[:, r0:], R, "T")
+        else:
+            Wn = _forward_substitution(self.cb[:, r0:], R)
         # Gram products with each earlier batch, over the rows where both can be nonzero
         cross = [Wo[max(r0 - ro, 0) :].T @ Wn[max(ro - r0, 0) :] for ro, _, Wo in self.W]
         k = self.G.shape[0]
@@ -561,7 +574,7 @@ def _settle_active_set(saddle, active, gap, g, measures, settings, records=None)
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state, gap_tol)
         if records is not None:
-            res_u = np.linalg.norm(saddle.K @ x + layout.scatter(layout.Bhc.T @ lam) - saddle.F)
+            res_u = np.linalg.norm(layout.matvec(saddle.K, x) + layout.scatter(layout.Bhc.T @ lam) - saddle.F)
             res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
             records.append(
                 IterationRecord(
@@ -596,17 +609,19 @@ def solve_small_deformation(
 ) -> SolutionBundle:
     """The active-set loop (:func:`_settle_active_set`) on the linear saddle problem.
 
-    The constrained stiffness is factored once per call; each iteration
+    The assembled stiffness is factored once per call through a band layout that
+    eliminates the constrained dofs, with no constrained copy of K; each iteration
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
     """
     system = problem.system
-    K, F = apply_constraints(system.stiffness, system.load, system.constraints)
-    K = _canonical_csr(K)
-    n = F.size
+    K = _canonical_csr(system.stiffness)
+    n = K.shape[0]
     fixed = np.fromiter(system.constraints.keys(), dtype=np.int64) if system.constraints else np.empty(0, np.int64)
     u_fix = np.zeros(n)
-    for d, v in system.constraints.items():
-        u_fix[d] = v
+    u_fix[fixed] = np.fromiter(system.constraints.values(), dtype=float, count=fixed.size)
+    # the layout drops the fixed rows and columns: shift the load by their values
+    F = system.load - K @ u_fix
+    F[fixed] = u_fix[fixed]
     B = problem.coupling
     Bhat = _masked_coupling(B, fixed, n)
     gap0 = problem.gap_integrals + B @ u_fix
@@ -634,11 +649,7 @@ def solve_small_deformation(
 
 @dataclass(frozen=True)
 class LargeDeformationProblem:
-    """Data of a finite-deformation contact run (dead loads, fixed plane normal).
-
-    ``initial_active`` optionally seeds the first load step; later steps
-    continue from the previous converged set.
-    """
+    """Data of a finite-deformation contact run (dead loads, fixed plane normal)."""
 
     patch: object
     material: NeoHookeanMaterial
@@ -648,10 +659,6 @@ class LargeDeformationProblem:
     gap_integrals: np.ndarray
     measures: np.ndarray
     n_gauss: int | None = None
-    initial_active: np.ndarray | None = None
-    # optional load-factor-aware activity hint: called with t in (0, 1], returns
-    # a mask of dofs expected active; united with the running set before a step
-    active_hint: object | None = None
 
 
 def solve_large_deformation(
@@ -671,9 +678,10 @@ def solve_large_deformation(
     step converged, so the residual phase its convergence check evaluated
     there is carried into its first iteration, and so is the last
     :class:`_CondensedSaddle` of that step: its factor, of the tangent
-    one Newton correction before u, serves the first solve.  Neither is
-    kept past that step, so a retry after a halving, which starts from
-    the same u, evaluates and factors afresh.
+    one or two Newton corrections before u, serves the first solve.
+    Neither is kept past that step, so a retry after a halving, which
+    starts from the same u, evaluates and factors afresh.  The active set
+    starts at the dofs in contact at u = 0, else the closest one.
     """
     patch = problem.patch
     quad = patch_quadrature(patch, problem.n_gauss)
@@ -693,12 +701,9 @@ def solve_large_deformation(
     u = np.zeros(n)
     lam = np.zeros(B.shape[0])
     wg0 = problem.gap_integrals / measures
-    if problem.initial_active is not None and problem.initial_active.any():
-        active = problem.initial_active.copy()
-    else:
-        active = wg0 <= settings.gap_tol
-        if not active.any():
-            active[int(np.argmin(wg0))] = True
+    active = wg0 <= settings.gap_tol
+    if not active.any():
+        active[int(np.argmin(wg0))] = True
     order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
     layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, B, fixed)
 
@@ -714,8 +719,6 @@ def solve_large_deformation(
     while t < 1.0 - 1e-12:
         t_try = min(t + dt, 1.0)
         step += 1
-        if problem.active_hint is not None:
-            active = active | problem.active_hint(t_try)
         if not carried:
             carried.append((neo_hookean_residual(quad, problem.material, u), None))
         try:
@@ -745,6 +748,16 @@ def solve_large_deformation(
     )
 
 
+def _keeps_factor(res: float, factored_at: float, tol: float) -> bool:
+    """Whether the correction at residual norm ``res`` keeps the factor built at ``factored_at``.
+
+    Newton's quadratic rate predicts ``res^2 / factored_at`` after a chord
+    step on that factor; it is kept when that is within ``tol``.  A factor
+    built at zero residual (a displacement-driven start) or kept once (0) never is.
+    """
+    return factored_at > 0.0 and res * res / factored_at <= tol
+
+
 def _newton_contact_step(
     problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, start
 ):
@@ -761,11 +774,13 @@ def _newton_contact_step(
     ``(lam, weighted gap at u + du)``, which is exact because the gap is
     linear in u.  The first solve reuses the factor of ``saddle`` with its
     right-hand side replaced, or factors the tangent at ``u0`` when
-    ``saddle`` is None.  Every solve keeps its checks, the residual one
-    against the K its factor was built from.  Returns the converged ``(u,
-    lam, active, weighted gap)``, the pair ``(residual, saddle)`` of the
-    residual phase at that u and the step's last saddle, and the iteration
-    records.
+    ``saddle`` is None.  A later solve keeps the factor of the one before
+    when :func:`_keeps_factor` predicts that a chord step on it converges,
+    and else factors the tangent at u.  Every solve keeps its checks, the
+    residual one against the K its factor was built from.  Returns the
+    converged ``(u, lam, active, weighted gap)``, the pair ``(residual,
+    saddle)`` of the residual phase at that u and the step's last saddle,
+    and the iteration records.
     """
     residual, saddle = start
     del start  # the saddle is referenced here alone, so the step can free its factor
@@ -781,6 +796,7 @@ def _newton_contact_step(
     records: list[IterationRecord] = []
     first_res = None
     fresh = saddle is None  # the next solve factors the tangent at the current u
+    factored_at = None  # residual norm where the last correction's factor was built, 0 if it was kept
     for it in range(1, settings.max_newton_iters + 1):
         if it > 1:
             residual = neo_hookean_residual(quad, problem.material, u)
@@ -824,6 +840,9 @@ def _newton_contact_step(
         if not pending and res_u == 0.0 and not active.any():
             lam = new_state.lam
             continue  # exact equilibrium, only activity bookkeeping changed
+        if factored_at is not None:
+            fresh = not _keeps_factor(res_u, factored_at, settings.newton_tol * ref)
+        factored_at = res_u if fresh else 0.0
         if fresh:
             saddle = K_T = None  # free the last factor and its tangent before the next are built
             K_T = neo_hookean_tangent(quad, problem.material, residual)
@@ -838,7 +857,6 @@ def _newton_contact_step(
             saddle = _CondensedSaddle(K_T, rhs_u, layout)
         else:
             saddle.set_rhs(rhs_u)
-        fresh = True
         du, settled = _settle_active_set(saddle, active, gap, -(gap + Bc @ dv[cols]), measures, settings)
         u = u + du
         lam, active = settled.lam, settled.active

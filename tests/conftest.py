@@ -1,4 +1,4 @@
-"""Shared pytest configuration: acceptance summary reporting."""
+"""Shared pytest configuration: acceptance summary reporting, the ``--run-scripts`` option."""
 from __future__ import annotations
 
 import pytest
@@ -6,10 +6,29 @@ import pytest
 _ACCEPTANCE_RESULTS: dict[str, tuple[str, str]] = {}
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-scripts",
+        action="store_true",
+        default=False,
+        help="also run the shipped scripts end to end (tests marked 'scripts')",
+    )
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance(criterion, summary): acceptance-gate check with its label"
     )
+    config.addinivalue_line("markers", "scripts: runs a shipped script; skipped without --run-scripts")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-scripts"):
+        return
+    skip = pytest.mark.skip(reason="runs a shipped script; give --run-scripts")
+    for item in items:
+        if "scripts" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,10 +1,12 @@
 """CLI tests: argument handling, config files, output schema, reproducibility."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from igacontact.benchmarks import ConfigError, RunConfig, run_benchmark, run_infsup
+from igacontact.benchmarks import ConfigError, RunConfig, run_benchmark, run_infsup, write_run_outputs
 from igacontact.cli import build_run_config, main, parse_config_file
 
 
@@ -110,6 +112,25 @@ class TestRunOutputs:
         assert prof[0] == "r_over_a,p_over_p0"
         assert (out / "iterations.log").exists()
         assert (out / "contact_state.csv").exists()
+
+    def test_pressure_profile_ties_ordered_by_pressure(self, tmp_path):
+        # rows of equal r are ordered by p, not by their quadrature order, so that the
+        # file depends on the solution alone; r rounded to 0.05 ties many points
+        config = RunConfig(
+            benchmark="hertz2d", pressure=0.003, levels=2, base_spans=(3, 3), out=str(tmp_path / "a")
+        )
+        result = run_benchmark(config)
+        tied = dataclasses.replace(
+            result,
+            config=dataclasses.replace(config, out=str(tmp_path / "b")),
+            r_of=lambda tq: 0.05 * np.round(20.0 * result.r_of(tq)),
+        )
+        write_run_outputs(tied)
+        rows = np.loadtxt(tmp_path / "b" / "pressure_profile.csv", delimiter=",", skiprows=1)
+        ties = np.diff(rows[:, 0]) == 0
+        assert (np.diff(rows[:, 0]) >= 0).all() and ties.sum() > rows.shape[0] / 2
+        assert (np.diff(rows[:, 1])[ties] >= 0).all()
+        assert not (np.diff(rows[:, 1])[ties] == 0).all()
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """Solver tests: saddle solves, active-set loops, Newton stepping, stability estimate."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -226,6 +227,27 @@ class TestSmallDeformation:
         # multipliers are compressive where active
         assert bundle.lam[bundle.active].max() < 0.0
 
+    def test_nonzero_constraints_match_saddle_solve(self):
+        # the top edge pushed down and the left edge shifted by prescribed values: the
+        # assembled stiffness, its fixed dofs eliminated by the band layout, gives the
+        # u and lam of the saddle solve on the constrained copy of K
+        problem, patch, _ = square_contact_problem(n=3, traction=(0.0, 0.0))
+        problem.system.constraints = merge_constraints(
+            dirichlet_on_face(patch, face_id(0, 0), component=0, value=0.004),
+            dirichlet_on_face(patch, face_id(0, 1), component=0),
+            dirichlet_on_face(patch, face_id(1, 1), component=1, value=-0.02),
+        )
+        bundle = solve_small_deformation(problem)
+        act = np.flatnonzero(bundle.active)
+        assert act.size > 0
+        K, F, Bhat, g = condensed_inputs(problem)
+        u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
+        assert np.abs(bundle.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+        assert np.abs(bundle.lam[act] - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
+        for d, v in problem.system.constraints.items():
+            assert bundle.u[d] == v
+        assert bundle.iterations[-1].residual_u <= 1e-12 * np.linalg.norm(F)
+
     def test_iteration_cap_raises(self):
         # positive initial gap: the first pass only seeds, so one iteration cannot finish
         problem, _, _ = square_contact_problem(n=2, plane_offset=-0.05, traction=(0.0, -0.2))
@@ -308,6 +330,12 @@ def neo_hookean_case():
     return K, F, Bhat, g, band_order(patch.space.space.n_basis, 2), actives
 
 
+def warm_set(setup, config):
+    """The dofs a 2D run of ``config`` is expected to have active: the linear warm start of its mesh."""
+    a = hertz_2d(config.radius, config.young, config.poisson, config.pressure).a
+    return benchmarks._warm_active_set(setup, config.radius, a)
+
+
 def condensed_saddle(K, F, Bhat, order):
     """_CondensedSaddle of a constrained K on the band layout of its own pattern."""
     return _CondensedSaddle(K, F, solver._band_layout(K.indptr, K.indices, order, Bhat))
@@ -350,6 +378,19 @@ def record_settled(monkeypatch):
 
     monkeypatch.setattr(solver, "_settle_active_set", recording)
     return settled
+
+
+def count_kept_factors(monkeypatch):
+    """The decisions of the kept-factor predicate: True for a correction on the last factor."""
+    kept = []
+    original = solver._keeps_factor
+
+    def recording(*args):
+        kept.append(bool(original(*args)))
+        return kept[-1]
+
+    monkeypatch.setattr(solver, "_keeps_factor", recording)
+    return kept
 
 
 def count_factorizations(monkeypatch):
@@ -421,7 +462,7 @@ class TestBandLayout:
         # the masked product equals the product with the constrained matrix
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 1)
-        problem, _ = build_large_deformation_problem(patch, config)
+        problem, setup = build_large_deformation_problem(patch, config)
         n = patch.space.dim * 2
         if kind == "linear":
             K = assemble_stiffness(patch, MAT).stiffness
@@ -431,7 +472,7 @@ class TestBandLayout:
             K = neo_hookean_forces(patch, problem.material, u)[1]
         fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
         Bhat = solver._masked_coupling(problem.coupling, fixed, n)
-        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, problem.initial_active)
+        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, warm_set(setup, config))
         layout = solver._band_layout(K.indptr, K.indices, order, Bhat, fixed)
         Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in fixed})
         PKP = Kc.toarray()[np.ix_(order, order)]
@@ -444,18 +485,19 @@ class TestBandLayout:
         # the Newton path hands the raw tangent and its fixed dofs to the layout
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 1)
-        problem, _ = build_large_deformation_problem(patch, config)
+        problem, setup = build_large_deformation_problem(patch, config)
+        warm = warm_set(setup, config)
         n = patch.space.dim * 2
         x = patch.control_points
         K_T = neo_hookean_forces(patch, problem.material, 0.02 * np.sin(x).ravel())[1]
         fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
         Kc, _ = apply_constraints(K_T, np.zeros(n), {int(d): 0.0 for d in fixed})
         Bhat = solver._masked_coupling(problem.coupling, fixed, n)
-        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, problem.initial_active)
+        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, warm)
         rng = np.random.default_rng(8)
         F = rng.normal(size=n)
         F[fixed] = 0.0
-        act = np.flatnonzero(problem.initial_active)
+        act = np.flatnonzero(warm)
         g = 1e-3 * rng.normal(size=act.size)
         raw = _CondensedSaddle(K_T, F, solver._band_layout(K_T.indptr, K_T.indices, order, Bhat, fixed))
         u, lam = raw.solve(act, g)
@@ -504,8 +546,9 @@ class TestBandLayout:
                 benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45)
             )
             patch = quarter_disc_level_patch(config, 3)
-            problem, setup = build_large_deformation_problem(patch, config)
-            warm = problem.initial_active
+            _, setup = build_large_deformation_problem(patch, config)
+            # the set expected active at the first of its load steps
+            warm = warm_set(setup, dataclasses.replace(config, pressure=config.pressure / config.n_load_steps))
         else:
             config = RunConfig(
                 benchmark="hertz3d", pressure=1e-4, levels=2, base_spans=(2, 4, 2), grading=(0.5, 0.2)
@@ -577,22 +620,45 @@ class TestCondensedSaddle:
             assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
 
     def test_two_forward_sweeps_then_one_back_sweep_per_solve(self, monkeypatch):
-        # z_F and z_e at construction; every solve recovers u by one back sweep
+        # z_F and z_e at construction; every solve recovers u by one back sweep.  The
+        # new W columns of a solve are one forward sweep when they are a narrow batch
         K, F, Bhat, g, order, actives = linear_case(hertz2d_level1)
         sweeps = []
         original = solver.sla.lapack.dtbtrs
 
         def counting(ab, b, **kwargs):
-            sweeps.append((kwargs["trans"], b.ndim))
+            sweeps.append((kwargs["trans"], b.shape[1] if b.ndim == 2 else 0))
             return original(ab, b, **kwargs)
 
         monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
         saddle = condensed_saddle(K, F, Bhat, order)
-        assert sweeps == [("T", 1), ("T", 1)]
-        for k, active in enumerate(actives, start=1):
+        assert sweeps == [("T", 0), ("T", 0)]
+        solved = np.zeros(Bhat.shape[0], dtype=bool)
+        for active in actives:
             act = np.flatnonzero(active)
+            start = len(sweeps)
             saddle.solve(act, g[act])
-            assert sweeps[2:] == [("N", 1)] * k
+            new = int((active & ~solved).sum())
+            solved |= active
+            batch = [("T", new)] if 0 < new <= solver._SWEEP_COLUMNS else []
+            assert sweeps[start:] == batch + [("N", 0)]
+
+    @pytest.mark.parametrize("width", [1, 3, solver._SWEEP_COLUMNS, solver._SWEEP_COLUMNS + 1])
+    def test_narrow_batch_is_one_sweep(self, monkeypatch, width):
+        # a batch of at most _SWEEP_COLUMNS new W columns is one LAPACK sweep, a wider one
+        # the slab loop; both give the oracle's solution
+        K, F, Bhat, g, order, _ = linear_case(hertz3d_level0)
+        act = np.arange(width)
+        saddle = condensed_saddle(K, F, Bhat, order)
+        substitutions = count_calls(monkeypatch, solver, "_forward_substitution")
+        sweeps = count_calls(monkeypatch, solver, "_band_sweep")
+        u, lam = saddle.solve(act, g[act])
+        narrow = width <= solver._SWEEP_COLUMNS
+        assert len(substitutions) == (0 if narrow else 1)
+        assert [a[2] for a in sweeps] == (["T", "N"] if narrow else ["N"])
+        u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+        assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
 
     @pytest.mark.parametrize(
         "build", [functools.partial(linear_case, hertz2d_level1), neo_hookean_case], ids=["2d", "neo-hookean"]
@@ -721,18 +787,21 @@ class TestLargeDeformation:
 
     def test_one_factorization_per_newton_solve(self, monkeypatch):
         # every Newton solve factors once, except the first of each step after the
-        # first, which reuses the factor of the step before
+        # first, which reuses the factor of the step before, and a correction whose
+        # chord step on the last factor is predicted to converge (steps 1 and 2 here)
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
         calls = count_factorizations(monkeypatch)
         attempts = count_step_attempts(monkeypatch)
+        kept = count_kept_factors(monkeypatch)
         bundle = solve_large_deformation(problem, config.settings, n_steps=3)
         steps = {r.step for r in bundle.iterations}
         assert steps == {1, 2, 3} and len(attempts) == len(steps)  # no step halved
         # the last iteration of every step converged and solved nothing
         solves = len(bundle.iterations) - len(steps)
-        assert len(calls) == solves - (len(steps) - 1) > 0
+        assert sum(kept) == 2
+        assert len(calls) == solves - (len(steps) - 1) - sum(kept) == 8
         assert set(calls) == {patch.space.dim * 2}
 
     def test_newton_reseed_adds_no_factorization(self, monkeypatch):
@@ -807,14 +876,16 @@ class TestLargeDeformation:
     def test_dirichlet_factorizations_per_call(self, monkeypatch, tmp_path):
         # the active set is settled on each Newton factor: an activity change costs a
         # condensed solve, not a tangent and a factorization (a set updated once per
-        # Newton iterate takes 90), counted on the 6,6 / 0.8,0.1 mesh
+        # Newton iterate takes 90), and a correction predicted to converge on the last
+        # factor keeps it (44 when every correction factors afresh), counted on the
+        # 6,6 / 0.8,0.1 mesh
         config = RunConfig(
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2,
             base_spans=(6, 6), grading=(0.8, 0.1), out=str(tmp_path),
         )
         factorizations = count_factorizations(monkeypatch)
         benchmarks.run_benchmark(config)
-        assert len(factorizations) == 44
+        assert len(factorizations) == 38
 
     def test_converged_tangent_carried_into_next_step(self, monkeypatch):
         # a step starts where the last one converged, and its convergence check
@@ -849,15 +920,44 @@ class TestLargeDeformation:
             return [line.split()[:3] + line.split()[-1:] for line in bundle.log_text().splitlines()]
 
         factorizations = count_factorizations(monkeypatch)
+        kept = count_kept_factors(monkeypatch)
         carried = solve_large_deformation(problem, config.settings, n_steps=3)
-        reusing = len(factorizations)
+        reusing, kept_carried = len(factorizations), sum(kept)
         monkeypatch.setattr(solver, "_newton_contact_step", fresh)
         evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
         assert len({r.step for r in carried.iterations}) == 3
-        # one factorization per solve afresh, two fewer when steps 2 and 3 reuse one
-        assert len(factorizations) - reusing == len(evaluated.iterations) - 3 == reusing + 2
+        # one factorization per solve afresh, less the 2 corrections that keep the last
+        # factor, and two fewer again when steps 2 and 3 reuse one
+        assert kept_carried == sum(kept) - kept_carried == 2
+        assert len(factorizations) - reusing == len(evaluated.iterations) - 3 - 2 == reusing + 2
         assert columns(carried) == columns(evaluated)
         assert np.abs(carried.u - evaluated.u).max() <= 1e-12 * np.abs(evaluated.u).max()
+
+    def test_kept_factor_matches_fresh_factors(self, monkeypatch):
+        # a correction solved on the last factor, as predicted to converge, gives the
+        # u and lam that a fresh tangent and factorization for every correction give
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(4, 4), levels=2)
+        patch = quarter_disc_level_patch(config, 1)
+        problem, _ = build_large_deformation_problem(patch, config)
+        factorizations = count_factorizations(monkeypatch)
+        kept = count_kept_factors(monkeypatch)
+        chord = solve_large_deformation(problem, config.settings, n_steps=5)
+        chord_factorizations = len(factorizations)
+        assert sum(kept) > 0
+        monkeypatch.setattr(solver, "_keeps_factor", lambda *args: False)
+        fresh = solve_large_deformation(problem, config.settings, n_steps=5)
+        assert len(factorizations) - chord_factorizations > chord_factorizations
+        assert np.array_equal(chord.active, fresh.active)
+        assert np.abs(chord.u - fresh.u).max() <= 1e-10 * np.abs(fresh.u).max()
+        assert np.abs(chord.lam - fresh.lam).max() <= 1e-10 * np.abs(fresh.lam).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dirichlet_run_raises_no_runtime_warning(self, tmp_path):
+        # a displacement-driven run starts at zero residual, where the first factor is
+        # built; the kept-factor prediction divides by that residual and must skip it
+        config = RunConfig(benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path))
+        result = benchmarks.run_benchmark(config)
+        assert result.reference.bundle.iterations[0].residual_u == 0.0
 
     def test_no_activity_chatter_within_a_load_step(self, monkeypatch, tmp_path):
         # a dof released for tension used to be re-activated by a slightly negative
