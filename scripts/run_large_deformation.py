@@ -12,11 +12,11 @@ import sys
 # On a 2-core machine (nproc 2, OpenBLAS 0.3.31) the pressure half took
 # 16.4-16.5 s with two OpenBLAS threads, the default there, and 9.3-10.4 s
 # with one, before the active set was settled on each Newton factor.  With one
-# thread, since a Newton correction predicted to converge keeps the last
-# factor, the pressure half takes 3.9-4.1 s (102 factorizations; 125 and
-# 4.5-4.7 s before, three alternating runs) and the Dirichlet half 3.8-4.3 s
-# (95 factorizations; 124 and 4.0-4.5 s before), so the whole script takes
-# about 8 s.  Set before numpy is imported, which reads them.
+# thread, since the Neo-Hookean residual and tangent make fewer passes over
+# the quadrature data, the pressure half takes 3.0-3.2 s (4.1-4.3 s before,
+# three alternating runs) and the Dirichlet half 3.1-3.8 s (3.9-4.3 s
+# before), with the 102 and 95 factorizations of before, so the whole script
+# takes about 7 s.  Set before numpy is imported, which reads them.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 

@@ -17,7 +17,12 @@ data) is built once per patch.  A Neo-Hookean evaluation has two
 phases: the residual phase gives the internal force and keeps the
 kinematics (det F, F^-1) at every quadrature point, and the tangent
 phase assembles the tangent from them, so a caller that needs only the
-force never pays for the tangent.
+force never pays for the tangent.  The residual forms F^T, and the
+stress P^T over it in place, in the (element, point, j, i) layout that
+the force product reads.  A tangent element matrix needs one pair
+product, of (lam + mu - lam ln J) wdet, and for each component pair
+i < k one antisymmetric nloc x nloc correction that turns its share of
+the pair term into the swap term.
 Accumulation order is fixed, so repeated assembly of the same data is
 bitwise reproducible.
 """
@@ -276,18 +281,28 @@ def _grad_products(gt: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.matmul(gt * np.repeat(c, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
 
 
-def _isotropic_element_matrices(w, c_pair, c_swap) -> np.ndarray:
-    """Pair and swap terms of an isotropic tangent's element matrices, (ce, nloc * d, nloc * d).
+def _swap_correction(ke: np.ndarray, w: np.ndarray, c_swap: np.ndarray) -> None:
+    """Correct ``ke``, the pair product of ``c_pair + c_swap``, to the pair plus swap terms in place.
 
-    Entry (a i, b k) is the quadrature sum of
-    ``c_pair w_ai w_bk + c_swap w_ak w_bi``.  The Neo-Hookean tangent has
-    w = g F^-1 and (lam, mu - lam ln J) x wdet; its mu (g_a . g_b)
-    delta_ik term is added once per patch (``PatchQuadrature.grad_data``).
+    Entry (a i, b k) of an isotropic tangent's element matrices is the
+    quadrature sum of ``c_pair w_ai w_bk + c_swap w_ak w_bi``.  Since
+    ``w_ak w_bi = w_ai w_bk - (w_ai w_bk - w_ak w_bi)``, one pair product
+    with ``c_pair + c_swap`` carries both, less, for each component pair
+    i < k, the antisymmetric block ``X = M - M^T`` with
+    ``M = sum_q c_swap w_ai w_bk``: X leaves block (i, k) and enters block
+    (k, i), and the diagonal blocks need nothing.  ``ke`` is (ce, nloc, d,
+    nloc, d).  The Neo-Hookean tangent has w = g F^-1 and (lam, mu - lam
+    ln J) x wdet; its mu (g_a . g_b) delta_ik term is added once per patch
+    (``PatchQuadrature.grad_data``).
     """
-    ce, nq, nloc, nd = w.shape
-    ke = _pair_products(w, c_pair)
-    ke += _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
-    return ke.reshape(ce, nloc * nd, nloc * nd)
+    nd = w.shape[3]
+    for i in range(nd - 1):
+        cw = (w[..., i] * c_swap[:, :, None]).transpose(0, 2, 1)  # (ce, nloc, nq)
+        for k in range(i + 1, nd):
+            X = np.matmul(cw, w[..., k])
+            X = X - X.transpose(0, 2, 1)
+            ke[:, :, i, :, k] -= X
+            ke[:, :, k, :, i] += X
 
 
 @dataclass
@@ -543,24 +558,29 @@ def neo_hookean_residual(quad: PatchQuadrature, mat: NeoHookeanMaterial, u: np.n
     at any quadrature point.
     """
     nd = quad.ndim
-    ne, _, nqd = quad.gt.shape
+    ne, nloc, nqd = quad.gt.shape
     nq = nqd // nd
     u_mat = np.asarray(u, dtype=float).reshape(-1, nd)
     f_int = np.zeros(u_mat.size)
     J = np.empty((ne, nq))
     Finv = np.empty((ne, nq, nd, nd))
+    comp = np.tile(np.arange(nd), nloc)
     for start in range(0, ne, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        dofs, gt, wdet = quad.dofs[chunk], quad.gt[chunk], quad.wdet[chunk]
+        gt, wdet = quad.gt[chunk], quad.wdet[chunk]
         ce = gt.shape[0]
-        gradu = np.matmul(u_mat[dofs].transpose(0, 2, 1), gt)  # (e, i, (q, j))
-        Fdef = np.eye(nd) + gradu.reshape(ce, nd, nq, nd).transpose(0, 2, 1, 3)
-        J[chunk], Finv[chunk] = det_and_inverse(Fdef)
-        P = mat.pk1(Fdef, J[chunk], Finv[chunk])
+        # F^T = I + H^T in the (e, q, j, i) layout the force product reads, then P^T in place
+        Ft = np.matmul(gt.transpose(0, 2, 1), np.take(u_mat, quad.dofs[chunk], axis=0))
+        Ft = Ft.reshape(ce, nq, nd, nd)
+        Ft.reshape(ce, nq, nd * nd)[:, :, :: nd + 1] += 1.0
+        det_and_inverse(Ft.swapaxes(2, 3), J[chunk], Finv[chunk])
+        Pt = mat.pk1(Ft, J[chunk], Finv[chunk].swapaxes(2, 3), out=Ft)
+        Pt *= wdet[:, :, None, None]
         # f_ai = sum_q,j g_qaj P_qij wdet_q
-        Pw = (P * wdet[:, :, None, None]).transpose(0, 1, 3, 2).reshape(ce, nq * nd, nd)
-        edofs = dofs[:, :, None] * nd + np.arange(nd)
-        f_int += np.bincount(edofs.ravel(), weights=np.matmul(gt, Pw).ravel(), minlength=f_int.size)
+        fe = np.matmul(gt, Pt.reshape(ce, nq * nd, nd))
+        # the dof of every (element, local function, component), in the order of fe
+        edofs = np.repeat(quad.dofs[chunk] * nd, nd).reshape(ce, -1) + comp
+        f_int += np.bincount(edofs.ravel(), weights=fe.ravel(), minlength=f_int.size)
     return NeoHookeanState(f_int=f_int, J=J, Finv=Finv)
 
 
@@ -585,7 +605,10 @@ def neo_hookean_tangent(
         ce = gt.shape[0]
         w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), state.Finv[chunk])
         c_swap = (mu - lam * np.log(state.J[chunk])) * wdet
-        quad.plan.add(data, start, _isotropic_element_matrices(w, lam * wdet, c_swap))
+        ke = _pair_products(w, lam * wdet + c_swap)
+        _swap_correction(ke, w, c_swap)
+        del w  # freed before the scatter's temporaries, which set the peak memory
+        quad.plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
     return quad.plan.matrix(data)
 
 

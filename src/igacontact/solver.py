@@ -27,8 +27,10 @@ iterate is not converged.  The factor of a step's last Newton solve
 serves the next step's first, with only its right-hand side replaced.
 A correction keeps the factor of the one before it, once, when Newton's
 quadratic rate predicts that a chord step on it converges (residual r,
-r_prev where that factor was built: ``r^2 / r_prev <= newton_tol * ref``,
-the convergence test's bound), as a fresh factor then buys nothing.
+r_prev where that factor was built: ``kappa r^2 / r_prev <= newton_tol *
+ref``, the convergence test's bound), as a fresh factor then buys
+nothing; kappa, 1 at the start of a solve, is the largest factor by
+which a kept correction of the solve has missed that prediction.
 """
 from __future__ import annotations
 
@@ -357,10 +359,12 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
     """``U^-T R`` in place of R, for an upper band factor U in LAPACK storage.
 
     The columns of R must come in order of their first nonzero row.  A
-    slab of u rows of ``U^T`` couples only to the slab before it, so each
-    slab is one matmul and one dense triangular solve (LAPACK ``dtrtrs``),
-    and it solves only the columns that have started: the rest of it is
-    zero in R and in the result.
+    slab of u rows of ``U^T`` couples only to the slab before it, through
+    a lower triangular u x u block of U, so each slab is one triangular
+    product (BLAS ``dtrmm``, which reads only that triangle of the band's
+    window) and one dense triangular solve (LAPACK ``dtrtrs``), and it
+    solves only the columns that have started: the rest of it is zero in
+    R and in the result.
     """
     n, m = R.shape
     u = cb.shape[0] - 1
@@ -374,20 +378,23 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
             flat[u + r0 + u * c0 :], shape=(rows, cols), strides=(step, u * step)
         )
 
-    below = np.tri(s, k=u - s, dtype=bool)  # the band part of a block U[a - s:a, a:a + s]
+    below = np.tri(s, dtype=bool)  # the band part of a block U[a - s:a, a:a + s] when u >= 1
     nz = R != 0
     first = np.where(nz.any(axis=0), nz.argmax(axis=0), n)
     if np.any(np.diff(first) < 0):
         raise ValueError("columns must come in order of their first nonzero row")
-    trtrs = sla.lapack.dtrtrs
+    trtrs, trmm = sla.lapack.dtrtrs, sla.blas.dtrmm
     a0 = first[0] - first[0] % s if m else n  # earlier slabs are zero in every column
     for a in range(a0, n, s):
         h = min(s, n - a)
         k = int(np.searchsorted(first, a + h))
         rhs = R[a : a + h, :k]
-        if a > a0:
-            coupling = np.where(below[:, :h], window(a - s, a, s, h), 0.0)
-            rhs -= coupling.T @ R[a - s : a, :k]
+        if a > a0 and u > 0:
+            if h == s:
+                # the s x s window is F-contiguous (leading dimension u = s): no copy
+                rhs -= trmm(1.0, window(a - s, a, s, s), R[a - s : a, :k], lower=1, trans_a=1)
+            else:  # the last, partial slab
+                rhs -= np.where(below[:, :h], window(a - s, a, s, h), 0.0).T @ R[a - s : a, :k]
         # the diagonal block is read as upper triangular; its band holds all of it
         x, info = trtrs(window(a, a, h, h), rhs, trans=1)
         if info != 0:
@@ -424,7 +431,9 @@ class _CondensedSaddle:
     forward substitution per batch, and its Gram products with the
     earlier columns, ``z_F`` and ``z_e`` are kept.  :meth:`set_rhs`
     replaces F on the same factor: one forward sweep for ``z_F``, and
-    ``W^T z_F`` re-read over the kept columns.
+    ``W^T z_F`` re-read over the kept columns.  Each solve checks its
+    residual and keeps the norm of its u rows, ``|K u + B_A^T lam - F|``,
+    as ``residual_u``.
     """
 
     def __init__(self, K: sp.csr_matrix, F: np.ndarray, layout: _BandLayout):
@@ -524,10 +533,8 @@ class _CondensedSaddle:
             raise SolverError(_diagnose_saddle_failure(self.K, B_A, "non-finite solution"))
         u = np.empty_like(v)
         u[layout.order] = _band_sweep(self.cb, v, "N")
-        res = np.hypot(
-            np.linalg.norm(layout.matvec(self.K, u) + layout.scatter(B_A.T @ lam) - self.F),
-            np.linalg.norm(B_A @ u[layout.cols] - g),
-        )
+        self.residual_u = np.linalg.norm(layout.matvec(self.K, u) + layout.scatter(B_A.T @ lam) - self.F)
+        res = np.hypot(self.residual_u, np.linalg.norm(B_A @ u[layout.cols] - g))
         rhs_norm = np.hypot(np.linalg.norm(self.F), np.linalg.norm(g))
         if res > 1e-4 * max(rhs_norm, 1e-300):
             raise SolverError(f"saddle solve residual {res:.3e} exceeds 1e-4 * |rhs|")
@@ -574,14 +581,13 @@ def _settle_active_set(saddle, active, gap, g, measures, settings, records=None)
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state, gap_tol)
         if records is not None:
-            res_u = np.linalg.norm(layout.matvec(saddle.K, x) + layout.scatter(layout.Bhc.T @ lam) - saddle.F)
             res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
             records.append(
                 IterationRecord(
                     step=0,
                     iteration=it,
                     n_active=int(active.sum()),
-                    residual_u=res_u,
+                    residual_u=saddle.residual_u,
                     residual_lam=res_lam,
                     changed=changed,
                 )
@@ -711,6 +717,7 @@ def solve_large_deformation(
     # (residual state at u, saddle or None) in a list the step takes it from: the
     # step drops it once used, and a retry after a halving evaluates it again
     carried = [(neo_hookean_residual(quad, problem.material, u), None)]
+    kappa = 1.0  # the kept-factor prediction's calibration, carried from step to step
     t = 0.0
     dt_base = 1.0 / n_steps
     dt = dt_base
@@ -722,9 +729,9 @@ def solve_large_deformation(
         if not carried:
             carried.append((neo_hookean_residual(quad, problem.material, u), None))
         try:
-            u, lam, active, wg, *carried, recs = _newton_contact_step(
+            u, lam, active, wg, kappa, *carried, recs = _newton_contact_step(
                 problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
-                vals_full * t_try, step, carried.pop(),
+                vals_full * t_try, step, kappa, carried.pop(),
             )
         except (ElementInversionError, SolverError):
             halvings += 1
@@ -748,18 +755,20 @@ def solve_large_deformation(
     )
 
 
-def _keeps_factor(res: float, factored_at: float, tol: float) -> bool:
+def _keeps_factor(res: float, factored_at: float, tol: float, kappa: float) -> bool:
     """Whether the correction at residual norm ``res`` keeps the factor built at ``factored_at``.
 
     Newton's quadratic rate predicts ``res^2 / factored_at`` after a chord
-    step on that factor; it is kept when that is within ``tol``.  A factor
+    step on that factor, up to the factor ``kappa`` >= 1 by which the
+    solve's kept corrections have missed it so far; the factor is
+    kept when ``kappa res^2 / factored_at`` is within ``tol``.  A factor
     built at zero residual (a displacement-driven start) or kept once (0) never is.
     """
-    return factored_at > 0.0 and res * res / factored_at <= tol
+    return factored_at > 0.0 and kappa * res * res / factored_at <= tol
 
 
 def _newton_contact_step(
-    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, start
+    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, kappa, start
 ):
     """Newton iterations of one load step from ``u0``.
 
@@ -776,11 +785,15 @@ def _newton_contact_step(
     right-hand side replaced, or factors the tangent at ``u0`` when
     ``saddle`` is None.  A later solve keeps the factor of the one before
     when :func:`_keeps_factor` predicts that a chord step on it converges,
-    and else factors the tangent at u.  Every solve keeps its checks, the
-    residual one against the K its factor was built from.  Returns the
-    converged ``(u, lam, active, weighted gap)``, the pair ``(residual,
-    saddle)`` of the residual phase at that u and the step's last saddle,
-    and the iteration records.
+    and else factors the tangent at u.  ``kappa`` calibrates that
+    prediction: it is the largest ratio of the residual after a kept
+    correction to the predicted one, over the kept corrections of the
+    solve so far that did not converge, and 1 before any did.
+    Every solve keeps its checks, the residual one against the K its
+    factor was built from.  Returns the converged ``(u, lam, active,
+    weighted gap)``, the updated ``kappa``, the pair ``(residual, saddle)``
+    of the residual phase at that u and the step's last saddle, and the
+    iteration records.
     """
     residual, saddle = start
     del start  # the saddle is referenced here alone, so the step can free its factor
@@ -797,6 +810,7 @@ def _newton_contact_step(
     first_res = None
     fresh = saddle is None  # the next solve factors the tangent at the current u
     factored_at = None  # residual norm where the last correction's factor was built, 0 if it was kept
+    predicted = 0.0  # the residual a correction on a kept factor was predicted to leave, 0 if none
     for it in range(1, settings.max_newton_iters + 1):
         if it > 1:
             residual = neo_hookean_residual(quad, problem.material, u)
@@ -810,6 +824,10 @@ def _newton_contact_step(
         cur_idx = np.flatnonzero(active)
         ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30)
         res_u = np.linalg.norm(r_u)
+        converged = res_u <= settings.newton_tol * ref
+        if predicted and not converged:
+            kappa = max(kappa, res_u / predicted)  # the last kept factor missed its prediction
+        predicted = 0.0
         res_lam = np.linalg.norm(wg[cur_idx] * measures[cur_idx])
         records.append(
             IterationRecord(
@@ -821,12 +839,11 @@ def _newton_contact_step(
                 changed=changed,
             )
         )
-        converged = res_u <= settings.newton_tol * ref
         pending = bool(np.abs(dv).max() > 0.0) if dv.size else False
         if not pending and changed == 0 and converged and complementarity_ok(
             new_state, settings.gap_tol
         ):
-            return u, new_state.lam, new_state.active, wg, (residual, saddle), records
+            return u, new_state.lam, new_state.active, wg, kappa, (residual, saddle), records
         if first_res is None and not converged:
             # a converged residual carried over from the previous step is no scale: a
             # displacement-driven step's increment enters through dv, not r_u
@@ -841,7 +858,9 @@ def _newton_contact_step(
             lam = new_state.lam
             continue  # exact equilibrium, only activity bookkeeping changed
         if factored_at is not None:
-            fresh = not _keeps_factor(res_u, factored_at, settings.newton_tol * ref)
+            fresh = not _keeps_factor(res_u, factored_at, settings.newton_tol * ref, kappa)
+            if not fresh:
+                predicted = res_u * res_u / factored_at
         factored_at = res_u if fresh else 0.0
         if fresh:
             saddle = K_T = None  # free the last factor and its tangent before the next are built

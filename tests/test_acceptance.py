@@ -6,18 +6,20 @@ problem.  For a Hertz-type contact the solution has at most H^{5/2-eps}
 regularity near the edge of the contact zone, so with p = 2 the estimate
 gives h^{3/2} for the displacement in H1 (degree 2 alone would give h^2),
 and the contact pressure, a square-root profile at that edge, has an L2
-best approximation of order h.  Each check runs one configuration through
-the command line, as a user would, and reads its ``rates.txt``; the
-measured rates quoted in the docstrings were taken on these configurations
-and are not where the bounds come from.  Every bound is one the method
-must meet once it converges at all at the estimated order; none is
-within a pre-asymptotic fit's noise of the measured value.
+best approximation of order h.  Each rate check runs one configuration
+through the command line, as a user would, and reads its ``rates.txt``;
+the contact-zone check solves the command line's configuration and reads
+the reference level.  The measured values quoted in the docstrings were
+taken on these configurations and are not where the bounds come from.
+Every bound is one the method must meet once it converges at all at the
+estimated order; none is within a pre-asymptotic fit's noise of the
+measured value.
 """
 from __future__ import annotations
 
 import pytest
 
-from igacontact import cli
+from igacontact import benchmarks, cli
 
 GATED_P003 = ["hertz2d", "--pressure", "0.003", "--levels", "4", "--base-spans", "3,6", "--grading", "0.8,0.1"]
 GATED_LARGE_P01 = [
@@ -54,6 +56,36 @@ def test_small_deformation_rates(tmp_path):
     assert r["L2_disp_rate"] >= 1.5
     assert r["H1_disp_rate"] >= 1.0
     assert r["mult_ana_rate"] >= 0.5
+
+
+@pytest.mark.acceptance(
+    criterion="zone", summary="hertz2d-p003: |r_max - a| <= one trace element, |peak p/p0 - 1| <= h_c / a"
+)
+def test_small_deformation_contact_zone(tmp_path):
+    """The reference level's contact zone and peak pressure against Hertz, on the rates check's mesh.
+
+    Edge: activity is decided per multiplier dof, and with p = 2 a
+    multiplier function (degree p - 2 = 0) is supported on one trace
+    element, so the discrete contact zone is a union of whole elements.
+    Its far end r_max can place the half-width a only within the element
+    that holds the edge, whose width ``active_region_extent`` returns.
+    Peak: the closed-form profile p0 sqrt(1 - r^2 / a^2) has
+    |p'| <= p0 / a for r <= a / sqrt(2), and degree-0 multipliers
+    approximate it to first order, within h |p'| on an element of width h.
+    So with h_c the largest element of the contact band, the peak of
+    p_h / p0 lies within h_c / a of 1.  Measured: |r_max - a| 0.61 of the
+    element, peak p/p0 0.9982 with h_c / a = 0.022.
+    """
+    args = vars(cli._build_parser().parse_args(GATED_P003 + ["--out", str(tmp_path)]))
+    benchmark = args.pop("benchmark")
+    options = {key: value for key, value in args.items() if value is not None}
+    result = benchmarks.run_benchmark(cli.build_run_config(benchmark, options))
+    ref, analytic = result.reference, result.analytic
+    r_max, width = benchmarks.active_region_extent(ref.bundle, ref.setup.basis, result.r_of)
+    assert abs(r_max - analytic.a) <= width
+    rows = (tmp_path / "pressure_profile.csv").read_text().split()[1:]
+    peak = max(float(row.split(",")[1]) for row in rows)
+    assert abs(peak - 1.0) <= ref.h_contact / analytic.a
 
 
 @pytest.mark.acceptance(

@@ -14,7 +14,8 @@ from igacontact.assembly import (
     AssemblyError,
     _grad_layout,
     _grad_products,
-    _isotropic_element_matrices,
+    _pair_products,
+    _swap_correction,
     apply_constraints,
     assemble_load,
     assemble_stiffness,
@@ -24,6 +25,7 @@ from igacontact.assembly import (
     iter_element_blocks,
     merge_constraints,
     neo_hookean_forces,
+    neo_hookean_residual,
     patch_quadrature,
     scatter_plan,
 )
@@ -108,6 +110,22 @@ def neo_hookean_tangent(mat, F):
         "...iL,...kJ->...iJkL", FinvT, FinvT
     )
     return A
+
+
+def two_product_element_matrices(w, c_pair, c_swap):
+    """Oracle: sum_q c_pair w_ai w_bk + c_swap w_ak w_bi as two pair products, the second transposed."""
+    ce, nq, nloc, nd = w.shape
+    ke = _pair_products(w, c_pair)
+    ke += _pair_products(w, c_swap).transpose(0, 1, 4, 3, 2)
+    return ke.reshape(ce, nloc * nd, nloc * nd)
+
+
+def smooth_state(patch, seed):
+    """A random smooth displacement field (a random node-wise one inverts the octant's collapsed elements)."""
+    rng = np.random.default_rng(seed)
+    x = patch.control_points
+    d = patch.ndim
+    return (x @ rng.normal(scale=0.05, size=(d, d)) + x ** 2 @ rng.normal(scale=0.05, size=(d, d))).ravel()
 
 
 def dense_oracle_assembly(patch, element_matrices, element_forces=None):
@@ -452,11 +470,7 @@ class TestNeoHookean:
     @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
     def test_matches_material_tangent_oracle(self, patch):
         mat = NeoHookeanMaterial(1.0, 0.3)
-        # random smooth field: a random node-wise state inverts the octant's collapsed elements
-        rng = np.random.default_rng(5)
-        x = patch.control_points
-        d = patch.ndim
-        u = (x @ rng.normal(scale=0.05, size=(d, d)) + x ** 2 @ rng.normal(scale=0.05, size=(d, d))).ravel()
+        u = smooth_state(patch, 5)
         f, K_T = neo_hookean_forces(patch, mat, u)
         K_ref, f_ref = einsum_neo_hookean(patch, mat, u)
         assert np.abs(K_T.toarray() - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
@@ -482,13 +496,56 @@ class TestNeoHookean:
             k_grad = _grad_products(_grad_layout(g), mu * wdet)
             c_swap = (mu - lam * np.log(J)) * wdet
             ce, nloc = b.dofs.shape
-            ke = _isotropic_element_matrices(g @ Finv, lam * wdet, c_swap).reshape(ce, nloc, nd, nloc, nd)
+            ke = two_product_element_matrices(g @ Finv, lam * wdet, c_swap).reshape(ce, nloc, nd, nloc, nd)
             for i in range(nd):
                 ke[:, :, i, :, i] += k_grad
             plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
             start += g.shape[0]
         assert np.array_equal(K_T.indices, plan.indices) and np.array_equal(K_T.indptr, plan.indptr)
         assert np.abs(K_T.data - data).max() <= 1e-14 * np.abs(data).max()
+
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_residual_matches_pk1_and_det_and_inverse(self, patch):
+        # the residual writes F^T and P^T in the layout of its force product; the law and
+        # the kinematics in their own layout, element block by block, are the oracle
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        nd = patch.ndim
+        for seed in (1, 2):
+            u = smooth_state(patch, seed)
+            state = neo_hookean_residual(patch_quadrature(patch), mat, u)
+            f_ref = np.zeros(u.size)
+            start = 0
+            for b in iter_element_blocks(patch, max(patch.degrees) + 1):
+                Fdef = np.eye(nd) + np.einsum("eai,eqaj->eqij", u.reshape(-1, nd)[b.dofs], b.grads_phys)
+                J, Finv = det_and_inverse(Fdef)
+                rows = slice(start, start + b.dofs.shape[0])
+                assert np.abs(state.J[rows] - J).max() <= 1e-14 * np.abs(J).max()
+                assert np.abs(state.Finv[rows] - Finv).max() <= 1e-14 * np.abs(Finv).max()
+                fe = np.einsum("eqij,eqaj,eq->eai", mat.pk1(Fdef), b.grads_phys, b.wdet)
+                np.add.at(f_ref, (b.dofs[:, :, None] * nd + np.arange(nd)).ravel(), fe.ravel())
+                start = rows.stop
+            assert start == state.J.shape[0]
+            assert np.abs(state.f_int - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
+
+    @pytest.mark.parametrize("nd", [2, 3])
+    def test_swap_correction_matches_two_product_form(self, nd):
+        # one pair product of c_pair + c_swap, less the antisymmetric blocks, is the
+        # pair term plus the swap term of two separate products
+        rng = np.random.default_rng(nd)
+        ce, nq, nloc = 5, 3 ** nd, 3 ** nd
+        w = rng.normal(size=(ce, nq, nloc, nd))
+        c_pair, c_swap = rng.uniform(0.5, 2.0, size=(2, ce, nq))
+        ke = _pair_products(w, c_pair + c_swap)
+        _swap_correction(ke, w, c_swap)
+        ref = two_product_element_matrices(w, c_pair, c_swap)
+        assert np.abs(ke.reshape(ref.shape) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_element_inversion_detected_3d(self):
+        patch = octant_patch(2)
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        u = -1.5 * patch.control_points.ravel()  # x -> -0.5 x turns every element inside out
+        with pytest.raises(ElementInversionError, match="det F <= 0"):
+            neo_hookean_residual(patch_quadrature(patch), mat, u)
 
     def test_element_inversion_detected(self):
         patch = unit_square_patch(2, 1)
