@@ -20,7 +20,6 @@ from .contact import (
 )
 from .geometry import (
     BoundaryTrace,
-    MeshView,
     NurbsPatch,
     extract_trace,
     graded_breakpoints,
@@ -31,19 +30,15 @@ from .geometry import (
 from .materials import LinearMaterial, NeoHookeanMaterial
 from .solver import (
     SolutionBundle,
-    SolveSettings,
     inf_sup_estimate,
     saddle_solve,
     solve_large_deformation,
     solve_small_deformation,
 )
 from .splines import (
-    BasisEvaluation,
     KnotVector,
     TensorSpace,
     WeightedSpace,
-    eval_basis,
-    find_span,
     interior_knot_vector,
     insertion_matrix,
     make_open_knot_vector,
@@ -61,14 +56,13 @@ from .verification import (
 
 __all__ = [
     "active_set_update", "apply_constraints", "assemble_load", "assemble_stiffness",
-    "BasisEvaluation", "BoundaryTrace", "ContactState", "coupling_matrix",
-    "displacement_errors", "eval_basis", "extract_trace", "find_span", "fit_rate", "GapField",
-    "gauss_rule", "GlobalSystem", "graded_breakpoints", "hertz_2d", "hertz_3d", "HertzAnalytic",
-    "inf_sup_estimate", "insertion_matrix", "interior_knot_vector", "KnotVector",
-    "LinearMaterial", "make_open_knot_vector", "mesh_view", "MeshView", "multiplier_basis",
+    "BoundaryTrace", "ContactState", "coupling_matrix", "displacement_errors", "extract_trace",
+    "fit_rate", "GapField", "gauss_rule", "GlobalSystem", "graded_breakpoints", "hertz_2d",
+    "hertz_3d", "HertzAnalytic", "inf_sup_estimate", "insertion_matrix", "interior_knot_vector",
+    "KnotVector", "LinearMaterial", "make_open_knot_vector", "mesh_view", "multiplier_basis",
     "multiplier_error_analytic", "multiplier_error_reference", "multiplier_space",
-    "MultiplierBasis", "neo_hookean_forces",
-    "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule", "quarter_disc_patch", "saddle_solve",
-    "SolutionBundle", "solve_large_deformation", "solve_small_deformation", "SolveSettings",
-    "sphere_octant_patch", "TensorSpace", "weighted_gap", "WeightedSpace",
+    "MultiplierBasis", "neo_hookean_forces", "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule",
+    "quarter_disc_patch", "saddle_solve", "SolutionBundle", "solve_large_deformation",
+    "solve_small_deformation", "sphere_octant_patch", "TensorSpace", "weighted_gap",
+    "WeightedSpace",
 ]

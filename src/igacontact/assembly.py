@@ -323,19 +323,18 @@ class GlobalSystem:
         return int(np.prod(self.grid_shape)) * self.n_comp
 
 
-def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial, n_gauss: int | None = None) -> GlobalSystem:
+def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> GlobalSystem:
     """Linear elastic stiffness of the isoparametric displacement space.
 
     The material is isotropic, so the kernel needs only its Lame
     parameters: a_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
     """
     nd = patch.ndim
-    n_gauss = n_gauss or max(patch.degrees) + 1
     mu, lam = mat.lame()
     plan = scatter_plan(patch)
     data = np.zeros(plan.nnz)
     start = 0
-    for block in iter_element_blocks(patch, n_gauss):
+    for block in iter_element_blocks(patch, max(patch.degrees) + 1):
         # P = sum_q wdet g_ai g_bk carries all three terms: lam P, its swap mu P_(ak)(bi),
         # and mu (g_a . g_b) delta_ik from its trace over i = k
         P = _pair_products(block.grads_phys, block.wdet)
@@ -397,34 +396,18 @@ def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int | None = None) -> 
     )
 
 
-def assemble_load(
-    patch: NurbsPatch,
-    tractions: dict[int, np.ndarray] | None = None,
-    body=None,
-    n_gauss: int | None = None,
-) -> np.ndarray:
-    """Consistent load vector from face tractions and an optional body force."""
+def assemble_load(patch: NurbsPatch, tractions: dict[int, np.ndarray]) -> np.ndarray:
+    """Consistent load vector of constant face tractions, keyed by face id."""
     nd = patch.ndim
-    n_gauss = n_gauss or max(patch.degrees) + 1
     F = np.zeros(patch.space.dim * nd)
-    for face, traction in (tractions or {}).items():
+    for face, traction in tractions.items():
         face_axis_side(face, nd)  # validates the id
         trace = extract_trace(patch, face)
-        tq = build_trace_quadrature(trace, n_gauss)
-        t = np.asarray(traction(tq.phys) if callable(traction) else traction, dtype=float)
-        t = np.broadcast_to(t, (tq.params.shape[0], nd))
+        tq = build_trace_quadrature(trace, max(patch.degrees) + 1)
+        t = np.broadcast_to(np.asarray(traction, dtype=float), (tq.params.shape[0], nd))
         contrib = tq.vals[:, :, None] * (t * tq.wmeas[:, None])[:, None, :]
         dofs = trace.dof_map[tq.idx][:, :, None] * nd + np.arange(nd)[None, None, :]
         np.add.at(F, dofs.ravel(), contrib.ravel())
-    if body is not None:
-        for block in iter_element_blocks(patch, n_gauss):
-            if callable(body):
-                raise AssemblyError("callable body forces not supported; pass a constant vector")
-            b = np.asarray(body, dtype=float)
-            contrib = block.values[:, :, :, None] * b[None, None, None, :]
-            contrib = (contrib * block.wdet[:, :, None, None]).sum(axis=1)
-            dofs = block.dofs[:, :, None] * nd + np.arange(nd)[None, None, :]
-            np.add.at(F, dofs.ravel(), contrib.ravel())
     return F
 
 
@@ -520,9 +503,9 @@ class PatchQuadrature:
         return self.gt.shape[2] // self.wdet.shape[1]
 
 
-def patch_quadrature(patch: NurbsPatch, n_gauss: int | None = None) -> PatchQuadrature:
-    n_gauss = n_gauss or max(patch.degrees) + 1
-    parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in iter_element_blocks(patch, n_gauss)]
+def patch_quadrature(patch: NurbsPatch) -> PatchQuadrature:
+    blocks = iter_element_blocks(patch, max(patch.degrees) + 1)
+    parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in blocks]
     dofs, gt, wdet = (np.concatenate(p) for p in zip(*parts))
     plan = scatter_plan(patch)
     nd = patch.ndim
@@ -613,11 +596,7 @@ def neo_hookean_tangent(
 
 
 def neo_hookean_forces(
-    patch: NurbsPatch,
-    mat: NeoHookeanMaterial,
-    u: np.ndarray,
-    n_gauss: int | None = None,
-    quad: PatchQuadrature | None = None,
+    patch: NurbsPatch, mat: NeoHookeanMaterial, u: np.ndarray, quad: PatchQuadrature | None = None
 ):
     """Internal force vector and consistent tangent at displacement state u.
 
@@ -628,6 +607,6 @@ def neo_hookean_forces(
     here when not given.
     """
     if quad is None:
-        quad = patch_quadrature(patch, n_gauss)
+        quad = patch_quadrature(patch)
     state = neo_hookean_residual(quad, mat, u)
     return state.f_int, neo_hookean_tangent(quad, mat, state)

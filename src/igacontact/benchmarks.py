@@ -18,7 +18,7 @@ Output files per run directory:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .geometry import (
     SPHERE_OCTANT_LOAD_FACE,
     SPHERE_OCTANT_SYMMETRY_FACES,
     BoundaryTrace,
+    GeometryError,
     NurbsPatch,
     elevate_bezier_degree,
     extract_trace,
@@ -63,13 +64,14 @@ from .solver import (
     LargeDeformationProblem,
     SmallDeformationProblem,
     SolutionBundle,
-    SolveSettings,
     inf_sup_estimate,
     solve_large_deformation,
     solve_small_deformation,
 )
 from .verification import (
     HertzAnalytic,
+    VerificationError,
+    _check_hertz_inputs,
     arc_coordinate_2d,
     fit_rate,
     geodesic_coordinate_3d,
@@ -118,22 +120,37 @@ class RunConfig:
     pressure: float = 0.003
     displacement: float | None = None
     n_load_steps: int = 10
-    settings: SolveSettings = field(default_factory=SolveSettings)
     out: str = "out"
 
     def __post_init__(self):
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark id {self.benchmark!r}; known: {BENCHMARKS}")
-        if self.levels < 1:
-            raise ConfigError("need at least one level")
+        min_levels = 1 if self.benchmark == "infsup" else 2  # a convergence run needs a reference
+        if self.levels < min_levels:
+            raise ConfigError(f"{self.benchmark} needs at least {min_levels} levels")
         if self.degree not in (2, 3):
             raise ConfigError("only degrees 2 and 3 are supported")
+        if self.n_load_steps < 1:
+            raise ConfigError("need at least one load step")
         if not self.base_spans:
             object.__setattr__(self, "base_spans", _DEFAULT_BASE_SPANS[self.benchmark])
         if not self.grading:
             object.__setattr__(self, "grading", _DEFAULT_GRADING[self.benchmark])
+        n_axes = len(_DEFAULT_BASE_SPANS[self.benchmark])
+        if len(self.base_spans) != n_axes:
+            raise ConfigError(f"{self.benchmark} takes {n_axes} base span count(s)")
         if any(n < 1 for n in self.base_spans):
             raise ConfigError("base span counts must be positive")
+        if len(self.grading) != 2:
+            raise ConfigError("grading takes two fractions: span_fraction,length_fraction")
+        # the graded axes; the 3D azimuth and the unit square of infsup are uniform
+        graded = {"hertz3d": self.base_spans[1:], "infsup": ()}.get(self.benchmark, self.base_spans)
+        try:
+            for n in graded:
+                graded_breakpoints(n, *self.grading)
+            _check_hertz_inputs(self.radius, self.young, self.poisson, self.pressure)
+        except (GeometryError, VerificationError) as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def bisect_breakpoints(breaks: np.ndarray, times: int) -> np.ndarray:
@@ -305,10 +322,8 @@ def _contact_band_size(setup: ContactSetup, grading: tuple[float, float]) -> flo
     """Largest trace element inside the contact-refined parametric band."""
     bounds, sizes = trace_mesh_sizes(setup.trace)
     _, lf = grading
-    # the graded direction is the last surface axis (arc in 2D, polar in 3D is
-    # axis 1 of the volume = axis 1 of the surface ... the band test keeps any
-    # element whose graded coordinate lies inside [0, lf]
-    graded_axis = 0 if setup.trace.ndim == 1 else 1
+    # the contact face is graded along its last axis: the arc in 2D, the polar angle in 3D
+    graded_axis = setup.trace.ndim - 1
     inside = bounds[:, graded_axis, 1] <= lf + 1e-12
     if not inside.any():
         return float(sizes.max())
@@ -319,21 +334,21 @@ def _solve_level(config: RunConfig, level: int) -> LevelResult:
     if config.benchmark == "hertz2d":
         patch = quarter_disc_level_patch(config, level)
         problem, setup = build_hertz2d_problem(patch, config)
-        bundle = solve_small_deformation(problem, config.settings)
+        bundle = solve_small_deformation(problem)
     elif config.benchmark == "hertz3d":
         patch = sphere_octant_level_patch(config, level)
         problem, setup = build_hertz3d_problem(patch, config)
-        bundle = solve_small_deformation(problem, config.settings)
+        bundle = solve_small_deformation(problem)
     else:
         patch = quarter_disc_level_patch(config, level)
         problem, setup = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, config.settings, config.n_load_steps)
+        bundle = solve_large_deformation(problem, config.n_load_steps)
     return LevelResult(
         level=level,
         patch=patch,
         setup=setup,
         bundle=bundle,
-        h=mesh_view(patch).h,
+        h=float(mesh_view(patch)[1].max()),
         h_contact=_contact_band_size(setup, config.grading),
     )
 
@@ -360,8 +375,6 @@ def run_benchmark(config: RunConfig) -> RunResult:
     """Solve all levels of a contact benchmark and write its result files."""
     if config.benchmark == "infsup":
         raise ConfigError("use run_infsup for the stability sweep")
-    if config.levels < 2:
-        raise ConfigError("convergence runs need at least 2 levels")
     level_ids = list(range(config.levels - 1)) + [config.levels]
     results = [_solve_level(config, l) for l in level_ids]
     reference = results[-1]
@@ -469,8 +482,6 @@ def run_infsup(config: RunConfig) -> InfSupResult:
     if config.benchmark != "infsup":
         raise ConfigError("run_infsup requires the infsup benchmark id")
     n0 = config.base_spans[0]
-    if n0 < 1:
-        raise ConfigError("need at least one span")
     rows = []
     for level in range(config.levels):
         n = n0 * 2 ** level

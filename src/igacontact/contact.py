@@ -14,7 +14,6 @@ pinned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,12 +77,11 @@ def multiplier_basis(trace: BoundaryTrace, n_gauss: int | None = None) -> Multip
 def weighted_gap(values, basis: MultiplierBasis) -> np.ndarray:
     """Basis-weighted averages of a scalar field given at the basis quadrature points.
 
-    ``values`` may be an array of point values aligned with
-    ``basis.quadrature`` or a callable evaluated on the physical
-    quadrature points.
+    ``values`` holds the field at the points of ``basis.quadrature``, in
+    their order.
     """
     tq = basis.quadrature
-    v = np.asarray(values(tq.phys) if callable(values) else values, dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.shape != tq.weights.shape:
         raise ContactError("field values must align with the basis quadrature points")
     num = np.zeros(basis.n_multipliers)

@@ -310,22 +310,6 @@ def extract_trace(patch: NurbsPatch, face: int, rigid_normal=None) -> BoundaryTr
     )
 
 
-@dataclass(frozen=True)
-class MeshView:
-    """Element list of a patch with physical size estimates."""
-
-    bounds: np.ndarray  # (n_el, ndim, 2) parametric bounds
-    sizes: np.ndarray  # (n_el,) physical bounding-chord diameters
-
-    @property
-    def n_elements(self) -> int:
-        return self.bounds.shape[0]
-
-    @property
-    def h(self) -> float:
-        return float(self.sizes.max())
-
-
 def _element_sizes(knot_vectors, map_points) -> tuple[np.ndarray, np.ndarray]:
     """Parametric bounds and physical sizes of the elements of a tensor grid, elements in C-order.
 
@@ -347,34 +331,11 @@ def _element_sizes(knot_vectors, map_points) -> tuple[np.ndarray, np.ndarray]:
     return bounds, sizes
 
 
-def mesh_view(patch: NurbsPatch) -> MeshView:
-    """Elements as products of nonempty spans; h_Q from the 2^d mapped corners."""
-    return MeshView(*_element_sizes(patch.knot_vectors, patch.map_points))
+def mesh_view(patch: NurbsPatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element parametric bounds (n_el, d, 2) and physical sizes (n_el,) of a patch."""
+    return _element_sizes(patch.knot_vectors, patch.map_points)
 
 
 def trace_mesh_sizes(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray]:
     """Per-element parametric bounds and physical sizes of a boundary trace."""
     return _element_sizes(trace.space.space.knot_vectors, trace.map_points)
-
-
-def export_patch_text(patch: NurbsPatch, path) -> None:
-    """Plain-text patch dump: degrees, knot vectors, weights, control points.
-
-    Schema (whitespace separated, one section per line group):
-        dim <d>
-        degrees <p_1> ... <p_d>
-        knots <axis> <count> <values...>        (one line per axis)
-        weights <count> <values...>
-        control_points <count>                  followed by one point per line
-    """
-    lines = [f"dim {patch.ndim}", "degrees " + " ".join(str(p) for p in patch.degrees)]
-    for a, kv in enumerate(patch.knot_vectors):
-        vals = " ".join(f"{v:.17g}" for v in kv.knots)
-        lines.append(f"knots {a} {kv.knots.size} {vals}")
-    w = patch.space.weights
-    lines.append(f"weights {w.size} " + " ".join(f"{v:.17g}" for v in w))
-    lines.append(f"control_points {patch.space.dim}")
-    for row in patch.control_points:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

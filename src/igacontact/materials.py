@@ -66,17 +66,6 @@ class NeoHookeanMaterial:
     def lame(self) -> tuple[float, float]:
         return _lame(self.young, self.poisson)
 
-    def energy(self, F) -> np.ndarray:
-        F = np.asarray(F, dtype=float)
-        d = F.shape[-1]
-        mu, lam = self.lame()
-        J = np.linalg.det(F)
-        if np.any(J <= 0):
-            raise ElementInversionError("nonpositive deformation gradient determinant")
-        I1 = np.einsum("...ij,...ij->...", F, F)
-        lnJ = np.log(J)
-        return 0.5 * mu * (I1 - d) - mu * lnJ + 0.5 * lam * lnJ ** 2
-
     def pk1(self, F, J=None, F_inv=None, out=None) -> np.ndarray:
         """First Piola-Kirchhoff stress, batched over leading axes.
 

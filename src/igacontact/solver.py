@@ -27,7 +27,7 @@ iterate is not converged.  The factor of a step's last Newton solve
 serves the next step's first, with only its right-hand side replaced.
 A correction keeps the factor of the one before it, once, when Newton's
 quadratic rate predicts that a chord step on it converges (residual r,
-r_prev where that factor was built: ``kappa r^2 / r_prev <= newton_tol *
+r_prev where that factor was built: ``kappa r^2 / r_prev <= _NEWTON_TOL *
 ref``, the convergence test's bound), as a fresh factor then buys
 nothing; kappa, 1 at the start of a solve, is the largest factor by
 which a kept correction of the solve has missed that prediction.
@@ -59,18 +59,10 @@ class SolverError(RuntimeError):
     """Linear-solve failure, cycling, or iteration-cap overrun."""
 
 
-@dataclass(frozen=True)
-class SolveSettings:
-    max_active_set_iters: int = 60
-    max_newton_iters: int = 40
-    newton_tol: float = 1e-10
-    gap_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_active_set_iters < 1 or self.max_newton_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if self.newton_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
+_MAX_ACTIVE_SET_ITERS = 60  # saddle solves of one active-set loop
+_MAX_NEWTON_ITERS = 40  # Newton iterates of one load step
+_NEWTON_TOL = 1e-10  # |r_u| <= _NEWTON_TOL * max(|F_t|, |f_int|) is converged
+_GAP_TOL = 1e-10  # weighted-gap tolerance of the activity update and of complementarity
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,6 @@ class SolutionBundle:
     weighted_gap: np.ndarray
     measures: np.ndarray
     iterations: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
 
     @property
     def state(self) -> ContactState:
@@ -170,17 +161,16 @@ def _diagnose_saddle_failure(K, B_active, exc) -> str:
     return f"singular stiffness block: constraint deficiency ({exc})"
 
 
-def complementarity_ok(state: ContactState, gap_tol: float, pressure_scale: float = 1.0) -> bool:
+def complementarity_ok(state: ContactState, gap_tol: float) -> bool:
     """Discrete complementarity: feasible signs and vanishing products."""
     lam, wg = state.lam, state.weighted_gap
-    if np.any(lam > 1e-10 * pressure_scale):
+    if np.any(lam > 1e-10):
         return False
     inactive = ~state.active
     if np.any(wg[inactive] < -max(1e-8, 100 * gap_tol)):
         return False
-    floor = 1e-14 * pressure_scale
-    bound = 1e-8 * (np.abs(lam).max() * np.abs(wg).max() + floor)
-    return bool(np.abs(lam * wg).max() <= max(bound, floor))
+    bound = 1e-8 * (np.abs(lam).max() * np.abs(wg).max() + 1e-14)
+    return bool(np.abs(lam * wg).max() <= max(bound, 1e-14))
 
 
 @dataclass(frozen=True)
@@ -541,7 +531,7 @@ class _CondensedSaddle:
         return u, lam
 
 
-def _settle_active_set(saddle, active, gap, g, measures, settings, records=None):
+def _settle_active_set(saddle, active, gap, g, measures, records=None):
     """Active-set loop of one linear(ized) contact problem on the factor of ``saddle``.
 
     ``gap`` holds the gap integrals where the unknown x that ``saddle``
@@ -557,12 +547,12 @@ def _settle_active_set(saddle, active, gap, g, measures, settings, records=None)
     is given.  Returns x and the settled :class:`ContactState`.
     """
     layout = saddle.layout
-    gap_tol = settings.gap_tol
+    gap_tol = _GAP_TOL
     active = active.copy()
     seen: dict[bytes, int] = {}
     seeded = False
     it = 0
-    while it < settings.max_active_set_iters:
+    while it < _MAX_ACTIVE_SET_ITERS:
         it += 1
         act_idx = np.flatnonzero(active)
         try:
@@ -607,12 +597,10 @@ def _settle_active_set(saddle, active, gap, g, measures, settings, records=None)
         else:
             seen[key] = it
             active = new_state.active.copy()
-    raise SolverError(f"active-set loop did not converge in {settings.max_active_set_iters} iterations")
+    raise SolverError(f"active-set loop did not converge in {_MAX_ACTIVE_SET_ITERS} iterations")
 
 
-def solve_small_deformation(
-    problem: SmallDeformationProblem, settings: SolveSettings = SolveSettings()
-) -> SolutionBundle:
+def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
     """The active-set loop (:func:`_settle_active_set`) on the linear saddle problem.
 
     The assembled stiffness is factored once per call through a band layout that
@@ -632,15 +620,14 @@ def solve_small_deformation(
     Bhat = _masked_coupling(B, fixed, n)
     gap0 = problem.gap_integrals + B @ u_fix
     wg0 = gap0 / problem.measures
-    active = problem.initial_active.copy() if problem.initial_active is not None else wg0 <= settings.gap_tol
+    active = problem.initial_active.copy() if problem.initial_active is not None else wg0 <= _GAP_TOL
     # the rows expected active: the starting set, else the closest approach
     expected = active if active.any() else wg0 == wg0.min()
     order = _contact_order(system.grid_shape, system.n_comp, Bhat, expected)
     layout = _band_layout(K.indptr, K.indices, order, B, fixed)
     records: list[IterationRecord] = []
     u, state = _settle_active_set(
-        _CondensedSaddle(K, F, layout), active, problem.gap_integrals, -gap0, problem.measures, settings,
-        records,
+        _CondensedSaddle(K, F, layout), active, problem.gap_integrals, -gap0, problem.measures, records
     )
     return SolutionBundle(
         u=u,
@@ -649,7 +636,6 @@ def solve_small_deformation(
         weighted_gap=state.weighted_gap,
         measures=problem.measures,
         iterations=records,
-        converged=True,
     )
 
 
@@ -664,14 +650,9 @@ class LargeDeformationProblem:
     coupling: sp.csr_matrix
     gap_integrals: np.ndarray
     measures: np.ndarray
-    n_gauss: int | None = None
 
 
-def solve_large_deformation(
-    problem: LargeDeformationProblem,
-    settings: SolveSettings = SolveSettings(),
-    n_steps: int = 10,
-) -> SolutionBundle:
+def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10) -> SolutionBundle:
     """Incremental loading with Newton iterations, the active set settled on each Newton factor.
 
     Both tractions and prescribed displacements are scaled by the load
@@ -690,10 +671,10 @@ def solve_large_deformation(
     starts at the dofs in contact at u = 0, else the closest one.
     """
     patch = problem.patch
-    quad = patch_quadrature(patch, problem.n_gauss)
+    quad = patch_quadrature(patch)
     nd = patch.ndim
     n = patch.space.dim * nd
-    F_full = assemble_load(patch, problem.tractions, n_gauss=problem.n_gauss)
+    F_full = assemble_load(patch, problem.tractions)
     fixed = (
         np.fromiter(problem.constraints.keys(), dtype=np.int64)
         if problem.constraints
@@ -707,7 +688,7 @@ def solve_large_deformation(
     u = np.zeros(n)
     lam = np.zeros(B.shape[0])
     wg0 = problem.gap_integrals / measures
-    active = wg0 <= settings.gap_tol
+    active = wg0 <= _GAP_TOL
     if not active.any():
         active[int(np.argmin(wg0))] = True
     order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
@@ -730,8 +711,8 @@ def solve_large_deformation(
             carried.append((neo_hookean_residual(quad, problem.material, u), None))
         try:
             u, lam, active, wg, kappa, *carried, recs = _newton_contact_step(
-                problem, quad, settings, u, lam, active, layout, F_full * t_try, fixed,
-                vals_full * t_try, step, kappa, carried.pop(),
+                problem, quad, u, lam, active, layout, F_full * t_try, fixed, vals_full * t_try, step,
+                kappa, carried.pop(),
             )
         except (ElementInversionError, SolverError):
             halvings += 1
@@ -751,7 +732,6 @@ def solve_large_deformation(
         weighted_gap=wg,
         measures=measures,
         iterations=records,
-        converged=True,
     )
 
 
@@ -767,9 +747,7 @@ def _keeps_factor(res: float, factored_at: float, tol: float, kappa: float) -> b
     return factored_at > 0.0 and kappa * res * res / factored_at <= tol
 
 
-def _newton_contact_step(
-    problem, quad, settings, u0, lam0, active0, layout, F_t, fixed, vals_t, step, kappa, start
-):
+def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, vals_t, step, kappa, start):
     """Newton iterations of one load step from ``u0``.
 
     ``start`` is the pair ``(residual, saddle)``: the residual phase at
@@ -811,7 +789,7 @@ def _newton_contact_step(
     fresh = saddle is None  # the next solve factors the tangent at the current u
     factored_at = None  # residual norm where the last correction's factor was built, 0 if it was kept
     predicted = 0.0  # the residual a correction on a kept factor was predicted to leave, 0 if none
-    for it in range(1, settings.max_newton_iters + 1):
+    for it in range(1, _MAX_NEWTON_ITERS + 1):
         if it > 1:
             residual = neo_hookean_residual(quad, problem.material, u)
         f_int = residual.f_int
@@ -820,11 +798,11 @@ def _newton_contact_step(
         gap = problem.gap_integrals + Bc @ u[cols]
         wg = gap / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
-        new_state, changed = active_set_update(state, settings.gap_tol)
+        new_state, changed = active_set_update(state, _GAP_TOL)
         cur_idx = np.flatnonzero(active)
         ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30)
         res_u = np.linalg.norm(r_u)
-        converged = res_u <= settings.newton_tol * ref
+        converged = res_u <= _NEWTON_TOL * ref
         if predicted and not converged:
             kappa = max(kappa, res_u / predicted)  # the last kept factor missed its prediction
         predicted = 0.0
@@ -840,9 +818,7 @@ def _newton_contact_step(
             )
         )
         pending = bool(np.abs(dv).max() > 0.0) if dv.size else False
-        if not pending and changed == 0 and converged and complementarity_ok(
-            new_state, settings.gap_tol
-        ):
+        if not pending and changed == 0 and converged and complementarity_ok(new_state, _GAP_TOL):
             return u, new_state.lam, new_state.active, wg, kappa, (residual, saddle), records
         if first_res is None and not converged:
             # a converged residual carried over from the previous step is no scale: a
@@ -858,7 +834,7 @@ def _newton_contact_step(
             lam = new_state.lam
             continue  # exact equilibrium, only activity bookkeeping changed
         if factored_at is not None:
-            fresh = not _keeps_factor(res_u, factored_at, settings.newton_tol * ref, kappa)
+            fresh = not _keeps_factor(res_u, factored_at, _NEWTON_TOL * ref, kappa)
             if not fresh:
                 predicted = res_u * res_u / factored_at
         factored_at = res_u if fresh else 0.0
@@ -876,11 +852,11 @@ def _newton_contact_step(
             saddle = _CondensedSaddle(K_T, rhs_u, layout)
         else:
             saddle.set_rhs(rhs_u)
-        du, settled = _settle_active_set(saddle, active, gap, -(gap + Bc @ dv[cols]), measures, settings)
+        du, settled = _settle_active_set(saddle, active, gap, -(gap + Bc @ dv[cols]), measures)
         u = u + du
         lam, active = settled.lam, settled.active
         dv[:] = 0.0
-    raise SolverError(f"Newton did not converge in {settings.max_newton_iters} iterations")
+    raise SolverError(f"Newton did not converge in {_MAX_NEWTON_ITERS} iterations")
 
 
 def inf_sup_estimate(coupling_scalar, mass_primal, mass_multiplier) -> float:

@@ -86,26 +86,9 @@ class KnotVector:
         return self.spans.size
 
     def greville(self) -> np.ndarray:
-        """Greville abscissae (knot averages)."""
-        if self.degree == 0:
-            b = self.element_bounds
-            return 0.5 * (b[:, 0] + b[:, 1])
+        """Greville abscissae (knot averages) of a degree >= 1 knot vector."""
         p = self.degree
         return np.array([self.knots[i + 1 : i + p + 1].mean() for i in range(self.n_basis)])
-
-
-@dataclass(frozen=True)
-class BasisEvaluation:
-    """Nonzero basis functions at one point.
-
-    ``values[j]`` is function ``first_index + j``; ``derivatives`` rows
-    are orders 1..n in parametric units^-order (``None`` when no
-    derivatives were requested).
-    """
-
-    first_index: int
-    values: np.ndarray
-    derivatives: np.ndarray | None = None
 
 
 def make_open_knot_vector(breakpoints, degree, interior_multiplicities=None) -> KnotVector:
@@ -135,11 +118,6 @@ def make_open_knot_vector(breakpoints, degree, interior_multiplicities=None) -> 
         + [np.full(degree + 1, z[-1])]
     )
     return KnotVector(knots, degree)
-
-
-def find_span(kv: KnotVector, zeta: float) -> int:
-    """Knot span index containing ``zeta`` (right endpoint maps to the last span)."""
-    return int(find_spans(kv, np.array([zeta]))[0])
 
 
 def find_spans(kv: KnotVector, zetas) -> np.ndarray:
@@ -211,19 +189,12 @@ def _basis_tables(kv: KnotVector, spans: np.ndarray, z: np.ndarray, n_deriv: int
     return values, ders
 
 
-def eval_basis(kv: KnotVector, zeta: float, n_deriv: int = 0) -> BasisEvaluation:
-    """Values (and derivatives up to ``n_deriv``) of the p+1 nonzero functions at ``zeta``."""
-    if n_deriv < 0 or n_deriv > kv.degree:
-        raise SplineError("derivative order must lie in [0, degree]")
-    first, values, ders = eval_basis_batch(kv, np.array([zeta]), n_deriv)
-    return BasisEvaluation(int(first[0]), values[0], ders[0] if n_deriv else None)
-
-
 def eval_basis_batch(kv: KnotVector, zetas, n_deriv: int = 0):
-    """Batched version of :func:`eval_basis`.
+    """Values and derivatives up to ``n_deriv`` of the p+1 nonzero functions at each point.
 
     Returns ``(first_indices, values, derivatives)`` with shapes (m,),
-    (m, p+1) and (m, n_deriv, p+1).
+    (m, p+1) and (m, n_deriv, p+1); ``values[i, j]`` is function
+    ``first_indices[i] + j`` at point i.
     """
     z = np.asarray(zetas, dtype=float)
     spans = find_spans(kv, z)

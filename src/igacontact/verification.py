@@ -124,12 +124,7 @@ def _grid_fields(coefs: np.ndarray, mats, rows: slice):
     return f, np.stack(grads, axis=1)
 
 
-def displacement_errors(
-    coarse,
-    u_ref: np.ndarray,
-    patch_ref: NurbsPatch,
-    n_gauss: int | None = None,
-) -> list[tuple[float, float]]:
+def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> list[tuple[float, float]]:
     """Absolute L2 and full H1 norms of the difference of each coarse field from the reference.
 
     ``coarse`` is a sequence of ``(u, patch)`` pairs; one ``(L2, H1)``
@@ -141,7 +136,7 @@ def displacement_errors(
     per slab for all coarse fields.
     """
     nd = patch_ref.ndim
-    n_gauss = n_gauss or max(patch_ref.degrees) + 1
+    n_gauss = max(patch_ref.degrees) + 1
     ur = np.asarray(u_ref, dtype=float).reshape(-1, nd)
     # the abscissae and weights of the reference element blocks, element rows first
     tables = [_direction_tables(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
@@ -185,14 +180,14 @@ def displacement_errors(
     return [(math.sqrt(l2_sq), math.sqrt(l2_sq + h1_sq)) for l2_sq, h1_sq in sums.tolist()]
 
 
-def arc_coordinate_2d(trace: BoundaryTrace, n_samples: int = 4001):
+def arc_coordinate_2d(trace: BoundaryTrace):
     """Arc length from parameter 0 along a 1D trace.
 
     Returns a callable mapping a :class:`TraceQuadrature` (or any object
     with surface ``params``) to arc-length coordinates, built from a
-    trapezoidal table of the parametric speed.
+    trapezoidal table of the parametric speed at 4001 points.
     """
-    zs = np.linspace(0.0, 1.0, n_samples)
+    zs = np.linspace(0.0, 1.0, 4001)
     speed = trace.measures(zs[:, None])
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(zs))]
@@ -235,10 +230,10 @@ def multiplier_error_analytic(
     r_of,
     n_gauss: int = 8,
 ) -> float:
-    """L2 mismatch on the contact face between -lambda and the closed-form profile."""
+    """L2 mismatch on the contact face between -lambda and the closed-form profile at ``r_of(quadrature)``."""
     tq = build_trace_quadrature(basis.trace, n_gauss)
     p_h = multiplier_pressure_at(lam, basis, tq.params)
-    p = analytic.pressure_profile(r_of(tq) if callable(r_of) else np.asarray(r_of))
+    p = analytic.pressure_profile(r_of(tq))
     return math.sqrt(float(((p_h - p) ** 2 * tq.wmeas).sum()))
 
 

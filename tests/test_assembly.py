@@ -358,7 +358,7 @@ class TestLoads:
         assert abs(F[0::2].sum()) <= 1e-14
 
     def test_zero_data_zero_load(self):
-        F = assemble_load(unit_square_patch(2, 2))
+        F = assemble_load(unit_square_patch(2, 2), tractions={})
         assert np.all(F == 0.0)
 
     def test_quarter_disc_pressure_total(self):
@@ -370,11 +370,6 @@ class TestLoads:
     def test_unknown_face(self):
         with pytest.raises(Exception):
             assemble_load(unit_square_patch(2, 2), tractions={9: np.zeros(2)})
-
-    def test_body_force(self):
-        patch = unit_square_patch(2, 2)
-        F = assemble_load(patch, body=np.array([0.0, -2.0]))
-        assert abs(F[1::2].sum() + 2.0) <= 1e-12
 
 
 class TestConstraints:

@@ -98,6 +98,32 @@ class TestArgumentHandling:
         assert len(rows) == 2  # header + one level
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hertz2d", "--base-spans", "3,6,4"],
+        ["hertz3d", "--base-spans", "3,6"],
+        ["hertz2d", "--grading", "0.8,0.1,0.3"],
+        ["hertz2d", "--grading", "0.8,1.5"],
+        ["hertz2d", "--levels", "1"],
+        ["hertz2d", "--pressure", "-1"],
+        ["hertz2d", "--poisson", "0.5"],
+        ["hertz2d", "--young", "0"],
+        ["hertz2d", "--radius", "0"],
+        ["hertz2d-large", "--load-steps", "0"],
+        ["hertz2d-large", "--load-steps", "-3"],
+        ["infsup", "--base-spans", "4,4"],
+    ],
+    ids=" ".join,
+)
+def test_configuration_error_exits_2(argv, tmp_path, capsys):
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunOutputs:
     def test_tiny_run_files_and_headers(self, tmp_path):
         out = tmp_path / "run"

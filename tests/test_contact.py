@@ -70,7 +70,7 @@ class TestWeightedGap:
     def test_linear_field_single_element(self):
         trace, _ = flat_trace(1)
         basis = multiplier_basis(trace)
-        avg = weighted_gap(lambda x: x[:, 0], basis)
+        avg = weighted_gap(basis.quadrature.phys[:, 0], basis)
         assert avg.size == 1
         assert abs(avg[0] - 0.5) <= 1e-14  # int_0^1 x dx / int_0^1 dx
 

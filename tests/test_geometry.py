@@ -20,7 +20,6 @@ from igacontact.geometry import (
     SPHERE_OCTANT_CONTACT_FACE,
     GeometryError,
     elevate_bezier_degree,
-    export_patch_text,
     extract_trace,
     face_id,
     graded_breakpoints,
@@ -231,17 +230,16 @@ class TestExtractTrace:
 class TestMeshView:
     def test_partition_and_sizes(self):
         patch = unit_square_patch(2, 4)
-        mv = mesh_view(patch)
-        assert mv.n_elements == 16
-        np.testing.assert_allclose(mv.sizes, math.sqrt(2) / 4, atol=1e-14)
-        assert abs(mv.h - math.sqrt(2) / 4) <= 1e-14
+        bounds, sizes = mesh_view(patch)
+        assert bounds.shape == (16, 2, 2) and sizes.shape == (16,)
+        np.testing.assert_allclose(sizes, math.sqrt(2) / 4, atol=1e-14)
 
     def test_quasi_uniform_within_grading_bands(self):
         arc = graded_breakpoints(8, 0.8, 0.1)
         rad = graded_breakpoints_toward_end(8, 0.8, 0.1)
         patch = quarter_disc_patch(1.0).refine_to_breakpoints([rad[1:-1], arc[1:-1]])
-        mv = mesh_view(patch)
-        mids = 0.5 * (mv.bounds[:, :, 0] + mv.bounds[:, :, 1])
+        bounds, all_sizes = mesh_view(patch)
+        mids = 0.5 * (bounds[:, :, 0] + bounds[:, :, 1])
         band_r = mids[:, 0] > 0.9
         band_a = mids[:, 1] < 0.1
         for sel in (
@@ -250,7 +248,7 @@ class TestMeshView:
             ~band_r & band_a,
             ~band_r & ~band_a,
         ):
-            sizes = mv.sizes[sel]
+            sizes = all_sizes[sel]
             assert sizes.size > 0
             assert sizes.max() / sizes.min() <= 2.0
 
@@ -268,10 +266,10 @@ class TestMeshView:
         ids=["2d", "2d-p3", "3d"],
     )
     def test_sizes_match_corner_oracle(self, patch):
-        mv = mesh_view(patch)
+        mv_bounds, mv_sizes = mesh_view(patch)
         bounds, sizes = corner_sizes(patch.knot_vectors, patch.map_points, patch.ndim)
-        assert np.array_equal(mv.bounds, bounds)
-        assert np.abs(mv.sizes - sizes).max() <= 1e-14 * sizes.max()
+        assert np.array_equal(mv_bounds, bounds)
+        assert np.abs(mv_sizes - sizes).max() <= 1e-14 * sizes.max()
         face = QUARTER_DISC_CONTACT_FACE if patch.ndim == 2 else SPHERE_OCTANT_CONTACT_FACE
         trace = extract_trace(patch, face)
         t_bounds, t_sizes = trace_mesh_sizes(trace)
@@ -289,20 +287,3 @@ class TestDegreeElevation:
         pts = rng.uniform(0, 1, (40, 2))
         np.testing.assert_allclose(cubic.map_points(pts), base.map_points(pts), atol=1e-14)
 
-
-class TestPatchExport:
-    def test_export_round_trip(self, tmp_path):
-        patch = quarter_disc_patch(1.0)
-        path = tmp_path / "patch.txt"
-        export_patch_text(patch, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "dim 2"
-        assert lines[1] == "degrees 2 2"
-        knot_lines = [ln for ln in lines if ln.startswith("knots ")]
-        assert len(knot_lines) == 2
-        w_line = next(ln for ln in lines if ln.startswith("weights "))
-        w = np.array([float(v) for v in w_line.split()[2:]])
-        np.testing.assert_allclose(w, patch.space.weights)
-        start = lines.index(f"control_points {patch.space.dim}") + 1
-        ctrl = np.array([[float(v) for v in ln.split()] for ln in lines[start:]])
-        np.testing.assert_allclose(ctrl, patch.control_points)

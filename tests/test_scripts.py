@@ -1,12 +1,14 @@
-"""The shipped scripts exit 0 and write their output files.
+"""The shipped scripts exit 0 and write their output files; the benchmark harness finds its targets.
 
 Each script runs in a subprocess, in a temporary directory where it
 writes its ``out/`` tree, with ``src`` on ``PYTHONPATH``.  Together they
 take about 35 s and up to 1.4 GB of memory, so they run only with
-``pytest --run-scripts``.
+``pytest --run-scripts``.  The harness check always runs.
 """
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +41,20 @@ def test_script_exits_0_and_writes_its_files(script, tmp_path):
         for name in names:
             path = tmp_path / out / name
             assert path.is_file() and path.stat().st_size > 0, f"{script} wrote no {out}/{name}"
+
+
+def test_every_benchmark_wrap_target_resolves():
+    """Every name ``perfbench/tracer.py`` wraps exists in the package, so no harness metric goes missing."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines the target lists; installs nothing
+    targets = tracer.SETUP_TARGETS + tracer.LAYER_TARGETS + tracer.GENERATOR_TARGETS
+    missing = []
+    for _, module, path in targets:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert targets
+    assert missing == []

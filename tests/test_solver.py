@@ -40,7 +40,6 @@ from igacontact.geometry import SPHERE_OCTANT_CONTACT_FACE, extract_trace, face_
 from igacontact.materials import LinearMaterial
 from igacontact.solver import (
     SmallDeformationProblem,
-    SolveSettings,
     SolverError,
     band_order,
     complementarity_ok,
@@ -135,7 +134,7 @@ class TestSaddleSolve:
     def test_matrix_matches_bmat(self, monkeypatch):
         # a Newton-like tangent: not bitwise symmetric, with an explicit zero,
         # a row of unsorted column indices and a duplicate entry
-        problem, _ = hertz2d_level1()
+        problem = hertz2d_level1()
         K, F, Bhat, g = condensed_inputs(problem)
         K = K.tocsr(copy=True)
         rows = np.flatnonzero(np.diff(K.indptr) > 3)
@@ -183,7 +182,6 @@ class TestSmallDeformation:
             n=2, plane_offset=-0.1, traction=(0.0, 0.05), fix_top=True
         )
         bundle = solve_small_deformation(problem)
-        assert bundle.converged
         assert bundle.active.sum() == 0
         assert len(bundle.iterations) == 1
         np.testing.assert_array_equal(bundle.lam, 0.0)
@@ -192,7 +190,6 @@ class TestSmallDeformation:
         P = 0.05
         problem, patch, basis = square_contact_problem(n=3, traction=(0.0, -P))
         bundle = solve_small_deformation(problem)
-        assert bundle.converged
         assert bundle.active.all()
         np.testing.assert_allclose(bundle.lam, -P, atol=1e-12)
         assert complementarity_ok(bundle.state, 1e-10)
@@ -215,9 +212,8 @@ class TestSmallDeformation:
         config = RunConfig(benchmark="hertz2d", pressure=0.003, base_spans=(6, 6), levels=2)
         patch = quarter_disc_level_patch(config, 2)
         problem, setup = build_hertz2d_problem(patch, config)
-        bundle = solve_small_deformation(problem, config.settings)
-        assert bundle.converged
-        assert complementarity_ok(bundle.state, config.settings.gap_tol)
+        bundle = solve_small_deformation(problem)
+        assert complementarity_ok(bundle.state, solver._GAP_TOL)
         analytic = hertz_2d(1.0, 1.0, 0.3, 0.003)
         r_of = arc_coordinate_2d(setup.trace)
         from igacontact.benchmarks import active_region_extent
@@ -248,20 +244,18 @@ class TestSmallDeformation:
             assert bundle.u[d] == v
         assert bundle.iterations[-1].residual_u <= 1e-12 * np.linalg.norm(F)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # positive initial gap: the first pass only seeds, so one iteration cannot finish
         problem, _, _ = square_contact_problem(n=2, plane_offset=-0.05, traction=(0.0, -0.2))
-        with pytest.raises(SolverError):
-            solve_small_deformation(
-                problem, SolveSettings(max_active_set_iters=1, gap_tol=1e-10)
-            )
+        monkeypatch.setattr(solver, "_MAX_ACTIVE_SET_ITERS", 1)
+        with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+            solve_small_deformation(problem)
 
     def test_gap_closing_punch(self):
         # body must translate down 0.05 before touching; solution compresses uniformly
         P = 0.2
         problem, _, _ = square_contact_problem(n=2, plane_offset=-0.05, traction=(0.0, -P))
         bundle = solve_small_deformation(problem)
-        assert bundle.converged
         assert bundle.active.all()
         np.testing.assert_allclose(bundle.lam, -P, atol=1e-11)
         np.testing.assert_allclose(bundle.weighted_gap, 0.0, atol=1e-11)
@@ -283,19 +277,19 @@ def hertz2d_level1():
     config = RunConfig(
         benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1)
     )
-    return build_hertz2d_problem(quarter_disc_level_patch(config, 1), config)[0], config
+    return build_hertz2d_problem(quarter_disc_level_patch(config, 1), config)[0]
 
 
 def hertz3d_level0():
     config = RunConfig(benchmark="hertz3d", levels=2)
-    return build_hertz3d_problem(sphere_octant_level_patch(config, 0), config)[0], config
+    return build_hertz3d_problem(sphere_octant_level_patch(config, 0), config)[0]
 
 
 def linear_case(build):
     """Condensed-solve inputs of a linear problem: warm-start, converged and random active sets."""
-    problem, config = build()
+    problem = build()
     K, F, Bhat, g = condensed_inputs(problem)
-    converged = solve_small_deformation(problem, config.settings).active
+    converged = solve_small_deformation(problem).active
     rng = np.random.default_rng(17)
     subset = rng.random(converged.size) < 0.5
     subset[rng.integers(converged.size)] = True
@@ -510,7 +504,7 @@ class TestBandLayout:
     def test_dense_coupling_matches_sparse(self, build):
         # the dense block over the coupled dofs gives the sparse products, and its
         # masked rows placed in band order are the rows of Bhat P^T
-        problem, _ = build()
+        problem = build()
         system = problem.system
         B = problem.coupling
         n, m = system.n_dofs, B.shape[0]
@@ -726,9 +720,9 @@ class TestCondensedSaddle:
             solver._band_sweep(np.array([[0.0, 1.0], [1e-300, 1.0]]), np.array([1e300, 1.0]), "T")
 
     def test_one_factorization_per_solve(self, monkeypatch):
-        problem, config = hertz2d_level1()
+        problem = hertz2d_level1()
         calls = count_factorizations(monkeypatch)
-        bundle = solve_small_deformation(problem, config.settings)
+        bundle = solve_small_deformation(problem)
         assert len(bundle.iterations) >= 3
         assert calls == [problem.system.n_dofs]
 
@@ -762,8 +756,7 @@ class TestLargeDeformation:
         )
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=1)
-        assert bundle.converged
+        bundle = solve_large_deformation(problem, n_steps=1)
         assert np.abs(bundle.u).max() <= 1e-12
 
     def test_tiny_load_matches_linear_solution(self):
@@ -773,9 +766,9 @@ class TestLargeDeformation:
         lin_problem, _ = build_hertz2d_problem(
             patch, RunConfig(benchmark="hertz2d", pressure=P, base_spans=(4, 4), levels=2)
         )
-        lin = solve_small_deformation(lin_problem, config.settings)
+        lin = solve_small_deformation(lin_problem)
         nl_problem, _ = build_large_deformation_problem(patch, config)
-        nl = solve_large_deformation(nl_problem, config.settings, n_steps=1)
+        nl = solve_large_deformation(nl_problem, n_steps=1)
         scale = np.abs(lin.u).max()
         assert np.abs(nl.u - lin.u).max() <= 1e-4 * scale
 
@@ -792,7 +785,7 @@ class TestLargeDeformation:
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=2)
+        bundle = solve_large_deformation(problem, n_steps=2)
         assert len(bundle.iterations) > 2
         assert len(passes) == 1 and passes[0] is patch
 
@@ -806,7 +799,7 @@ class TestLargeDeformation:
         calls = count_factorizations(monkeypatch)
         attempts = count_step_attempts(monkeypatch)
         kept = count_kept_factors(monkeypatch)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=3)
+        bundle = solve_large_deformation(problem, n_steps=3)
         steps = {r.step for r in bundle.iterations}
         assert steps == {1, 2, 3} and len(attempts) == len(steps)  # no step halved
         # the last iteration of every step converged and solved nothing
@@ -832,8 +825,8 @@ class TestLargeDeformation:
         calls = count_factorizations(monkeypatch)
         empty = np.zeros(problem.coupling.shape[0], dtype=bool)
         *_, records = solver._newton_contact_step(
-            problem, quad, config.settings, np.zeros(n),
-            np.zeros(empty.size), empty, layout, F_t, fixed, np.zeros(fixed.size), 1, 1.0,
+            problem, quad, np.zeros(n), np.zeros(empty.size), empty, layout, F_t, fixed,
+            np.zeros(fixed.size), 1, 1.0,
             (neo_hookean_residual(quad, problem.material, np.zeros(n)), None),
         )
         seeded = int(np.argmin(problem.gap_integrals / problem.measures))
@@ -850,7 +843,7 @@ class TestLargeDeformation:
         config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 1)
         problem, _ = build_large_deformation_problem(patch, config)
-        half = solve_large_deformation(problem, config.settings, n_steps=4)  # a deformed state
+        half = solve_large_deformation(problem, n_steps=4)  # a deformed state
         quad = patch_quadrature(patch)
         n = patch.space.dim * 2
         fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
@@ -862,7 +855,7 @@ class TestLargeDeformation:
         layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, problem.coupling, fixed)
         settled = record_settled(monkeypatch)
         solver._newton_contact_step(
-            problem, quad, config.settings, half.u, half.lam, half.active, layout, F_t, fixed,
+            problem, quad, half.u, half.lam, half.active, layout, F_t, fixed,
             np.zeros(fixed.size), 1, 1.0, (residual, None),
         )
         du, state = settled[0]
@@ -878,7 +871,7 @@ class TestLargeDeformation:
             gap_integrals=problem.gap_integrals + problem.coupling @ half.u,
             measures=problem.measures,
         )
-        oracle = solve_small_deformation(linear, config.settings)
+        oracle = solve_small_deformation(linear)
         assert state.active.any() and np.array_equal(state.active, oracle.active)
         assert not np.array_equal(state.active, half.active)  # the loop changed the set
         assert np.abs(du - oracle.u).max() <= 1e-10 * np.abs(oracle.u).max()
@@ -920,7 +913,7 @@ class TestLargeDeformation:
         residuals = count_calls(monkeypatch, solver, "neo_hookean_residual")
         tangents = count_calls(monkeypatch, solver, "neo_hookean_tangent")
         factorizations = count_factorizations(monkeypatch)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=3)
+        bundle = solve_large_deformation(problem, n_steps=3)
         steps = {r.step for r in bundle.iterations}
         assert steps == {1, 2, 3}
         assert len(residuals) == len(bundle.iterations) - (len(steps) - 1)
@@ -944,10 +937,10 @@ class TestLargeDeformation:
 
         factorizations = count_factorizations(monkeypatch)
         kept = count_kept_factors(monkeypatch)
-        carried = solve_large_deformation(problem, config.settings, n_steps=3)
+        carried = solve_large_deformation(problem, n_steps=3)
         reusing, kept_carried = len(factorizations), sum(kept)
         monkeypatch.setattr(solver, "_newton_contact_step", fresh)
-        evaluated = solve_large_deformation(problem, config.settings, n_steps=3)
+        evaluated = solve_large_deformation(problem, n_steps=3)
         assert len({r.step for r in carried.iterations}) == 3
         # one factorization per solve afresh, less the 2 corrections that keep the last
         # factor, and two fewer again when steps 2 and 3 reuse one
@@ -964,11 +957,11 @@ class TestLargeDeformation:
         problem, _ = build_large_deformation_problem(patch, config)
         factorizations = count_factorizations(monkeypatch)
         kept = count_kept_factors(monkeypatch)
-        chord = solve_large_deformation(problem, config.settings, n_steps=5)
+        chord = solve_large_deformation(problem, n_steps=5)
         chord_factorizations = len(factorizations)
         assert sum(kept) > 0
         monkeypatch.setattr(solver, "_keeps_factor", lambda *args: False)
-        fresh = solve_large_deformation(problem, config.settings, n_steps=5)
+        fresh = solve_large_deformation(problem, n_steps=5)
         assert len(factorizations) - chord_factorizations > chord_factorizations
         assert np.array_equal(chord.active, fresh.active)
         assert np.abs(chord.u - fresh.u).max() <= 1e-10 * np.abs(fresh.u).max()
@@ -1041,7 +1034,7 @@ class TestLargeDeformation:
                 if cur != prev:
                     left.add(prev)
                     assert cur not in left, f"active set recurs in step {records[0].step}"
-        tol = config.settings.newton_tol
+        tol = solver._NEWTON_TOL
         for records, states, f_norms, F_norm in steps:
             released = np.zeros_like(states[0][0])
             for rec, f_norm, (active, tension), (nxt, _) in zip(records, f_norms, states, states[1:]):
@@ -1059,9 +1052,8 @@ class TestLargeDeformation:
         )
         patch = quarter_disc_level_patch(config, 1)
         problem, setup = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, config.settings, n_steps=5)
-        assert bundle.converged
-        assert complementarity_ok(bundle.state, config.settings.gap_tol)
+        bundle = solve_large_deformation(problem, n_steps=5)
+        assert complementarity_ok(bundle.state, solver._GAP_TOL)
         # single-humped pressure: active multipliers peak at the pole side
         lam_act = -bundle.lam[bundle.active]
         assert lam_act.max() > 0

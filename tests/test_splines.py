@@ -14,9 +14,8 @@ from igacontact.splines import (
     SplineError,
     TensorSpace,
     WeightedSpace,
-    eval_basis,
     eval_basis_batch,
-    find_span,
+    find_spans,
     insertion_matrix,
     interior_knot_vector,
     make_open_knot_vector,
@@ -24,10 +23,16 @@ from igacontact.splines import (
 )
 
 
+def eval_at(kv, z, n_deriv=0):
+    """Basis functions at one point through eval_basis_batch: (first index, values, derivative rows)."""
+    first, values, ders = eval_basis_batch(kv, np.array([z]), n_deriv)
+    return int(first[0]), values[0], ders[0]
+
+
 def knot_insertion(kv, controls, zeta_new):
     """Oracle: Boehm insertion of a single knot; leading axis of ``controls`` indexes basis functions."""
     p, U = kv.degree, kv.knots
-    k = find_span(kv, zeta_new)
+    k = int(find_spans(kv, [zeta_new])[0])
     out = np.empty((controls.shape[0] + 1,) + controls.shape[1:])
     out[: k - p + 1] = controls[: k - p + 1]
     out[k + 1 :] = controls[k:]
@@ -111,44 +116,44 @@ class TestMakeOpenKnotVector:
 class TestFindSpan:
     def test_single_span(self):
         kv = make_open_knot_vector([0, 1], 2)
-        assert find_span(kv, 0.5) == 2
+        assert find_spans(kv, [0.5])[0] == 2
 
     def test_second_span(self):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
-        assert find_span(kv, 0.75) == 3
+        assert find_spans(kv, [0.75])[0] == 3
 
     def test_right_endpoint_maps_to_last_span(self):
         kv = make_open_knot_vector([0, 1], 2)
-        assert find_span(kv, 1.0) == 2
+        assert find_spans(kv, [1.0])[0] == 2
 
     def test_outside_domain_raises(self):
         kv = make_open_knot_vector([0, 1], 2)
         with pytest.raises(SplineError):
-            find_span(kv, 1.5)
+            find_spans(kv, [1.5])
 
 
 class TestEvalBasis:
     def test_quadratic_bernstein_midpoint(self):
         kv = make_open_knot_vector([0, 1], 2)
-        ev = eval_basis(kv, 0.5)
-        assert ev.first_index == 0
-        np.testing.assert_allclose(ev.values, [0.25, 0.5, 0.25], atol=1e-15)
+        first, values, _ = eval_at(kv, 0.5)
+        assert first == 0
+        np.testing.assert_allclose(values, [0.25, 0.5, 0.25], atol=1e-15)
 
     @given(open_knot_vectors(), st.floats(min_value=0.0, max_value=1.0))
     def test_partition_of_unity(self, kv, z):
-        ev = eval_basis(kv, z)
-        assert abs(ev.values.sum() - 1.0) <= 1e-12
-        assert np.all(ev.values >= -1e-15)
+        _, values, _ = eval_at(kv, z)
+        assert abs(values.sum() - 1.0) <= 1e-12
+        assert np.all(values >= -1e-15)
 
     def test_derivative_matches_finite_differences(self):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         z, h = 0.25, 1e-6
-        ev = eval_basis(kv, z, n_deriv=1)
-        assert abs(ev.derivatives[0].sum()) <= 1e-10
-        plus = eval_basis(kv, z + h).values
-        minus = eval_basis(kv, z - h).values
+        _, _, ders = eval_at(kv, z, n_deriv=1)
+        assert abs(ders[0].sum()) <= 1e-10
+        plus = eval_at(kv, z + h)[1]
+        minus = eval_at(kv, z - h)[1]
         fd = (plus - minus) / (2 * h)
-        np.testing.assert_allclose(ev.derivatives[0], fd, atol=1e-6)
+        np.testing.assert_allclose(ders[0], fd, atol=1e-6)
 
     @given(open_knot_vectors())
     @settings(max_examples=40)
@@ -156,8 +161,8 @@ class TestEvalBasis:
         if kv.degree < 1:
             return
         z = 0.37
-        ev = eval_basis(kv, z, n_deriv=min(2, kv.degree))
-        for row in ev.derivatives:
+        _, _, ders = eval_at(kv, z, n_deriv=min(2, kv.degree))
+        for row in ders:
             scale = max(np.abs(row).max(), 1.0)
             assert abs(row.sum()) <= 1e-10 * scale
 
@@ -165,11 +170,11 @@ class TestEvalBasis:
         kv = make_open_knot_vector(np.linspace(0, 1, 6), 3)
         rng = np.random.default_rng(7)
         for z in rng.uniform(0, 1, 50):
-            ev = eval_basis(kv, z)
-            assert ev.values.size == kv.degree + 1
+            first, values, _ = eval_at(kv, z)
+            assert values.size == kv.degree + 1
             # function i vanishes outside [knots[i], knots[i+p+1]]
-            for j, v in enumerate(ev.values):
-                i = ev.first_index + j
+            for j, v in enumerate(values):
+                i = first + j
                 if v > 1e-14:
                     assert kv.knots[i] <= z <= kv.knots[i + kv.degree + 1]
 
@@ -183,12 +188,10 @@ class TestEvalBasis:
 
     def test_degree_zero_indicators(self):
         kv = KnotVector(np.array([0.0, 0.5, 1.0]), 0)
-        ev = eval_basis(kv, 0.25)
-        assert ev.first_index == 0 and ev.values[0] == 1.0
-        ev = eval_basis(kv, 0.5)
-        assert ev.first_index == 1  # half-open convention
-        ev = eval_basis(kv, 1.0)
-        assert ev.first_index == 1  # right endpoint stays in the last element
+        first, values, _ = eval_at(kv, 0.25)
+        assert first == 0 and values[0] == 1.0
+        assert eval_at(kv, 0.5)[0] == 1  # half-open convention
+        assert eval_at(kv, 1.0)[0] == 1  # right endpoint stays in the last element
 
 
 class TestNurbsBasis:
@@ -196,9 +199,9 @@ class TestNurbsBasis:
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         ws = WeightedSpace(TensorSpace((kv,)), np.ones(kv.n_basis))
         idx, vals, _ = ws.eval_many([[0.3]])
-        ev = eval_basis(kv, 0.3)
-        np.testing.assert_allclose(vals[0], ev.values, atol=1e-15)
-        assert idx[0, 0] == ev.first_index
+        first, values, _ = eval_at(kv, 0.3)
+        np.testing.assert_allclose(vals[0], values, atol=1e-15)
+        assert idx[0, 0] == first
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_rational_partition_of_unity(self, z):
@@ -241,8 +244,8 @@ class TestKnotInsertion:
         c2 = T @ controls
         zs = np.linspace(0, 1, 10)
         for z in zs:
-            ev = eval_basis(kv2, z)
-            val = ev.values @ c2[ev.first_index : ev.first_index + kv2.degree + 1]
+            first, values, _ = eval_at(kv2, z)
+            val = values @ c2[first : first + kv2.degree + 1]
             assert abs(val - z) <= 1e-14
 
     def test_insertions_commute(self):
@@ -265,8 +268,8 @@ class TestKnotInsertion:
         controls = rng.normal(size=(4, 2))
 
         def sample(k, c, z):
-            ev = eval_basis(k, z)
-            return ev.values @ c[ev.first_index : ev.first_index + k.degree + 1]
+            first, values, _ = eval_at(k, z)
+            return values @ c[first : first + k.degree + 1]
 
         before = np.array([sample(kv, controls, z) for z in np.linspace(0, 1, 17)])
         kv2, T = insertion_matrix(kv, [0.3])
@@ -402,8 +405,8 @@ class TestTensorSpace:
         ts = TensorSpace((kvx, kvy))
         pt = np.array([[0.3, 0.7]])
         idx, vals, _ = ts.eval_many(pt)
-        ex, ey = eval_basis(kvx, 0.3), eval_basis(kvy, 0.7)
-        expected = np.outer(ex.values, ey.values).ravel()
+        (fx, vx, _), (fy, vy, _) = eval_at(kvx, 0.3), eval_at(kvy, 0.7)
+        expected = np.outer(vx, vy).ravel()
         np.testing.assert_allclose(vals[0], expected, atol=1e-15)
-        multi0 = (ex.first_index, ey.first_index)
+        multi0 = (fx, fy)
         assert idx[0, 0] == np.ravel_multi_index(multi0, ts.n_basis)
