@@ -1,7 +1,6 @@
 """NURBS-based mixed finite element solver for frictionless rigid-plane contact."""
 
 from .assembly import (
-    GlobalSystem,
     QuadratureRule,
     apply_constraints,
     assemble_load,
@@ -57,12 +56,11 @@ from .verification import (
 __all__ = [
     "active_set_update", "apply_constraints", "assemble_load", "assemble_stiffness",
     "BoundaryTrace", "ContactState", "coupling_matrix", "displacement_errors", "extract_trace",
-    "fit_rate", "GapField", "gauss_rule", "GlobalSystem", "graded_breakpoints", "hertz_2d",
-    "hertz_3d", "HertzAnalytic", "inf_sup_estimate", "insertion_matrix", "interior_knot_vector",
-    "KnotVector", "LinearMaterial", "make_open_knot_vector", "mesh_view", "multiplier_basis",
+    "fit_rate", "GapField", "gauss_rule", "graded_breakpoints", "hertz_2d", "hertz_3d",
+    "HertzAnalytic", "inf_sup_estimate", "insertion_matrix", "interior_knot_vector", "KnotVector",
+    "LinearMaterial", "make_open_knot_vector", "mesh_view", "multiplier_basis",
     "multiplier_error_analytic", "multiplier_error_reference", "multiplier_space",
     "MultiplierBasis", "neo_hookean_forces", "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule",
     "quarter_disc_patch", "saddle_solve", "SolutionBundle", "solve_large_deformation",
-    "solve_small_deformation", "sphere_octant_patch", "TensorSpace", "weighted_gap",
-    "WeightedSpace",
+    "solve_small_deformation", "sphere_octant_patch", "TensorSpace", "weighted_gap", "WeightedSpace",
 ]

@@ -29,7 +29,7 @@ bitwise reproducible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -305,25 +305,7 @@ def _swap_correction(ke: np.ndarray, w: np.ndarray, c_swap: np.ndarray) -> None:
             ke[:, :, k, :, i] += X
 
 
-@dataclass
-class GlobalSystem:
-    """Sparse stiffness, load vector, dof numbering and Dirichlet data.
-
-    ``grid_shape`` is the patch's basis grid, flat C-order basis indices.
-    """
-
-    stiffness: sp.csr_matrix
-    load: np.ndarray
-    grid_shape: tuple[int, ...]
-    n_comp: int
-    constraints: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def n_dofs(self) -> int:
-        return int(np.prod(self.grid_shape)) * self.n_comp
-
-
-def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> GlobalSystem:
+def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> sp.csr_matrix:
     """Linear elastic stiffness of the isoparametric displacement space.
 
     The material is isotropic, so the kernel needs only its Lame
@@ -346,12 +328,7 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> GlobalSystem:
             ke[:, :, i, :, i] += grad
         plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
         start += ce
-    return GlobalSystem(
-        stiffness=plan.matrix(data),
-        load=np.zeros(patch.space.dim * nd),
-        grid_shape=patch.space.space.n_basis,
-        n_comp=nd,
-    )
+    return plan.matrix(data)
 
 
 @dataclass(frozen=True)

@@ -191,11 +191,10 @@ def sphere_octant_level_patch(config: RunConfig, level: int) -> NurbsPatch:
 
 @dataclass
 class ContactSetup:
-    """Trace, multiplier basis, rigid-plane gap data and coupling of one mesh."""
+    """Trace, multiplier basis, coupling and rigid-plane gap integrals of one mesh."""
 
     trace: BoundaryTrace
     basis: MultiplierBasis
-    gap: GapField
     coupling: object
     gap_integrals: np.ndarray
 
@@ -204,13 +203,10 @@ def _contact_setup(patch: NurbsPatch, contact_face: int, normal, offset: float) 
     normal = np.asarray(normal, dtype=float)
     trace = extract_trace(patch, contact_face, normal)
     basis = multiplier_basis(trace)
-    gap = GapField(trace=trace, normal=normal, offset=offset)
-    g0 = gap.gap_at(basis.quadrature.params)
+    g0 = GapField(trace=trace, normal=normal, offset=offset).gap_at(basis.quadrature.params)
     gap_integrals = weighted_gap(g0, basis) * basis.measures
     coupling = coupling_matrix(basis, patch.ndim, patch.space.dim)
-    return ContactSetup(
-        trace=trace, basis=basis, gap=gap, coupling=coupling, gap_integrals=gap_integrals
-    )
+    return ContactSetup(trace=trace, basis=basis, coupling=coupling, gap_integrals=gap_integrals)
 
 
 def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np.ndarray | None:
@@ -234,14 +230,12 @@ def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig):
     setup = _contact_setup(
         patch, QUARTER_DISC_CONTACT_FACE, [-1.0, 0.0], -config.radius
     )
-    system = assemble_stiffness(patch, mat)
-    system.load = assemble_load(
-        patch, tractions={QUARTER_DISC_LOAD_FACE: np.array([config.pressure, 0.0])}
-    )
-    system.constraints = dirichlet_on_face(patch, QUARTER_DISC_SYMMETRY_FACE, component=1)
     analytic = hertz_2d(config.radius, config.young, config.poisson, config.pressure)
     problem = SmallDeformationProblem(
-        system=system,
+        patch=patch,
+        stiffness=assemble_stiffness(patch, mat),
+        load=assemble_load(patch, {QUARTER_DISC_LOAD_FACE: np.array([config.pressure, 0.0])}),
+        constraints=dirichlet_on_face(patch, QUARTER_DISC_SYMMETRY_FACE, component=1),
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
@@ -256,17 +250,15 @@ def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig):
     setup = _contact_setup(
         patch, SPHERE_OCTANT_CONTACT_FACE, [0.0, 0.0, 1.0], -config.radius
     )
-    system = assemble_stiffness(patch, mat)
-    system.load = assemble_load(
-        patch, tractions={SPHERE_OCTANT_LOAD_FACE: np.array([0.0, 0.0, -config.pressure])}
-    )
-    system.constraints = merge_constraints(
-        dirichlet_on_face(patch, SPHERE_OCTANT_SYMMETRY_FACES[0], component=1),
-        dirichlet_on_face(patch, SPHERE_OCTANT_SYMMETRY_FACES[1], component=0),
-    )
     analytic = hertz_3d(config.radius, config.young, config.poisson, config.pressure)
     problem = SmallDeformationProblem(
-        system=system,
+        patch=patch,
+        stiffness=assemble_stiffness(patch, mat),
+        load=assemble_load(patch, {SPHERE_OCTANT_LOAD_FACE: np.array([0.0, 0.0, -config.pressure])}),
+        constraints=merge_constraints(
+            dirichlet_on_face(patch, SPHERE_OCTANT_SYMMETRY_FACES[0], component=1),
+            dirichlet_on_face(patch, SPHERE_OCTANT_SYMMETRY_FACES[1], component=0),
+        ),
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,

@@ -86,6 +86,9 @@ def build_run_config(benchmark: str, options: dict) -> RunConfig:
         "base_spans": _ints,
         "load_steps": int,
     }
+    unknown = sorted(set(options) - set(mapping))
+    if unknown:
+        raise ConfigError(f"unknown option(s) {', '.join(unknown)}; known: {', '.join(mapping)}")
     for key, conv in mapping.items():
         value = options.get(key)
         if value is None:
@@ -98,13 +101,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     options: dict = {}
-    benchmark = args.benchmark
     try:
         if args.config:
             options.update(parse_config_file(args.config))
-            benchmark = benchmark or options.pop("benchmark", None)
-        else:
-            options.pop("benchmark", None)
+        from_file = options.pop("benchmark", None)
+        benchmark = args.benchmark or from_file
         if benchmark is None:
             print(_USAGE, file=sys.stderr)
             return 2

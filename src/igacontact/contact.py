@@ -148,7 +148,7 @@ class ContactState:
         return int(self.active.sum())
 
 
-def active_set_update(state: ContactState, gap_tol: float = 0.0) -> tuple[ContactState, int]:
+def active_set_update(state: ContactState, gap_tol: float) -> tuple[ContactState, int]:
     """One pass of the optimality operator on (multiplier, weighted gap) pairs.
 
     Componentwise: zero multiplier keeps a dof inactive when its gap is
@@ -156,18 +156,10 @@ def active_set_update(state: ContactState, gap_tol: float = 0.0) -> tuple[Contac
     it active; a positive multiplier (infeasible sign) is reset to zero
     and the dof deactivated.
     """
-    lam = state.lam.copy()
-    new_active = np.empty_like(state.active)
-    for k in range(lam.size):
-        if lam[k] < 0.0:
-            new_active[k] = True
-        elif lam[k] > 0.0:
-            new_active[k] = False
-            lam[k] = 0.0
-        else:
-            new_active[k] = state.weighted_gap[k] < -gap_tol
+    lam = state.lam
+    new_active = np.where(lam != 0.0, lam < 0.0, state.weighted_gap < -gap_tol)
+    lam = np.where(new_active, lam, 0.0)
     changed = int((new_active != state.active).sum())
-    lam[~new_active] = 0.0
     return replace(state, lam=lam, active=new_active), changed
 
 

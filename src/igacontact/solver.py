@@ -7,11 +7,15 @@ each saddle solve is then a small dense system in the active
 multipliers (:class:`_CondensedSaddle`).  The factorization is followed
 by two forward sweeps, of the load and of the shift's unit vector, and
 each solve by one back sweep for u; the triangular sweeps call LAPACK
-directly.  The grid is walked towards the contact rows expected active,
-so that their columns of the condensation come last in the band.  The
-band layout of a CSR pattern (order, fixed dofs, gather indices, and the
-coupling as one dense block over the dofs it touches) is built once, and
-a matrix with that pattern goes into the band by one gather.  One
+directly.  Both drivers set up through one band layout per CSR pattern
+(:func:`_band_layout`), built once: it splits the constraint dict into
+fixed dofs and prescribed values, walks the grid towards the contact
+rows the driver expects active (the linear driver's warm set, else the
+closest approach; the Newton driver's starting set), so that their
+columns of the condensation come last in the band, and keeps the gather
+indices, by which a matrix with that pattern goes into the band, and
+the coupling as one dense block over the dofs it touches.  Its
+``prescribe`` gives the right-hand side of the eliminated system.  One
 active-set loop (:func:`_settle_active_set`) serves both drivers: on one
 factor it alternates saddle solves (gap pinned to zero on the active
 multiplier dofs) with activity updates until the set is stable and
@@ -42,7 +46,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    GlobalSystem,
     _canonical_csr,
     apply_constraints,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
     assemble_load,
@@ -177,23 +180,19 @@ def complementarity_ok(state: ContactState, gap_tol: float) -> bool:
 class SmallDeformationProblem:
     """Assembled data of one linear contact solve.
 
-    ``initial_active`` optionally seeds the active set (a warm start);
-    the loop still iterates to the same optimality conditions.
+    ``constraints`` maps a dof to its prescribed value.  ``initial_active``
+    optionally seeds the active set (a warm start); the loop still
+    iterates to the same optimality conditions.
     """
 
-    system: GlobalSystem
+    patch: object
+    stiffness: sp.csr_matrix
+    load: np.ndarray
+    constraints: dict[int, float]
     coupling: sp.csr_matrix
     gap_integrals: np.ndarray  # integral(B_K g0)
     measures: np.ndarray
     initial_active: np.ndarray | None = None
-
-
-def _masked_coupling(coupling: sp.csr_matrix, fixed: np.ndarray, n: int) -> sp.csr_matrix:
-    if fixed.size == 0:
-        return coupling
-    free = np.ones(n)
-    free[fixed] = 0.0
-    return (coupling @ sp.diags(free)).tocsr()
 
 
 # a singular K with no active row left reads about 1e-16; solvable systems read
@@ -222,27 +221,19 @@ def band_order(shape, n_comp: int, last=()) -> np.ndarray:
     return (grid.reshape(-1, 1) * n_comp + np.arange(n_comp, dtype=np.int32)).ravel()
 
 
-def _contact_order(shape, n_comp: int, Bhat: sp.csr_matrix, expected: np.ndarray) -> np.ndarray:
-    """:func:`band_order` walked towards the functions the expected-active rows of Bhat couple to.
-
-    A column of ``W = U^-T P B^T`` is forward-substituted from its first
-    nonzero row to the end, so the rows expected active go last.
-    """
-    rows = Bhat[np.flatnonzero(expected)]
-    return band_order(shape, n_comp, last=np.unique(rows.indices[rows.data != 0] // n_comp))
-
-
 @dataclass(frozen=True)
 class _BandLayout:
     """What every condensed solve on one CSR pattern shares, built once by :func:`_band_layout`.
 
-    ``fill(data)`` is a gather: the upper band, in LAPACK storage
-    ``ab[u + r - c, c]``, of ``P apply_constraints(K) P^T`` for the K with
-    that pattern and data, where ``P`` puts dof ``order[k]`` in row k and
-    the fixed rows and columns are dropped and get a unit diagonal.  A
-    tangent that is symmetric up to rounding is read as its upper half.
-    The coupling B is kept as one dense block over the dofs where it has
-    a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]`` and
+    The constraint dict is split into ``fixed`` dofs and their prescribed
+    ``values``.  ``fill(data)`` is a gather: the upper band, in LAPACK
+    storage ``ab[u + r - c, c]``, of ``P apply_constraints(K) P^T`` for
+    the K with that pattern and data, where ``P`` puts dof ``order[k]`` in
+    row k and the fixed rows and columns are dropped and get a unit
+    diagonal; :meth:`prescribe` gives the right-hand side that goes with
+    it.  A tangent that is symmetric up to rounding is read as its upper
+    half.  The coupling B is kept as one dense block over the dofs where
+    it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]`` and
     ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B with
     the fixed columns zeroed, and ``first`` is the first band row of
     every one of its rows.  ``i`` is the kernel dof of the shift (the dof
@@ -254,6 +245,8 @@ class _BandLayout:
     u: int  # half-bandwidth
     src: np.ndarray  # CSR data positions of the band entries
     dest: np.ndarray  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
+    fixed: np.ndarray  # (k,) int64, the constrained dofs in the constraint dict's order
+    values: np.ndarray  # (k,) their prescribed values
     unit: np.ndarray  # flat positions of the fixed dofs' unit diagonals
     free: np.ndarray | None  # free-dof mask; None when nothing is fixed
     cols: np.ndarray  # sorted dofs where B has a stored entry
@@ -276,6 +269,17 @@ class _BandLayout:
             return K @ x
         return np.where(self.free, K @ np.where(self.free, x, 0.0), x)
 
+    def prescribe(self, rhs: np.ndarray, K: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """``rhs - K x`` on the free rows and ``x`` on the fixed ones; K is not read when x is zero.
+
+        For an x that is zero on the free dofs, the eliminated system
+        (:meth:`fill`) with this right-hand side is solved by the y that
+        equals x on the fixed dofs and solves ``K y = rhs`` on the free rows.
+        """
+        out = rhs - K @ x if x.any() else rhs.copy()
+        out[self.fixed] = x[self.fixed]
+        return out
+
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """The n-vector that is ``values`` on ``cols`` and zero elsewhere."""
         out = np.zeros(self.pos.size)
@@ -293,14 +297,27 @@ class _BandLayout:
         return R
 
 
-def _band_layout(indptr, indices, order, B: sp.csr_matrix, fixed=()) -> _BandLayout:
-    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates) and coupling B."""
+def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constraints, expected) -> _BandLayout:
+    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates) and coupling B.
+
+    The dofs are those of a tensor-grid patch with basis grid ``shape`` and
+    ``n_comp`` components; ``constraints`` maps a dof to its prescribed
+    value.  The dof order is :func:`band_order` walked towards the
+    functions that the rows ``expected`` (a mask) of Bhc couple to: a
+    column of ``W = U^-T P B^T`` is forward-substituted from its first
+    nonzero row to the end, so the rows expected active go last.
+    """
     n = indptr.size - 1
-    fixed = np.asarray(fixed, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int32)
-    pos[order] = np.arange(n, dtype=np.int32)
+    fixed = np.fromiter(constraints.keys(), dtype=np.int64, count=len(constraints))
     free = np.ones(n, dtype=bool)
     free[fixed] = False
+    B = B.tocsr()
+    cols = np.unique(B.indices)
+    Bc = B[:, cols].toarray()
+    Bhc = Bc if free[cols].all() else np.where(free[cols], Bc, 0.0)
+    order = band_order(shape, n_comp, last=np.unique(cols[(Bhc[expected] != 0).any(axis=0)] // n_comp))
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     r, c = pos[rows], pos[indices]
     src = np.flatnonzero((r <= c) & free[rows] & free[indices])
@@ -308,19 +325,17 @@ def _band_layout(indptr, indices, order, B: sp.csr_matrix, fixed=()) -> _BandLay
     u = int((c - r).max()) if src.size else 0
     index = np.int32 if n * (u + 1) < 2**31 else np.int64
     dest = c.astype(index) * (u + 1) + (u + r - c)
-    B = B.tocsr()
-    cols = np.unique(B.indices)
-    Bc = B[:, cols].toarray()
-    Bhc = Bc if free[cols].all() else np.where(free[cols], Bc, 0.0)
     bpos = pos[cols]
     weight = np.zeros(n)
     weight[cols] = (Bhc * Bhc).sum(axis=0)
     return _BandLayout(
-        order=np.asarray(order, dtype=np.int32),
+        order=order,
         pos=pos,
         u=u,
         src=src.astype(index),
         dest=dest,
+        fixed=fixed,
+        values=np.fromiter(constraints.values(), dtype=float, count=fixed.size),
         unit=pos[fixed].astype(index) * (u + 1) + u,
         free=free if fixed.size else None,
         cols=cols,
@@ -607,34 +622,29 @@ def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
     eliminates the constrained dofs, with no constrained copy of K; each iteration
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
     """
-    system = problem.system
-    K = _canonical_csr(system.stiffness)
-    n = K.shape[0]
-    fixed = np.fromiter(system.constraints.keys(), dtype=np.int64) if system.constraints else np.empty(0, np.int64)
-    u_fix = np.zeros(n)
-    u_fix[fixed] = np.fromiter(system.constraints.values(), dtype=float, count=fixed.size)
-    # the layout drops the fixed rows and columns: shift the load by their values
-    F = system.load - K @ u_fix
-    F[fixed] = u_fix[fixed]
-    B = problem.coupling
-    Bhat = _masked_coupling(B, fixed, n)
+    K = _canonical_csr(problem.stiffness)
+    B, measures, warm, patch = problem.coupling, problem.measures, problem.initial_active, problem.patch
+    # the band walks towards the warm set, else the rows in contact before the prescribed
+    # displacements act, else the closest approach
+    wg = problem.gap_integrals / measures
+    expected = warm if warm is not None else wg <= _GAP_TOL
+    if not expected.any():
+        expected = wg == wg.min()
+    shape = patch.space.space.n_basis
+    layout = _band_layout(K.indptr, K.indices, shape, patch.ndim, B, problem.constraints, expected)
+    u_fix = np.zeros(K.shape[0])
+    u_fix[layout.fixed] = layout.values
     gap0 = problem.gap_integrals + B @ u_fix
-    wg0 = gap0 / problem.measures
-    active = problem.initial_active.copy() if problem.initial_active is not None else wg0 <= _GAP_TOL
-    # the rows expected active: the starting set, else the closest approach
-    expected = active if active.any() else wg0 == wg0.min()
-    order = _contact_order(system.grid_shape, system.n_comp, Bhat, expected)
-    layout = _band_layout(K.indptr, K.indices, order, B, fixed)
+    active = warm.copy() if warm is not None else gap0 / measures <= _GAP_TOL
     records: list[IterationRecord] = []
-    u, state = _settle_active_set(
-        _CondensedSaddle(K, F, layout), active, problem.gap_integrals, -gap0, problem.measures, records
-    )
+    saddle = _CondensedSaddle(K, layout.prescribe(problem.load, K, u_fix), layout)
+    u, state = _settle_active_set(saddle, active, problem.gap_integrals, -gap0, measures, records)
     return SolutionBundle(
         u=u,
         lam=state.lam,
         active=state.active,
         weighted_gap=state.weighted_gap,
-        measures=problem.measures,
+        measures=measures,
         iterations=records,
     )
 
@@ -675,15 +685,7 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
     nd = patch.ndim
     n = patch.space.dim * nd
     F_full = assemble_load(patch, problem.tractions)
-    fixed = (
-        np.fromiter(problem.constraints.keys(), dtype=np.int64)
-        if problem.constraints
-        else np.empty(0, np.int64)
-    )
-    vals_full = np.array([problem.constraints[d] for d in fixed], dtype=float)
-    B = problem.coupling
-    Bhat = _masked_coupling(B, fixed, n)
-    measures = problem.measures
+    B, measures = problem.coupling, problem.measures
 
     u = np.zeros(n)
     lam = np.zeros(B.shape[0])
@@ -691,8 +693,8 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
     active = wg0 <= _GAP_TOL
     if not active.any():
         active[int(np.argmin(wg0))] = True
-    order = _contact_order(patch.space.space.n_basis, nd, Bhat, active)
-    layout = _band_layout(quad.plan.indptr, quad.plan.indices, order, B, fixed)
+    shape = patch.space.space.n_basis
+    layout = _band_layout(quad.plan.indptr, quad.plan.indices, shape, nd, B, problem.constraints, active)
 
     records: list[IterationRecord] = []
     # (residual state at u, saddle or None) in a list the step takes it from: the
@@ -711,8 +713,7 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
             carried.append((neo_hookean_residual(quad, problem.material, u), None))
         try:
             u, lam, active, wg, kappa, *carried, recs = _newton_contact_step(
-                problem, quad, u, lam, active, layout, F_full * t_try, fixed, vals_full * t_try, step,
-                kappa, carried.pop(),
+                problem, quad, u, lam, active, layout, F_full * t_try, t_try, step, kappa, carried.pop()
             )
         except (ElementInversionError, SolverError):
             halvings += 1
@@ -747,10 +748,11 @@ def _keeps_factor(res: float, factored_at: float, tol: float, kappa: float) -> b
     return factored_at > 0.0 and kappa * res * res / factored_at <= tol
 
 
-def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, vals_t, step, kappa, start):
-    """Newton iterations of one load step from ``u0``.
+def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step, kappa, start):
+    """Newton iterations of one load step from ``u0`` to load factor ``t``.
 
-    ``start`` is the pair ``(residual, saddle)``: the residual phase at
+    ``F_t`` is the load at ``t``, and the prescribed displacements there
+    are ``t`` times the layout's values.  ``start`` is the pair ``(residual, saddle)``: the residual phase at
     ``u0`` and a :class:`_CondensedSaddle` of the previous step or None.
     Every iterate evaluates the residual (:func:`neo_hookean_residual`),
     and one that is not converged assembles the tangent from it and
@@ -782,7 +784,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, v
     # dofs follow along; jumping u[fixed] directly inverts elements next to
     # the constrained faces
     dv = np.zeros(u.size)
-    dv[fixed] = vals_t - u[fixed]
+    dv[layout.fixed] = layout.values * t - u[layout.fixed]
     lam, active = lam0, active0
     records: list[IterationRecord] = []
     first_res = None
@@ -794,7 +796,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, v
             residual = neo_hookean_residual(quad, problem.material, u)
         f_int = residual.f_int
         r_u = f_int + layout.scatter(Bc.T @ lam) - F_t
-        r_u[fixed] = 0.0
+        r_u[layout.fixed] = 0.0
         gap = problem.gap_integrals + Bc @ u[cols]
         wg = gap / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
@@ -817,7 +819,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, v
                 changed=changed,
             )
         )
-        pending = bool(np.abs(dv).max() > 0.0) if dv.size else False
+        pending = bool(dv.any())
         if not pending and changed == 0 and converged and complementarity_ok(new_state, _GAP_TOL):
             return u, new_state.lam, new_state.active, wg, kappa, (residual, saddle), records
         if first_res is None and not converged:
@@ -843,11 +845,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, fixed, v
             K_T = neo_hookean_tangent(quad, problem.material, residual)
         else:
             K_T = saddle.K
-        rhs_u = F_t - f_int
-        rhs_u[fixed] = 0.0
-        if pending:
-            rhs_u -= K_T @ dv
-            rhs_u[fixed] = dv[fixed]
+        rhs_u = layout.prescribe(F_t - f_int, K_T, dv)
         if fresh:
             saddle = _CondensedSaddle(K_T, rhs_u, layout)
         else:

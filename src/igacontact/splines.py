@@ -132,10 +132,13 @@ def find_spans(kv: KnotVector, zetas) -> np.ndarray:
 
 
 def _basis_tables(kv: KnotVector, spans: np.ndarray, z: np.ndarray, n_deriv: int):
-    """Vectorized Cox-de Boor values and derivatives (A2.3 over many points).
+    """Vectorized Cox-de Boor values and first derivatives (A2.2, and A2.3 at k = 1, over many points).
 
-    Returns ``(values, ders)`` with shapes (m, p+1) and (m, n_deriv, p+1).
+    Returns ``(values, ders)`` with shapes (m, p+1) and (m, n_deriv, p+1);
+    ``n_deriv`` is 0 or 1.
     """
+    if n_deriv > 1:
+        raise SplineError("only values and first derivatives are evaluated")
     p = kv.degree
     U = kv.knots
     m = z.size
@@ -156,41 +159,15 @@ def _basis_tables(kv: KnotVector, spans: np.ndarray, z: np.ndarray, n_deriv: int
     values = ndu[:, :, p].copy()
     if n_deriv == 0:
         return values, np.zeros((m, 0, p + 1))
-
-    ders = np.zeros((m, n_deriv, p + 1))
-    n_eff = min(n_deriv, p)
-    a = np.zeros((m, 2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[:, 0, :] = 0.0
-        a[:, 1, :] = 0.0
-        a[:, 0, 0] = 1.0
-        for k in range(1, n_eff + 1):
-            d = np.zeros(m)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[:, s2, 0] = a[:, s1, 0] / ndu[:, pk + 1, rk]
-                d = a[:, s2, 0] * ndu[:, rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if (r - 1) <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[:, s2, j] = (a[:, s1, j] - a[:, s1, j - 1]) / ndu[:, pk + 1, rk + j]
-                d = d + a[:, s2, j] * ndu[:, rk + j, pk]
-            if r <= pk:
-                a[:, s2, k] = -a[:, s1, k - 1] / ndu[:, pk + 1, r]
-                d = d + a[:, s2, k] * ndu[:, r, pk]
-            ders[:, k - 1, r] = d
-            s1, s2 = s2, s1
-    fac = float(p)
-    for k in range(1, n_eff + 1):
-        ders[:, k - 1, :] *= fac
-        fac *= p - k
-    return values, ders
+    # N'_r = p (t_(r-1) - t_r), t_r the r-th nonzero degree p-1 function over the length of
+    # its support (the upper and lower triangles of ndu), t_(-1) = t_p = 0
+    t = np.zeros((m, p + 2))
+    t[:, 1:-1] = (1.0 / ndu[:, p, :p]) * ndu[:, :p, p - 1]
+    return values, ((t[:, :-1] - t[:, 1:]) * p)[:, None, :]
 
 
 def eval_basis_batch(kv: KnotVector, zetas, n_deriv: int = 0):
-    """Values and derivatives up to ``n_deriv`` of the p+1 nonzero functions at each point.
+    """Values, and first derivatives when ``n_deriv`` is 1, of the p+1 nonzero functions at each point.
 
     Returns ``(first_indices, values, derivatives)`` with shapes (m,),
     (m, p+1) and (m, n_deriv, p+1); ``values[i, j]`` is function

@@ -124,6 +124,18 @@ def test_configuration_error_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # misspelt keys (for levels and base_spans) used to be dropped, and the run went ahead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 3\nbase-spans = 2\n")
+    rc = main(["--config", str(cfg), "infsup", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "base-spans, level" in err.splitlines()[0]
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunOutputs:
     def test_tiny_run_files_and_headers(self, tmp_path):
         out = tmp_path / "run"

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -61,8 +60,6 @@ def square_contact_problem(n=3, plane_offset=0.0, traction=(0.0, -0.05), fix_top
     the stiffness nonsingular for separation tests.
     """
     patch = unit_square_patch(2, n)
-    system = assemble_stiffness(patch, MAT)
-    system.load = assemble_load(patch, tractions={face_id(1, 1): np.array(traction)})
     constraints = merge_constraints(
         dirichlet_on_face(patch, face_id(0, 0), component=0),
         dirichlet_on_face(patch, face_id(0, 1), component=0),
@@ -71,14 +68,16 @@ def square_contact_problem(n=3, plane_offset=0.0, traction=(0.0, -0.05), fix_top
         constraints = merge_constraints(
             constraints, dirichlet_on_face(patch, face_id(1, 1), component=1)
         )
-    system.constraints = constraints
     normal = np.array([0.0, 1.0])
     trace = extract_trace(patch, face_id(1, 0), rigid_normal=normal)
     basis = multiplier_basis(trace)
     gap = GapField(trace=trace, normal=normal, offset=plane_offset)
     g0 = gap.gap_at(basis.quadrature.params)
     problem = SmallDeformationProblem(
-        system=system,
+        patch=patch,
+        stiffness=assemble_stiffness(patch, MAT),
+        load=assemble_load(patch, tractions={face_id(1, 1): np.array(traction)}),
+        constraints=constraints,
         coupling=coupling_matrix(basis, 2, patch.space.dim),
         gap_integrals=weighted_gap(g0, basis) * basis.measures,
         measures=basis.measures,
@@ -198,9 +197,7 @@ class TestSmallDeformation:
         P = 0.02
         problem, _, _ = square_contact_problem(n=4, traction=(0.0, -P))
         bundle = solve_small_deformation(problem)
-        K, F = apply_constraints(
-            problem.system.stiffness, problem.system.load, problem.system.constraints
-        )
+        K, F = apply_constraints(problem.stiffness, problem.load, problem.constraints)
         a_uu = bundle.u @ (K @ bundle.u)
         L_u = bundle.u @ F
         act = bundle.active
@@ -228,11 +225,12 @@ class TestSmallDeformation:
         # assembled stiffness, its fixed dofs eliminated by the band layout, gives the
         # u and lam of the saddle solve on the constrained copy of K
         problem, patch, _ = square_contact_problem(n=3, traction=(0.0, 0.0))
-        problem.system.constraints = merge_constraints(
+        constraints = merge_constraints(
             dirichlet_on_face(patch, face_id(0, 0), component=0, value=0.004),
             dirichlet_on_face(patch, face_id(0, 1), component=0),
             dirichlet_on_face(patch, face_id(1, 1), component=1, value=-0.02),
         )
+        problem = dataclasses.replace(problem, constraints=constraints)
         bundle = solve_small_deformation(problem)
         act = np.flatnonzero(bundle.active)
         assert act.size > 0
@@ -240,7 +238,7 @@ class TestSmallDeformation:
         u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
         assert np.abs(bundle.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(bundle.lam[act] - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
-        for d, v in problem.system.constraints.items():
+        for d, v in problem.constraints.items():
             assert bundle.u[d] == v
         assert bundle.iterations[-1].residual_u <= 1e-12 * np.linalg.norm(F)
 
@@ -263,14 +261,20 @@ class TestSmallDeformation:
 
 def condensed_inputs(problem):
     """K, F, masked coupling and gap right-hand side as solve_small_deformation forms them."""
-    system = problem.system
-    K, F = apply_constraints(system.stiffness, system.load, system.constraints)
-    fixed = np.fromiter(system.constraints.keys(), dtype=np.int64)
+    K, F = apply_constraints(problem.stiffness, problem.load, problem.constraints)
+    fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
     u_fix = np.zeros(F.size)
-    u_fix[fixed] = list(system.constraints.values())
-    Bhat = solver._masked_coupling(problem.coupling, fixed, F.size)
+    u_fix[fixed] = list(problem.constraints.values())
+    Bhat = masked_coupling(problem.coupling, fixed)
     g = -(problem.gap_integrals + problem.coupling @ u_fix)
     return K, F, Bhat, g
+
+
+def masked_coupling(B, fixed):
+    """Oracle: the coupling with the columns of the fixed dofs zeroed."""
+    free = np.ones(B.shape[1])
+    free[fixed] = 0.0
+    return (B @ sp.diags(free)).tocsr()
 
 
 def hertz2d_level1():
@@ -293,8 +297,8 @@ def linear_case(build):
     rng = np.random.default_rng(17)
     subset = rng.random(converged.size) < 0.5
     subset[rng.integers(converged.size)] = True
-    order = band_order(problem.system.grid_shape, problem.system.n_comp)
-    return K, F, Bhat, g, order, (problem.initial_active, converged, subset)
+    grid = (problem.patch.space.space.n_basis, problem.patch.ndim)
+    return K, F, Bhat, g, grid, (problem.initial_active, converged, subset)
 
 
 def neo_hookean_case():
@@ -313,7 +317,7 @@ def neo_hookean_case():
     K, _ = apply_constraints(K_T, np.zeros(n), {int(d): 0.0 for d in fixed})
     F = rng.normal(size=n)
     F[fixed] = 0.0
-    Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+    Bhat = masked_coupling(problem.coupling, fixed)
     m = Bhat.shape[0]
     g = 1e-3 * rng.normal(size=m)
     actives = []
@@ -321,7 +325,7 @@ def neo_hookean_case():
         active = rng.random(m) < frac
         active[rng.integers(m)] = True
         actives.append(active)
-    return K, F, Bhat, g, band_order(patch.space.space.n_basis, 2), actives
+    return K, F, Bhat, g, (patch.space.space.n_basis, 2), actives
 
 
 def warm_set(setup, config):
@@ -330,9 +334,15 @@ def warm_set(setup, config):
     return benchmarks._warm_active_set(setup, config.radius, a)
 
 
-def condensed_saddle(K, F, Bhat, order):
+def plain_layout(K, B, grid):
+    """The band layout of K's pattern in the band_order of ``grid``, (shape, n_comp): nothing fixed, no walk."""
+    shape, n_comp = grid
+    return solver._band_layout(K.indptr, K.indices, shape, n_comp, B, {}, np.zeros(B.shape[0], dtype=bool))
+
+
+def condensed_saddle(K, F, Bhat, grid):
     """_CondensedSaddle of a constrained K on the band layout of its own pattern."""
-    return _CondensedSaddle(K, F, solver._band_layout(K.indptr, K.indices, order, Bhat))
+    return _CondensedSaddle(K, F, plain_layout(K, Bhat, grid))
 
 
 def count_step_attempts(monkeypatch):
@@ -341,7 +351,7 @@ def count_step_attempts(monkeypatch):
     original = solver._newton_contact_step
 
     def counting(*args):
-        calls.append(args[10])
+        calls.append(args[8])
         return original(*args)
 
     monkeypatch.setattr(solver, "_newton_contact_step", counting)
@@ -433,12 +443,12 @@ class TestBandOrder:
     def test_matches_assembled_stiffness(self):
         # the reference level of hertz2d-large-p01: a 26 x 50 basis grid
         config = RunConfig(benchmark="hertz2d", base_spans=(3, 6), grading=(0.7, 0.45))
-        system = assemble_stiffness(quarter_disc_level_patch(config, 3), MAT)
-        assert system.grid_shape == (26, 50)
-        K = system.stiffness
-        no_coupling = sp.csr_matrix((1, system.n_dofs))
-        ab = solver._band_layout(K.indptr, K.indices, band_order(system.grid_shape, 2), no_coupling).fill(K.data)
-        assert ab.shape == (110, system.n_dofs)
+        patch = quarter_disc_level_patch(config, 3)
+        assert patch.space.space.n_basis == (26, 50)
+        K = assemble_stiffness(patch, MAT)
+        n = K.shape[0]
+        ab = plain_layout(K, sp.csr_matrix((1, n)), ((26, 50), 2)).fill(K.data)
+        assert ab.shape == (110, n)
 
 
 def dense_band(A, u):
@@ -459,16 +469,15 @@ class TestBandLayout:
         problem, setup = build_large_deformation_problem(patch, config)
         n = patch.space.dim * 2
         if kind == "linear":
-            K = assemble_stiffness(patch, MAT).stiffness
+            K = assemble_stiffness(patch, MAT)
         else:
             x = patch.control_points
             u = 0.03 * np.column_stack([np.sin(2 * x[:, 0]), np.cos(x[:, 1])]).ravel()
             K = neo_hookean_forces(patch, problem.material, u)[1]
-        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
-        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
-        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, warm_set(setup, config))
-        layout = solver._band_layout(K.indptr, K.indices, order, Bhat, fixed)
-        Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in fixed})
+        shape, warm = patch.space.space.n_basis, warm_set(setup, config)
+        layout = solver._band_layout(K.indptr, K.indices, shape, 2, problem.coupling, problem.constraints, warm)
+        order = layout.order
+        Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in problem.constraints})
         PKP = Kc.toarray()[np.ix_(order, order)]
         assert not np.triu(PKP, layout.u + 1).any()
         assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
@@ -486,34 +495,39 @@ class TestBandLayout:
         K_T = neo_hookean_forces(patch, problem.material, 0.02 * np.sin(x).ravel())[1]
         fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
         Kc, _ = apply_constraints(K_T, np.zeros(n), {int(d): 0.0 for d in fixed})
-        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
-        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, warm)
+        Bhat = masked_coupling(problem.coupling, fixed)
+        shape = patch.space.space.n_basis
         rng = np.random.default_rng(8)
         F = rng.normal(size=n)
         F[fixed] = 0.0
         act = np.flatnonzero(warm)
         g = 1e-3 * rng.normal(size=act.size)
-        raw = _CondensedSaddle(K_T, F, solver._band_layout(K_T.indptr, K_T.indices, order, Bhat, fixed))
+        layout = solver._band_layout(K_T.indptr, K_T.indices, shape, 2, problem.coupling, problem.constraints, warm)
+        raw = _CondensedSaddle(K_T, F, layout)
         u, lam = raw.solve(act, g)
         u_ref, lam_ref = saddle_solve(Kc, F, Bhat[act], g)
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
-        assert np.array_equal(u, condensed_saddle(Kc, F, Bhat, order).solve(act, g)[0])
+        # the constrained matrix, nothing fixed, in the same order
+        constrained = solver._band_layout(Kc.indptr, Kc.indices, shape, 2, Bhat, {}, warm)
+        assert np.array_equal(constrained.order, layout.order)
+        assert np.array_equal(u, _CondensedSaddle(Kc, F, constrained).solve(act, g)[0])
 
     @pytest.mark.parametrize("build", [hertz2d_level1, hertz3d_level0], ids=["2d", "3d"])
     def test_dense_coupling_matches_sparse(self, build):
         # the dense block over the coupled dofs gives the sparse products, and its
         # masked rows placed in band order are the rows of Bhat P^T
         problem = build()
-        system = problem.system
-        B = problem.coupling
-        n, m = system.n_dofs, B.shape[0]
+        B, K = problem.coupling, problem.stiffness
+        n, m = K.shape[0], B.shape[0]
         # every fifth coupled dof fixed as well, so that the mask acts inside the block
-        fixed = np.union1d(np.fromiter(system.constraints.keys(), dtype=np.int64), np.unique(B.indices)[::5])
-        Bhat = solver._masked_coupling(B, fixed, n)
-        K = system.stiffness
-        order = band_order(system.grid_shape, system.n_comp)
-        layout = solver._band_layout(K.indptr, K.indices, order, B, fixed)
+        fixed = np.union1d(np.fromiter(problem.constraints.keys(), dtype=np.int64), np.unique(B.indices)[::5])
+        Bhat = masked_coupling(B, fixed)
+        shape, nd = problem.patch.space.space.n_basis, problem.patch.ndim
+        none = np.zeros(m, dtype=bool)
+        layout = solver._band_layout(K.indptr, K.indices, shape, nd, B, {int(d): 0.0 for d in fixed}, none)
+        order = layout.order
+        assert np.array_equal(order, band_order(shape, nd))
         assert np.array_equal(layout.cols, np.unique(B.indices))
         rng = np.random.default_rng(5)
         x, lam = rng.normal(size=n), rng.normal(size=m)
@@ -557,7 +571,8 @@ class TestBandLayout:
         assert "x".join(map(str, shape)) == grid
         n = patch.space.dim * nd
         plain = band_order(shape, nd)
-        order = solver._contact_order(shape, nd, setup.coupling, warm)
+        plan = assembly.scatter_plan(patch)
+        order = solver._band_layout(plan.indptr, plan.indices, shape, nd, setup.coupling, {}, warm).order
         assert np.array_equal(np.sort(order), np.arange(n))
         rows = setup.coupling[np.flatnonzero(warm)]
         pos = np.empty(n, dtype=np.int64)
@@ -615,8 +630,8 @@ class TestCondensedSaddle:
         ids=["2d", "3d", "neo-hookean"],
     )
     def test_matches_saddle_solve_oracle(self, build):
-        K, F, Bhat, g, order, actives = build()
-        saddle = condensed_saddle(K, F, Bhat, order)
+        K, F, Bhat, g, grid, actives = build()
+        saddle = condensed_saddle(K, F, Bhat, grid)
         for active in actives:
             act = np.flatnonzero(active)
             u, lam = saddle.solve(act, g[act])
@@ -627,7 +642,7 @@ class TestCondensedSaddle:
     def test_two_forward_sweeps_then_one_back_sweep_per_solve(self, monkeypatch):
         # z_F and z_e at construction; every solve recovers u by one back sweep.  The
         # new W columns of a solve are one forward sweep when they are a narrow batch
-        K, F, Bhat, g, order, actives = linear_case(hertz2d_level1)
+        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1)
         sweeps = []
         original = solver.sla.lapack.dtbtrs
 
@@ -636,7 +651,7 @@ class TestCondensedSaddle:
             return original(ab, b, **kwargs)
 
         monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
-        saddle = condensed_saddle(K, F, Bhat, order)
+        saddle = condensed_saddle(K, F, Bhat, grid)
         assert sweeps == [("T", 0), ("T", 0)]
         solved = np.zeros(Bhat.shape[0], dtype=bool)
         for active in actives:
@@ -652,9 +667,9 @@ class TestCondensedSaddle:
     def test_narrow_batch_is_one_sweep(self, monkeypatch, width):
         # a batch of at most _SWEEP_COLUMNS new W columns is one LAPACK sweep, a wider one
         # the slab loop; both give the oracle's solution
-        K, F, Bhat, g, order, _ = linear_case(hertz3d_level0)
+        K, F, Bhat, g, grid, _ = linear_case(hertz3d_level0)
         act = np.arange(width)
-        saddle = condensed_saddle(K, F, Bhat, order)
+        saddle = condensed_saddle(K, F, Bhat, grid)
         substitutions = count_calls(monkeypatch, solver, "_forward_substitution")
         sweeps = count_calls(monkeypatch, solver, "_band_sweep")
         u, lam = saddle.solve(act, g[act])
@@ -671,8 +686,8 @@ class TestCondensedSaddle:
     def test_set_rhs_matches_fresh_factorization(self, build):
         # a new load on a built saddle: the same (u, lam) as a saddle built on it,
         # on the columns solved for the old load and on new ones, and the oracle's
-        K, F, Bhat, g, order, actives = build()
-        layout = solver._band_layout(K.indptr, K.indices, order, Bhat)
+        K, F, Bhat, g, grid, actives = build()
+        layout = plain_layout(K, Bhat, grid)
         saddle = _CondensedSaddle(K, F, layout)
         first = np.flatnonzero(actives[0])
         saddle.solve(first, g[first])
@@ -692,8 +707,8 @@ class TestCondensedSaddle:
     def test_set_rhs_reuses_the_solved_columns(self, monkeypatch):
         # one forward sweep for the new load; an active set already solved needs no
         # further forward substitution of W columns
-        K, F, Bhat, g, order, actives = linear_case(hertz2d_level1)
-        saddle = condensed_saddle(K, F, Bhat, order)
+        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1)
+        saddle = condensed_saddle(K, F, Bhat, grid)
         act = np.flatnonzero(actives[1])
         saddle.solve(act, g[act])
         substitutions = count_calls(monkeypatch, solver, "_forward_substitution")
@@ -724,7 +739,7 @@ class TestCondensedSaddle:
         calls = count_factorizations(monkeypatch)
         bundle = solve_small_deformation(problem)
         assert len(bundle.iterations) >= 3
-        assert calls == [problem.system.n_dofs]
+        assert calls == [problem.stiffness.shape[0]]
 
     def test_one_factorization_when_seeding(self, monkeypatch):
         # the gap-closing punch starts with an empty set and a singular stiffness
@@ -737,16 +752,16 @@ class TestCondensedSaddle:
     def test_singular_stiffness_with_empty_set_raises(self):
         problem, _, _ = square_contact_problem(n=2, traction=(0.0, -0.2))
         K, F, Bhat, g = condensed_inputs(problem)
-        order = band_order(problem.system.grid_shape, 2)
+        grid = (problem.patch.space.space.n_basis, 2)
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(SolverError, match="singular stiffness"):
-            condensed_saddle(K, F, Bhat, order).solve(empty, g[empty])
+            condensed_saddle(K, F, Bhat, grid).solve(empty, g[empty])
 
     def test_indefinite_stiffness_raises(self):
         K = sp.csr_matrix(np.diag([2.0, 1.0, -3.0, 2.0]) + np.diag([0.5] * 3, 1) + np.diag([0.5] * 3, -1))
         Bhat = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(SolverError, match="not positive definite"):
-            condensed_saddle(K, np.ones(4), Bhat, np.arange(4))
+            condensed_saddle(K, np.ones(4), Bhat, ((4,), 1))
 
 
 class TestLargeDeformation:
@@ -815,18 +830,18 @@ class TestLargeDeformation:
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
         n = patch.space.dim * 2
-        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
-        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
+        assert not any(problem.constraints.values())
         F_t = 0.5 * assemble_load(patch, problem.tractions)
         quad = patch_quadrature(patch)
-        order = band_order(patch.space.space.n_basis, 2)
-        layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, Bhat, fixed)
+        empty = np.zeros(problem.coupling.shape[0], dtype=bool)
+        layout = solver._band_layout(
+            quad.plan.indptr, quad.plan.indices, patch.space.space.n_basis, 2, problem.coupling,
+            problem.constraints, empty,
+        )
         settled = record_settled(monkeypatch)
         calls = count_factorizations(monkeypatch)
-        empty = np.zeros(problem.coupling.shape[0], dtype=bool)
         *_, records = solver._newton_contact_step(
-            problem, quad, np.zeros(n), np.zeros(empty.size), empty, layout, F_t, fixed,
-            np.zeros(fixed.size), 1, 1.0,
+            problem, quad, np.zeros(n), np.zeros(empty.size), empty, layout, F_t, 0.5, 1, 1.0,
             (neo_hookean_residual(quad, problem.material, np.zeros(n)), None),
         )
         seeded = int(np.argmin(problem.gap_integrals / problem.measures))
@@ -845,28 +860,23 @@ class TestLargeDeformation:
         problem, _ = build_large_deformation_problem(patch, config)
         half = solve_large_deformation(problem, n_steps=4)  # a deformed state
         quad = patch_quadrature(patch)
-        n = patch.space.dim * 2
-        fixed = np.fromiter(problem.constraints.keys(), dtype=np.int64)
         assert not any(problem.constraints.values())
         F_t = 1.5 * assemble_load(patch, problem.tractions)
         residual = neo_hookean_residual(quad, problem.material, half.u)
-        Bhat = solver._masked_coupling(problem.coupling, fixed, n)
-        order = solver._contact_order(patch.space.space.n_basis, 2, Bhat, half.active)
-        layout = solver._band_layout(quad.plan.indptr, quad.plan.indices, order, problem.coupling, fixed)
+        layout = solver._band_layout(
+            quad.plan.indptr, quad.plan.indices, patch.space.space.n_basis, 2, problem.coupling,
+            problem.constraints, half.active,
+        )
         settled = record_settled(monkeypatch)
         solver._newton_contact_step(
-            problem, quad, half.u, half.lam, half.active, layout, F_t, fixed,
-            np.zeros(fixed.size), 1, 1.0, (residual, None),
+            problem, quad, half.u, half.lam, half.active, layout, F_t, 1.5, 1, 1.0, (residual, None),
         )
         du, state = settled[0]
         linear = SmallDeformationProblem(
-            system=assembly.GlobalSystem(
-                stiffness=solver.neo_hookean_tangent(quad, problem.material, residual),
-                load=F_t - residual.f_int,
-                grid_shape=patch.space.space.n_basis,
-                n_comp=2,
-                constraints={int(d): 0.0 for d in fixed},
-            ),
+            patch=patch,
+            stiffness=solver.neo_hookean_tangent(quad, problem.material, residual),
+            load=F_t - residual.f_int,
+            constraints=problem.constraints,
             coupling=problem.coupling,
             gap_integrals=problem.gap_integrals + problem.coupling @ half.u,
             measures=problem.measures,
@@ -1013,7 +1023,7 @@ class TestLargeDeformation:
                 raise
             records = out[-1]
             # f_int of every record: the last evaluations made up to now
-            steps.append((records, updates[start:], forces[-len(records):], np.linalg.norm(args[7])))
+            steps.append((records, updates[start:], forces[-len(records):], np.linalg.norm(args[6])))
             return out
 
         monkeypatch.setattr(solver, "active_set_update", update)

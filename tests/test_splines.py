@@ -161,10 +161,15 @@ class TestEvalBasis:
         if kv.degree < 1:
             return
         z = 0.37
-        _, _, ders = eval_at(kv, z, n_deriv=min(2, kv.degree))
+        _, _, ders = eval_at(kv, z, n_deriv=1)
         for row in ders:
             scale = max(np.abs(row).max(), 1.0)
             assert abs(row.sum()) <= 1e-10 * scale
+
+    def test_second_derivatives_rejected(self):
+        kv = make_open_knot_vector([0, 0.5, 1], 3)
+        with pytest.raises(SplineError, match="first derivatives"):
+            eval_at(kv, 0.25, n_deriv=2)
 
     def test_local_support(self):
         kv = make_open_knot_vector(np.linspace(0, 1, 6), 3)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from igacontact import assembly, verification
 from igacontact.assembly import AssemblyError, iter_element_blocks
 from igacontact.benchmarks import RunConfig, quarter_disc_level_patch, sphere_octant_level_patch
-from igacontact.contact import multiplier_basis, weighted_gap
+from igacontact.contact import multiplier_basis
 from igacontact.geometry import (
     NurbsPatch,
     extract_trace,
