@@ -347,8 +347,7 @@ class TraceQuadrature:
         return self.weights * self.measure
 
 
-def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int | None = None) -> TraceQuadrature:
-    n_gauss = n_gauss or max(trace.space.space.degrees) + 1
+def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int) -> TraceQuadrature:
     rule = gauss_rule(n_gauss)
     sd = trace.ndim
     tabs = [_direction_tables(kv, rule) for kv in trace.space.space.knot_vectors]

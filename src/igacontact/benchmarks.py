@@ -493,24 +493,3 @@ def run_infsup(config: RunConfig) -> InfSupResult:
     summary = [f"beta_ratio {_fmt(ratio)}"] if ratio is not None else []
     (outdir / "rates.txt").write_text("\n".join(summary) + "\n" if summary else "")
     return InfSupResult(rows=rows, ratio=ratio)
-
-
-def active_region_extent(bundle: SolutionBundle, basis: MultiplierBasis, r_of):
-    """2D contact-zone extent: arc length of the union of active supports.
-
-    Returns ``(r_max, element_width)``: the arc coordinate of the far end
-    of the outermost active multiplier support, and the arc width of the
-    trace element holding that boundary.
-    """
-    kv = basis.space.knot_vectors[0]
-    deg = kv.degree
-    act = np.flatnonzero(bundle.active)
-    if act.size == 0:
-        return 0.0, 0.0
-    uppers = np.array([kv.knots[k + deg + 1] for k in act])
-    k_edge = act[np.argmax(uppers)]
-    lo = kv.knots[k_edge + deg]
-    hi = uppers.max()
-    r_hi = float(r_of(np.array([[hi]]))[0])
-    r_lo = float(r_of(np.array([[lo]]))[0])
-    return r_hi, r_hi - r_lo

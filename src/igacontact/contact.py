@@ -9,7 +9,10 @@ expressed through basis-weighted averages: for a scalar field v,
 with B_K the multiplier basis functions and the denominators the basis
 measures.  A multiplier dof K is active when its constraint
 ``weighted_gap_K = 0`` is enforced; inactive dofs have their multiplier
-pinned to zero.
+pinned to zero.  This module holds the whole activity decision: the
+update rule (:func:`active_set_update`), the complementarity test that
+ends a loop (:func:`complementarity_ok`), and the one gap tolerance both
+read and the solvers start their sets with (``_GAP_TOL``).
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ from .splines import TensorSpace, multiplier_space
 
 class ContactError(ValueError):
     """Degenerate multiplier data or inconsistent contact state."""
+
+
+_GAP_TOL = 1e-10  # a weighted gap below -_GAP_TOL is penetration
 
 
 @dataclass(frozen=True)
@@ -143,24 +149,33 @@ class ContactState:
     active: np.ndarray
     measures: np.ndarray
 
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
 
-
-def active_set_update(state: ContactState, gap_tol: float) -> tuple[ContactState, int]:
+def active_set_update(state: ContactState) -> tuple[ContactState, int]:
     """One pass of the optimality operator on (multiplier, weighted gap) pairs.
 
     Componentwise: zero multiplier keeps a dof inactive when its gap is
-    non-negative and activates it otherwise; a negative multiplier keeps
-    it active; a positive multiplier (infeasible sign) is reset to zero
-    and the dof deactivated.
+    non-negative (to within ``_GAP_TOL``) and activates it otherwise; a
+    negative multiplier keeps it active; a positive multiplier (infeasible
+    sign) is reset to zero and the dof deactivated.  On a solved pair
+    (zero multiplier off the set, zero gap on it) this is the primal-dual
+    active-set step ``lam + c weighted_gap < 0`` for every c > 0.
     """
     lam = state.lam
-    new_active = np.where(lam != 0.0, lam < 0.0, state.weighted_gap < -gap_tol)
+    new_active = np.where(lam != 0.0, lam < 0.0, state.weighted_gap < -_GAP_TOL)
     lam = np.where(new_active, lam, 0.0)
     changed = int((new_active != state.active).sum())
     return replace(state, lam=lam, active=new_active), changed
+
+
+def complementarity_ok(state: ContactState) -> bool:
+    """Discrete complementarity: feasible signs and vanishing products."""
+    lam, wg = state.lam, state.weighted_gap
+    if np.any(lam > 1e-10):
+        return False
+    if np.any(wg[~state.active] < -1e-8):
+        return False
+    bound = 1e-8 * (np.abs(lam).max() * np.abs(wg).max() + 1e-14)
+    return bool(np.abs(lam * wg).max() <= max(bound, 1e-14))
 
 
 def scalar_coupling_and_masses(basis: MultiplierBasis):

@@ -81,13 +81,6 @@ class NurbsPatch:
         idx, vals, _ = self.space.eval_many(points)
         return np.einsum("ma,mad->md", vals, self.control_points[idx])
 
-    def jacobians(self, points):
-        """Jacobian matrices dx/dzeta and determinants at many points."""
-        idx, _, grads = self.space.eval_many(points, n_grad=1)
-        J = np.einsum("mad,maj->mdj", self.control_points[idx], grads)
-        det = np.linalg.det(J)
-        return J, det
-
     def homogeneous_controls(self) -> np.ndarray:
         w = self.space.weights
         return np.concatenate([self.control_points * w[:, None], w[:, None]], axis=1)

@@ -44,16 +44,6 @@ class LinearMaterial:
     def lame(self) -> tuple[float, float]:
         return _lame(self.young, self.poisson)
 
-    def stiffness_tensor(self, ndim: int) -> np.ndarray:
-        """Fourth-order tensor a_ijkl (plane strain for ndim == 2)."""
-        mu, lam = self.lame()
-        eye = np.eye(ndim)
-        return (
-            lam * np.einsum("ij,kl->ijkl", eye, eye)
-            + mu * np.einsum("ik,jl->ijkl", eye, eye)
-            + mu * np.einsum("il,jk->ijkl", eye, eye)
-        )
-
 
 @dataclass(frozen=True)
 class NeoHookeanMaterial:

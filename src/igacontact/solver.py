@@ -18,8 +18,10 @@ the coupling as one dense block over the dofs it touches.  Its
 ``prescribe`` gives the right-hand side of the eliminated system.  One
 active-set loop (:func:`_settle_active_set`) serves both drivers: on one
 factor it alternates saddle solves (gap pinned to zero on the active
-multiplier dofs) with activity updates until the set is stable and
-complementarity holds.  Small deformation runs it once, on the
+multiplier dofs) with activity updates (:mod:`.contact`), taking each
+update's set, until the set is stable and complementarity holds; it
+keeps no other state, and a loop that does not settle stops at its cap
+with a :class:`SolverError`.  Small deformation runs it once, on the
 stiffness.  Large deformation: load stepping with Newton iterations on
 the combined residual, where every unconverged iterate runs the loop on
 its own tangent's factor; the gap is linear in u, so the set it settles
@@ -54,18 +56,17 @@ from .assembly import (
     neo_hookean_tangent,
     patch_quadrature,
 )
-from .contact import ContactState, active_set_update
+from .contact import _GAP_TOL, ContactState, active_set_update, complementarity_ok
 from .materials import ElementInversionError, NeoHookeanMaterial
 
 
 class SolverError(RuntimeError):
-    """Linear-solve failure, cycling, or iteration-cap overrun."""
+    """Linear-solve failure or iteration-cap overrun."""
 
 
 _MAX_ACTIVE_SET_ITERS = 60  # saddle solves of one active-set loop
 _MAX_NEWTON_ITERS = 40  # Newton iterates of one load step
 _NEWTON_TOL = 1e-10  # |r_u| <= _NEWTON_TOL * max(|F_t|, |f_int|) is converged
-_GAP_TOL = 1e-10  # weighted-gap tolerance of the activity update and of complementarity
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,6 @@ def _diagnose_saddle_failure(K, B_active, exc) -> str:
                 f"({bad} dependent active dofs, smallest singular values {sv[-bad:]})"
             )
     return f"singular stiffness block: constraint deficiency ({exc})"
-
-
-def complementarity_ok(state: ContactState, gap_tol: float) -> bool:
-    """Discrete complementarity: feasible signs and vanishing products."""
-    lam, wg = state.lam, state.weighted_gap
-    if np.any(lam > 1e-10):
-        return False
-    inactive = ~state.active
-    if np.any(wg[inactive] < -max(1e-8, 100 * gap_tol)):
-        return False
-    bound = 1e-8 * (np.abs(lam).max() * np.abs(wg).max() + 1e-14)
-    return bool(np.abs(lam * wg).max() <= max(bound, 1e-14))
 
 
 @dataclass(frozen=True)
@@ -552,23 +541,21 @@ def _settle_active_set(saddle, active, gap, g, measures, records=None):
     ``gap`` holds the gap integrals where the unknown x that ``saddle``
     solves for is zero, ``g`` the right-hand side of every gap row
     (``B x = g`` on the active rows), and ``active`` the starting set.
-    Each iteration solves on the kept factor, takes the bare
-    :func:`active_set_update` of the solved pair (lam, weighted gap
-    ``(gap + B x) / measures``), and stops when the set is stable and
-    complementarity holds.  When a set recurs, the larger of the
-    repeating sets is kept and the gap test tightened tenfold.  When the
-    stiffness alone is singular with no active row, the dof closest to
-    contact is seeded.  Each iteration is appended to ``records`` when it
-    is given.  Returns x and the settled :class:`ContactState`.
+    Each iteration solves on the kept factor, takes the set that
+    :func:`active_set_update` gives for the solved pair (lam, weighted gap
+    ``(gap + B x) / measures``), and stops when that set is the solved one
+    and :func:`complementarity_ok` holds.  When the stiffness alone is
+    singular with no active row, the dof closest to contact is seeded.
+    Each iteration is appended to ``records`` when it is given.  Returns x
+    and the settled :class:`ContactState`; a loop still unsettled after
+    ``_MAX_ACTIVE_SET_ITERS`` iterations raises :class:`SolverError` with
+    the size of the last update's set and the number of dofs it changed.
     """
     layout = saddle.layout
-    gap_tol = _GAP_TOL
     active = active.copy()
-    seen: dict[bytes, int] = {}
     seeded = False
-    it = 0
-    while it < _MAX_ACTIVE_SET_ITERS:
-        it += 1
+    changed = 0
+    for it in range(1, _MAX_ACTIVE_SET_ITERS + 1):
         act_idx = np.flatnonzero(active)
         try:
             x, lam_act = saddle.solve(act_idx, g[act_idx])
@@ -584,7 +571,7 @@ def _settle_active_set(saddle, active, gap, g, measures, records=None):
         lam[act_idx] = lam_act
         wg = (gap + layout.Bc @ x[layout.cols]) / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
-        new_state, changed = active_set_update(state, gap_tol)
+        new_state, changed = active_set_update(state)
         if records is not None:
             res_lam = np.abs(wg[act_idx] * measures[act_idx]).max() if act_idx.size else 0.0
             records.append(
@@ -597,22 +584,13 @@ def _settle_active_set(saddle, active, gap, g, measures, records=None):
                     changed=changed,
                 )
             )
-        if changed == 0 and complementarity_ok(new_state, gap_tol):
+        if changed == 0 and complementarity_ok(new_state):
             return x, new_state
-        key = new_state.active.tobytes()
-        if key in seen and changed:
-            # cycling: keep the larger of the repeating sets, tighten the gap test
-            if new_state.active.sum() < active.sum():
-                new_active = active
-            else:
-                new_active = new_state.active
-            gap_tol = gap_tol / 10.0
-            seen.clear()
-            active = new_active.copy()
-        else:
-            seen[key] = it
-            active = new_state.active.copy()
-    raise SolverError(f"active-set loop did not converge in {_MAX_ACTIVE_SET_ITERS} iterations")
+        active = new_state.active
+    raise SolverError(
+        f"active-set loop did not converge in {_MAX_ACTIVE_SET_ITERS} iterations: "
+        f"last |A| {int(active.sum())}, last update changed {changed} dofs"
+    )
 
 
 def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
@@ -800,7 +778,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
         gap = problem.gap_integrals + Bc @ u[cols]
         wg = gap / measures
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
-        new_state, changed = active_set_update(state, _GAP_TOL)
+        new_state, changed = active_set_update(state)
         cur_idx = np.flatnonzero(active)
         ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30)
         res_u = np.linalg.norm(r_u)
@@ -820,7 +798,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
             )
         )
         pending = bool(dv.any())
-        if not pending and changed == 0 and converged and complementarity_ok(new_state, _GAP_TOL):
+        if not pending and changed == 0 and converged and complementarity_ok(new_state):
             return u, new_state.lam, new_state.active, wg, kappa, (residual, saddle), records
         if first_res is None and not converged:
             # a converged residual carried over from the previous step is no scale: a

@@ -21,6 +21,8 @@ import pytest
 
 from igacontact import benchmarks, cli
 
+from helpers import active_region_extent
+
 GATED_P003 = ["hertz2d", "--pressure", "0.003", "--levels", "4", "--base-spans", "3,6", "--grading", "0.8,0.1"]
 GATED_LARGE_P01 = [
     "hertz2d-large", "--pressure", "0.1", "--levels", "3", "--base-spans", "3,6", "--grading", "0.7,0.45"
@@ -81,7 +83,7 @@ def test_small_deformation_contact_zone(tmp_path):
     options = {key: value for key, value in args.items() if value is not None}
     result = benchmarks.run_benchmark(cli.build_run_config(benchmark, options))
     ref, analytic = result.reference, result.analytic
-    r_max, width = benchmarks.active_region_extent(ref.bundle, ref.setup.basis, result.r_of)
+    r_max, width = active_region_extent(ref.bundle, ref.setup.basis, result.r_of)
     assert abs(r_max - analytic.a) <= width
     rows = (tmp_path / "pressure_profile.csv").read_text().split()[1:]
     peak = max(float(row.split(",")[1]) for row in rows)

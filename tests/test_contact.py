@@ -162,20 +162,20 @@ class TestActiveSetUpdate:
         )
 
     def test_zero_multiplier_positive_gap_inactive(self):
-        state, _ = active_set_update(self.make_state([0.0], [0.5]), 0.0)
+        state, _ = active_set_update(self.make_state([0.0], [0.5]))
         assert not state.active[0]
 
     def test_zero_multiplier_negative_gap_active(self):
-        state, _ = active_set_update(self.make_state([0.0], [-0.2]), 0.0)
+        state, _ = active_set_update(self.make_state([0.0], [-0.2]))
         assert state.active[0]
 
     def test_negative_multiplier_stays_active(self):
         for gap in (-1.0, 0.0, 2.0):
-            state, _ = active_set_update(self.make_state([-0.3], [gap]), 0.0)
+            state, _ = active_set_update(self.make_state([-0.3], [gap]))
             assert state.active[0]
 
     def test_positive_multiplier_reset_and_deactivated(self):
-        state, _ = active_set_update(self.make_state([0.7], [-1.0]), 0.0)
+        state, _ = active_set_update(self.make_state([0.7], [-1.0]))
         assert not state.active[0]
         assert state.lam[0] == 0.0
 
@@ -186,7 +186,7 @@ class TestActiveSetUpdate:
             active=np.array([True, False, True]),
             measures=np.ones(3),
         )
-        new, changed = active_set_update(base, 0.0)
+        new, changed = active_set_update(base)
         assert list(new.active) == [True, True, False]
         assert changed == 2
 

@@ -1,5 +1,7 @@
 """The shipped scripts exit 0 and write their output files; the benchmark harness finds its targets.
 
+Every public name of the package must have a caller outside the tests.
+
 Each script runs in a subprocess, in a temporary directory where it
 writes its ``out/`` tree, with ``src`` on ``PYTHONPATH``.  Together they
 take about 35 s and up to 1.4 GB of memory, so they run only with
@@ -7,6 +9,7 @@ take about 35 s and up to 1.4 GB of memory, so they run only with
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -43,12 +46,17 @@ def test_script_exits_0_and_writes_its_files(script, tmp_path):
             assert path.is_file() and path.stat().st_size > 0, f"{script} wrote no {out}/{name}"
 
 
-def test_every_benchmark_wrap_target_resolves():
-    """Every name ``perfbench/tracer.py`` wraps exists in the package, so no harness metric goes missing."""
+def wrap_targets():
+    """The (layer, module, attribute path) targets that ``perfbench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)  # defines the target lists; installs nothing
-    targets = tracer.SETUP_TARGETS + tracer.LAYER_TARGETS + tracer.GENERATOR_TARGETS
+    return tracer.SETUP_TARGETS + tracer.LAYER_TARGETS + tracer.GENERATOR_TARGETS
+
+
+def test_every_benchmark_wrap_target_resolves():
+    """Every name ``perfbench/tracer.py`` wraps exists in the package, so no harness metric goes missing."""
+    targets = wrap_targets()
     missing = []
     for _, module, path in targets:
         owner = importlib.import_module(module)
@@ -58,3 +66,53 @@ def test_every_benchmark_wrap_target_resolves():
             missing.append(f"{module}.{path}")
     assert targets
     assert missing == []
+
+
+def referenced_names(tree, skip=None):
+    """Every name and attribute read in an AST, outside the subtree ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function, class, method and property of the package is used outside the tests.
+
+    A use is a reference by name in ``src/`` outside the name's own
+    definition, in ``scripts/``, or a wrap target of ``perfbench/tracer.py``.
+    Imports and ``__all__`` are not uses, so a helper only the tests call
+    fails here: it belongs in the tests.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "igacontact").glob("*.py"))}
+    uses = {path: referenced_names(tree) for path, tree in trees.items()}
+    outside = {part for _, _, path in wrap_targets() for part in path.split(".")}
+    for script in (ROOT / "scripts").glob("*.py"):
+        outside |= referenced_names(ast.parse(script.read_text()))
+    public = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((path, node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    public += [
+                        (path, f"{node.name}.{sub.name}", sub)
+                        for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                    ]
+    unused = []
+    for path, qualname, node in public:
+        name = qualname.split(".")[-1]
+        if name in outside or any(name in names for other, names in uses.items() if other != path):
+            continue
+        if name not in referenced_names(trees[path], skip=node):
+            unused.append(f"{path.name}:{qualname}")
+    assert public
+    assert unused == []

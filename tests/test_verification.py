@@ -33,6 +33,8 @@ from igacontact.verification import (
     multiplier_error_reference,
 )
 
+from helpers import jacobians
+
 
 class TestHertz2D:
     def test_reference_load(self):
@@ -107,7 +109,7 @@ def displacement_errors_oracle(u_coarse, patch_coarse, u_ref, patch_ref, n_gauss
         ce, nq = block.wdet.shape
         pts = points[start : start + ce].reshape(-1, nd)
         start += ce
-        jac_inv = np.linalg.inv(patch_ref.jacobians(pts)[0]).reshape(ce, nq, nd, nd)
+        jac_inv = np.linalg.inv(jacobians(patch_ref, pts)[0]).reshape(ce, nq, nd, nd)
         vals_r = np.einsum("eqa,ead->eqd", block.values, ur[block.dofs])
         grad_r = np.einsum("eai,eqaj->eqij", ur[block.dofs], block.grads_phys)
         idx_c, vals_c, grads_c = patch_coarse.space.eval_many(pts, n_grad=1)
