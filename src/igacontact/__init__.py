@@ -10,7 +10,6 @@ from .assembly import (
 )
 from .contact import (
     ContactState,
-    GapField,
     MultiplierBasis,
     active_set_update,
     coupling_matrix,
@@ -56,7 +55,7 @@ from .verification import (
 __all__ = [
     "active_set_update", "apply_constraints", "assemble_load", "assemble_stiffness",
     "BoundaryTrace", "ContactState", "coupling_matrix", "displacement_errors", "extract_trace",
-    "fit_rate", "GapField", "gauss_rule", "graded_breakpoints", "hertz_2d", "hertz_3d",
+    "fit_rate", "gauss_rule", "graded_breakpoints", "hertz_2d", "hertz_3d",
     "HertzAnalytic", "inf_sup_estimate", "insertion_matrix", "interior_knot_vector", "KnotVector",
     "LinearMaterial", "make_open_knot_vector", "mesh_view", "multiplier_basis",
     "multiplier_error_analytic", "multiplier_error_reference", "multiplier_space",

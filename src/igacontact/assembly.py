@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side
+from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side, face_basis_indices
 from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial, det_and_inverse
 from .splines import eval_basis_batch
 
@@ -77,14 +77,8 @@ def _direction_tables(kv, rule: QuadratureRule):
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
     pts = mid[:, None] + half[:, None] * rule.points[None, :]
     wts = half[:, None] * rule.weights[None, :]
-    _, vals, ders = eval_basis_batch(kv, pts.ravel(), n_deriv=min(1, kv.degree))
-    n = rule.n
-    vals = vals.reshape(nel, n, -1)
-    if ders.shape[1]:
-        ders = ders[:, 0, :].reshape(nel, n, -1)
-    else:
-        ders = np.zeros_like(vals)
-    return pts, wts, vals, ders
+    _, vals, ders = eval_basis_batch(kv, pts.ravel(), n_deriv=1)
+    return pts, wts, vals.reshape(nel, rule.n, -1), ders[:, 0, :].reshape(nel, rule.n, -1)
 
 
 def _tensor_combine(tables):
@@ -331,16 +325,30 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> sp.csr_matrix:
     return plan.matrix(data)
 
 
+def _point_basis_matrix(idx: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """(m, n) CSR matrix of a basis at m points from the (m, nloc) indices and values of one evaluation.
+
+    Row q holds the nonzero functions at point q, in the ascending index
+    order the evaluation returns them in.
+    """
+    m, nloc = idx.shape
+    return sp.csr_matrix((vals.ravel(), idx.ravel(), np.arange(0, m * nloc + 1, nloc)), shape=(m, n))
+
+
 @dataclass(frozen=True)
 class TraceQuadrature:
-    """Gauss data on the elements of a boundary trace."""
+    """Gauss data on the elements of a boundary trace.
+
+    ``values`` is the (m, n) matrix E of the primal surface basis at the
+    m points, so the moments integral(N_A f) of a field f sampled there
+    are ``values.T @ (f * wmeas)``.
+    """
 
     params: np.ndarray  # (m, sd) surface parametric coordinates
     weights: np.ndarray  # (m,) gauss weight x parametric span factor
     measure: np.ndarray  # (m,) surface Jacobian
     phys: np.ndarray  # (m, d)
-    vals: np.ndarray  # (m, nloc) primal surface basis values
-    idx: np.ndarray  # (m, nloc) flat surface basis indices
+    values: sp.csr_matrix  # (m, n) primal surface basis values
 
     @property
     def wmeas(self) -> np.ndarray:
@@ -360,20 +368,22 @@ def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int) -> TraceQuadratur
     for d in range(sd):
         weights = weights * flat_wts[d][pos[d]]
     idx, vals, _ = trace.space.eval_many(params)
-    measure = trace.measures(params)
-    phys = trace.map_points(params)
     return TraceQuadrature(
         params=params,
         weights=weights,
-        measure=measure,
-        phys=phys,
-        vals=vals,
-        idx=idx,
+        measure=trace.measures(params),
+        phys=trace.map_points(params),
+        values=_point_basis_matrix(idx, vals, trace.space.dim),
     )
 
 
 def assemble_load(patch: NurbsPatch, tractions: dict[int, np.ndarray]) -> np.ndarray:
-    """Consistent load vector of constant face tractions, keyed by face id."""
+    """Consistent load vector of constant face tractions, keyed by face id.
+
+    A face's share is the moments integral(N_A t) of the traction t over
+    its trace, ``E^T (t wmeas)`` with E the trace quadrature's basis matrix,
+    added at the face's volume dofs.
+    """
     nd = patch.ndim
     F = np.zeros(patch.space.dim * nd)
     for face, traction in tractions.items():
@@ -381,9 +391,7 @@ def assemble_load(patch: NurbsPatch, tractions: dict[int, np.ndarray]) -> np.nda
         trace = extract_trace(patch, face)
         tq = build_trace_quadrature(trace, max(patch.degrees) + 1)
         t = np.broadcast_to(np.asarray(traction, dtype=float), (tq.params.shape[0], nd))
-        contrib = tq.vals[:, :, None] * (t * tq.wmeas[:, None])[:, None, :]
-        dofs = trace.dof_map[tq.idx][:, :, None] * nd + np.arange(nd)[None, None, :]
-        np.add.at(F, dofs.ravel(), contrib.ravel())
+        F.reshape(-1, nd)[trace.dof_map] += tq.values.T @ (t * tq.wmeas[:, None])
     return F
 
 
@@ -396,13 +404,6 @@ def merge_constraints(*parts: dict[int, float]) -> dict[int, float]:
                 raise AssemblyError(f"contradictory constraints on dof {dof}: {out[dof]} vs {val}")
             out[dof] = val
     return out
-
-
-def face_basis_indices(patch: NurbsPatch, face: int) -> np.ndarray:
-    axis, side = face_axis_side(face, patch.ndim)
-    shape = patch.space.space.n_basis
-    grid = np.arange(patch.space.dim).reshape(shape)
-    return np.take(grid, -1 if side else 0, axis=axis).ravel()
 
 
 def dirichlet_on_face(patch: NurbsPatch, face: int, component: int, value: float = 0.0) -> dict[int, float]:

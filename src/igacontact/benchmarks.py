@@ -30,7 +30,6 @@ from .assembly import (
     merge_constraints,
 )
 from .contact import (
-    GapField,
     MultiplierBasis,
     coupling_matrix,
     dump_contact_state,
@@ -203,7 +202,7 @@ def _contact_setup(patch: NurbsPatch, contact_face: int, normal, offset: float) 
     normal = np.asarray(normal, dtype=float)
     trace = extract_trace(patch, contact_face, normal)
     basis = multiplier_basis(trace)
-    g0 = GapField(trace=trace, normal=normal, offset=offset).gap_at(basis.quadrature.params)
+    g0 = basis.quadrature.phys @ normal - offset  # signed distance to the plane x . normal = offset
     gap_integrals = weighted_gap(g0, basis) * basis.measures
     coupling = coupling_matrix(basis, patch.ndim, patch.space.dim)
     return ContactSetup(trace=trace, basis=basis, coupling=coupling, gap_integrals=gap_integrals)

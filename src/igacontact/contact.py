@@ -1,18 +1,25 @@
 """Mixed contact machinery on the contact boundary.
 
 The multiplier space lives on the contact face and has degree p - 2 per
-direction.  Activity decisions, gaps, and the coupling operator are all
-expressed through basis-weighted averages: for a scalar field v,
+direction.  Its measures, weighted gaps, coupling and stability masses
+are moments of that basis on the face, each a product of sparse basis
+matrices: with M the (m, n_multipliers) matrix of the multiplier basis
+B_K at the m trace quadrature points, E the matrix of the primal trace
+basis N_A there and w the quadrature weights times the surface measure,
 
-    weighted_average(v)_K = integral(v B_K) / integral(B_K),
+    measures        integral(B_K)                   = M^T w
+    weighted gaps   integral(B_K g) / integral(B_K) = M^T (g w) / measures
+    coupling        integral(B_K N_A)               = M^T (w E)
 
-with B_K the multiplier basis functions and the denominators the basis
-measures.  A multiplier dof K is active when its constraint
-``weighted_gap_K = 0`` is enforced; inactive dofs have their multiplier
-pinned to zero.  This module holds the whole activity decision: the
-update rule (:func:`active_set_update`), the complementarity test that
-ends a loop (:func:`complementarity_ok`), and the one gap tolerance both
-read and the solvers start their sets with (``_GAP_TOL``).
+and the stability masses are the Gram products E^T (w E) and M^T (w M).
+The vector coupling to the displacement dofs is the scalar one with its
+columns sent to the normal components.  A multiplier dof K is active
+when its constraint ``weighted_gap_K = 0`` is enforced; inactive dofs
+have their multiplier pinned to zero.  This module holds the whole
+activity decision: the update rule (:func:`active_set_update`), the
+complementarity test that ends a loop (:func:`complementarity_ok`), and
+the one gap tolerance both read and the solvers start their sets with
+(``_GAP_TOL``).
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import TraceQuadrature, build_trace_quadrature
+from .assembly import TraceQuadrature, _point_basis_matrix, build_trace_quadrature
 from .geometry import BoundaryTrace
 from .splines import TensorSpace, multiplier_space
 
@@ -37,47 +44,34 @@ _GAP_TOL = 1e-10  # a weighted gap below -_GAP_TOL is penetration
 class MultiplierBasis:
     """Degree p-2 multiplier basis on a boundary trace with its measures.
 
-    ``quadrature`` carries the shared surface Gauss data; ``mult_vals``
-    and ``mult_idx`` are the multiplier basis values and flat indices at
-    those quadrature points.
+    ``quadrature`` carries the shared surface Gauss data; ``values`` is
+    the (m, n_multipliers) matrix M of the multiplier basis at its m
+    points, and ``measures`` the integrals M^T wmeas.
     """
 
     trace: BoundaryTrace
     space: TensorSpace
     quadrature: TraceQuadrature
-    mult_vals: np.ndarray
-    mult_idx: np.ndarray
+    values: sp.csr_matrix
     measures: np.ndarray
-
-    @property
-    def n_multipliers(self) -> int:
-        return self.space.dim
 
     def values_at(self, params) -> tuple[np.ndarray, np.ndarray]:
         idx, vals, _ = self.space.eval_many(np.atleast_2d(params))
         return idx, vals
 
 
-def multiplier_basis(trace: BoundaryTrace, n_gauss: int | None = None) -> MultiplierBasis:
+def multiplier_basis(trace: BoundaryTrace) -> MultiplierBasis:
     """Build the multiplier space of a trace and integrate its basis measures."""
     space = multiplier_space(trace.space.space)
     # rational surface measures are not polynomial; one extra point keeps
     # the partition-of-unity identity of the measures below 1e-10
-    n_gauss = n_gauss or max(trace.space.space.degrees) + 2
-    tq = build_trace_quadrature(trace, n_gauss)
+    tq = build_trace_quadrature(trace, max(trace.space.space.degrees) + 2)
     idx, vals, _ = space.eval_many(tq.params)
-    measures = np.zeros(space.dim)
-    np.add.at(measures, idx.ravel(), (vals * tq.wmeas[:, None]).ravel())
+    values = _point_basis_matrix(idx, vals, space.dim)
+    measures = values.T @ tq.wmeas
     if np.any(measures <= 0):
         raise ContactError("degenerate multiplier basis: nonpositive basis measure")
-    return MultiplierBasis(
-        trace=trace,
-        space=space,
-        quadrature=tq,
-        mult_vals=vals,
-        mult_idx=idx,
-        measures=measures,
-    )
+    return MultiplierBasis(trace=trace, space=space, quadrature=tq, values=values, measures=measures)
 
 
 def weighted_gap(values, basis: MultiplierBasis) -> np.ndarray:
@@ -90,54 +84,28 @@ def weighted_gap(values, basis: MultiplierBasis) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != tq.weights.shape:
         raise ContactError("field values must align with the basis quadrature points")
-    num = np.zeros(basis.n_multipliers)
-    np.add.at(num, basis.mult_idx.ravel(), (basis.mult_vals * (v * tq.wmeas)[:, None]).ravel())
-    return num / basis.measures
+    return basis.values.T @ (v * tq.wmeas) / basis.measures
 
 
-@dataclass(frozen=True)
-class GapField:
-    """Signed distance from the deformed contact face to a rigid plane.
-
-    The plane is ``{x : x . normal = offset}`` with ``normal`` the rigid
-    body's outward unit normal; positive gap means separation.  The gap
-    is affine in the displacement because the normal is fixed.
-    """
-
-    trace: BoundaryTrace
-    normal: np.ndarray
-    offset: float
-
-    def gap_at(self, params, u: np.ndarray | None = None) -> np.ndarray:
-        params = np.atleast_2d(params)
-        x = self.trace.map_points(params)
-        if u is not None:
-            idx, vals, _ = self.trace.space.eval_many(params)
-            u_face = np.asarray(u).reshape(-1, self.trace.patch.ndim)[self.trace.dof_map]
-            x = x + np.einsum("ma,mad->md", vals, u_face[idx])
-        return x @ self.normal - self.offset
+def _weighted(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+    """w A: a point basis matrix with each point's row scaled by its weight."""
+    return sp.csr_matrix((A.data * np.repeat(w, np.diff(A.indptr)), A.indices, A.indptr), shape=A.shape)
 
 
 def coupling_matrix(basis: MultiplierBasis, n_comp: int, n_vol_basis: int) -> sp.csr_matrix:
-    """Coupling B[K, dof] = integral(B_K N_A n_comp); columns live on contact-face dofs."""
-    tq = basis.quadrature
+    """Coupling B[K, dof] = integral(B_K N_A n_c) for dof = A n_comp + c; columns live on contact-face dofs.
+
+    The scalar coupling M^T (w E), with each stored entry (K, A) sent to
+    the volume dof of A for every nonzero normal component c and scaled
+    by n_c.
+    """
+    Bs = (basis.values.T @ _weighted(basis.quadrature.values, basis.quadrature.wmeas)).tocsr()
     n = basis.trace.normal
-    rows, cols, data = [], [], []
-    vol_dofs = basis.trace.dof_map[tq.idx]  # (m, nloc_t)
-    for c in range(n_comp):
-        if n[c] == 0.0:
-            continue
-        block = np.einsum("mk,ma,m->mka", basis.mult_vals, tq.vals, tq.wmeas * n[c])
-        rows.append(np.broadcast_to(basis.mult_idx[:, :, None], block.shape).ravel())
-        cols.append(np.broadcast_to(vol_dofs[:, None, :] * n_comp + c, block.shape).ravel())
-        data.append(block.ravel())
-    shape = (basis.n_multipliers, n_vol_basis * n_comp)
-    if not rows:
-        return sp.csr_matrix(shape)
-    B = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
-    return B.tocsr()
+    comps = np.flatnonzero(n)
+    cols = basis.trace.dof_map[Bs.indices][:, None] * n_comp + comps
+    data = Bs.data[:, None] * n[comps]
+    shape = (Bs.shape[0], n_vol_basis * n_comp)
+    return sp.csr_matrix((data.ravel(), cols.ravel(), Bs.indptr * comps.size), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -182,44 +150,12 @@ def scalar_coupling_and_masses(basis: MultiplierBasis):
     """Scalar-pairing matrices on the contact face for stability estimates.
 
     Returns ``(B, M_primal, M_mult)`` with ``B[K, A] = integral(B_K N_A)``,
-    and the Gram matrices of the primal trace basis and multiplier basis.
+    and the Gram matrices of the primal trace basis and multiplier basis,
+    as dense arrays.
     """
-    tq = basis.quadrature
-    nP = basis.trace.space.dim
-    nM = basis.n_multipliers
-    B = np.zeros((nM, nP))
-    Mp = np.zeros((nP, nP))
-    Mm = np.zeros((nM, nM))
-    w = tq.wmeas
-    np.add.at(
-        B,
-        (
-            np.broadcast_to(basis.mult_idx[:, :, None], basis.mult_idx.shape + (tq.vals.shape[1],)),
-            np.broadcast_to(tq.idx[:, None, :], basis.mult_idx.shape + (tq.vals.shape[1],)),
-        ),
-        np.einsum("mk,ma,m->mka", basis.mult_vals, tq.vals, w),
-    )
-    np.add.at(
-        Mp,
-        (
-            np.broadcast_to(tq.idx[:, :, None], tq.idx.shape + (tq.idx.shape[1],)),
-            np.broadcast_to(tq.idx[:, None, :], tq.idx.shape + (tq.idx.shape[1],)),
-        ),
-        np.einsum("ma,mb,m->mab", tq.vals, tq.vals, w),
-    )
-    np.add.at(
-        Mm,
-        (
-            np.broadcast_to(
-                basis.mult_idx[:, :, None], basis.mult_idx.shape + (basis.mult_idx.shape[1],)
-            ),
-            np.broadcast_to(
-                basis.mult_idx[:, None, :], basis.mult_idx.shape + (basis.mult_idx.shape[1],)
-            ),
-        ),
-        np.einsum("mk,ml,m->mkl", basis.mult_vals, basis.mult_vals, w),
-    )
-    return B, Mp, Mm
+    M, E, w = basis.values, basis.quadrature.values, basis.quadrature.wmeas
+    wE = _weighted(E, w)
+    return (M.T @ wE).toarray(), (E.T @ wE).toarray(), (M.T @ _weighted(M, w)).toarray()
 
 
 def dump_contact_state(state: ContactState, path) -> None:

@@ -277,13 +277,17 @@ class BoundaryTrace:
         return np.linalg.norm(cross, axis=1)
 
 
+def face_basis_indices(patch: NurbsPatch, face: int) -> np.ndarray:
+    """Flat volume indices of the basis functions on a face, in the face's own C-order."""
+    axis, side = face_axis_side(face, patch.ndim)
+    grid = np.arange(patch.space.dim).reshape(patch.space.space.n_basis)
+    return np.take(grid, -1 if side else 0, axis=axis).ravel()
+
+
 def extract_trace(patch: NurbsPatch, face: int, rigid_normal=None) -> BoundaryTrace:
     """Face restriction of the patch with its rigid-plane outward normal."""
-    axis, side = face_axis_side(face, patch.ndim)
-    shape = patch.space.space.n_basis
-    grid = np.arange(patch.space.dim).reshape(shape)
-    take = np.take(grid, -1 if side else 0, axis=axis)
-    dof_map = take.ravel()
+    axis, _ = face_axis_side(face, patch.ndim)
+    dof_map = face_basis_indices(patch, face)
     kvs = tuple(kv for a, kv in enumerate(patch.knot_vectors) if a != axis)
     surf_space = WeightedSpace(TensorSpace(kvs), patch.space.weights[dof_map])
     if rigid_normal is None:

@@ -18,14 +18,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import _direction_tables, _geometry_det_and_inverse, build_trace_quadrature, gauss_rule
+from .assembly import (
+    _direction_tables, _geometry_det_and_inverse, _point_basis_matrix, build_trace_quadrature, gauss_rule
+)
 from .contact import MultiplierBasis
 from .geometry import BoundaryTrace, NurbsPatch
 from .splines import eval_basis_batch
 
 _SLAB_POINTS = 1 << 14  # reference quadrature points per slab of element rows
+_REFERENCE_GAUSS = 6  # Gauss points per direction of the multiplier reference error
 
 
 class VerificationError(ValueError):
@@ -86,13 +88,9 @@ def hertz_3d(R: float, E: float, nu: float, P: float) -> HertzAnalytic:
 
 def _direction_matrices(kv, z: np.ndarray):
     """Sparse (z.size, n_basis) value and first-derivative matrices of one knot vector at z."""
-    first, vals, ders = eval_basis_batch(kv, z, min(1, kv.degree))
-    ders = ders[:, 0, :] if ders.shape[1] else np.zeros_like(vals)
-    p1 = kv.degree + 1
-    cols = (first[:, None] + np.arange(p1)).ravel()
-    indptr = np.arange(0, z.size * p1 + 1, p1)
-    shape = (z.size, kv.n_basis)
-    return tuple(sp.csr_matrix((t.ravel(), cols, indptr), shape=shape) for t in (vals, ders))
+    first, vals, ders = eval_basis_batch(kv, z, 1)
+    idx = first[:, None] + np.arange(kv.degree + 1)
+    return _point_basis_matrix(idx, vals, kv.n_basis), _point_basis_matrix(idx, ders[:, 0, :], kv.n_basis)
 
 
 def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:
@@ -242,10 +240,9 @@ def multiplier_error_reference(
     basis_coarse: MultiplierBasis,
     lam_ref: np.ndarray,
     basis_ref: MultiplierBasis,
-    n_gauss: int = 6,
 ) -> float:
     """L2 mismatch between two multiplier fields, integrated on the reference trace."""
-    tq = build_trace_quadrature(basis_ref.trace, n_gauss)
+    tq = build_trace_quadrature(basis_ref.trace, _REFERENCE_GAUSS)
     p_c = multiplier_pressure_at(lam_coarse, basis_coarse, tq.params)
     p_r = multiplier_pressure_at(lam_ref, basis_ref, tq.params)
     return math.sqrt(float(((p_c - p_r) ** 2 * tq.wmeas).sum()))

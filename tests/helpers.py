@@ -1,6 +1,8 @@
 """Helpers that more than one test module computes with; the package itself does not need them."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -30,3 +32,26 @@ def active_region_extent(bundle, basis, r_of):
     r_hi = float(r_of(np.array([[hi]]))[0])
     r_lo = float(r_of(np.array([[lo]]))[0])
     return r_hi, r_hi - r_lo
+
+
+@dataclass(frozen=True)
+class GapField:
+    """Signed distance from the deformed contact face to a rigid plane, at any surface parameters.
+
+    The plane is ``{x : x . normal = offset}`` with ``normal`` the rigid
+    body's outward unit normal; positive gap means separation.  The gap
+    is affine in the displacement because the normal is fixed.
+    """
+
+    trace: object
+    normal: np.ndarray
+    offset: float
+
+    def gap_at(self, params, u: np.ndarray | None = None) -> np.ndarray:
+        params = np.atleast_2d(params)
+        x = self.trace.map_points(params)
+        if u is not None:
+            idx, vals, _ = self.trace.space.eval_many(params)
+            u_face = np.asarray(u).reshape(-1, self.trace.patch.ndim)[self.trace.dof_map]
+            x = x + np.einsum("ma,mad->md", vals, u_face[idx])
+        return x @ self.normal - self.offset

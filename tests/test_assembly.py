@@ -20,7 +20,6 @@ from igacontact.assembly import (
     assemble_load,
     assemble_stiffness,
     dirichlet_on_face,
-    face_basis_indices,
     gauss_rule,
     iter_element_blocks,
     merge_constraints,
@@ -34,6 +33,7 @@ from igacontact.geometry import (
     QUARTER_DISC_SYMMETRY_FACE,
     NurbsPatch,
     elevate_bezier_degree,
+    face_basis_indices,
     face_id,
     quarter_disc_patch,
     sphere_octant_patch,

@@ -4,35 +4,40 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from igacontact import solver
 from igacontact.assembly import assemble_stiffness, dirichlet_on_face
 from igacontact.contact import (
     ContactState,
-    GapField,
     active_set_update,
     coupling_matrix,
     dump_contact_state,
     multiplier_basis,
+    scalar_coupling_and_masses,
     weighted_gap,
 )
 from igacontact.geometry import (
     QUARTER_DISC_CONTACT_FACE,
+    SPHERE_OCTANT_CONTACT_FACE,
     extract_trace,
     face_id,
     quarter_disc_patch,
+    sphere_octant_patch,
     unit_square_patch,
 )
 from igacontact.materials import LinearMaterial
 
+from helpers import GapField
+
 PLANE_NORMAL_2D = np.array([-1.0, 0.0])  # rigid half-space {x >= R}
 
 
-def flat_trace(n_spans=4, degree=2):
-    """Bottom edge of the unit square with the rigid plane y = 0 below it."""
+def flat_trace(n_spans=4, degree=2, normal=(0.0, 1.0)):
+    """Bottom edge of the unit square over a rigid plane of outward normal ``normal`` (y = 0 by default)."""
     patch = unit_square_patch(degree, n_spans)
-    return extract_trace(patch, face_id(1, 0), rigid_normal=[0.0, 1.0]), patch
+    return extract_trace(patch, face_id(1, 0), rigid_normal=normal), patch
 
 
 def disc_trace(n=8):
@@ -41,11 +46,67 @@ def disc_trace(n=8):
     return extract_trace(patch, QUARTER_DISC_CONTACT_FACE, rigid_normal=PLANE_NORMAL_2D), patch
 
 
+def octant_trace():
+    patch = sphere_octant_patch(1.0).refine_to_breakpoints([[0.5], [0.25, 0.5], [0.5]])
+    return extract_trace(patch, SPHERE_OCTANT_CONTACT_FACE, rigid_normal=[0.0, 0.0, 1.0]), patch
+
+
+def point_basis_data(basis):
+    """Quadrature weights and the (indices, values) of the trace and multiplier bases at the points."""
+    tq = basis.quadrature
+    idx, vals, _ = basis.trace.space.eval_many(tq.params)
+    mult_idx, mult_vals = basis.values_at(tq.params)
+    return tq.wmeas, idx, vals, mult_idx, mult_vals
+
+
+def coupling_oracle(basis, n_comp, n_vol_basis):
+    """The coupling summed from one block per quadrature point and normal component, through COO."""
+    w, idx, vals, mult_idx, mult_vals = point_basis_data(basis)
+    n = basis.trace.normal
+    rows, cols, data = [], [], []
+    vol_dofs = basis.trace.dof_map[idx]  # (m, nloc_t)
+    for c in range(n_comp):
+        if n[c] == 0.0:
+            continue
+        block = np.einsum("mk,ma,m->mka", mult_vals, vals, w * n[c])
+        rows.append(np.broadcast_to(mult_idx[:, :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(vol_dofs[:, None, :] * n_comp + c, block.shape).ravel())
+        data.append(block.ravel())
+    shape = (basis.space.dim, n_vol_basis * n_comp)
+    B = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    return B.tocsr()
+
+
+def scalar_coupling_and_masses_oracle(basis):
+    """(B, M_primal, M_mult) scattered point by point with ``np.add.at``."""
+    w, idx, vals, mult_idx, mult_vals = point_basis_data(basis)
+    nP, nM = basis.trace.space.dim, basis.space.dim
+    B, Mp, Mm = np.zeros((nM, nP)), np.zeros((nP, nP)), np.zeros((nM, nM))
+    for out, (ri, rv), (ci, cv) in (
+        (B, (mult_idx, mult_vals), (idx, vals)),
+        (Mp, (idx, vals), (idx, vals)),
+        (Mm, (mult_idx, mult_vals), (mult_idx, mult_vals)),
+    ):
+        shape = ri.shape + (ci.shape[1],)
+        rows = np.broadcast_to(ri[:, :, None], shape)
+        cols = np.broadcast_to(ci[:, None, :], shape)
+        np.add.at(out, (rows, cols), np.einsum("mk,ma,m->mka", rv, cv, w))
+    return B, Mp, Mm
+
+
+# the oblique normal is the one case with two nonzero components, whose columns interleave
+TRACES = {
+    "disc": lambda: disc_trace(6),
+    "octant": octant_trace,
+    "flat-oblique": lambda: flat_trace(5, degree=3, normal=(0.6, 0.8)),
+}
+
+
 class TestMultiplierBasis:
     def test_measures_sum_to_trace_length(self):
         trace, _ = flat_trace(5)
         basis = multiplier_basis(trace)
-        assert basis.n_multipliers == 5
+        assert basis.space.dim == 5
         assert abs(basis.measures.sum() - 1.0) <= 1e-10
 
     def test_measures_sum_on_arc(self):
@@ -79,11 +140,10 @@ class TestWeightedGap:
         errors = []
         for n in (8, 16):
             trace, _ = flat_trace(n)
-            basis = multiplier_basis(trace, n_gauss=6)
+            basis = multiplier_basis(trace)
             tq = basis.quadrature
             v = tq.phys[:, 0] ** 2
-            coeffs = weighted_gap(v, basis)
-            vK = np.einsum("mk,mk->m", basis.mult_vals, coeffs[basis.mult_idx])
+            vK = basis.values @ weighted_gap(v, basis)
             errors.append(math.sqrt(((v - vK) ** 2 * tq.wmeas).sum()))
         rate = math.log2(errors[0] / errors[1])
         assert rate >= 0.9
@@ -119,7 +179,7 @@ class TestCouplingMatrix:
         trace, patch = flat_trace(4)
         basis = multiplier_basis(trace)
         B = coupling_matrix(basis, 2, patch.space.dim)
-        mu = np.ones(basis.n_multipliers)
+        mu = np.ones(basis.space.dim)
         v = np.zeros(patch.space.dim * 2)
         v[1::2] = 1.0  # unit normal displacement (n = e_y)
         assert abs(mu @ (B @ v) - 1.0) <= 1e-13
@@ -128,7 +188,7 @@ class TestCouplingMatrix:
         trace, patch = disc_trace(6)
         basis = multiplier_basis(trace)
         B = coupling_matrix(basis, 2, patch.space.dim)
-        Bd = B.toarray().reshape(basis.n_multipliers, patch.space.dim, 2)
+        Bd = B.toarray().reshape(basis.space.dim, patch.space.dim, 2)
         for c in range(2):
             np.testing.assert_allclose(
                 Bd[:, :, c].sum(axis=1), basis.measures * trace.normal[c], atol=1e-13
@@ -139,16 +199,30 @@ class TestCouplingMatrix:
         basis = multiplier_basis(trace)
         B = coupling_matrix(basis, 2, patch.space.dim)
         rng = np.random.default_rng(23)
-        mu = rng.normal(size=basis.n_multipliers)
+        mu = rng.normal(size=basis.space.dim)
         v = rng.normal(size=patch.space.dim * 2)
         lhs = mu @ (B @ v)
         tq = basis.quadrature
-        mu_vals = np.einsum("mk,mk->m", basis.mult_vals, mu[basis.mult_idx])
-        v_face = v.reshape(-1, 2)[trace.dof_map]
-        v_vals = np.einsum("ma,mad->md", tq.vals, v_face[tq.idx])
-        vn = v_vals @ trace.normal
+        mu_vals = basis.values @ mu
+        vn = (tq.values @ v.reshape(-1, 2)[trace.dof_map]) @ trace.normal
         rhs = (mu_vals * vn * tq.wmeas).sum()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("case", sorted(TRACES))
+    def test_products_match_pointwise_oracles(self, case):
+        """The moment products give the pointwise-scattered coupling and masses, on the same pattern."""
+        trace, patch = TRACES[case]()
+        basis = multiplier_basis(trace)
+        nd = patch.ndim
+        B, ref = coupling_matrix(basis, nd, patch.space.dim), coupling_oracle(basis, nd, patch.space.dim)
+        assert B.shape == ref.shape
+        np.testing.assert_array_equal(B.indptr, ref.indptr)
+        np.testing.assert_array_equal(B.indices, ref.indices)
+        assert np.all(B.data != 0.0)
+        np.testing.assert_allclose(B.data, ref.data, rtol=1e-14, atol=0.0)
+        for got, want in zip(scalar_coupling_and_masses(basis), scalar_coupling_and_masses_oracle(basis)):
+            np.testing.assert_array_equal(got != 0.0, want != 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestActiveSetUpdate:
@@ -213,7 +287,7 @@ class TestContactResidualAndTangent:
 
     def test_zero_multipliers_zero_force(self):
         layout, B, basis, _ = self.layout(3)
-        r_u = layout.scatter(layout.Bc.T @ np.zeros(basis.n_multipliers))
+        r_u = layout.scatter(layout.Bc.T @ np.zeros(basis.space.dim))
         assert r_u.shape == (B.shape[1],) and np.all(r_u == 0.0)
 
     def test_zero_gap_zero_constraint_residual(self):

@@ -30,7 +30,6 @@ from igacontact.benchmarks import (
     sphere_octant_level_patch,
 )
 from igacontact.contact import (
-    GapField,
     complementarity_ok,
     coupling_matrix,
     multiplier_basis,
@@ -51,7 +50,7 @@ from igacontact.solver import (
 )
 from igacontact.verification import arc_coordinate_2d, hertz_2d, hertz_3d
 
-from helpers import active_region_extent
+from helpers import GapField, active_region_extent
 
 MAT = LinearMaterial(1.0, 0.3)
 

@@ -198,6 +198,12 @@ class TestEvalBasis:
         assert eval_at(kv, 0.5)[0] == 1  # half-open convention
         assert eval_at(kv, 1.0)[0] == 1  # right endpoint stays in the last element
 
+    def test_degree_zero_derivatives_are_zero(self):
+        kv = KnotVector(np.array([0.0, 0.5, 1.0]), 0)
+        _, values, ders = eval_basis_batch(kv, np.array([0.1, 0.6, 0.9]), 1)
+        assert ders.shape == (3, 1, 1) and np.all(ders == 0.0)
+        np.testing.assert_array_equal(values, 1.0)
+
 
 class TestNurbsBasis:
     def test_unit_weights_reduce_to_bsplines(self):

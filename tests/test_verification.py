@@ -280,7 +280,7 @@ class TestMultiplierErrors:
         basis = self.flat_basis(64)
         analytic = hertz_2d(1.0, 1.0, 0.3, 0.003)
         err = multiplier_error_analytic(
-            np.zeros(basis.n_multipliers), basis, analytic, self.r_flat, n_gauss=10
+            np.zeros(basis.space.dim), basis, analytic, self.r_flat, n_gauss=10
         )
         # closed form: int_0^a p0^2 (1 - r^2/a^2) dr = (2/3) p0^2 a on the half band
         exact = analytic.p0 * math.sqrt(2.0 * analytic.a / 3.0)
