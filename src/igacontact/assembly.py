@@ -35,9 +35,9 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_axis_side, face_basis_indices
+from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_basis_indices, trace_grid_map
 from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial, det_and_inverse
-from .splines import eval_basis_batch
+from .splines import _direction_matrices, eval_basis_batch, grid_basis_matrix
 
 _CHUNK = 256
 
@@ -65,20 +65,24 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(points=x, weights=w)
 
 
-def _direction_tables(kv, rule: QuadratureRule):
-    """Per-span Gauss data of one knot vector direction.
-
-    Returns (points, weights, values, derivs) with element axis first:
-    shapes (nel, n), (nel, n), (nel, n, p+1), same.
-    """
+def _gauss_points(kv, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss abscissae and weights on every nonempty span of one knot vector, each (nel, n)."""
     bounds = kv.element_bounds
-    nel = bounds.shape[0]
     mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    pts = mid[:, None] + half[:, None] * rule.points[None, :]
-    wts = half[:, None] * rule.weights[None, :]
+    return mid[:, None] + half[:, None] * rule.points[None, :], half[:, None] * rule.weights[None, :]
+
+
+def _direction_tables(kv, rule: QuadratureRule):
+    """Per-span Gauss data of one knot vector direction, for the element kernels.
+
+    Returns (weights, values, derivs) with element axis first: shapes
+    (nel, n), (nel, n, p+1), same.
+    """
+    pts, wts = _gauss_points(kv, rule)
+    nel = pts.shape[0]
     _, vals, ders = eval_basis_batch(kv, pts.ravel(), n_deriv=1)
-    return pts, wts, vals.reshape(nel, rule.n, -1), ders[:, 0, :].reshape(nel, rule.n, -1)
+    return wts, vals.reshape(nel, rule.n, -1), ders[:, 0, :].reshape(nel, rule.n, -1)
 
 
 def _tensor_combine(tables):
@@ -99,8 +103,8 @@ def _element_dofs(space) -> np.ndarray:
     The first nonzero function on knot span s is s - p in each direction.
     """
     firsts = np.meshgrid(*[kv.spans - kv.degree for kv in space.knot_vectors], indexing="ij")
-    offs = space._local_offsets
-    multi = tuple(f.ravel()[:, None] + offs[None, :, d] for d, f in enumerate(firsts))
+    offs = np.indices([kv.degree + 1 for kv in space.knot_vectors]).reshape(space.ndim, -1)  # (d, nloc)
+    multi = tuple(f.ravel()[:, None] + offs[d] for d, f in enumerate(firsts))
     return np.ravel_multi_index(multi, space.n_basis)
 
 
@@ -132,7 +136,7 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
     # derivatives on axis g and the values elsewhere, so one outer product gives both
     basis = [
         np.stack([vals] + [ders if g == d else vals for g in range(nd)], axis=-2)
-        for d, (_, _, vals, ders) in enumerate(tabs)
+        for d, (_, vals, ders) in enumerate(tabs)
     ]
     nel_dir = [kv.n_elements for kv in space.knot_vectors]
     all_dofs = _element_dofs(space)
@@ -144,7 +148,7 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
         ce = dofs.shape[0]
         multi = np.array(np.unravel_index(np.arange(start, start + ce), nel_dir)).T  # (ce, nd)
         bspl = _tensor_combine([basis[d][multi[:, d]] for d in range(nd)])  # (ce, nq, 1 + d, nloc)
-        wq = _tensor_combine([tabs[d][1][multi[:, d], :, None] for d in range(nd)])[:, :, 0]
+        wq = _tensor_combine([tabs[d][0][multi[:, d], :, None] for d in range(nd)])[:, :, 0]
 
         wloc = weights[dofs]
         W = np.matmul(bspl, wloc[:, None, :, None])  # (ce, nq, 1 + d, 1): W and its gradient
@@ -325,26 +329,17 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> sp.csr_matrix:
     return plan.matrix(data)
 
 
-def _point_basis_matrix(idx: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
-    """(m, n) CSR matrix of a basis at m points from the (m, nloc) indices and values of one evaluation.
-
-    Row q holds the nonzero functions at point q, in the ascending index
-    order the evaluation returns them in.
-    """
-    m, nloc = idx.shape
-    return sp.csr_matrix((vals.ravel(), idx.ravel(), np.arange(0, m * nloc + 1, nloc)), shape=(m, n))
-
-
 @dataclass(frozen=True)
 class TraceQuadrature:
     """Gauss data on the elements of a boundary trace.
 
+    The m points are the C-order grid of the per-direction ``abscissae``.
     ``values`` is the (m, n) matrix E of the primal surface basis at the
-    m points, so the moments integral(N_A f) of a field f sampled there
+    points, so the moments integral(N_A f) of a field f sampled there
     are ``values.T @ (f * wmeas)``.
     """
 
-    params: np.ndarray  # (m, sd) surface parametric coordinates
+    abscissae: tuple[np.ndarray, ...]  # per surface direction, the Gauss points of all its elements
     weights: np.ndarray  # (m,) gauss weight x parametric span factor
     measure: np.ndarray  # (m,) surface Jacobian
     phys: np.ndarray  # (m, d)
@@ -356,24 +351,23 @@ class TraceQuadrature:
 
 
 def build_trace_quadrature(trace: BoundaryTrace, n_gauss: int) -> TraceQuadrature:
+    """Gauss data on the tensor grid of a trace's element Gauss points.
+
+    One value/derivative matrix pair per surface direction gives both the
+    basis matrix E and, by sum factorization, the points and measures.
+    """
     rule = gauss_rule(n_gauss)
-    sd = trace.ndim
-    tabs = [_direction_tables(kv, rule) for kv in trace.space.space.knot_vectors]
-    flat_pts = [tabs[d][0].reshape(-1) for d in range(sd)]
-    flat_wts = [tabs[d][1].reshape(-1) for d in range(sd)]
-    mesh = np.meshgrid(*[np.arange(x.size) for x in flat_pts], indexing="ij")
-    pos = [m.ravel() for m in mesh]
-    params = np.stack([flat_pts[d][pos[d]] for d in range(sd)], axis=1)
-    weights = np.ones(params.shape[0])
-    for d in range(sd):
-        weights = weights * flat_wts[d][pos[d]]
-    idx, vals, _ = trace.space.eval_many(params)
+    kvs = trace.space.space.knot_vectors
+    gauss = [_gauss_points(kv, rule) for kv in kvs]
+    abscissae = tuple(pts.ravel() for pts, _ in gauss)
+    mats = [_direction_matrices(kv, z) for kv, z in zip(kvs, abscissae)]
+    phys, measure = trace_grid_map(trace, mats)
     return TraceQuadrature(
-        params=params,
-        weights=weights,
-        measure=trace.measures(params),
-        phys=trace.map_points(params),
-        values=_point_basis_matrix(idx, vals, trace.space.dim),
+        abscissae=abscissae,
+        weights=functools.reduce(np.multiply.outer, [wts.ravel() for _, wts in gauss]).ravel(),
+        measure=measure,
+        phys=phys,
+        values=grid_basis_matrix([vals for vals, _ in mats], trace.space.weights),
     )
 
 
@@ -387,10 +381,9 @@ def assemble_load(patch: NurbsPatch, tractions: dict[int, np.ndarray]) -> np.nda
     nd = patch.ndim
     F = np.zeros(patch.space.dim * nd)
     for face, traction in tractions.items():
-        face_axis_side(face, nd)  # validates the id
         trace = extract_trace(patch, face)
         tq = build_trace_quadrature(trace, max(patch.degrees) + 1)
-        t = np.broadcast_to(np.asarray(traction, dtype=float), (tq.params.shape[0], nd))
+        t = np.broadcast_to(np.asarray(traction, dtype=float), (tq.weights.size, nd))
         F.reshape(-1, nd)[trace.dof_map] += tq.values.T @ (t * tq.wmeas[:, None])
     return F
 

@@ -44,7 +44,6 @@ from .geometry import (
     SPHERE_OCTANT_CONTACT_FACE,
     SPHERE_OCTANT_LOAD_FACE,
     SPHERE_OCTANT_SYMMETRY_FACES,
-    BoundaryTrace,
     GeometryError,
     NurbsPatch,
     elevate_bezier_degree,
@@ -190,9 +189,8 @@ def sphere_octant_level_patch(config: RunConfig, level: int) -> NurbsPatch:
 
 @dataclass
 class ContactSetup:
-    """Trace, multiplier basis, coupling and rigid-plane gap integrals of one mesh."""
+    """Multiplier basis (with its trace), coupling and rigid-plane gap integrals of one mesh."""
 
-    trace: BoundaryTrace
     basis: MultiplierBasis
     coupling: object
     gap_integrals: np.ndarray
@@ -205,7 +203,7 @@ def _contact_setup(patch: NurbsPatch, contact_face: int, normal, offset: float) 
     g0 = basis.quadrature.phys @ normal - offset  # signed distance to the plane x . normal = offset
     gap_integrals = weighted_gap(g0, basis) * basis.measures
     coupling = coupling_matrix(basis, patch.ndim, patch.space.dim)
-    return ContactSetup(trace=trace, basis=basis, coupling=coupling, gap_integrals=gap_integrals)
+    return ContactSetup(basis=basis, coupling=coupling, gap_integrals=gap_integrals)
 
 
 def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np.ndarray | None:
@@ -311,10 +309,10 @@ class LevelResult:
 
 def _contact_band_size(setup: ContactSetup, grading: tuple[float, float]) -> float:
     """Largest trace element inside the contact-refined parametric band."""
-    bounds, sizes = trace_mesh_sizes(setup.trace)
+    bounds, sizes = trace_mesh_sizes(setup.basis.trace)
     _, lf = grading
     # the contact face is graded along its last axis: the arc in 2D, the polar angle in 3D
-    graded_axis = setup.trace.ndim - 1
+    graded_axis = setup.basis.trace.ndim - 1
     inside = bounds[:, graded_axis, 1] <= lf + 1e-12
     if not inside.any():
         return float(sizes.max())
@@ -379,7 +377,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
         if config.benchmark == "hertz2d-large-dirichlet":
             load = equivalent_pressure_2d(reference.bundle, config.radius)
         analytic = hertz_2d(config.radius, config.young, config.poisson, load)
-        r_of = arc_coordinate_2d(reference.setup.trace)
+        r_of = arc_coordinate_2d(reference.setup.basis.trace)
 
     disp_rows = []
     mult_rows = []
@@ -448,7 +446,7 @@ def write_run_outputs(result: RunResult) -> Path:
     ref = result.reference
     if result.analytic.a > 0 and result.analytic.p0 > 0:
         tq = ref.setup.basis.quadrature
-        p = multiplier_pressure_at(ref.bundle.lam, ref.setup.basis, tq.params)
+        p = multiplier_pressure_at(ref.bundle.lam, ref.setup.basis, tq)
         r = result.r_of(tq)
         order = np.lexsort((p, r))  # by r, ties by p: the row order depends on the solution alone
         rows = np.column_stack([r[order] / result.analytic.a, p[order] / result.analytic.p0])

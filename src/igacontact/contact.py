@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import TraceQuadrature, _point_basis_matrix, build_trace_quadrature
+from .assembly import TraceQuadrature, build_trace_quadrature
 from .geometry import BoundaryTrace
-from .splines import TensorSpace, multiplier_space
+from .splines import TensorSpace, _direction_matrices, grid_basis_matrix, multiplier_space
 
 
 class ContactError(ValueError):
@@ -55,10 +55,6 @@ class MultiplierBasis:
     values: sp.csr_matrix
     measures: np.ndarray
 
-    def values_at(self, params) -> tuple[np.ndarray, np.ndarray]:
-        idx, vals, _ = self.space.eval_many(np.atleast_2d(params))
-        return idx, vals
-
 
 def multiplier_basis(trace: BoundaryTrace) -> MultiplierBasis:
     """Build the multiplier space of a trace and integrate its basis measures."""
@@ -66,8 +62,7 @@ def multiplier_basis(trace: BoundaryTrace) -> MultiplierBasis:
     # rational surface measures are not polynomial; one extra point keeps
     # the partition-of-unity identity of the measures below 1e-10
     tq = build_trace_quadrature(trace, max(trace.space.space.degrees) + 2)
-    idx, vals, _ = space.eval_many(tq.params)
-    values = _point_basis_matrix(idx, vals, space.dim)
+    values = grid_basis_matrix([_direction_matrices(kv, z)[0] for kv, z in zip(space.knot_vectors, tq.abscissae)])
     measures = values.T @ tq.wmeas
     if np.any(measures <= 0):
         raise ContactError("degenerate multiplier basis: nonpositive basis measure")

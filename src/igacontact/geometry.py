@@ -9,9 +9,12 @@ assembly never touches the degenerate sets.
 
 Refinement inserts all of an axis's new breakpoints at once: one
 knot-insertion matrix per direction (:func:`splines.insertion_matrix`)
-multiplies the homogeneous control net along that axis.  Element sizes
-come from the breakpoint grid, mapped once, whose 2^d points around an
-element are its corners.
+multiplies the homogeneous control net along that axis.  Maps are
+evaluated on tensor grids only, by the sum-factorized evaluator of
+:mod:`splines`: element sizes come from the breakpoint grid, mapped
+once, whose 2^d points around an element are its corners, and a trace's
+points and surface measures on a grid come from one pass over its
+homogeneous net (:func:`trace_grid_map`).
 
 Face ids are integers ``2*axis + side`` with ``side`` 0 at parameter 0
 and 1 at parameter 1.
@@ -27,6 +30,8 @@ from .splines import (
     KnotVector,
     TensorSpace,
     WeightedSpace,
+    _direction_matrices,
+    _grid_fields,
     insertion_matrix,
     make_open_knot_vector,
 )
@@ -50,8 +55,8 @@ def face_axis_side(face: int, ndim: int) -> tuple[int, int]:
 class NurbsPatch:
     """Tensor-product NURBS geometry map from the unit cube.
 
-    ``control_points`` holds one point per basis function in flat
-    C-order matching :meth:`TensorSpace.eval_many` indices.
+    ``control_points`` holds one point per basis function, in the flat
+    C-order of the tensor basis.
     """
 
     space: WeightedSpace
@@ -76,10 +81,6 @@ class NurbsPatch:
     @property
     def degrees(self) -> tuple[int, ...]:
         return self.space.space.degrees
-
-    def map_points(self, points) -> np.ndarray:
-        idx, vals, _ = self.space.eval_many(points)
-        return np.einsum("ma,mad->md", vals, self.control_points[idx])
 
     def homogeneous_controls(self) -> np.ndarray:
         w = self.space.weights
@@ -260,21 +261,21 @@ class BoundaryTrace:
     def ndim(self) -> int:
         return self.space.ndim
 
-    def map_points(self, points) -> np.ndarray:
-        idx, vals, _ = self.space.eval_many(points)
-        return np.einsum("ma,mad->md", vals, self.control_points[idx])
 
-    def tangents(self, points):
-        idx, _, grads = self.space.eval_many(points, n_grad=1)
-        return np.einsum("mad,maj->mjd", self.control_points[idx], grads)
+def trace_grid_map(trace: BoundaryTrace, mats) -> tuple[np.ndarray, np.ndarray]:
+    """Points (m, d) and surface Jacobians |dGamma/dzeta| (m,) of a trace on a tensor grid.
 
-    def measures(self, points) -> np.ndarray:
-        """Surface Jacobian |dGamma/dzeta| at the given surface parameters."""
-        t = self.tangents(points)
-        if self.ndim == 1:
-            return np.linalg.norm(t[:, 0, :], axis=1)
-        cross = np.cross(t[:, 0, :], t[:, 1, :])
-        return np.linalg.norm(cross, axis=1)
+    ``mats[j]`` is the (value, derivative) matrix pair of surface
+    direction j at its abscissae, and the m points are the grid's, in
+    C-order.  One sum-factorized pass over the homogeneous net gives the
+    points and the tangents t_j; the measure is |t_0| on a curve and
+    |t_0 x t_1| on a surface.
+    """
+    x, t = _grid_fields(trace.space.homogeneous(trace.control_points), mats, None)
+    nd = x.shape[0]
+    t = t.reshape(nd, trace.ndim, -1)
+    jac_vec = t[:, 0] if trace.ndim == 1 else np.cross(t[:, 0], t[:, 1], axis=0)
+    return x.reshape(nd, -1).T, np.linalg.norm(jac_vec, axis=0)
 
 
 def face_basis_indices(patch: NurbsPatch, face: int) -> np.ndarray:
@@ -307,18 +308,18 @@ def extract_trace(patch: NurbsPatch, face: int, rigid_normal=None) -> BoundaryTr
     )
 
 
-def _element_sizes(knot_vectors, map_points) -> tuple[np.ndarray, np.ndarray]:
-    """Parametric bounds and physical sizes of the elements of a tensor grid, elements in C-order.
+def _element_sizes(space: WeightedSpace, control_points) -> tuple[np.ndarray, np.ndarray]:
+    """Parametric bounds and physical sizes of the elements of a rational map, elements in C-order.
 
     The breakpoint grid is mapped once; an element's size is the largest
     distance between its 2^d mapped corners.
     """
+    knot_vectors = space.space.knot_vectors
     per_dir = [kv.element_bounds for kv in knot_vectors]
     nel = tuple(b.shape[0] for b in per_dir)
     nd = len(nel)
-    grid = np.meshgrid(*[np.append(b[:, 0], b[-1, 1]) for b in per_dir], indexing="ij")
-    mapped = map_points(np.stack([g.ravel() for g in grid], axis=1))
-    mapped = mapped.reshape(grid[0].shape + (-1,))
+    mats = [_direction_matrices(kv, np.append(b[:, 0], b[-1, 1])) for kv, b in zip(knot_vectors, per_dir)]
+    mapped = np.moveaxis(_grid_fields(space.homogeneous(control_points), mats, None)[0], 0, -1)
     corners = [mapped[tuple(slice(c, c + n) for c, n in zip(at, nel))] for at in product((0, 1), repeat=nd)]
     corners = np.stack(corners, axis=-2).reshape(-1, 2 ** nd, mapped.shape[-1])
     diff = corners[:, :, None, :] - corners[:, None, :, :]
@@ -330,9 +331,9 @@ def _element_sizes(knot_vectors, map_points) -> tuple[np.ndarray, np.ndarray]:
 
 def mesh_view(patch: NurbsPatch) -> tuple[np.ndarray, np.ndarray]:
     """Per-element parametric bounds (n_el, d, 2) and physical sizes (n_el,) of a patch."""
-    return _element_sizes(patch.knot_vectors, patch.map_points)
+    return _element_sizes(patch.space, patch.control_points)
 
 
 def trace_mesh_sizes(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray]:
     """Per-element parametric bounds and physical sizes of a boundary trace."""
-    return _element_sizes(trace.space.space.knot_vectors, trace.map_points)
+    return _element_sizes(trace.space, trace.control_points)

@@ -4,10 +4,17 @@ Univariate evaluation follows the span-local Cox-de Boor recursion
 (NURBS Book algorithms A2.1-A2.3), vectorized over evaluation points;
 knot insertion builds a direction's whole insertion matrix in one pass
 of the Oslo algorithm.
-Tensor-product and rational (NURBS) spaces are thin wrappers combining
-per-direction evaluations; the multiplier space used by the contact
-formulation is derived here by stripping boundary knots and dropping
-two degrees.
+
+Every evaluation of a tensor-product or rational (NURBS) space is on a
+tensor grid: the C-order grid of per-direction abscissae.  One sparse
+value matrix and one derivative matrix per direction
+(:func:`_direction_matrices`) are the whole evaluator.  Their Kronecker
+product is the basis matrix of the grid (:func:`grid_basis_matrix`,
+rational with weights), and applied one axis at a time to a homogeneous
+(weight-scaled) coefficient net they give rational fields and their
+parametric gradients by sum factorization (:func:`_grid_fields`).  The
+multiplier space used by the contact formulation is derived here by
+stripping boundary knots and dropping two degrees.
 
 Conventions:
     * indices are 0-based everywhere,
@@ -19,9 +26,10 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class SplineError(ValueError):
@@ -257,47 +265,6 @@ class TensorSpace:
     def degrees(self) -> tuple[int, ...]:
         return tuple(kv.degree for kv in self.knot_vectors)
 
-    @cached_property
-    def _local_offsets(self) -> np.ndarray:
-        grids = np.meshgrid(*[np.arange(kv.degree + 1) for kv in self.knot_vectors], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)  # (nloc, ndim)
-
-    def eval_many(self, points, n_grad: int = 0):
-        """Nonzero basis values (and parametric gradients) at many points.
-
-        Returns ``(indices, values, grads)``: flat C-order basis indices
-        (m, nloc), values (m, nloc) and gradients (m, nloc, ndim); the
-        gradient array is ``None`` when ``n_grad == 0``.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.ndim:
-            raise SplineError(f"points must have {self.ndim} coordinates")
-        m = pts.shape[0]
-        firsts, vals, ders = [], [], []
-        for d, kv in enumerate(self.knot_vectors):
-            f, v, de = eval_basis_batch(kv, pts[:, d], min(n_grad, 1))
-            firsts.append(f)
-            vals.append(v)
-            ders.append(de[:, 0, :] if n_grad else None)
-        offs = self._local_offsets
-        strides = np.array([int(np.prod(self.n_basis[d + 1 :])) for d in range(self.ndim)])
-        indices = np.zeros((m, offs.shape[0]), dtype=np.int64)
-        for d in range(self.ndim):
-            indices += (firsts[d][:, None] + offs[None, :, d]) * strides[d]
-        values = np.ones((m, offs.shape[0]))
-        for d in range(self.ndim):
-            values *= vals[d][:, offs[:, d]]
-        grads = None
-        if n_grad:
-            grads = np.empty((m, offs.shape[0], self.ndim))
-            for g in range(self.ndim):
-                acc = np.ones((m, offs.shape[0]))
-                for d in range(self.ndim):
-                    table = ders[d] if d == g else vals[d]
-                    acc *= table[:, offs[:, d]]
-                grads[:, :, g] = acc
-        return indices, values, grads
-
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -322,21 +289,13 @@ class WeightedSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def eval_many(self, points, n_grad: int = 0):
-        """Rational basis values/gradients by the quotient rule."""
-        indices, bvals, bgrads = self.space.eval_many(points, n_grad)
-        wloc = self.weights[indices]
-        num = wloc * bvals
-        W = num.sum(axis=1)
-        if np.any(W <= 0):
-            raise SplineError("nonpositive weight function; invalid weights")
-        values = num / W[:, None]
-        grads = None
-        if n_grad:
-            dnum = wloc[:, :, None] * bgrads
-            dW = dnum.sum(axis=1)
-            grads = (dnum - values[:, :, None] * dW[:, None, :]) / W[:, None, None]
-        return indices, values, grads
+    def homogeneous(self, coefs) -> np.ndarray:
+        """Fields of coefficients ``coefs`` (n, k) as the (k + 1, n_0, ..., n_{d-1}) net :func:`_grid_fields` reads.
+
+        The coefficients are scaled by the weights, and the weights come last.
+        """
+        w = self.weights[:, None]
+        return np.hstack([coefs * w, w]).T.reshape((-1,) + self.space.n_basis)
 
 
 def multiplier_space(primal: TensorSpace) -> TensorSpace:
@@ -354,3 +313,65 @@ def multiplier_space(primal: TensorSpace) -> TensorSpace:
             raise SplineError("multiplier space needs primal degree >= 2")
         reduced.append(_clamp_end_multiplicity(interior_knot_vector(kv)))
     return TensorSpace(tuple(reduced))
+
+
+def _point_basis_matrix(idx: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """(m, n) CSR matrix of a basis at m points from the (m, nloc) indices and values of one evaluation.
+
+    Row q holds the nonzero functions at point q, in the ascending index
+    order the evaluation returns them in.
+    """
+    m, nloc = idx.shape
+    return sp.csr_matrix((vals.ravel(), idx.ravel(), np.arange(0, m * nloc + 1, nloc)), shape=(m, n))
+
+
+def _direction_matrices(kv: KnotVector, z: np.ndarray):
+    """Sparse (z.size, n_basis) value and first-derivative matrices of one knot vector at z."""
+    first, vals, ders = eval_basis_batch(kv, z, 1)
+    idx = first[:, None] + np.arange(kv.degree + 1)
+    return _point_basis_matrix(idx, vals, kv.n_basis), _point_basis_matrix(idx, ders[:, 0, :], kv.n_basis)
+
+
+def grid_basis_matrix(value_mats, weights=None) -> sp.csr_matrix:
+    """(m, n) CSR matrix of a tensor basis on the C-order grid of the per-direction value matrices.
+
+    The Kronecker product of ``value_mats`` (one :func:`_direction_matrices`
+    value matrix per direction): row q holds the products of one nonzero
+    function per direction at grid point q, in ascending flat C-order
+    index.  With ``weights`` the basis is rational, w_A N_A / sum_B w_B N_B.
+    """
+    E = reduce(lambda A, B: sp.kron(A, B, format="csr"), value_mats)
+    if weights is None:
+        return E
+    num = (weights[E.indices] * E.data).reshape(E.shape[0], -1)
+    return sp.csr_matrix(((num / num.sum(axis=1)[:, None]).ravel(), E.indices, E.indptr), shape=E.shape)
+
+
+def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis ``axis`` of X with the sparse (Q, n) matrix ``mat``."""
+    X = np.moveaxis(X, axis, 0)
+    Y = mat @ X.reshape(X.shape[0], -1)
+    return np.moveaxis(Y.reshape((mat.shape[0],) + X.shape[1:]), 0, axis)
+
+
+def _grid_fields(coefs: np.ndarray, mats, rows: slice | None):
+    """Rational fields and their parametric gradients on a tensor grid, or on a slab of it.
+
+    ``coefs`` (k, n_0, ..., n_{d-1}) holds homogeneous coefficients, the
+    weights last (:meth:`WeightedSpace.homogeneous`); ``mats[a]`` is the
+    (value, derivative) matrix pair of direction a, of which direction 0
+    keeps only the grid rows ``rows`` (all of them when ``rows`` is
+    None).  Returns the k - 1 fields (k-1, Q_s, Q_1, ...) and their
+    gradients (k-1, d, Q_s, Q_1, ...) by the quotient rule.
+    """
+    grid = {None: coefs}  # keyed by the differentiated direction, None for values
+    for a, (vals, ders) in enumerate(mats):
+        if a == 0 and rows is not None:
+            vals, ders = vals[rows], ders[rows]
+        nxt = {key: _along(vals, arr, a + 1) for key, arr in grid.items()}
+        nxt[a] = _along(ders, grid[None], a + 1)
+        grid = nxt
+    W = grid[None][-1]
+    f = grid[None][:-1] / W
+    grads = [(grid[a][:-1] - f * grid[a][-1]) / W for a in range(len(mats))]
+    return f, np.stack(grads, axis=1)

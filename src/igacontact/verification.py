@@ -3,14 +3,13 @@
 Displacement errors are integrated in the shared parametric domain on
 the reference mesh's tensor Gauss grid (coarse and reference solutions
 live on the same patch geometry).  Both fields and the geometry are
-evaluated there by sum factorization: per parametric direction, sparse
-basis-value and derivative matrices at the grid abscissae are applied
-to the homogeneous (weight-scaled) coefficients one axis at a time, and
-the quotient rule gives the rational values and gradients.
+evaluated there by the sum-factorized evaluator of :mod:`splines`.
 
 Multiplier errors are L2 norms of the pressure mismatch on the contact
-boundary, with the classical profile mapped through the arc-length
-coordinate measured from the contact pole.
+boundary, integrated on a trace quadrature grid where each multiplier
+field is its basis matrix times its coefficients; the classical profile
+is mapped through the arc-length coordinate measured from the contact
+pole, whose speeds come from the same evaluator.
 """
 from __future__ import annotations
 
@@ -19,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    _direction_tables, _geometry_det_and_inverse, _point_basis_matrix, build_trace_quadrature, gauss_rule
-)
+from .assembly import TraceQuadrature, _gauss_points, _geometry_det_and_inverse, build_trace_quadrature, gauss_rule
 from .contact import MultiplierBasis
-from .geometry import BoundaryTrace, NurbsPatch
-from .splines import eval_basis_batch
+from .geometry import BoundaryTrace, NurbsPatch, trace_grid_map
+from .splines import _direction_matrices, _grid_fields, grid_basis_matrix
 
 _SLAB_POINTS = 1 << 14  # reference quadrature points per slab of element rows
 _REFERENCE_GAUSS = 6  # Gauss points per direction of the multiplier reference error
@@ -38,7 +35,6 @@ class VerificationError(ValueError):
 class HertzAnalytic:
     """Contact half-width, peak pressure and pressure profile for a pressed body."""
 
-    mode: str  # "2d" or "3d"
     radius: float
     young: float
     poisson: float
@@ -70,7 +66,7 @@ def hertz_2d(R: float, E: float, nu: float, P: float) -> HertzAnalytic:
     _check_hertz_inputs(R, E, nu, P)
     a = math.sqrt(8.0 * R * R * P * (1.0 - nu * nu) / (math.pi * E))
     p0 = 4.0 * R * P / (math.pi * a) if a > 0 else 0.0
-    return HertzAnalytic(mode="2d", radius=R, young=E, poisson=nu, load=P, a=a, p0=p0)
+    return HertzAnalytic(radius=R, young=E, poisson=nu, load=P, a=a, p0=p0)
 
 
 def hertz_3d(R: float, E: float, nu: float, P: float) -> HertzAnalytic:
@@ -83,43 +79,7 @@ def hertz_3d(R: float, E: float, nu: float, P: float) -> HertzAnalytic:
     _check_hertz_inputs(R, E, nu, P)
     a = (3.0 * math.pi * R ** 3 * P * (1.0 - nu * nu) / (4.0 * E)) ** (1.0 / 3.0)
     p0 = 3.0 * R * R * P / (2.0 * a * a) if a > 0 else 0.0
-    return HertzAnalytic(mode="3d", radius=R, young=E, poisson=nu, load=P, a=a, p0=p0)
-
-
-def _direction_matrices(kv, z: np.ndarray):
-    """Sparse (z.size, n_basis) value and first-derivative matrices of one knot vector at z."""
-    first, vals, ders = eval_basis_batch(kv, z, 1)
-    idx = first[:, None] + np.arange(kv.degree + 1)
-    return _point_basis_matrix(idx, vals, kv.n_basis), _point_basis_matrix(idx, ders[:, 0, :], kv.n_basis)
-
-
-def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:
-    """Contract axis ``axis`` of X with the sparse (Q, n) matrix ``mat``."""
-    X = np.moveaxis(X, axis, 0)
-    Y = mat @ X.reshape(X.shape[0], -1)
-    return np.moveaxis(Y.reshape((mat.shape[0],) + X.shape[1:]), 0, axis)
-
-
-def _grid_fields(coefs: np.ndarray, mats, rows: slice):
-    """Rational fields and their parametric gradients on a slab of the quadrature grid.
-
-    ``coefs`` (k, n_0, ..., n_{d-1}) holds homogeneous coefficients, the
-    weights last; ``mats[a]`` is the (value, derivative) matrix pair of
-    direction a, of which direction 0 keeps the grid rows ``rows``.
-    Returns the k - 1 fields (k-1, Q_s, Q_1, ...) and their gradients
-    (k-1, d, Q_s, Q_1, ...) by the quotient rule.
-    """
-    grid = {None: coefs}  # keyed by the differentiated direction, None for values
-    for a, (vals, ders) in enumerate(mats):
-        if a == 0:
-            vals, ders = vals[rows], ders[rows]
-        nxt = {key: _along(vals, arr, a + 1) for key, arr in grid.items()}
-        nxt[a] = _along(ders, grid[None], a + 1)
-        grid = nxt
-    W = grid[None][-1]
-    f = grid[None][:-1] / W
-    grads = [(grid[a][:-1] - f * grid[a][-1]) / W for a in range(len(mats))]
-    return f, np.stack(grads, axis=1)
+    return HertzAnalytic(radius=R, young=E, poisson=nu, load=P, a=a, p0=p0)
 
 
 def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> list[tuple[float, float]]:
@@ -137,9 +97,9 @@ def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> lis
     n_gauss = max(patch_ref.degrees) + 1
     ur = np.asarray(u_ref, dtype=float).reshape(-1, nd)
     # the abscissae and weights of the reference element blocks, element rows first
-    tables = [_direction_tables(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
-    pts = [t[0].ravel() for t in tables]
-    wts = [t[1].ravel() for t in tables]
+    gauss = [_gauss_points(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
+    pts = [p.ravel() for p, _ in gauss]
+    wts = [w.ravel() for _, w in gauss]
     fields = []  # (pair index, homogeneous coefficients, direction matrices)
     for k, (u_coarse, patch_coarse) in enumerate(coarse):
         if patch_coarse.ndim != nd:
@@ -149,17 +109,14 @@ def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> lis
             raise VerificationError("coefficient count does not match the space dimension")
         if uc.shape == ur.shape and np.array_equal(uc, ur):
             continue  # identical fields differ by the zero function
-        w_c = patch_coarse.space.weights[:, None]
-        coef_c = np.hstack([uc * w_c, w_c]).T.reshape((nd + 1,) + patch_coarse.space.space.n_basis)
+        coef_c = patch_coarse.space.homogeneous(uc)
         mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
         fields.append((k, coef_c, mats_c))
     sums = np.zeros((len(coarse), 2))  # squared L2 norm and H1 seminorm of each difference
     if not fields:
         return [(0.0, 0.0)] * len(coarse)
     mats_r = [_direction_matrices(kv, z) for kv, z in zip(patch_ref.knot_vectors, pts)]
-    w_r = patch_ref.space.weights[:, None]
-    coef_r = np.hstack([patch_ref.control_points * w_r, ur * w_r, w_r]).T
-    coef_r = coef_r.reshape((2 * nd + 1,) + patch_ref.space.space.n_basis)
+    coef_r = patch_ref.space.homogeneous(np.hstack([patch_ref.control_points, ur]))
     w_rest = wts[1]
     for w in wts[2:]:
         w_rest = w_rest[..., None] * w
@@ -181,19 +138,19 @@ def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> lis
 def arc_coordinate_2d(trace: BoundaryTrace):
     """Arc length from parameter 0 along a 1D trace.
 
-    Returns a callable mapping a :class:`TraceQuadrature` (or any object
-    with surface ``params``) to arc-length coordinates, built from a
-    trapezoidal table of the parametric speed at 4001 points.
+    Returns a callable mapping a :class:`TraceQuadrature` (or an array
+    of surface parameters, one row per point) to arc-length coordinates,
+    built from a trapezoidal table of the parametric speed at 4001 points.
     """
     zs = np.linspace(0.0, 1.0, 4001)
-    speed = trace.measures(zs[:, None])
+    _, speed = trace_grid_map(trace, [_direction_matrices(trace.space.space.knot_vectors[0], zs)])
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(zs))]
     )
 
     def r_of(tq) -> np.ndarray:
-        params = tq.params if hasattr(tq, "params") else np.atleast_2d(tq)
-        return np.interp(params[:, 0], zs, cumulative)
+        z = tq.abscissae[0] if hasattr(tq, "abscissae") else np.atleast_2d(tq)[:, 0]
+        return np.interp(z, zs, cumulative)
 
     return r_of
 
@@ -215,10 +172,10 @@ def geodesic_coordinate_3d(radius: float, pole_direction):
     return r_of
 
 
-def multiplier_pressure_at(lam: np.ndarray, basis: MultiplierBasis, params) -> np.ndarray:
-    """Contact pressure p = -lambda of a multiplier field at surface parameters."""
-    idx, vals = basis.values_at(params)
-    return -np.einsum("mk,mk->m", vals, np.asarray(lam, dtype=float)[idx])
+def multiplier_pressure_at(lam: np.ndarray, basis: MultiplierBasis, tq: TraceQuadrature) -> np.ndarray:
+    """Contact pressure p = -lambda of a multiplier field at the points of a trace quadrature."""
+    mats = [_direction_matrices(kv, z)[0] for kv, z in zip(basis.space.knot_vectors, tq.abscissae)]
+    return -(grid_basis_matrix(mats) @ np.asarray(lam, dtype=float))
 
 
 def multiplier_error_analytic(
@@ -230,7 +187,7 @@ def multiplier_error_analytic(
 ) -> float:
     """L2 mismatch on the contact face between -lambda and the closed-form profile at ``r_of(quadrature)``."""
     tq = build_trace_quadrature(basis.trace, n_gauss)
-    p_h = multiplier_pressure_at(lam, basis, tq.params)
+    p_h = multiplier_pressure_at(lam, basis, tq)
     p = analytic.pressure_profile(r_of(tq))
     return math.sqrt(float(((p_h - p) ** 2 * tq.wmeas).sum()))
 
@@ -243,8 +200,8 @@ def multiplier_error_reference(
 ) -> float:
     """L2 mismatch between two multiplier fields, integrated on the reference trace."""
     tq = build_trace_quadrature(basis_ref.trace, _REFERENCE_GAUSS)
-    p_c = multiplier_pressure_at(lam_coarse, basis_coarse, tq.params)
-    p_r = multiplier_pressure_at(lam_ref, basis_ref, tq.params)
+    p_c = multiplier_pressure_at(lam_coarse, basis_coarse, tq)
+    p_r = multiplier_pressure_at(lam_ref, basis_ref, tq)
     return math.sqrt(float(((p_c - p_r) ** 2 * tq.wmeas).sum()))
 
 

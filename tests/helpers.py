@@ -5,11 +5,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from igacontact.splines import WeightedSpace, _direction_matrices, _grid_fields, grid_basis_matrix
+
+
+def grid_map(space, control_points, abscissae):
+    """A rational map and its parametric Jacobian on the C-order grid of ``abscissae``, by the package evaluator.
+
+    Returns the mapped points (m, k) and Jacobians (m, k, d) of the
+    ``control_points`` (n, k) of the WeightedSpace ``space``.
+    """
+    coefs = space.homogeneous(np.asarray(control_points, dtype=float))
+    mats = [_direction_matrices(kv, np.asarray(z, dtype=float)) for kv, z in zip(space.space.knot_vectors, abscissae)]
+    x, grads = _grid_fields(coefs, mats, None)
+    k, d = grads.shape[:2]
+    return x.reshape(k, -1).T, np.moveaxis(grads.reshape(k, d, -1), -1, 0)
+
+
+def map_at(space, control_points, points):
+    """:func:`grid_map` at scattered points, each point a one-point grid."""
+    parts = [grid_map(space, control_points, [[z] for z in pt]) for pt in np.atleast_2d(points)]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([J for _, J in parts])
+
+
+def map_points(geom, points):
+    """The map of a patch or trace at scattered points."""
+    return map_at(geom.space, geom.control_points, points)[0]
+
+
+def basis_at(space, points):
+    """Indices and values (m, nloc) of the nonzero functions at scattered points, each point a one-point grid.
+
+    ``space`` is a TensorSpace, or a WeightedSpace for the rational basis.
+    """
+    tensor, weights = (space.space, space.weights) if isinstance(space, WeightedSpace) else (space, None)
+    rows = [
+        grid_basis_matrix([_direction_matrices(kv, np.array([z]))[0] for kv, z in zip(tensor.knot_vectors, pt)], weights)
+        for pt in np.atleast_2d(np.asarray(points, dtype=float))
+    ]
+    return np.array([r.indices for r in rows]), np.array([r.data for r in rows])
+
+
+def grid_points(abscissae) -> np.ndarray:
+    """The C-order grid of per-direction abscissae as one (m, d) row per point."""
+    return np.stack([g.ravel() for g in np.meshgrid(*abscissae, indexing="ij")], axis=1)
+
 
 def jacobians(patch, points):
     """Jacobian matrices dx/dzeta and determinants of a patch's map at many points."""
-    idx, _, grads = patch.space.eval_many(points, n_grad=1)
-    J = np.einsum("mad,maj->mdj", patch.control_points[idx], grads)
+    J = map_at(patch.space, patch.control_points, points)[1]
     return J, np.linalg.det(J)
 
 
@@ -48,10 +91,8 @@ class GapField:
     offset: float
 
     def gap_at(self, params, u: np.ndarray | None = None) -> np.ndarray:
-        params = np.atleast_2d(params)
-        x = self.trace.map_points(params)
+        """The gap at scattered surface parameters, of the face displaced by ``u`` when given."""
+        x = self.trace.control_points
         if u is not None:
-            idx, vals, _ = self.trace.space.eval_many(params)
-            u_face = np.asarray(u).reshape(-1, self.trace.patch.ndim)[self.trace.dof_map]
-            x = x + np.einsum("ma,mad->md", vals, u_face[idx])
-        return x @ self.normal - self.offset
+            x = x + np.asarray(u).reshape(-1, self.trace.patch.ndim)[self.trace.dof_map]
+        return map_at(self.trace.space, x, params)[0] @ self.normal - self.offset

@@ -19,6 +19,7 @@ from igacontact.assembly import (
     apply_constraints,
     assemble_load,
     assemble_stiffness,
+    build_trace_quadrature,
     dirichlet_on_face,
     gauss_rule,
     iter_element_blocks,
@@ -28,11 +29,16 @@ from igacontact.assembly import (
     patch_quadrature,
     scatter_plan,
 )
+from igacontact import splines
 from igacontact.geometry import (
+    QUARTER_DISC_CONTACT_FACE,
     QUARTER_DISC_LOAD_FACE,
     QUARTER_DISC_SYMMETRY_FACE,
+    SPHERE_OCTANT_CONTACT_FACE,
+    GeometryError,
     NurbsPatch,
     elevate_bezier_degree,
+    extract_trace,
     face_basis_indices,
     face_id,
     quarter_disc_patch,
@@ -380,6 +386,37 @@ class TestLoads:
     def test_unknown_face(self):
         with pytest.raises(Exception):
             assemble_load(unit_square_patch(2, 2), tractions={9: np.zeros(2)})
+
+    @pytest.mark.parametrize("patch", [unit_square_patch(2, 2), sphere_octant_patch(1.0)], ids=["2d", "3d"])
+    def test_face_id_past_the_last_face(self, patch):
+        with pytest.raises(GeometryError):
+            assemble_load(patch, tractions={2 * patch.ndim: np.zeros(patch.ndim)})
+
+
+class TestTraceQuadrature:
+    @pytest.mark.parametrize(
+        "patch, face",
+        [
+            (quarter_disc_patch(1.0).refine_to_breakpoints([[0.5], [0.25, 0.5]]), QUARTER_DISC_CONTACT_FACE),
+            (sphere_octant_patch(1.0).refine_to_breakpoints([[0.5], [0.25, 0.5], [0.5]]), SPHERE_OCTANT_CONTACT_FACE),
+        ],
+        ids=["disc", "octant"],
+    )
+    def test_one_basis_evaluation_per_direction(self, patch, face, monkeypatch):
+        # the basis matrix, the points and the measures all come from one value/derivative pass
+        trace = extract_trace(patch, face)
+        calls = []
+        for module in (splines, assembly):
+            original = module.eval_basis_batch
+
+            def counting(kv, zetas, n_deriv=0, original=original):
+                calls.append(kv)
+                return original(kv, zetas, n_deriv)
+
+            monkeypatch.setattr(module, "eval_basis_batch", counting)
+        build_trace_quadrature(trace, 3)
+        kvs = trace.space.space.knot_vectors
+        assert len(calls) == len(kvs) and all(c is kv for c, kv in zip(calls, kvs))
 
 
 class TestConstraints:

@@ -29,7 +29,7 @@ from igacontact.geometry import (
 )
 from igacontact.materials import LinearMaterial
 
-from helpers import GapField
+from helpers import GapField, basis_at, grid_points
 
 PLANE_NORMAL_2D = np.array([-1.0, 0.0])  # rigid half-space {x >= R}
 
@@ -54,8 +54,9 @@ def octant_trace():
 def point_basis_data(basis):
     """Quadrature weights and the (indices, values) of the trace and multiplier bases at the points."""
     tq = basis.quadrature
-    idx, vals, _ = basis.trace.space.eval_many(tq.params)
-    mult_idx, mult_vals = basis.values_at(tq.params)
+    params = grid_points(tq.abscissae)
+    idx, vals = basis_at(basis.trace.space, params)
+    mult_idx, mult_vals = basis_at(basis.space, params)
     return tq.wmeas, idx, vals, mult_idx, mult_vals
 
 
@@ -295,7 +296,7 @@ class TestContactResidualAndTangent:
         # by d, every weighted gap is d
         layout, B, basis, _ = self.layout(3)
         g0 = GapField(trace=basis.trace, normal=np.array([0.0, 1.0]), offset=0.0).gap_at(
-            basis.quadrature.params
+            grid_points(basis.quadrature.abscissae)
         )
         gap_integrals = weighted_gap(g0, basis) * basis.measures
         u = np.zeros(B.shape[1])

@@ -1,6 +1,8 @@
 """The shipped scripts exit 0 and write their output files; the benchmark harness finds its targets.
 
-Every public name of the package must have a caller outside the tests.
+Every public name of the package must have a caller outside the tests,
+and only ``splines`` and the element-kernel tables evaluate B-spline
+bases directly.
 
 Each script runs in a subprocess, in a temporary directory where it
 writes its ``out/`` tree, with ``src`` on ``PYTHONPATH``.  Together they
@@ -116,3 +118,21 @@ def test_every_public_name_has_a_caller():
             unused.append(f"{path.name}:{qualname}")
     assert public
     assert unused == []
+
+
+def test_basis_evaluation_stays_in_splines():
+    """Only ``splines`` and the element-kernel tables (``assembly._direction_tables``) call ``eval_basis_batch``.
+
+    Every other evaluation goes through the tensor-grid evaluator of
+    ``splines``, so there is one way to evaluate a spline space.
+    """
+    callers = []
+    for path in sorted((ROOT / "src" / "igacontact").glob("*.py")):
+        if path.name == "splines.py":
+            continue
+        tree = ast.parse(path.read_text())
+        tables = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_direction_tables"]
+        skip = tables[0] if path.name == "assembly.py" and tables else None
+        if "eval_basis_batch" in referenced_names(tree, skip=skip):
+            callers.append(path.name)
+    assert callers == []

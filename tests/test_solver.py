@@ -50,7 +50,7 @@ from igacontact.solver import (
 )
 from igacontact.verification import arc_coordinate_2d, hertz_2d, hertz_3d
 
-from helpers import GapField, active_region_extent
+from helpers import GapField, active_region_extent, grid_points
 
 MAT = LinearMaterial(1.0, 0.3)
 
@@ -74,7 +74,7 @@ def square_contact_problem(n=3, plane_offset=0.0, traction=(0.0, -0.05), fix_top
     trace = extract_trace(patch, face_id(1, 0), rigid_normal=normal)
     basis = multiplier_basis(trace)
     gap = GapField(trace=trace, normal=normal, offset=plane_offset)
-    g0 = gap.gap_at(basis.quadrature.params)
+    g0 = gap.gap_at(grid_points(basis.quadrature.abscissae))
     problem = SmallDeformationProblem(
         patch=patch,
         stiffness=assemble_stiffness(patch, MAT),
@@ -214,7 +214,7 @@ class TestSmallDeformation:
         bundle = solve_small_deformation(problem)
         assert complementarity_ok(bundle.state)
         analytic = hertz_2d(1.0, 1.0, 0.3, 0.003)
-        r_of = arc_coordinate_2d(setup.trace)
+        r_of = arc_coordinate_2d(setup.basis.trace)
         r_max, el_width = active_region_extent(bundle, setup.basis, r_of)
         assert abs(r_max - analytic.a) <= el_width + 1e-12
         # multipliers are compressive where active

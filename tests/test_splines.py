@@ -8,19 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igacontact.assembly import _gauss_points, gauss_rule, iter_element_blocks
 from igacontact.geometry import elevate_bezier_degree, quarter_disc_patch, sphere_octant_patch
 from igacontact.splines import (
     KnotVector,
     SplineError,
     TensorSpace,
     WeightedSpace,
+    _direction_matrices,
+    _grid_fields,
     eval_basis_batch,
     find_spans,
+    grid_basis_matrix,
     insertion_matrix,
     interior_knot_vector,
     make_open_knot_vector,
     multiplier_space,
 )
+
+from helpers import basis_at, map_at, map_points
 
 
 def eval_at(kv, z, n_deriv=0):
@@ -209,7 +215,7 @@ class TestNurbsBasis:
     def test_unit_weights_reduce_to_bsplines(self):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         ws = WeightedSpace(TensorSpace((kv,)), np.ones(kv.n_basis))
-        idx, vals, _ = ws.eval_many([[0.3]])
+        idx, vals = basis_at(ws, [[0.3]])
         first, values, _ = eval_at(kv, 0.3)
         np.testing.assert_allclose(vals[0], values, atol=1e-15)
         assert idx[0, 0] == first
@@ -218,14 +224,14 @@ class TestNurbsBasis:
     def test_rational_partition_of_unity(self, z):
         kv = make_open_knot_vector([0, 0.5, 1], 2, [1])
         ws = WeightedSpace(TensorSpace((kv,)), np.array([1.0, 0.5, 2.0, 1.5]))
-        _, vals, _ = ws.eval_many([[z]])
+        _, vals = basis_at(ws, [[z]])
         assert abs(vals.sum() - 1.0) <= 1e-12
 
     def test_circle_arc_weights_midpoint(self):
         kv = make_open_knot_vector([0, 1], 2)
         w = np.array([1.0, 1.0 / math.sqrt(2.0), 1.0])
         ws = WeightedSpace(TensorSpace((kv,)), w)
-        _, vals, _ = ws.eval_many([[0.5]])
+        _, vals = basis_at(ws, [[0.5]])
         # direct formula: w_i B_i / sum(w B) with Bernstein (0.25, 0.5, 0.25)
         raw = w * np.array([0.25, 0.5, 0.25])
         np.testing.assert_allclose(vals[0], raw / raw.sum(), atol=1e-15)
@@ -237,13 +243,14 @@ class TestNurbsBasis:
         w = rng.uniform(0.5, 2.0, 4 * 3)
         ws = WeightedSpace(TensorSpace((kvx, kvy)), w)
         pt = np.array([0.3, 0.6])
-        _, _, grads = ws.eval_many(pt[None, :], n_grad=1)
+        # the rational functions themselves are the map whose control points are the identity
+        _, grads = map_at(ws, np.eye(ws.dim), pt)
         h = 1e-6
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            _, vp, _ = ws.eval_many((pt + e)[None, :])
-            _, vm, _ = ws.eval_many((pt - e)[None, :])
+            vp, _ = map_at(ws, np.eye(ws.dim), pt + e)
+            vm, _ = map_at(ws, np.eye(ws.dim), pt - e)
             np.testing.assert_allclose(grads[0, :, d], (vp[0] - vm[0]) / (2 * h), atol=1e-6)
 
 
@@ -343,8 +350,8 @@ class TestRefineToBreakpoints:
         base, breaks = _patch_cases()[case]
         refined = base.refine_to_breakpoints(breaks)
         pts = np.random.default_rng(4).uniform(0, 1, (200, base.ndim))
-        want = base.map_points(pts)
-        assert np.abs(refined.map_points(pts) - want).max() <= 1e-14 * np.abs(want).max()
+        want = map_points(base, pts)
+        assert np.abs(map_points(refined, pts) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_existing_breakpoints_skipped(self):
         base, breaks = _patch_cases()["2d-p2"]
@@ -399,7 +406,7 @@ class TestMultiplierSpace:
         kv = make_open_knot_vector(np.linspace(0, 1, 6), 2)
         ms = multiplier_space(TensorSpace((kv,)))
         z = np.linspace(0, 1, 101)[:, None]
-        _, vals, _ = ms.eval_many(z)
+        _, vals = basis_at(ms, z)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-14)
 
 
@@ -415,9 +422,61 @@ class TestTensorSpace:
         kvy = make_open_knot_vector([0, 1], 2)
         ts = TensorSpace((kvx, kvy))
         pt = np.array([[0.3, 0.7]])
-        idx, vals, _ = ts.eval_many(pt)
+        idx, vals = basis_at(ts, pt)
         (fx, vx, _), (fy, vy, _) = eval_at(kvx, 0.3), eval_at(kvy, 0.7)
         expected = np.outer(vx, vy).ravel()
         np.testing.assert_allclose(vals[0], expected, atol=1e-15)
         multi0 = (fx, fy)
         assert idx[0, 0] == np.ravel_multi_index(multi0, ts.n_basis)
+
+
+class TestGridEvaluator:
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            quarter_disc_patch(1.0).refine_to_breakpoints([[0.3, 0.6], [0.1, 0.25, 0.5]]),
+            sphere_octant_patch(1.0).refine_to_breakpoints([[0.5], [0.25, 0.5], [0.5]]),
+        ],
+        ids=["disc", "octant"],
+    )
+    def test_matches_element_blocks(self, patch):
+        # rational values from the basis matrix, and physical gradients from the gradients of
+        # the identity-coefficient fields and of the map, at the Gauss grid of the elements
+        nd, n, n_gauss = patch.ndim, patch.space.dim, max(patch.degrees) + 1
+        kvs = patch.knot_vectors
+        abscissae = [_gauss_points(kv, gauss_rule(n_gauss))[0].ravel() for kv in kvs]
+        mats = [_direction_matrices(kv, z) for kv, z in zip(kvs, abscissae)]
+        values = grid_basis_matrix([v for v, _ in mats], patch.space.weights).toarray()  # (m, n)
+        m = values.shape[0]
+        grads = _grid_fields(patch.space.homogeneous(np.eye(n)), mats, None)[1].reshape(n, nd, m)
+        jac = _grid_fields(patch.space.homogeneous(patch.control_points), mats, None)[1].reshape(nd, nd, m)
+        jac_inv = np.linalg.inv(np.moveaxis(jac, -1, 0))  # (m, j, i): dzeta_j / dx_i
+        grads_phys = np.einsum("ajq,qji->qai", grads, jac_inv)  # (m, n, d)
+        # grid point of Gauss point q of element e: e_d * n_gauss + q_d in each direction
+        elems = np.indices([kv.n_elements for kv in kvs]).reshape(nd, -1).T
+        local = np.indices((n_gauss,) * nd).reshape(nd, -1).T
+        at = np.ravel_multi_index(
+            tuple(elems[:, None, d] * n_gauss + local[None, :, d] for d in range(nd)), [z.size for z in abscissae]
+        )
+        blocks = list(iter_element_blocks(patch, n_gauss))
+        dofs = np.concatenate([b.dofs for b in blocks])
+        want_values = np.concatenate([b.values for b in blocks])
+        want_grads = np.concatenate([b.grads_phys for b in blocks])
+        got_values = values[at[:, :, None], dofs[:, None, :]]
+        got_grads = grads_phys[at[:, :, None], dofs[:, None, :]]
+        assert np.abs(got_values - want_values).max() <= 1e-13 * np.abs(want_values).max()
+        assert np.abs(got_grads - want_grads).max() <= 1e-13 * np.abs(want_grads).max()
+        assert np.allclose(values[at].sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+
+    def test_basis_matrix_is_kronecker_product_in_c_order(self):
+        kvx = make_open_knot_vector([0, 0.5, 1], 2, [1])
+        kvy = make_open_knot_vector([0, 1], 3)
+        zx, zy = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.7])
+        E = grid_basis_matrix([_direction_matrices(kvx, zx)[0], _direction_matrices(kvy, zy)[0]])
+        for i, x in enumerate(zx):
+            for j, y in enumerate(zy):
+                (fx, vx, _), (fy, vy, _) = eval_at(kvx, x), eval_at(kvy, y)
+                row = E[i * zy.size + j].toarray().reshape(kvx.n_basis, kvy.n_basis)
+                want = np.zeros_like(row)
+                want[fx : fx + 3, fy : fy + 4] = np.outer(vx, vy)
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
