@@ -6,7 +6,9 @@ With ``levels = N`` the reported meshes are the dyadic levels
 twice more, so the reference spacing satisfies ``4 h_ref = h_finest``.
 Displacement errors are measured against the reference solve, the
 multiplier error both against the closed-form pressure profile and the
-reference multiplier.
+reference multiplier.  The levels are solved coarse to fine, and the
+linear active-set loop of every level after the first starts from the
+contact zone the level before it settled (:func:`_seed_active_set`).
 
 Output files per run directory:
     disp.csv              h,L2_abs,H1_abs
@@ -62,6 +64,8 @@ from .solver import (
     LargeDeformationProblem,
     SmallDeformationProblem,
     SolutionBundle,
+    SolverError,
+    _band_halfwidth,
     inf_sup_estimate,
     solve_large_deformation,
     solve_small_deformation,
@@ -206,23 +210,44 @@ def _contact_setup(patch: NurbsPatch, contact_face: int, normal, offset: float) 
     return ContactSetup(basis=basis, coupling=coupling, gap_integrals=gap_integrals)
 
 
-def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np.ndarray | None:
-    """Seed the active set from the expected contact half-width.
+def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np.ndarray:
+    """The analytic mask: dofs expected in contact from the closed-form half-width.
 
     Dofs whose mean initial gap is below the parabolic approach at
-    1.3 * halfwidth start active; the solver still iterates to the same
-    optimality conditions, just from a closer guess.
+    1.3 * halfwidth are marked (none when the half-width is zero), a
+    superset of the settled set.  The mask starts the coarsest level of
+    a linear run and bounds the seed of every finer one
+    (:func:`_seed_active_set`).
     """
     if halfwidth <= 0:
-        return None
+        return np.zeros(setup.gap_integrals.shape, dtype=bool)
     threshold = (1.3 * halfwidth) ** 2 / (2.0 * radius)
-    wg0 = setup.gap_integrals / setup.basis.measures
-    active = wg0 <= threshold
-    return active if active.any() else None
+    return setup.gap_integrals / setup.basis.measures <= threshold
 
 
-def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig):
-    """Small-deformation quarter-disc problem against the plane x = R."""
+def _seed_active_set(setup: ContactSetup, radius: float, halfwidth: float, prev: LevelResult | None):
+    """Starting active set of a linear level: the coarser level's contact zone inside the analytic mask.
+
+    The coarser level's contact pressure is averaged over each multiplier
+    function of this level's (nested) trace, and the dofs where the
+    average is positive, intersected with :func:`_warm_active_set`, start
+    active; both sets hold the settled one, and the active-set loop sheds
+    surplus dofs slowly, so the tighter seed wins.  If the intersection
+    is empty the first non-empty of the coarse zone and the mask is
+    taken; the coarsest level (no ``prev``) starts from the mask.  None
+    when every candidate is empty.
+    """
+    warm = _warm_active_set(setup, radius, halfwidth)
+    candidates = [warm]
+    if prev is not None:
+        p = multiplier_pressure_at(prev.bundle.lam, prev.setup.basis, setup.basis.quadrature)
+        coarse = weighted_gap(p, setup.basis) > 0.0
+        candidates = [coarse & warm, coarse, warm]
+    return next((seed for seed in candidates if seed.any()), None)
+
+
+def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResult | None = None):
+    """Small-deformation quarter-disc problem against the plane x = R; ``prev`` is the coarser level, if solved."""
     mat = LinearMaterial(config.young, config.poisson)
     setup = _contact_setup(
         patch, QUARTER_DISC_CONTACT_FACE, [-1.0, 0.0], -config.radius
@@ -236,13 +261,13 @@ def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig):
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
-        initial_active=_warm_active_set(setup, config.radius, analytic.a),
+        initial_active=_seed_active_set(setup, config.radius, analytic.a, prev),
     )
     return problem, setup
 
 
-def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig):
-    """Small-deformation ball-octant problem against the plane z = -R."""
+def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResult | None = None):
+    """Small-deformation ball-octant problem against the plane z = -R; ``prev`` is the coarser level, if solved."""
     mat = LinearMaterial(config.young, config.poisson)
     setup = _contact_setup(
         patch, SPHERE_OCTANT_CONTACT_FACE, [0.0, 0.0, 1.0], -config.radius
@@ -259,7 +284,7 @@ def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig):
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
-        initial_active=_warm_active_set(setup, config.radius, analytic.a),
+        initial_active=_seed_active_set(setup, config.radius, analytic.a, prev),
     )
     return problem, setup
 
@@ -319,19 +344,33 @@ def _contact_band_size(setup: ContactSetup, grading: tuple[float, float]) -> flo
     return float(sizes[inside].max())
 
 
-def _solve_level(config: RunConfig, level: int) -> LevelResult:
-    if config.benchmark == "hertz2d":
-        patch = quarter_disc_level_patch(config, level)
-        problem, setup = build_hertz2d_problem(patch, config)
-        bundle = solve_small_deformation(problem)
-    elif config.benchmark == "hertz3d":
+def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> LevelResult:
+    """Set up and solve one level; ``prev`` is the coarser level solved before it, if any.
+
+    A level that runs out of memory raises :class:`SolverError` naming its
+    dofs and the size of the banded factor it needs.
+    """
+    if config.benchmark == "hertz3d":
         patch = sphere_octant_level_patch(config, level)
-        problem, setup = build_hertz3d_problem(patch, config)
-        bundle = solve_small_deformation(problem)
     else:
         patch = quarter_disc_level_patch(config, level)
-        problem, setup = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, config.n_load_steps)
+    try:
+        if config.benchmark == "hertz2d":
+            problem, setup = build_hertz2d_problem(patch, config, prev)
+            bundle = solve_small_deformation(problem)
+        elif config.benchmark == "hertz3d":
+            problem, setup = build_hertz3d_problem(patch, config, prev)
+            bundle = solve_small_deformation(problem)
+        else:
+            problem, setup = build_large_deformation_problem(patch, config)
+            bundle = solve_large_deformation(problem, config.n_load_steps)
+    except MemoryError:
+        n = patch.space.dim * patch.ndim
+        u = _band_halfwidth(patch.space.space.n_basis, patch.ndim, config.degree)
+        raise SolverError(
+            f"level {level} does not fit in memory: {n} dofs, half-bandwidth {u}, "
+            f"band {n * (u + 1) * 8 / 2**30:.2f} GiB"
+        ) from None
     return LevelResult(
         level=level,
         patch=patch,
@@ -365,7 +404,9 @@ def run_benchmark(config: RunConfig) -> RunResult:
     if config.benchmark == "infsup":
         raise ConfigError("use run_infsup for the stability sweep")
     level_ids = list(range(config.levels - 1)) + [config.levels]
-    results = [_solve_level(config, l) for l in level_ids]
+    results: list[LevelResult] = []
+    for l in level_ids:
+        results.append(_solve_level(config, l, results[-1] if results else None))
     reference = results[-1]
     reported = results[:-1]
 

@@ -62,7 +62,7 @@ def multiplier_basis(trace: BoundaryTrace) -> MultiplierBasis:
     # rational surface measures are not polynomial; one extra point keeps
     # the partition-of-unity identity of the measures below 1e-10
     tq = build_trace_quadrature(trace, max(trace.space.space.degrees) + 2)
-    values = grid_basis_matrix([_direction_matrices(kv, z)[0] for kv, z in zip(space.knot_vectors, tq.abscissae)])
+    values = grid_basis_matrix([_direction_matrices(kv, z, 0)[0] for kv, z in zip(space.knot_vectors, tq.abscissae)])
     measures = values.T @ tq.wmeas
     if np.any(measures <= 0):
         raise ContactError("degenerate multiplier basis: nonpositive basis measure")

@@ -318,7 +318,7 @@ def _element_sizes(space: WeightedSpace, control_points) -> tuple[np.ndarray, np
     per_dir = [kv.element_bounds for kv in knot_vectors]
     nel = tuple(b.shape[0] for b in per_dir)
     nd = len(nel)
-    mats = [_direction_matrices(kv, np.append(b[:, 0], b[-1, 1])) for kv, b in zip(knot_vectors, per_dir)]
+    mats = [_direction_matrices(kv, np.append(b[:, 0], b[-1, 1]), 0) for kv, b in zip(knot_vectors, per_dir)]
     mapped = np.moveaxis(_grid_fields(space.homogeneous(control_points), mats, None)[0], 0, -1)
     corners = [mapped[tuple(slice(c, c + n) for c, n in zip(at, nel))] for at in product((0, 1), repeat=nd)]
     corners = np.stack(corners, axis=-2).reshape(-1, 2 ** nd, mapped.shape[-1])

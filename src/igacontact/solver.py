@@ -170,7 +170,9 @@ class SmallDeformationProblem:
     """Assembled data of one linear contact solve.
 
     ``constraints`` maps a dof to its prescribed value.  ``initial_active``
-    optionally seeds the active set (a warm start); the loop still
+    optionally seeds the active set and the band walk (a warm start: the
+    benchmarks give the coarsest level the analytic mask and every finer
+    level the coarser level's contact zone inside it); the loop still
     iterates to the same optimality conditions.
     """
 
@@ -208,6 +210,12 @@ def band_order(shape, n_comp: int, last=()) -> np.ndarray:
         grid = np.flip(grid, axis=tuple(np.flatnonzero(centre < (np.array(shape) - 1) / 2)))
     grid = grid.transpose(np.argsort([-n for n in shape], kind="stable"))
     return (grid.reshape(-1, 1) * n_comp + np.arange(n_comp, dtype=np.int32)).ravel()
+
+
+def _band_halfwidth(shape, n_comp: int, degree: int) -> int:
+    """Half-bandwidth of a degree-``degree`` stiffness in :func:`band_order`, ``n_comp (p sum_a stride_a + 1) - 1``."""
+    strides = np.cumprod([1] + sorted(shape)[:-1])  # the walk's strides, fastest axis first
+    return int(n_comp * (degree * strides.sum() + 1) - 1)
 
 
 @dataclass(frozen=True)

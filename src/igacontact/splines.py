@@ -7,8 +7,8 @@ of the Oslo algorithm.
 
 Every evaluation of a tensor-product or rational (NURBS) space is on a
 tensor grid: the C-order grid of per-direction abscissae.  One sparse
-value matrix and one derivative matrix per direction
-(:func:`_direction_matrices`) are the whole evaluator.  Their Kronecker
+value matrix per direction, with a derivative matrix where gradients are
+wanted (:func:`_direction_matrices`), is the whole evaluator.  Their Kronecker
 product is the basis matrix of the grid (:func:`grid_basis_matrix`,
 rational with weights), and applied one axis at a time to a homogeneous
 (weight-scaled) coefficient net they give rational fields and their
@@ -325,11 +325,14 @@ def _point_basis_matrix(idx: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_mat
     return sp.csr_matrix((vals.ravel(), idx.ravel(), np.arange(0, m * nloc + 1, nloc)), shape=(m, n))
 
 
-def _direction_matrices(kv: KnotVector, z: np.ndarray):
-    """Sparse (z.size, n_basis) value and first-derivative matrices of one knot vector at z."""
-    first, vals, ders = eval_basis_batch(kv, z, 1)
+def _direction_matrices(kv: KnotVector, z: np.ndarray, n_deriv: int = 1) -> tuple:
+    """Sparse (z.size, n_basis) basis matrices of one knot vector at z.
+
+    Returns ``(values, derivatives)``, or ``(values,)`` when ``n_deriv`` is 0.
+    """
+    first, vals, ders = eval_basis_batch(kv, z, n_deriv)
     idx = first[:, None] + np.arange(kv.degree + 1)
-    return _point_basis_matrix(idx, vals, kv.n_basis), _point_basis_matrix(idx, ders[:, 0, :], kv.n_basis)
+    return tuple(_point_basis_matrix(idx, t, kv.n_basis) for t in (vals, *np.moveaxis(ders, 1, 0)))
 
 
 def grid_basis_matrix(value_mats, weights=None) -> sp.csr_matrix:
@@ -359,19 +362,23 @@ def _grid_fields(coefs: np.ndarray, mats, rows: slice | None):
 
     ``coefs`` (k, n_0, ..., n_{d-1}) holds homogeneous coefficients, the
     weights last (:meth:`WeightedSpace.homogeneous`); ``mats[a]`` is the
-    (value, derivative) matrix pair of direction a, of which direction 0
+    :func:`_direction_matrices` of direction a, of which direction 0
     keeps only the grid rows ``rows`` (all of them when ``rows`` is
     None).  Returns the k - 1 fields (k-1, Q_s, Q_1, ...) and their
-    gradients (k-1, d, Q_s, Q_1, ...) by the quotient rule.
+    gradients (k-1, d, Q_s, Q_1, ...) by the quotient rule; the
+    gradients are None when every direction has its values only.
     """
     grid = {None: coefs}  # keyed by the differentiated direction, None for values
-    for a, (vals, ders) in enumerate(mats):
+    for a, (vals, *ders) in enumerate(mats):
         if a == 0 and rows is not None:
-            vals, ders = vals[rows], ders[rows]
+            vals, ders = vals[rows], [d[rows] for d in ders]
         nxt = {key: _along(vals, arr, a + 1) for key, arr in grid.items()}
-        nxt[a] = _along(ders, grid[None], a + 1)
+        if ders:
+            nxt[a] = _along(ders[0], grid[None], a + 1)
         grid = nxt
     W = grid[None][-1]
     f = grid[None][:-1] / W
+    if len(grid) == 1:
+        return f, None
     grads = [(grid[a][:-1] - f * grid[a][-1]) / W for a in range(len(mats))]
     return f, np.stack(grads, axis=1)

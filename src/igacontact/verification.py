@@ -174,7 +174,7 @@ def geodesic_coordinate_3d(radius: float, pole_direction):
 
 def multiplier_pressure_at(lam: np.ndarray, basis: MultiplierBasis, tq: TraceQuadrature) -> np.ndarray:
     """Contact pressure p = -lambda of a multiplier field at the points of a trace quadrature."""
-    mats = [_direction_matrices(kv, z)[0] for kv, z in zip(basis.space.knot_vectors, tq.abscissae)]
+    mats = [_direction_matrices(kv, z, 0)[0] for kv, z in zip(basis.space.knot_vectors, tq.abscissae)]
     return -(grid_basis_matrix(mats) @ np.asarray(lam, dtype=float))
 
 

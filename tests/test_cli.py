@@ -6,7 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from igacontact.benchmarks import ConfigError, RunConfig, run_benchmark, run_infsup, write_run_outputs
+from igacontact import benchmarks, solver
+from igacontact.benchmarks import (
+    ConfigError,
+    RunConfig,
+    quarter_disc_level_patch,
+    run_benchmark,
+    run_infsup,
+    write_run_outputs,
+)
 from igacontact.cli import build_run_config, main, parse_config_file
 
 
@@ -134,6 +142,34 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert "base-spans, level" in err.splitlines()[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("phase", ["set-up", "solve"])
+def test_level_out_of_memory_exits_1_with_one_line(phase, tmp_path, capsys, monkeypatch):
+    # a MemoryError stands in for the band allocation of a level too large for memory;
+    # nothing large is allocated
+    seen = []
+    if phase == "set-up":
+        def fail(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(benchmarks, "assemble_stiffness", fail)
+    else:
+        real = solver._band_layout
+
+        def fail(*args):
+            seen.append(real(*args).u)
+            raise MemoryError
+        monkeypatch.setattr(solver, "_band_layout", fail)
+    rc = main(tiny_args(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    patch = quarter_disc_level_patch(RunConfig(benchmark="hertz2d", base_spans=(3, 3)), 0)
+    n, u = patch.space.dim * 2, solver._band_halfwidth(patch.space.space.n_basis, 2, 2)
+    assert seen == ([u] if phase == "solve" else [])  # the message's half-bandwidth is the band's
+    assert err == (
+        f"solver failure: level 0 does not fit in memory: {n} dofs, half-bandwidth {u}, "
+        f"band {n * (u + 1) * 8 / 2**30:.2f} GiB\n"
+    )
 
 
 class TestRunOutputs:

@@ -284,6 +284,78 @@ class TestSmallDeformation:
         np.testing.assert_allclose(bundle.weighted_gap, 0.0, atol=1e-11)
 
 
+SEEDED_RUNS = {
+    "hertz2d-p003": RunConfig(benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1)),
+    "hertz3d-coarse": RunConfig(
+        benchmark="hertz3d", pressure=1e-4, levels=2, base_spans=(2, 4, 2), grading=(0.5, 0.2)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_run(tmp_path_factory):
+    """``seeded_run(name)``: the :class:`RunResult` of a ``SEEDED_RUNS`` config, run once per module."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            config = dataclasses.replace(SEEDED_RUNS[name], out=str(tmp_path_factory.mktemp(name)))
+            runs[name] = benchmarks.run_benchmark(config)
+        return runs[name]
+
+    return get
+
+
+class TestSeededActiveSet:
+    """Every linear level after the first starts from the coarser level's contact zone inside the analytic mask."""
+
+    @pytest.mark.parametrize("name,coarse,fine", [("hertz2d-p003", 1, 2), ("hertz3d-coarse", 0, 1)])
+    def test_seed_is_the_children_of_coarse_active_dofs_in_the_mask(self, seeded_run, name, coarse, fine):
+        result = seeded_run(name)
+        levels = result.levels + [result.reference]
+        prev, cur = levels[coarse], levels[fine]
+        radius, a = result.config.radius, result.analytic.a
+        seed = benchmarks._seed_active_set(cur.setup, radius, a, prev)
+        # p = 2: multipliers are element indicators, and a fine dof's parent is the coarse element holding its own
+        cs, fs = prev.setup.basis.space, cur.setup.basis.space
+        parents = [
+            np.searchsorted(kc.breakpoints, kf.element_bounds.mean(axis=1)) - 1
+            for kc, kf in zip(cs.knot_vectors, fs.knot_vectors)
+        ]
+        parent = np.ravel_multi_index(np.meshgrid(*parents, indexing="ij"), cs.n_basis).ravel()
+        expected = prev.bundle.active[parent] & benchmarks._warm_active_set(cur.setup, radius, a)
+        assert expected.any()
+        assert np.array_equal(seed, expected)
+        assert cur.bundle.iterations[0].n_active == expected.sum()  # the level started from it
+
+    @pytest.mark.parametrize("load", ["pull-away", "zero"])
+    def test_no_coarse_pressure_gives_the_coarsest_level_start(self, seeded_run, load):
+        # a coarse level with no positive pressure seeds nothing: a pull-away leaves the analytic
+        # mask, and a zero load (half-width 0, an empty mask) no warm start at all
+        result = seeded_run("hertz2d-p003")
+        prev, cur = result.levels[1], result.levels[2]
+        pulled = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
+        radius = result.config.radius
+        a = result.analytic.a if load == "pull-away" else 0.0
+        seed = benchmarks._seed_active_set(cur.setup, radius, a, pulled)
+        start = benchmarks._seed_active_set(cur.setup, radius, a, None)
+        if load == "zero":
+            assert seed is None and start is None
+        else:
+            assert np.array_equal(start, benchmarks._warm_active_set(cur.setup, radius, a))
+            assert np.array_equal(seed, start)
+
+    def test_hertz2d_p003_records_per_level(self, seeded_run):
+        # from the analytic mask alone the levels took (2, 3, 4, 6) records, the reference shedding 60 -> 47 dofs
+        result = seeded_run("hertz2d-p003")
+        assert [len(r.bundle.iterations) for r in result.levels + [result.reference]] == [2, 1, 1, 2]
+
+    def test_hertz3d_coarse_reference_records(self, seeded_run):
+        # one record from the analytic mask alone; the coarse level's 2 active dofs seed 32 children
+        result = seeded_run("hertz3d-coarse")
+        assert len(result.reference.bundle.iterations) <= 1
+
+
 def condensed_inputs(problem):
     """K, F, masked coupling and gap right-hand side as solve_small_deformation forms them."""
     K, F = apply_constraints(problem.stiffness, problem.load, problem.constraints)
@@ -454,6 +526,7 @@ class TestBandOrder:
         order = band_order(shape, n_comp)
         assert np.array_equal(np.sort(order), np.arange(int(np.prod(shape)) * n_comp))
         assert tensor_half_bandwidth(order, shape, n_comp, 2) == expected
+        assert solver._band_halfwidth(shape, n_comp, 2) == expected
 
     @pytest.mark.parametrize(
         "shape", [(26, 50), (50, 26), (7, 7), (3, 9), (10, 18, 10), (4, 6, 4), (9, 3, 5), (3, 5, 9)]
