@@ -15,8 +15,12 @@ import sys
 # thread, since the Neo-Hookean residual and tangent make fewer passes over
 # the quadrature data, the pressure half takes 3.0-3.2 s (4.1-4.3 s before,
 # three alternating runs) and the Dirichlet half 3.1-3.8 s (3.9-4.3 s
-# before), with the 102 and 95 factorizations of before, so the whole script
-# takes about 7 s.  Set before numpy is imported, which reads them.
+# before), with the 102 and 95 factorizations of before.  Since each finer
+# level starts from the coarser level's converged state and takes the whole
+# load in one step, the halves take 1.2-1.6 s (3.9-4.8 s before) and 1.3-1.8 s
+# (4.8-5.6 s before), with 34 and 30 factorizations, so the whole script takes
+# about 3 s (three alternating runs of each half as its own process, interpreter
+# start included).  Set before numpy is imported, which reads them.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 

@@ -8,7 +8,12 @@ Displacement errors are measured against the reference solve, the
 multiplier error both against the closed-form pressure profile and the
 reference multiplier.  The levels are solved coarse to fine, and the
 linear active-set loop of every level after the first starts from the
-contact zone the level before it settled (:func:`_seed_active_set`).
+contact zone the level before it settled (:func:`_seed_active_set`); a
+Newton level after the first starts from the coarser level's
+displacement, prolongated exactly, and contact zone, and takes the whole
+load in one step (:func:`_newton_start`).  Before any level is refined,
+:func:`_check_levels_fit` stops a run whose banded factor would not fit
+in physical memory.
 
 Output files per run directory:
     disp.csv              h,L2_abs,H1_abs
@@ -20,6 +25,7 @@ Output files per run directory:
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +159,9 @@ class RunConfig:
             _check_hertz_inputs(self.radius, self.young, self.poisson, self.pressure)
         except (GeometryError, VerificationError) as exc:
             raise ConfigError(str(exc)) from None
+        if self.pressure == 0 and self.benchmark in ("hertz2d", "hertz3d"):
+            # no load leaves the body's normal translation free: the linear problem is singular
+            raise ConfigError(f"{self.benchmark} needs a positive pressure")
 
 
 def bisect_breakpoints(breaks: np.ndarray, times: int) -> np.ndarray:
@@ -170,25 +179,33 @@ def _base_patch(config: RunConfig, maker) -> NurbsPatch:
     return patch
 
 
-def quarter_disc_level_patch(config: RunConfig, level: int) -> NurbsPatch:
+def _quarter_disc_mesh(config: RunConfig, level: int):
+    """The base patch and the interior breakpoints of each axis at ``level``."""
     rad_n, arc_n = config.base_spans
     sf, lf = config.grading
     rad = bisect_breakpoints(graded_breakpoints_toward_end(rad_n, sf, lf), level)
     arc = bisect_breakpoints(graded_breakpoints(arc_n, sf, lf), level)
-    return _base_patch(config, quarter_disc_patch).refine_to_breakpoints(
-        [rad[1:-1], arc[1:-1]]
-    )
+    return _base_patch(config, quarter_disc_patch), [rad[1:-1], arc[1:-1]]
 
 
-def sphere_octant_level_patch(config: RunConfig, level: int) -> NurbsPatch:
+def _sphere_octant_mesh(config: RunConfig, level: int):
+    """The base patch and the interior breakpoints of each axis at ``level``."""
     az_n, pol_n, rad_n = config.base_spans
     sf, lf = config.grading
     az = bisect_breakpoints(np.linspace(0.0, 1.0, az_n + 1), level)
     pol = bisect_breakpoints(graded_breakpoints(pol_n, sf, lf), level)
     rad = bisect_breakpoints(graded_breakpoints_toward_end(rad_n, sf, lf), level)
-    return _base_patch(config, sphere_octant_patch).refine_to_breakpoints(
-        [az[1:-1], pol[1:-1], rad[1:-1]]
-    )
+    return _base_patch(config, sphere_octant_patch), [az[1:-1], pol[1:-1], rad[1:-1]]
+
+
+def quarter_disc_level_patch(config: RunConfig, level: int) -> NurbsPatch:
+    base, breaks = _quarter_disc_mesh(config, level)
+    return base.refine_to_breakpoints(breaks)
+
+
+def sphere_octant_level_patch(config: RunConfig, level: int) -> NurbsPatch:
+    base, breaks = _sphere_octant_mesh(config, level)
+    return base.refine_to_breakpoints(breaks)
 
 
 @dataclass
@@ -225,25 +242,61 @@ def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np
     return setup.gap_integrals / setup.basis.measures <= threshold
 
 
+def _coarse_contact_zone(prev: LevelResult, setup: ContactSetup) -> np.ndarray:
+    """The multiplier dofs of ``setup`` where the coarser level ``prev`` presses on the plane.
+
+    The coarser level's contact pressure is sampled at this level's
+    (nested) trace quadrature and averaged over each multiplier function;
+    the dofs where the average is positive are marked.
+    """
+    p = multiplier_pressure_at(prev.bundle.lam, prev.setup.basis, setup.basis.quadrature)
+    return weighted_gap(p, setup.basis) > 0.0
+
+
 def _seed_active_set(setup: ContactSetup, radius: float, halfwidth: float, prev: LevelResult | None):
     """Starting active set of a linear level: the coarser level's contact zone inside the analytic mask.
 
-    The coarser level's contact pressure is averaged over each multiplier
-    function of this level's (nested) trace, and the dofs where the
-    average is positive, intersected with :func:`_warm_active_set`, start
-    active; both sets hold the settled one, and the active-set loop sheds
-    surplus dofs slowly, so the tighter seed wins.  If the intersection
-    is empty the first non-empty of the coarse zone and the mask is
-    taken; the coarsest level (no ``prev``) starts from the mask.  None
-    when every candidate is empty.
+    The dofs of :func:`_coarse_contact_zone` that are also in
+    :func:`_warm_active_set` start active; both sets hold the settled
+    one, and the active-set loop sheds surplus dofs slowly, so the
+    tighter seed wins.  If the intersection is empty the first non-empty
+    of the coarse zone and the mask is taken; the coarsest level (no
+    ``prev``) starts from the mask.  None when every candidate is empty.
     """
     warm = _warm_active_set(setup, radius, halfwidth)
     candidates = [warm]
     if prev is not None:
-        p = multiplier_pressure_at(prev.bundle.lam, prev.setup.basis, setup.basis.quadrature)
-        coarse = weighted_gap(p, setup.basis) > 0.0
+        coarse = _coarse_contact_zone(prev, setup)
         candidates = [coarse & warm, coarse, warm]
     return next((seed for seed in candidates if seed.any()), None)
+
+
+def _prolongate(prev: LevelResult, patch: NurbsPatch) -> np.ndarray:
+    """The coarser level's displacement in the space of ``patch``, by knot insertion (exact for nested levels).
+
+    The displacement is refined as the control net of a NURBS field on
+    the coarser level's weighted space; a refined grid or weights that
+    differ from those of ``patch`` raise :class:`GeometryError`.
+    """
+    field = NurbsPatch(prev.patch.space, prev.bundle.u.reshape(-1, patch.ndim))
+    fine = field.refine_to_breakpoints([kv.breakpoints for kv in patch.knot_vectors])
+    if fine.space.space.n_basis != patch.space.space.n_basis or not np.allclose(
+        fine.space.weights, patch.space.weights, rtol=1e-12, atol=0.0
+    ):
+        raise GeometryError(f"level {prev.level} is not nested in the next level's space")
+    return fine.control_points.ravel()
+
+
+def _newton_start(prev: LevelResult, patch: NurbsPatch, setup: ContactSetup):
+    """The start of a finer Newton level: the prolongated displacement and the coarser contact zone.
+
+    None when the coarser level presses nowhere, so that the level starts
+    from u = 0 as the coarsest one does.
+    """
+    active = _coarse_contact_zone(prev, setup)
+    if not active.any():
+        return None
+    return _prolongate(prev, patch), active
 
 
 def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResult | None = None):
@@ -344,11 +397,49 @@ def _contact_band_size(setup: ContactSetup, grading: tuple[float, float]) -> flo
     return float(sizes[inside].max())
 
 
+def _band_bytes(shape, n_comp: int, degree: int) -> tuple[int, int, int]:
+    """Dofs, :func:`_band_halfwidth` and the bytes of the banded factor of a basis grid."""
+    n = int(np.prod(shape)) * n_comp
+    u = _band_halfwidth(shape, n_comp, degree)
+    return n, u, 8 * n * (u + 1)
+
+
+def _too_large(level: int, shape, n_comp: int, degree: int) -> SolverError:
+    n, u, size = _band_bytes(shape, n_comp, degree)
+    return SolverError(
+        f"level {level} does not fit in memory: {n} dofs, half-bandwidth {u}, band {size / 2**30:.2f} GiB"
+    )
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_levels_fit(config: RunConfig, level_ids) -> None:
+    """Raise the :func:`_too_large` error of the first level whose banded factor exceeds physical memory.
+
+    The basis grid of every level comes from the base patch's knot
+    vectors and the level's breakpoints, so nothing is refined or
+    assembled.
+    """
+    mesh = _sphere_octant_mesh if config.benchmark == "hertz3d" else _quarter_disc_mesh
+    memory = _physical_memory()
+    for level in level_ids:
+        base, breaks = mesh(config, level)
+        shape = base.refined_grid_shape(breaks)
+        if _band_bytes(shape, base.ndim, config.degree)[2] > memory:
+            raise _too_large(level, shape, base.ndim, config.degree)
+
+
 def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> LevelResult:
     """Set up and solve one level; ``prev`` is the coarser level solved before it, if any.
 
-    A level that runs out of memory raises :class:`SolverError` naming its
-    dofs and the size of the banded factor it needs.
+    Every level of a large-deformation run after the first starts from
+    ``prev`` (:func:`_newton_start`), computed here and not in
+    :func:`build_large_deformation_problem`.  A level that runs out of
+    memory raises :class:`SolverError` naming its dofs and the size of the
+    banded factor it needs.
     """
     if config.benchmark == "hertz3d":
         patch = sphere_octant_level_patch(config, level)
@@ -363,14 +454,10 @@ def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> Lev
             bundle = solve_small_deformation(problem)
         else:
             problem, setup = build_large_deformation_problem(patch, config)
-            bundle = solve_large_deformation(problem, config.n_load_steps)
+            start = None if prev is None else _newton_start(prev, patch, setup)
+            bundle = solve_large_deformation(problem, config.n_load_steps, start)
     except MemoryError:
-        n = patch.space.dim * patch.ndim
-        u = _band_halfwidth(patch.space.space.n_basis, patch.ndim, config.degree)
-        raise SolverError(
-            f"level {level} does not fit in memory: {n} dofs, half-bandwidth {u}, "
-            f"band {n * (u + 1) * 8 / 2**30:.2f} GiB"
-        ) from None
+        raise _too_large(level, patch.space.space.n_basis, patch.ndim, config.degree) from None
     return LevelResult(
         level=level,
         patch=patch,
@@ -404,6 +491,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
     if config.benchmark == "infsup":
         raise ConfigError("use run_infsup for the stability sweep")
     level_ids = list(range(config.levels - 1)) + [config.levels]
+    _check_levels_fit(config, level_ids)
     results: list[LevelResult] = []
     for l in level_ids:
         results.append(_solve_level(config, l, results[-1] if results else None))

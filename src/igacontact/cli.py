@@ -41,7 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int)
         p.add_argument("--grading", type=str, help="span_fraction,length_fraction")
         p.add_argument("--base-spans", type=str, dest="base_spans")
-        p.add_argument("--load-steps", type=int, dest="load_steps")
+        p.add_argument(
+            "--load-steps", type=int, dest="load_steps",
+            help="load steps of the coarsest Newton level; also the step a halved step recovers to",
+        )
         p.add_argument("--young", type=float)
         p.add_argument("--poisson", type=float)
         p.add_argument("--radius", type=float)

@@ -96,8 +96,7 @@ class NurbsPatch:
         refined = False
         hw = self.homogeneous_controls().reshape(self.space.space.n_basis + (self.ndim + 1,))
         for axis, breaks in enumerate(breakpoints_per_axis):
-            z = np.unique(np.asarray(breaks, dtype=float))
-            new = z[~np.isclose(z[:, None], kvs[axis].breakpoints).any(axis=1)]
+            new = _new_breakpoints(kvs[axis], breaks)
             if new.size:
                 kvs[axis], T = insertion_matrix(kvs[axis], new)
                 hw = np.moveaxis(np.tensordot(T, hw, axes=(1, axis)), 0, axis)
@@ -107,6 +106,23 @@ class NurbsPatch:
         weights = hw[..., -1].ravel()
         controls = hw[..., :-1].reshape(-1, self.ndim) / weights[:, None]
         return NurbsPatch(WeightedSpace(TensorSpace(tuple(kvs)), weights), controls)
+
+    def refined_grid_shape(self, breakpoints_per_axis) -> tuple[int, ...]:
+        """The basis grid that :meth:`refine_to_breakpoints` gives, from the knot vectors alone.
+
+        Each inserted breakpoint adds one function along its axis; the net
+        is not touched.
+        """
+        return tuple(
+            n + _new_breakpoints(kv, breaks).size
+            for n, kv, breaks in zip(self.space.space.n_basis, self.knot_vectors, breakpoints_per_axis)
+        )
+
+
+def _new_breakpoints(kv: KnotVector, breaks) -> np.ndarray:
+    """The distinct values of ``breaks`` that are not yet breakpoints of ``kv``."""
+    z = np.unique(np.asarray(breaks, dtype=float))
+    return z[~np.isclose(z[:, None], kv.breakpoints).any(axis=1)]
 
 
 def graded_breakpoints(n_spans: int, span_fraction: float, length_fraction: float) -> np.ndarray:

@@ -23,12 +23,14 @@ update's set, until the set is stable and complementarity holds; it
 keeps no other state, and a loop that does not settle stops at its cap
 with a :class:`SolverError`.  Small deformation runs it once, on the
 stiffness.  Large deformation: load stepping with Newton iterations on
-the combined residual, where every unconverged iterate runs the loop on
-its own tangent's factor; the gap is linear in u, so the set it settles
-is exact for the linearization, and a change of activity costs a
-condensed solve, not a tangent and a factorization.  Each Newton iterate
-evaluates the residual first, and the tangent is assembled and factored,
-through the one layout of the tangent's fixed pattern, only when the
+the combined residual, from u = 0 or from a given start (a displacement
+and an active set, which the benchmarks take from the coarser level:
+nested iteration), whose first step takes the whole load; every
+unconverged iterate runs the loop on its own tangent's factor; the gap
+is linear in u, so the set it settles is exact for the linearization,
+and a change of activity costs a condensed solve, not a tangent and a
+factorization.  Each Newton iterate evaluates the residual first, and
+the tangent is assembled and factored, through the one layout of the tangent's fixed pattern, only when the
 iterate is not converged.  The factor of a step's last Newton solve
 serves the next step's first, with only its right-hand side replaced.
 A correction keeps the factor of the one before it, once, when Newton's
@@ -648,13 +650,23 @@ class LargeDeformationProblem:
     measures: np.ndarray
 
 
-def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10) -> SolutionBundle:
+def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10, start=None) -> SolutionBundle:
     """Incremental loading with Newton iterations, the active set settled on each Newton factor.
 
     Both tractions and prescribed displacements are scaled by the load
-    factor.  Element inversion inside a step, a failed solve or an
-    active-set loop that does not settle triggers step halving (up to 20
-    halvings).  The patch's element data and scatter plan are
+    factor.  With no ``start`` the load goes on in ``n_steps`` equal
+    steps from u = 0, and the active set starts at the dofs in contact
+    there, else the closest one.  A ``start`` ``(u0, active0)`` (nested
+    iteration: the benchmarks give a finer level the coarser level's
+    converged displacement, prolongated, and its contact zone) begins
+    at load factor 0 with u = u0, lam = 0 and the set ``active0``, and
+    its first step takes the whole load.  Element inversion inside a
+    step, a failed solve or an active-set loop that does not settle
+    triggers step halving (up to 20 halvings); after a halving the step
+    doubles back up to ``1 / n_steps``.  A retry starts where the last
+    step converged, and so the retry of a started solve's first step
+    starts from u = 0 with the set there, as an unstarted solve does.
+    The patch's element data and scatter plan are
     built once and reused for every tangent of the solve, and so is the
     band layout of the tangent's pattern: each tangent goes into the
     banded factor by one gather.  A step starts at the u where the last
@@ -663,8 +675,7 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
     :class:`_CondensedSaddle` of that step: its factor, of the tangent
     one or two Newton corrections before u, serves the first solve.
     Neither is kept past that step, so a retry after a halving, which
-    starts from the same u, evaluates and factors afresh.  The active set
-    starts at the dofs in contact at u = 0, else the closest one.
+    starts from the same u, evaluates and factors afresh.
     """
     patch = problem.patch
     quad = patch_quadrature(patch)
@@ -673,12 +684,22 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
     F_full = assemble_load(patch, problem.tractions)
     B, measures = problem.coupling, problem.measures
 
-    u = np.zeros(n)
+    def at_rest():
+        """u = 0 and its active set: the dofs in contact there, else the closest one."""
+        wg0 = problem.gap_integrals / measures
+        active = wg0 <= _GAP_TOL
+        if not active.any():
+            active[int(np.argmin(wg0))] = True
+        return np.zeros(n), active
+
     lam = np.zeros(B.shape[0])
-    wg0 = problem.gap_integrals / measures
-    active = wg0 <= _GAP_TOL
-    if not active.any():
-        active[int(np.argmin(wg0))] = True
+    dt_base = 1.0 / n_steps
+    if start is None:
+        u, active = at_rest()
+        dt = dt_base
+    else:
+        u, active = start
+        dt = 1.0
     shape = patch.space.space.n_basis
     layout = _band_layout(quad.plan.indptr, quad.plan.indices, shape, nd, B, problem.constraints, active)
 
@@ -688,8 +709,6 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
     carried = [(neo_hookean_residual(quad, problem.material, u), None)]
     kappa = 1.0  # the kept-factor prediction's calibration, carried from step to step
     t = 0.0
-    dt_base = 1.0 / n_steps
-    dt = dt_base
     halvings = 0
     step = 0
     while t < 1.0 - 1e-12:
@@ -705,6 +724,11 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10)
             halvings += 1
             if halvings > 20:
                 raise SolverError("load step halved more than 20 times without progress")
+            if start is not None:
+                # the start is a guess, not a state of this solve, and its tangent need
+                # not factor where those of the stepped path do: retry from u = 0
+                u, active = at_rest()
+                start = None
             dt *= 0.5
             step -= 1
             continue

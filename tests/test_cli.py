@@ -115,6 +115,9 @@ class TestArgumentHandling:
         ["hertz2d", "--grading", "0.8,1.5"],
         ["hertz2d", "--levels", "1"],
         ["hertz2d", "--pressure", "-1"],
+        # no load leaves the normal translation free: the linear problem is singular
+        ["hertz2d", "--pressure", "0"],
+        ["hertz3d", "--pressure", "0"],
         ["hertz2d", "--poisson", "0.5"],
         ["hertz2d", "--young", "0"],
         ["hertz2d", "--radius", "0"],
@@ -170,6 +173,58 @@ def test_level_out_of_memory_exits_1_with_one_line(phase, tmp_path, capsys, monk
         f"solver failure: level 0 does not fit in memory: {n} dofs, half-bandwidth {u}, "
         f"band {n * (u + 1) * 8 / 2**30:.2f} GiB\n"
     )
+
+
+def test_large_deformation_zero_pressure_runs(tmp_path, monkeypatch):
+    # a zero load is solvable with finite deformation: no level presses on the plane,
+    # so no finer level is started from the coarser one
+    starts = []
+    real = benchmarks.solve_large_deformation
+
+    def recording(problem, n_steps, start):
+        starts.append(start)
+        return real(problem, n_steps, start)
+
+    monkeypatch.setattr(benchmarks, "solve_large_deformation", recording)
+    args = ["hertz2d-large", "--pressure", "0", "--levels", "2", "--base-spans", "3,3"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert starts == [None, None]
+
+
+def test_too_large_run_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # the memory check runs on every level's basis grid before level 0 is refined or
+    # assembled; the machine is made just too small for the reference level's band
+    config = RunConfig(benchmark="hertz2d", pressure=0.003, levels=2, base_spans=(3, 3))
+    ref = quarter_disc_level_patch(config, 2)
+    n, u = ref.space.dim * 2, solver._band_halfwidth(ref.space.space.n_basis, 2, 2)
+    monkeypatch.setattr(benchmarks, "_physical_memory", lambda: 8 * n * (u + 1) - 1)
+    work = []
+    for name in ("quarter_disc_level_patch", "assemble_stiffness", "solve_small_deformation"):
+        monkeypatch.setattr(benchmarks, name, lambda *args, name=name: work.append(name))
+    rc = main(tiny_args(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1 and work == []
+    assert err == (
+        f"solver failure: level 2 does not fit in memory: {n} dofs, half-bandwidth {u}, "
+        f"band {n * (u + 1) * 8 / 2**30:.2f} GiB\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(benchmark="hertz2d", base_spans=(3, 6)),
+        RunConfig(benchmark="hertz2d-large", degree=3, base_spans=(3, 6)),
+        RunConfig(benchmark="hertz3d", base_spans=(2, 4, 2), grading=(0.5, 0.2)),
+    ],
+    ids=lambda c: f"{c.benchmark}-p{c.degree}",
+)
+def test_memory_check_reads_each_level_grid_off_the_knot_vectors(config):
+    mesh = benchmarks._sphere_octant_mesh if config.benchmark == "hertz3d" else benchmarks._quarter_disc_mesh
+    for level in range(3):
+        base, breaks = mesh(config, level)
+        assert base.refined_grid_shape(breaks) == base.refine_to_breakpoints(breaks).space.space.n_basis
 
 
 class TestRunOutputs:

@@ -7,9 +7,10 @@ bases directly.
 Each script runs in a subprocess, in a temporary directory where it
 writes its ``out/`` tree, with ``src`` on ``PYTHONPATH``; the reference
 level of the high-load convergence run must settle in at most 2
-active-set records.  Together the scripts take about 35 s and up to
-1.4 GB of memory, so they run only with ``pytest --run-scripts``.  The
-harness check always runs.
+active-set records, and the reference level of each large-deformation
+run must take one load step.  Together the scripts take about 18 s and
+up to 1.4 GB of memory, so they run only with ``pytest --run-scripts``.
+The harness check always runs.
 """
 from __future__ import annotations
 
@@ -36,17 +37,20 @@ SCRIPTS = {
 # most active-set records the reference level of a run may take: each finer level starts
 # from the coarser level's contact zone (1 record measured; 9 from the analytic mask alone)
 REFERENCE_RECORDS = {"out/hertz2d_p01": 2}
+# load steps the reference level of a Newton run takes: it starts from the coarser level's
+# converged state and takes the whole load at once (1 measured; 10 when it stepped from zero)
+REFERENCE_LOAD_STEPS = {"out/large_pressure": 1, "out/large_dirichlet": 1}
 
 
-def level_records(log: Path) -> list[int]:
-    """Records per level of an ``iterations.log``, levels in file order."""
-    counts: list[int] = []
+def level_steps(log: Path) -> list[list[int]]:
+    """The load step of every record, per level of an ``iterations.log``, levels in file order."""
+    levels: list[list[int]] = []
     for line in log.read_text().splitlines():
         if line.startswith("# level"):
-            counts.append(0)
+            levels.append([])
         elif line[:1].isdigit():
-            counts[-1] += 1
-    return counts
+            levels[-1].append(int(line.split()[0]))
+    return levels
 
 
 @pytest.mark.scripts
@@ -63,8 +67,12 @@ def test_script_exits_0_and_writes_its_files(script, tmp_path):
         for name in names:
             path = tmp_path / out / name
             assert path.is_file() and path.stat().st_size > 0, f"{script} wrote no {out}/{name}"
-        if out in REFERENCE_RECORDS:
-            assert level_records(tmp_path / out / "iterations.log")[-1] <= REFERENCE_RECORDS[out]
+        if "iterations.log" in names:
+            reference = level_steps(tmp_path / out / "iterations.log")[-1]
+            if out in REFERENCE_RECORDS:
+                assert len(reference) <= REFERENCE_RECORDS[out]
+            if out in REFERENCE_LOAD_STEPS:
+                assert len(set(reference)) == REFERENCE_LOAD_STEPS[out]
 
 
 def wrap_targets():

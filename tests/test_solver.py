@@ -36,7 +36,13 @@ from igacontact.contact import (
     scalar_coupling_and_masses,
     weighted_gap,
 )
-from igacontact.geometry import SPHERE_OCTANT_CONTACT_FACE, extract_trace, face_id, unit_square_patch
+from igacontact.geometry import (
+    SPHERE_OCTANT_CONTACT_FACE,
+    GeometryError,
+    extract_trace,
+    face_id,
+    unit_square_patch,
+)
 from igacontact.materials import LinearMaterial
 from igacontact.solver import (
     SmallDeformationProblem,
@@ -48,7 +54,7 @@ from igacontact.solver import (
     solve_large_deformation,
     solve_small_deformation,
 )
-from igacontact.verification import arc_coordinate_2d, hertz_2d, hertz_3d
+from igacontact.verification import arc_coordinate_2d, displacement_errors, hertz_2d, hertz_3d
 
 from helpers import GapField, active_region_extent, grid_points
 
@@ -990,26 +996,28 @@ class TestLargeDeformation:
         # condensed solve, not a tangent and a factorization (a set updated once per
         # Newton iterate takes 90), and a correction predicted to converge on the last
         # factor keeps it (44 when every correction factors afresh), counted on the
-        # 6,6 / 0.8,0.1 mesh
+        # 6,6 / 0.8,0.1 mesh; the reference level starts from level 0's displacement
+        # and takes the whole push in one step (38 when it steps up from zero too)
         config = RunConfig(
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2,
             base_spans=(6, 6), grading=(0.8, 0.1), out=str(tmp_path),
         )
         factorizations = count_factorizations(monkeypatch)
         benchmarks.run_benchmark(config)
-        assert len(factorizations) == 38
+        assert len(factorizations) == 21
 
     def test_dirichlet_default_mesh_counts(self, monkeypatch, tmp_path):
         # on the CLI's default mesh a kept correction misses its quadratic-rate prediction
         # about 4x; calibrating the prediction by the largest miss of the solve so far
         # avoids repeating it (uncalibrated: 88 records and 70 residual evaluations, for
-        # the same 41 factorizations)
+        # the same 41 factorizations).  The reference level starts from level 0's
+        # displacement in one step: (81, 63, 41) when it steps up from zero too
         config = RunConfig(benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path))
         residuals = count_calls(monkeypatch, solver, "neo_hookean_residual")
         factorizations = count_factorizations(monkeypatch)
         result = benchmarks.run_benchmark(config)
         records = sum(len(level.bundle.iterations) for level in result.levels + [result.reference])
-        assert (records, len(residuals), len(factorizations)) == (81, 63, 41)
+        assert (records, len(residuals), len(factorizations)) == (45, 36, 23)
 
     def test_converged_tangent_carried_into_next_step(self, monkeypatch):
         # a step starts where the last one converged, and its convergence check
@@ -1078,10 +1086,11 @@ class TestLargeDeformation:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_dirichlet_run_raises_no_runtime_warning(self, tmp_path):
         # a displacement-driven run starts at zero residual, where the first factor is
-        # built; the kept-factor prediction divides by that residual and must skip it
+        # built; the kept-factor prediction divides by that residual and must skip it.
+        # Level 0 starts from u = 0; the reference starts from level 0's displacement
         config = RunConfig(benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path))
         result = benchmarks.run_benchmark(config)
-        assert result.reference.bundle.iterations[0].residual_u == 0.0
+        assert result.levels[0].bundle.iterations[0].residual_u == 0.0
 
     def test_no_activity_chatter_within_a_load_step(self, monkeypatch, tmp_path):
         # a dof released for tension used to be re-activated by a slightly negative
@@ -1132,7 +1141,8 @@ class TestLargeDeformation:
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
         )
         benchmarks.run_benchmark(config)
-        assert not failed and len(steps) == 2 * config.n_load_steps  # level 0 and the reference
+        # level 0 steps up from zero; the reference starts from level 0 and takes one step
+        assert not failed and len(steps) == config.n_load_steps + 1
         for records, states, f_norms, _ in steps:
             assert len(states) == len(records)
             assert len(f_norms) == len(records)
@@ -1165,6 +1175,108 @@ class TestLargeDeformation:
         # single-humped pressure: active multipliers peak at the pole side
         lam_act = -bundle.lam[bundle.active]
         assert lam_act.max() > 0
+
+
+def assert_same_state(a, b, rtol=1e-8):
+    """Two solution bundles settle to the same active set, and to u and lam within ``rtol``."""
+    assert np.array_equal(a.active, b.active)
+    assert np.abs(a.u - b.u).max() <= rtol * np.abs(b.u).max()
+    assert np.abs(a.lam - b.lam).max() <= rtol * np.abs(b.lam).max()
+
+
+class TestNestedNewtonStart:
+    """A finer large-deformation level starts from the coarser level's converged state."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_prolongation_is_exact(self, degree):
+        config = RunConfig(benchmark="hertz2d-large", degree=degree, base_spans=(3, 3))
+        coarse, fine = quarter_disc_level_patch(config, 0), quarter_disc_level_patch(config, 1)
+        u_c = np.random.default_rng(4).normal(size=coarse.space.dim * 2)
+        prev = SimpleNamespace(level=0, patch=coarse, bundle=SimpleNamespace(u=u_c))
+        u0 = benchmarks._prolongate(prev, fine)
+        assert u0.size == fine.space.dim * 2
+        [(l2, h1)] = displacement_errors([(u_c, coarse)], u0, fine)
+        [(norm_l2, norm_h1)] = displacement_errors([(np.zeros_like(u_c), coarse)], u0, fine)
+        assert l2 <= 1e-12 * norm_l2 and h1 <= 1e-12 * norm_h1
+
+    def test_prolongation_rejects_a_level_that_is_not_nested(self):
+        config = RunConfig(benchmark="hertz2d-large", base_spans=(3, 3))
+        coarse = quarter_disc_level_patch(config, 1)
+        other = quarter_disc_level_patch(dataclasses.replace(config, base_spans=(4, 4)), 0)
+        prev = SimpleNamespace(level=1, patch=coarse, bundle=SimpleNamespace(u=np.zeros(coarse.space.dim * 2)))
+        with pytest.raises(GeometryError, match="not nested"):
+            benchmarks._prolongate(prev, other)
+
+    @pytest.mark.parametrize("bench_id", ["hertz2d-large", "hertz2d-large-dirichlet"])
+    def test_started_level_matches_a_solve_from_zero(self, bench_id):
+        # the meshes of scripts/run_large_deformation.py
+        grading = (0.7, 0.45) if bench_id == "hertz2d-large" else (0.65, 0.6)
+        config = RunConfig(
+            benchmark=bench_id, pressure=0.1, displacement=0.2, base_spans=(3, 6), grading=grading, levels=2
+        )
+        prev = benchmarks._solve_level(config, 0, None)
+        started = benchmarks._solve_level(config, 1, prev)
+        assert {r.step for r in started.bundle.iterations} == {1}  # the whole load in one step
+        problem, _ = build_large_deformation_problem(started.patch, config)
+        zero = solve_large_deformation(problem, config.n_load_steps)
+        assert len({r.step for r in zero.iterations}) == config.n_load_steps
+        assert started.bundle.active.any()
+        assert_same_state(started.bundle, zero)
+
+    def test_no_coarse_pressure_gives_no_start(self):
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 3), levels=2)
+        prev = benchmarks._solve_level(config, 0, None)
+        patch = quarter_disc_level_patch(config, 1)
+        _, setup = build_large_deformation_problem(patch, config)
+        assert benchmarks._newton_start(prev, patch, setup)[1].any()
+        released = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
+        assert benchmarks._newton_start(released, patch, setup) is None
+
+    def test_failed_full_step_settles_through_halving(self, monkeypatch):
+        # the start is a guess, not a converged state of the level: the retry of its
+        # failed first step loads from u = 0 with the halved step
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 6), grading=(0.7, 0.45), levels=2)
+        prev = benchmarks._solve_level(config, 0, None)
+        direct = benchmarks._solve_level(config, 1, prev).bundle
+        original = solver._newton_contact_step
+        attempts = []  # (load factor, u at the step's start)
+
+        def failing(*args):
+            attempts.append((args[7], args[2]))
+            if len(attempts) == 1:
+                raise SolverError("forced failure of the first full step")
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_newton_contact_step", failing)
+        halved = benchmarks._solve_level(config, 1, prev).bundle
+        loads = [t for t, _ in attempts]
+        # halved once, then recovering to the step of 1 / n_load_steps
+        assert loads[:2] == [1.0, 0.5] and np.allclose(loads[2:], np.linspace(0.6, 1.0, 5))
+        assert attempts[0][1].any() and not attempts[1][1].any()
+        assert {r.step for r in halved.iterations} == set(range(1, 7))
+        assert_same_state(halved, direct)
+
+    def test_start_that_does_not_factor_retries_from_zero(self):
+        # on this mesh the tangent at the prolongated level-0 state is indefinite, so
+        # the started first step fails at once (and so would every retry from that
+        # state: its tangent does not depend on the load); the retry loads from u = 0,
+        # and the level settles as a solve from zero does
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 3), levels=2)
+        prev = benchmarks._solve_level(config, 0, None)
+        patch = quarter_disc_level_patch(config, 1)
+        problem, setup = build_large_deformation_problem(patch, config)
+        started = solve_large_deformation(problem, config.n_load_steps, benchmarks._newton_start(prev, patch, setup))
+        assert_same_state(started, solve_large_deformation(problem, config.n_load_steps))
+
+    def test_large_p01_records_per_level(self, tmp_path):
+        # the gated hertz2d-large-p01 workload: level 0 takes 10 load steps of 5 records,
+        # each finer level one step (50 records per level when every level stepped from zero)
+        config = RunConfig(
+            benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45),
+            out=str(tmp_path),
+        )
+        result = benchmarks.run_benchmark(config)
+        assert [len(res.bundle.iterations) for res in result.levels + [result.reference]] == [50, 5, 5]
 
 
 class TestInfSup:
