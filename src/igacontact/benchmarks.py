@@ -8,10 +8,11 @@ Displacement errors are measured against the reference solve, the
 multiplier error both against the closed-form pressure profile and the
 reference multiplier.  The levels are solved coarse to fine, and the
 linear active-set loop of every level after the first starts from the
-contact zone the level before it settled (:func:`_seed_active_set`); a
-Newton level after the first starts from the coarser level's
-displacement, prolongated exactly, and contact zone, and takes the whole
-load in one step (:func:`_newton_start`).  Before any level is refined,
+contact zone the level before it settled (:func:`_seed_active_set`).
+Every Newton level takes the whole load in one step: a level after the
+first from the coarser level's displacement, prolongated exactly, and
+contact zone (:func:`_newton_start`), the coarsest from rest; stepping
+the load up from rest is the fallback.  Before any level is refined,
 :func:`_check_levels_fit` stops a run whose banded factor would not fit
 in physical memory.
 
@@ -73,6 +74,7 @@ from .solver import (
     SolverError,
     _band_halfwidth,
     inf_sup_estimate,
+    rest_start,
     solve_large_deformation,
     solve_small_deformation,
 )
@@ -159,8 +161,13 @@ class RunConfig:
             _check_hertz_inputs(self.radius, self.young, self.poisson, self.pressure)
         except (GeometryError, VerificationError) as exc:
             raise ConfigError(str(exc)) from None
-        if self.pressure == 0 and self.benchmark in ("hertz2d", "hertz3d"):
-            # no load leaves the body's normal translation free: the linear problem is singular
+        # no load leaves the body's normal translation free, so the linear problem is
+        # singular, and a large run with no load or a pull presses nowhere: its errors
+        # are all zero, so no rate fits
+        if self.benchmark == "hertz2d-large-dirichlet":
+            if self.displacement is not None and self.displacement <= 0:
+                raise ConfigError(f"{self.benchmark} needs a positive displacement")
+        elif self.pressure == 0 and self.benchmark != "infsup":
             raise ConfigError(f"{self.benchmark} needs a positive pressure")
 
 
@@ -291,7 +298,7 @@ def _newton_start(prev: LevelResult, patch: NurbsPatch, setup: ContactSetup):
     """The start of a finer Newton level: the prolongated displacement and the coarser contact zone.
 
     None when the coarser level presses nowhere, so that the level starts
-    from u = 0 as the coarsest one does.
+    from rest as the coarsest one does.
     """
     active = _coarse_contact_zone(prev, setup)
     if not active.any():
@@ -435,11 +442,16 @@ def _check_levels_fit(config: RunConfig, level_ids) -> None:
 def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> LevelResult:
     """Set up and solve one level; ``prev`` is the coarser level solved before it, if any.
 
-    Every level of a large-deformation run after the first starts from
-    ``prev`` (:func:`_newton_start`), computed here and not in
-    :func:`build_large_deformation_problem`.  A level that runs out of
-    memory raises :class:`SolverError` naming its dofs and the size of the
-    banded factor it needs.
+    Every level of a large-deformation run takes the whole load in one
+    step from a start computed here, not in
+    :func:`build_large_deformation_problem`: the coarser level's converged
+    state (:func:`_newton_start`) where it presses on the plane, else the
+    rest state (:func:`rest_start`), as on the coarsest level.  If that
+    step fails, the level steps the load up from rest in
+    ``config.n_load_steps`` increments.  A level that runs out of memory
+    raises :class:`SolverError` naming its dofs and the size of the banded
+    factor it needs, and any other solver failure is prefixed with the
+    level.
     """
     if config.benchmark == "hertz3d":
         patch = sphere_octant_level_patch(config, level)
@@ -455,9 +467,11 @@ def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> Lev
         else:
             problem, setup = build_large_deformation_problem(patch, config)
             start = None if prev is None else _newton_start(prev, patch, setup)
-            bundle = solve_large_deformation(problem, config.n_load_steps, start)
+            bundle = solve_large_deformation(problem, config.n_load_steps, start or rest_start(problem))
     except MemoryError:
         raise _too_large(level, patch.space.space.n_basis, patch.ndim, config.degree) from None
+    except SolverError as exc:
+        raise SolverError(f"level {level}: {exc}") from exc
     return LevelResult(
         level=level,
         patch=patch,

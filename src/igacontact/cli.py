@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base-spans", type=str, dest="base_spans")
         p.add_argument(
             "--load-steps", type=int, dest="load_steps",
-            help="load steps of the coarsest Newton level; also the step a halved step recovers to",
+            help="load steps of a Newton level whose whole-load step fails; also the step a halved step recovers to",
         )
         p.add_argument("--young", type=float)
         p.add_argument("--poisson", type=float)

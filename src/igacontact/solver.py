@@ -22,11 +22,11 @@ multiplier dofs) with activity updates (:mod:`.contact`), taking each
 update's set, until the set is stable and complementarity holds; it
 keeps no other state, and a loop that does not settle stops at its cap
 with a :class:`SolverError`.  Small deformation runs it once, on the
-stiffness.  Large deformation: load stepping with Newton iterations on
-the combined residual, from u = 0 or from a given start (a displacement
-and an active set, which the benchmarks take from the coarser level:
-nested iteration), whose first step takes the whole load; every
-unconverged iterate runs the loop on its own tangent's factor; the gap
+stiffness.  Large deformation: Newton iterations on the combined
+residual, from a given start (a displacement and an active set: the
+benchmarks take the coarser level's, nested iteration, or the rest
+state) in one step of the whole load, else in load steps from rest;
+every unconverged iterate runs the loop on its own tangent's factor; the gap
 is linear in u, so the set it settles is exact for the linearization,
 and a change of activity costs a condensed solve, not a tangent and a
 factorization.  Each Newton iterate evaluates the residual first, and
@@ -66,9 +66,13 @@ class SolverError(RuntimeError):
     """Linear-solve failure or iteration-cap overrun."""
 
 
+class _LoadIndependentError(SolverError):
+    """A load step's first factorization, of the tangent at its start, failed: no smaller step changes that tangent."""
+
+
 _MAX_ACTIVE_SET_ITERS = 60  # saddle solves of one active-set loop
 _MAX_NEWTON_ITERS = 40  # Newton iterates of one load step
-_NEWTON_TOL = 1e-10  # |r_u| <= _NEWTON_TOL * max(|F_t|, |f_int|) is converged
+_NEWTON_TOL = 1e-10  # |r_u| <= _NEWTON_TOL * ref is converged, ref as in _newton_contact_step
 
 
 @dataclass(frozen=True)
@@ -650,22 +654,33 @@ class LargeDeformationProblem:
     measures: np.ndarray
 
 
+def rest_start(problem: LargeDeformationProblem):
+    """u = 0 and its active set: the dofs in contact there, else the closest one."""
+    wg0 = problem.gap_integrals / problem.measures
+    active = wg0 <= _GAP_TOL
+    if not active.any():
+        active[int(np.argmin(wg0))] = True
+    return np.zeros(problem.patch.space.dim * problem.patch.ndim), active
+
+
 def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10, start=None) -> SolutionBundle:
     """Incremental loading with Newton iterations, the active set settled on each Newton factor.
 
     Both tractions and prescribed displacements are scaled by the load
     factor.  With no ``start`` the load goes on in ``n_steps`` equal
-    steps from u = 0, and the active set starts at the dofs in contact
-    there, else the closest one.  A ``start`` ``(u0, active0)`` (nested
-    iteration: the benchmarks give a finer level the coarser level's
-    converged displacement, prolongated, and its contact zone) begins
-    at load factor 0 with u = u0, lam = 0 and the set ``active0``, and
-    its first step takes the whole load.  Element inversion inside a
-    step, a failed solve or an active-set loop that does not settle
-    triggers step halving (up to 20 halvings); after a halving the step
-    doubles back up to ``1 / n_steps``.  A retry starts where the last
-    step converged, and so the retry of a started solve's first step
-    starts from u = 0 with the set there, as an unstarted solve does.
+    steps from the rest state (:func:`rest_start`).  A ``start`` ``(u0,
+    active0)`` begins at load factor 0 with u = u0, lam = 0 and the set
+    ``active0``, and takes the whole load in one step; the benchmarks
+    give every level one, the coarser level's converged displacement,
+    prolongated, and its contact zone (nested iteration), or the rest
+    state.  If that step fails, the solve steps the load up from rest
+    as with no ``start``.  Otherwise element inversion inside a step, a
+    failed solve or an active-set loop that does not settle triggers
+    step halving (up to 20 halvings), the retry starting where the last
+    step converged; after a halving the step doubles back up to ``1 /
+    n_steps``.  A step whose first factorization, of the tangent where it
+    starts, fails raises at once: the tangent does not depend on the load
+    factor, so a halved step would factor the same matrix.
     The patch's element data and scatter plan are
     built once and reused for every tangent of the solve, and so is the
     band layout of the tangent's pattern: each tangent goes into the
@@ -680,22 +695,13 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
     patch = problem.patch
     quad = patch_quadrature(patch)
     nd = patch.ndim
-    n = patch.space.dim * nd
     F_full = assemble_load(patch, problem.tractions)
     B, measures = problem.coupling, problem.measures
-
-    def at_rest():
-        """u = 0 and its active set: the dofs in contact there, else the closest one."""
-        wg0 = problem.gap_integrals / measures
-        active = wg0 <= _GAP_TOL
-        if not active.any():
-            active[int(np.argmin(wg0))] = True
-        return np.zeros(n), active
 
     lam = np.zeros(B.shape[0])
     dt_base = 1.0 / n_steps
     if start is None:
-        u, active = at_rest()
+        u, active = rest_start(problem)
         dt = dt_base
     else:
         u, active = start
@@ -720,17 +726,22 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
             u, lam, active, wg, kappa, *carried, recs = _newton_contact_step(
                 problem, quad, u, lam, active, layout, F_full * t_try, t_try, step, kappa, carried.pop()
             )
-        except (ElementInversionError, SolverError):
+        except (ElementInversionError, SolverError) as exc:
+            step -= 1
+            if start is not None:
+                # the whole load from the start failed: step it up from rest instead
+                u, active = rest_start(problem)
+                start, dt = None, dt_base
+                continue
+            if isinstance(exc, _LoadIndependentError):
+                raise SolverError(
+                    f"the tangent at load factor {t:.6g} does not factor, "
+                    f"and a smaller step factors the same one: {exc}"
+                ) from None
             halvings += 1
             if halvings > 20:
                 raise SolverError("load step halved more than 20 times without progress")
-            if start is not None:
-                # the start is a guess, not a state of this solve, and its tangent need
-                # not factor where those of the stepped path do: retry from u = 0
-                u, active = at_rest()
-                start = None
             dt *= 0.5
-            step -= 1
             continue
         records.extend(recs)
         t = t_try
@@ -773,7 +784,13 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
     ``(lam, weighted gap at u + du)``, which is exact because the gap is
     linear in u.  The first solve reuses the factor of ``saddle`` with its
     right-hand side replaced, or factors the tangent at ``u0`` when
-    ``saddle`` is None.  A later solve keeps the factor of the one before
+    ``saddle`` is None; if that factorization fails, the step raises
+    :class:`_LoadIndependentError`.  An iterate is converged when
+    ``|r_u| <= _NEWTON_TOL ref``, with ``ref`` the larger of ``|F_t|`` and
+    ``|f_int|`` plus, in a step that prescribes an increment, the norm of
+    its first solve's right-hand side (``|r| <= tau_r |r_0| + tau_a``,
+    Kelley 2003): that scale stays when a push moves the body rigidly,
+    with no load and no stress.  A later solve keeps the factor of the one before
     when :func:`_keeps_factor` predicts that a chord step on it converges,
     and else factors the tangent at u.  ``kappa`` calibrates that
     prediction: it is the largest ratio of the residual after a kept
@@ -798,6 +815,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
     lam, active = lam0, active0
     records: list[IterationRecord] = []
     first_res = None
+    scale = 0.0  # the norm of the first solve's right-hand side when the step prescribes an increment
     fresh = saddle is None  # the next solve factors the tangent at the current u
     factored_at = None  # residual norm where the last correction's factor was built, 0 if it was kept
     predicted = 0.0  # the residual a correction on a kept factor was predicted to leave, 0 if none
@@ -812,7 +830,7 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
         state = ContactState(lam=lam, weighted_gap=wg, active=active, measures=measures)
         new_state, changed = active_set_update(state)
         cur_idx = np.flatnonzero(active)
-        ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30)
+        ref = max(np.linalg.norm(F_t), np.linalg.norm(f_int), 1e-30) + scale
         res_u = np.linalg.norm(r_u)
         converged = res_u <= _NEWTON_TOL * ref
         if predicted and not converged:
@@ -856,10 +874,17 @@ def _newton_contact_step(problem, quad, u0, lam0, active0, layout, F_t, t, step,
         else:
             K_T = saddle.K
         rhs_u = layout.prescribe(F_t - f_int, K_T, dv)
-        if fresh:
-            saddle = _CondensedSaddle(K_T, rhs_u, layout)
-        else:
+        if pending:
+            scale = np.linalg.norm(rhs_u)
+        if not fresh:
             saddle.set_rhs(rhs_u)
+        else:
+            try:
+                saddle = _CondensedSaddle(K_T, rhs_u, layout)
+            except SolverError as exc:
+                if it > 1:
+                    raise
+                raise _LoadIndependentError(str(exc)) from exc
         du, settled = _settle_active_set(saddle, active, gap, -(gap + Bc @ dv[cols]), measures)
         u = u + du
         lam, active = settled.lam, settled.active

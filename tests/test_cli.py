@@ -175,20 +175,26 @@ def test_level_out_of_memory_exits_1_with_one_line(phase, tmp_path, capsys, monk
     )
 
 
-def test_large_deformation_zero_pressure_runs(tmp_path, monkeypatch):
-    # a zero load is solvable with finite deformation: no level presses on the plane,
-    # so no finer level is started from the coarser one
-    starts = []
-    real = benchmarks.solve_large_deformation
-
-    def recording(problem, n_steps, start):
-        starts.append(start)
-        return real(problem, n_steps, start)
-
-    monkeypatch.setattr(benchmarks, "solve_large_deformation", recording)
-    args = ["hertz2d-large", "--pressure", "0", "--levels", "2", "--base-spans", "3,3"]
-    assert main([*args, "--out", str(tmp_path / "out")]) == 0
-    assert starts == [None, None]
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hertz2d-large", "--pressure", "0"], "hertz2d-large needs a positive pressure"),
+        (["hertz2d-large-dirichlet", "--displacement", "0"], "hertz2d-large-dirichlet needs a positive displacement"),
+        (["hertz2d-large-dirichlet", "--displacement", "-0.05"], "hertz2d-large-dirichlet needs a positive displacement"),
+    ],
+    ids=["pressure", "displacement", "pull"],
+)
+def test_large_deformation_zero_load_exits_2(argv, message, tmp_path, capsys, monkeypatch):
+    # a zero load, or a pull away from the plane, solves to zero errors at every level,
+    # and a run of three or more levels then fitted no rate and ended in a traceback: it
+    # is rejected before any level is refined
+    work = []
+    monkeypatch.setattr(benchmarks, "quarter_disc_level_patch", lambda *args: work.append(args))
+    rc = main([*argv, "--levels", "3", "--base-spans", "3,3", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and work == []
+    assert err.splitlines()[0] == f"error: {message}" and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_too_large_run_fails_before_any_work(tmp_path, capsys, monkeypatch):

@@ -461,6 +461,19 @@ def count_step_attempts(monkeypatch):
     return calls
 
 
+def record_load_factors(monkeypatch):
+    """The load factor of every Newton load-step attempt, in order."""
+    loads = []
+    original = solver._newton_contact_step
+
+    def recording(*args):
+        loads.append(args[7])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_newton_contact_step", recording)
+    return loads
+
+
 def count_calls(monkeypatch, module, name):
     """Record the calls of ``module.name`` made through that module."""
     calls = []
@@ -870,12 +883,11 @@ class TestCondensedSaddle:
 
 class TestLargeDeformation:
     def test_zero_load_zero_displacement(self):
-        config = RunConfig(
-            benchmark="hertz2d-large", pressure=0.0, base_spans=(3, 3), levels=2
-        )
+        # a run configuration rejects a zero load (no rate fits), so the problem's load is removed
+        config = RunConfig(benchmark="hertz2d-large", base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 0)
         problem, _ = build_large_deformation_problem(patch, config)
-        bundle = solve_large_deformation(problem, n_steps=1)
+        bundle = solve_large_deformation(dataclasses.replace(problem, tractions={}), n_steps=1)
         assert np.abs(bundle.u).max() <= 1e-12
 
     def test_tiny_load_matches_linear_solution(self):
@@ -996,28 +1008,32 @@ class TestLargeDeformation:
         # condensed solve, not a tangent and a factorization (a set updated once per
         # Newton iterate takes 90), and a correction predicted to converge on the last
         # factor keeps it (44 when every correction factors afresh), counted on the
-        # 6,6 / 0.8,0.1 mesh; the reference level starts from level 0's displacement
-        # and takes the whole push in one step (38 when it steps up from zero too)
+        # 6,6 / 0.8,0.1 mesh; every level takes the whole push in one step, level 0 from
+        # rest and the reference from level 0's displacement (21 when level 0 steps the
+        # push up in 10 steps, 38 when the reference does too)
         config = RunConfig(
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2,
             base_spans=(6, 6), grading=(0.8, 0.1), out=str(tmp_path),
         )
         factorizations = count_factorizations(monkeypatch)
-        benchmarks.run_benchmark(config)
-        assert len(factorizations) == 21
+        result = benchmarks.run_benchmark(config)
+        levels = result.levels + [result.reference]
+        assert [len({r.step for r in level.bundle.iterations}) for level in levels] == [1, 1]
+        assert len(factorizations) == 7
 
     def test_dirichlet_default_mesh_counts(self, monkeypatch, tmp_path):
         # on the CLI's default mesh a kept correction misses its quadratic-rate prediction
         # about 4x; calibrating the prediction by the largest miss of the solve so far
         # avoids repeating it (uncalibrated: 88 records and 70 residual evaluations, for
-        # the same 41 factorizations).  The reference level starts from level 0's
-        # displacement in one step: (81, 63, 41) when it steps up from zero too
+        # the same 41 factorizations).  Every level takes the whole push in one step,
+        # level 0 from rest and the reference from level 0's displacement: (45, 36, 23)
+        # when level 0 steps the push up in 10 steps, (81, 63, 41) when the reference does too
         config = RunConfig(benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path))
         residuals = count_calls(monkeypatch, solver, "neo_hookean_residual")
         factorizations = count_factorizations(monkeypatch)
         result = benchmarks.run_benchmark(config)
         records = sum(len(level.bundle.iterations) for level in result.levels + [result.reference])
-        assert (records, len(residuals), len(factorizations)) == (45, 36, 23)
+        assert (records, len(residuals), len(factorizations)) == (9, 9, 6)
 
     def test_converged_tangent_carried_into_next_step(self, monkeypatch):
         # a step starts where the last one converged, and its convergence check
@@ -1141,8 +1157,8 @@ class TestLargeDeformation:
             benchmark="hertz2d-large-dirichlet", displacement=0.1, levels=2, out=str(tmp_path)
         )
         benchmarks.run_benchmark(config)
-        # level 0 steps up from zero; the reference starts from level 0 and takes one step
-        assert not failed and len(steps) == config.n_load_steps + 1
+        # level 0 takes the whole push from rest, and the reference from level 0, in one step each
+        assert not failed and len(steps) == 2
         for records, states, f_norms, _ in steps:
             assert len(states) == len(records)
             assert len(f_norms) == len(records)
@@ -1232,12 +1248,13 @@ class TestNestedNewtonStart:
         released = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
         assert benchmarks._newton_start(released, patch, setup) is None
 
-    def test_failed_full_step_settles_through_halving(self, monkeypatch):
-        # the start is a guess, not a converged state of the level: the retry of its
-        # failed first step loads from u = 0 with the halved step
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_failed_full_step_steps_up_from_rest(self, monkeypatch, level):
+        # the whole-load step from the start (rest on level 0, level 0's state on level 1)
+        # fails: the level steps the load up from u = 0 in n_load_steps steps
         config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 6), grading=(0.7, 0.45), levels=2)
-        prev = benchmarks._solve_level(config, 0, None)
-        direct = benchmarks._solve_level(config, 1, prev).bundle
+        prev = benchmarks._solve_level(config, 0, None) if level else None
+        direct = benchmarks._solve_level(config, level, prev).bundle
         original = solver._newton_contact_step
         attempts = []  # (load factor, u at the step's start)
 
@@ -1248,13 +1265,12 @@ class TestNestedNewtonStart:
             return original(*args)
 
         monkeypatch.setattr(solver, "_newton_contact_step", failing)
-        halved = benchmarks._solve_level(config, 1, prev).bundle
+        stepped = benchmarks._solve_level(config, level, prev).bundle
         loads = [t for t, _ in attempts]
-        # halved once, then recovering to the step of 1 / n_load_steps
-        assert loads[:2] == [1.0, 0.5] and np.allclose(loads[2:], np.linspace(0.6, 1.0, 5))
-        assert attempts[0][1].any() and not attempts[1][1].any()
-        assert {r.step for r in halved.iterations} == set(range(1, 7))
-        assert_same_state(halved, direct)
+        assert loads[0] == 1.0 and np.allclose(loads[1:], np.linspace(0.1, 1.0, 10))
+        assert attempts[0][1].any() == bool(level) and not attempts[1][1].any()
+        assert {r.step for r in stepped.iterations} == set(range(1, 11))
+        assert_same_state(stepped, direct)
 
     def test_start_that_does_not_factor_retries_from_zero(self):
         # on this mesh the tangent at the prolongated level-0 state is indefinite, so
@@ -1268,15 +1284,85 @@ class TestNestedNewtonStart:
         started = solve_large_deformation(problem, config.n_load_steps, benchmarks._newton_start(prev, patch, setup))
         assert_same_state(started, solve_large_deformation(problem, config.n_load_steps))
 
-    def test_large_p01_records_per_level(self, tmp_path):
-        # the gated hertz2d-large-p01 workload: level 0 takes 10 load steps of 5 records,
-        # each finer level one step (50 records per level when every level stepped from zero)
+    def test_large_p01_records_per_level(self, monkeypatch, tmp_path):
+        # the gated hertz2d-large-p01 workload: every level takes the whole load in one
+        # step, level 0 from rest and each finer level from the coarser one ((50, 5, 5)
+        # records and 31 factorizations when level 0 took 10 load steps of 5 records, 50
+        # records per level when every level did)
         config = RunConfig(
             benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45),
             out=str(tmp_path),
         )
+        factorizations = count_factorizations(monkeypatch)
         result = benchmarks.run_benchmark(config)
-        assert [len(res.bundle.iterations) for res in result.levels + [result.reference]] == [50, 5, 5]
+        assert [len(res.bundle.iterations) for res in result.levels + [result.reference]] == [8, 5, 5]
+        assert len(factorizations) == 13
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the gated hertz2d-large-p01 mesh and the Dirichlet half of scripts/run_large_deformation.py
+            RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 6), grading=(0.7, 0.45)),
+            RunConfig(benchmark="hertz2d-large-dirichlet", displacement=0.4, base_spans=(3, 6), grading=(0.65, 0.6)),
+        ],
+        ids=["p01", "dirichlet"],
+    )
+    def test_coarsest_level_takes_the_whole_load_in_one_step(self, config):
+        # level 0 starts from rest and takes the whole load at once, settling to the state
+        # of the stepped solve
+        level = benchmarks._solve_level(config, 0, None)
+        assert {r.step for r in level.bundle.iterations} == {1}
+        problem, _ = build_large_deformation_problem(level.patch, config)
+        stepped = solve_large_deformation(problem, config.n_load_steps)
+        assert len({r.step for r in stepped.iterations}) == config.n_load_steps
+        assert level.bundle.active.any()
+        assert_same_state(level.bundle, stepped)
+
+    def test_tangent_that_never_factors_stops_after_two_attempts(self, monkeypatch):
+        # the whole-load step from rest fails at its first factorization, and so does
+        # the first step up from rest: a halved step would factor the same tangent at
+        # u = 0, so the level stops there, not after 20 halvings
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 6), grading=(0.7, 0.45))
+        attempts = record_load_factors(monkeypatch)
+
+        def indefinite(*args, **kwargs):
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+
+        monkeypatch.setattr(solver.sla, "cholesky_banded", indefinite)
+        with pytest.raises(SolverError, match="^level 0: the tangent at load factor 0 does not factor") as err:
+            benchmarks._solve_level(config, 0, None)
+        assert "not positive definite" in str(err.value)
+        assert attempts == [1.0, 0.1]
+
+    def test_unfactorable_tangent_at_a_converged_state_stops_at_once(self, monkeypatch):
+        # from the state converged at t = 0.25 on, no tangent factors: the step to 0.5
+        # fails on a later iterate and is halved once, and its retry fails at the first
+        # factorization, of the tangent at t = 0.25, which halving does not change
+        config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 6), grading=(0.7, 0.45))
+        problem, _ = build_large_deformation_problem(quarter_disc_level_patch(config, 0), config)
+        attempts = record_load_factors(monkeypatch)
+        original = solver.sla.cholesky_banded
+
+        def failing_after_first_step(*args, **kwargs):
+            if len(attempts) > 1:
+                raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver.sla, "cholesky_banded", failing_after_first_step)
+        with pytest.raises(SolverError, match="^the tangent at load factor 0.25 does not factor"):
+            solve_large_deformation(problem, n_steps=4)
+        assert attempts == [0.25, 0.5, 0.375]
+
+    @pytest.mark.parametrize("push", [0.01, 0.03, 0.08])
+    def test_small_push_converges_on_the_stepped_path(self, push):
+        # a small push first moves level 0 rigidly, with no active dof and no stress: the
+        # Newton test then needs the push's own force as its scale, as both |F_t| and
+        # |f_int| are rounding (every step halved 20 times when they were the only scale)
+        config = RunConfig(benchmark="hertz2d-large-dirichlet", displacement=push)
+        problem, _ = build_large_deformation_problem(quarter_disc_level_patch(config, 0), config)
+        bundle = solve_large_deformation(problem, config.n_load_steps)
+        assert {r.step for r in bundle.iterations} == set(range(1, config.n_load_steps + 1))
+        assert complementarity_ok(bundle.state)
 
 
 class TestInfSup:
