@@ -58,10 +58,13 @@ class QuadratureRule:
         return self.points.size
 
 
+@functools.cache
 def gauss_rule(n: int) -> QuadratureRule:
+    """The n-point rule, computed once per order; its arrays are read-only, as every caller shares them."""
     if not 1 <= n <= 30:
         raise AssemblyError("Gauss rule order must lie in [1, 30]")
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return QuadratureRule(points=x, weights=w)
 
 

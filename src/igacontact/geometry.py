@@ -22,7 +22,7 @@ and 1 at parameter 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -328,18 +328,23 @@ def _element_sizes(space: WeightedSpace, control_points) -> tuple[np.ndarray, np
     """Parametric bounds and physical sizes of the elements of a rational map, elements in C-order.
 
     The breakpoint grid is mapped once; an element's size is the largest
-    distance between its 2^d mapped corners.
+    distance between its 2^d mapped corners, the root of the largest
+    squared distance over the corner pairs.
     """
     knot_vectors = space.space.knot_vectors
     per_dir = [kv.element_bounds for kv in knot_vectors]
     nel = tuple(b.shape[0] for b in per_dir)
     nd = len(nel)
     mats = [_direction_matrices(kv, np.append(b[:, 0], b[-1, 1]), 0) for kv, b in zip(knot_vectors, per_dir)]
-    mapped = np.moveaxis(_grid_fields(space.homogeneous(control_points), mats, None)[0], 0, -1)
-    corners = [mapped[tuple(slice(c, c + n) for c, n in zip(at, nel))] for at in product((0, 1), repeat=nd)]
-    corners = np.stack(corners, axis=-2).reshape(-1, 2 ** nd, mapped.shape[-1])
-    diff = corners[:, :, None, :] - corners[:, None, :, :]
-    sizes = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    mapped = _grid_fields(space.homogeneous(control_points), mats, None)[0]  # (components, *grid)
+    corners = [mapped[(..., *(slice(c, c + n) for c, n in zip(at, nel)))] for at in product((0, 1), repeat=nd)]
+    corners = np.stack(corners).reshape(2 ** nd, len(mapped), -1)
+    first, second = np.array(list(combinations(range(2 ** nd), 2))).T
+    diff = corners[first] - corners[second]  # (pairs, components, elements)
+    sq = diff[:, 0] ** 2
+    for k in range(1, diff.shape[1]):  # summed component by component
+        sq += diff[:, k] ** 2
+    sizes = np.sqrt(sq.max(axis=0))
     index = np.meshgrid(*[np.arange(n) for n in nel], indexing="ij")
     bounds = np.stack([b[i.ravel()] for b, i in zip(per_dir, index)], axis=1)
     return bounds, sizes

@@ -1,8 +1,9 @@
 """Active-set solvers for the mixed contact problem.
 
 Every linear solve factors the shifted stiffness or tangent once, as a
-banded Cholesky factorization in an order taken from the patch's basis
-grid (:func:`band_order`), and condenses the active multipliers onto it:
+banded Cholesky factorization ``A = L L^T`` in LAPACK's lower band
+storage, in an order taken from the patch's basis grid
+(:func:`band_order`), and condenses the active multipliers onto it:
 each saddle solve is then a small dense system in the active
 multipliers (:class:`_CondensedSaddle`).  The factorization is followed
 by two forward sweeps, of the load and of the shift's unit vector, and
@@ -229,16 +230,17 @@ class _BandLayout:
     """What every condensed solve on one CSR pattern shares, built once by :func:`_band_layout`.
 
     The constraint dict is split into ``fixed`` dofs and their prescribed
-    ``values``.  ``fill(data)`` is a gather: the upper band, in LAPACK
-    storage ``ab[u + r - c, c]``, of ``P apply_constraints(K) P^T`` for
-    the K with that pattern and data, where ``P`` puts dof ``order[k]`` in
-    row k and the fixed rows and columns are dropped and get a unit
-    diagonal; :meth:`prescribe` gives the right-hand side that goes with
-    it.  A tangent that is symmetric up to rounding is read as its upper
-    half.  The coupling B is kept as one dense block over the dofs where
-    it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]`` and
-    ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B with
-    the fixed columns zeroed, and ``first`` is the first band row of
+    ``values``.  ``fill(data)`` is a gather: the lower band, in LAPACK
+    storage ``ab[r - c, c]`` (the diagonal in row 0), of ``P
+    apply_constraints(K) P^T`` for the K with that pattern and data, where
+    ``P`` puts dof ``order[k]`` in row k and the fixed rows and columns
+    are dropped and get a unit diagonal; :meth:`prescribe` gives the
+    right-hand side that goes with it.  A tangent that is symmetric up to
+    rounding is read as its upper half, each entry stored as its
+    transpose.  The coupling B is kept as one dense block over the dofs
+    where it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]``
+    and ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B
+    with the fixed columns zeroed, and ``first`` is the first band row of
     every one of its rows.  ``i`` is the kernel dof of the shift (the dof
     of the largest column of ``Bhc``).
     """
@@ -307,7 +309,7 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
     ``n_comp`` components; ``constraints`` maps a dof to its prescribed
     value.  The dof order is :func:`band_order` walked towards the
     functions that the rows ``expected`` (a mask) of Bhc couple to: a
-    column of ``W = U^-T P B^T`` is forward-substituted from its first
+    column of ``W = L^-1 P B^T`` is forward-substituted from its first
     nonzero row to the end, so the rows expected active go last.
     """
     n = indptr.size - 1
@@ -327,7 +329,7 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
     r, c = r[src], c[src]
     u = int((c - r).max()) if src.size else 0
     index = np.int32 if n * (u + 1) < 2**31 else np.int64
-    dest = c.astype(index) * (u + 1) + (u + r - c)
+    dest = r.astype(index) * (u + 1) + (c - r)  # the upper entry (r, c) stored as its transpose (c, r)
     bpos = pos[cols]
     weight = np.zeros(n)
     weight[cols] = (Bhc * Bhc).sum(axis=0)
@@ -339,7 +341,7 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
         dest=dest,
         fixed=fixed,
         values=np.fromiter(constraints.values(), dtype=float, count=fixed.size),
-        unit=pos[fixed].astype(index) * (u + 1) + u,
+        unit=pos[fixed].astype(index) * (u + 1),
         free=free if fixed.size else None,
         cols=cols,
         bpos=bpos,
@@ -351,24 +353,26 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
 
 
 def _band_sweep(cb: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
-    """``U^-T b`` (``trans="T"``) or ``U^-1 b`` (``"N"``) for an upper band factor U in LAPACK storage."""
-    x, info = sla.lapack.dtbtrs(cb, b, uplo="U", trans=trans)
+    """``L^-1 b`` (``trans="N"``) or ``L^-T b`` (``"T"``) for a lower band factor L in LAPACK storage."""
+    x, info = sla.lapack.dtbtrs(cb, b, uplo="L", trans=trans)
     if info != 0 or not np.all(np.isfinite(x)):
         raise SolverError(f"banded triangular solve failed (info {info}) or gave a non-finite result")
     return x
 
 
-# batches of W columns up to this width take one dtbtrs sweep, wider ones the slab loop: on one OpenBLAS
-# thread the sweep took at most 0.95x the loop's time up to 16 columns (half-bandwidths 25-781), 1.3x at 64
+# batches of W columns up to this width take one dtbtrs sweep, wider ones the slab loop.  On the lower
+# factor, one OpenBLAS thread, the sweep took 0.1-0.65x the loop's time up to 8 columns at half-bandwidths
+# 25-205; at 12, 0.3-0.6x (u 61-109) and 0.94-1.2x (u 205); at 16, 0.4-0.7x and 1.3-1.75x; at 24 and more,
+# 1.5-6x at u 205-781.  The benchmark batches are 1-12 or 22 and more columns wide, so 12-21 all split them alike
 _SWEEP_COLUMNS = 16
 
 
 def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """``U^-T R`` in place of R, for an upper band factor U in LAPACK storage.
+    """``L^-1 R`` in place of R, for a lower band factor L in LAPACK storage.
 
     The columns of R must come in order of their first nonzero row.  A
-    slab of u rows of ``U^T`` couples only to the slab before it, through
-    a lower triangular u x u block of U, so each slab is one triangular
+    slab of u rows of L couples only to the slab before it, through an
+    upper triangular u x u block of L, so each slab is one triangular
     product (BLAS ``dtrmm``, which reads only that triangle of the band's
     window) and one dense triangular solve (LAPACK ``dtrtrs``), and it
     solves only the columns that have started: the rest of it is zero in
@@ -377,16 +381,16 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
     n, m = R.shape
     u = cb.shape[0] - 1
     s = max(u, 1)
-    flat = cb.T.reshape(-1)  # U[r, c] = cb[u + r - c, c] sits at offset u + r + u c
+    flat = cb.T.reshape(-1)  # L[r, c] = cb[r - c, c] sits at offset r + u c
     step = flat.itemsize
 
     def window(r0, c0, rows, cols):
-        """U[r0:r0 + rows, c0:c0 + cols] where inside the band, other band entries elsewhere."""
+        """L[r0:r0 + rows, c0:c0 + cols] where inside the band, other band entries elsewhere."""
         return np.lib.stride_tricks.as_strided(
-            flat[u + r0 + u * c0 :], shape=(rows, cols), strides=(step, u * step)
+            flat[r0 + u * c0 :], shape=(rows, cols), strides=(step, u * step)
         )
 
-    below = np.tri(s, dtype=bool)  # the band part of a block U[a - s:a, a:a + s] when u >= 1
+    upper = ~np.tri(s, k=-1, dtype=bool)  # the band part of a block L[a:a + s, a - s:a] when u >= 1
     nz = R != 0
     first = np.where(nz.any(axis=0), nz.argmax(axis=0), n)
     if np.any(np.diff(first) < 0):
@@ -400,11 +404,11 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
         if a > a0 and u > 0:
             if h == s:
                 # the s x s window is F-contiguous (leading dimension u = s): no copy
-                rhs -= trmm(1.0, window(a - s, a, s, s), R[a - s : a, :k], lower=1, trans_a=1)
+                rhs -= trmm(1.0, window(a, a - s, s, s), R[a - s : a, :k], lower=0, trans_a=0)
             else:  # the last, partial slab
-                rhs -= np.where(below[:, :h], window(a - s, a, s, h), 0.0).T @ R[a - s : a, :k]
-        # the diagonal block is read as upper triangular; its band holds all of it
-        x, info = trtrs(window(a, a, h, h), rhs, trans=1)
+                rhs -= np.where(upper[:h], window(a, a - s, h, s), 0.0) @ R[a - s : a, :k]
+        # the diagonal block is read as lower triangular; its band holds all of it
+        x, info = trtrs(window(a, a, h, h), rhs, lower=1, trans=0)
         if info != 0:
             raise SolverError(f"triangular solve failed at band row {a} (info {info})")
         R[a : a + h, :k] = x
@@ -424,17 +428,17 @@ class _CondensedSaddle:
     kernel dof and ``rho = max|diag K|``, ``K~ = K + rho e_i e_i^T`` is
     factored and ``beta = rho u_i`` is one extra unknown, so that
     ``K u = K~ u - beta e_i``.  ``K~`` is symmetric positive definite; it
-    is factored as ``P K~ P^T = U^T U`` by banded Cholesky in the
-    layout's dof order.  Two forward sweeps give ``z_F = U^-T P F`` and
-    ``z_e = U^-T e_p`` with ``p = pos[i]`` (zero above row p); with
-    ``W = U^-T P B^T``, an active set A leaves the dense bordered system
-    in ``(lam_A, beta)``
+    is factored as ``P K~ P^T = L L^T`` by banded Cholesky in the
+    layout's dof order, in LAPACK's lower band storage.  Two forward
+    sweeps give ``z_F = L^-1 P F`` and ``z_e = L^-1 e_p`` with ``p =
+    pos[i]`` (zero above row p); with ``W = L^-1 P B^T``, an active set A
+    leaves the dense bordered system in ``(lam_A, beta)``
 
         [[-W_A^T W_A, W_A^T z_e], [-rho W_A^T z_e, rho z_e^T z_e - 1]]
         = [g - W_A^T z_F, -rho z_e^T z_F]
 
     (``B_A K~^-1 e_i = W_A^T z_e``, ``(K~^-1)_ii = z_e^T z_e``), and one
-    back sweep gives ``u = P^T U^-1 (z_F + beta z_e - W_A lam_A)``.  A
+    back sweep gives ``u = P^T L^-T (z_F + beta z_e - W_A lam_A)``.  A
     column of W is solved the first time its dof is active, one blocked
     forward substitution per batch, and its Gram products with the
     earlier columns, ``z_F`` and ``z_e`` are kept.  :meth:`set_rhs`
@@ -448,11 +452,11 @@ class _CondensedSaddle:
         n = F.size
         self.K, self.layout = K, layout
         ab = layout.fill(K.data)
-        self.rho = float(np.abs(ab[layout.u]).max())
+        self.rho = float(np.abs(ab[0]).max())
         p = int(layout.pos[layout.i])
-        ab[layout.u, p] += self.rho
+        ab[0, p] += self.rho
         try:
-            self.cb = sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            self.cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"shifted stiffness K + rho e_i e_i^T is not positive definite ({exc}): "
@@ -462,7 +466,7 @@ class _CondensedSaddle:
         e = np.zeros(n - p)
         e[0] = 1.0
         self.z_e = np.zeros(n)
-        self.z_e[p:] = _band_sweep(self.cb[:, p:], e, "T")
+        self.z_e[p:] = _band_sweep(self.cb[:, p:], e, "N")
         self.x_ei = self.z_e[p:] @ self.z_e[p:]  # (K~^-1)_ii
         self.col = np.full(layout.Bhc.shape[0], -1)  # Gram index per multiplier dof
         self.W: list[tuple[int, int, np.ndarray]] = []  # (first row, first Gram index, rows of W) per batch
@@ -473,7 +477,7 @@ class _CondensedSaddle:
     def set_rhs(self, F: np.ndarray) -> None:
         """Make F the right-hand side of the next solves, on the same factor and W columns."""
         self.F = F
-        self.z_F = _band_sweep(self.cb, F[self.layout.order], "T")
+        self.z_F = _band_sweep(self.cb, F[self.layout.order], "N")
         self.y_Fi = self.z_e[self.p :] @ self.z_F[self.p :]  # (K~^-1 F)_i
         # W^T z_F per solved column, batch by batch in Gram order
         self.Wz_F = np.concatenate([np.empty(0)] + [Wn.T @ self.z_F[r0:] for r0, _, Wn in self.W])
@@ -484,7 +488,7 @@ class _CondensedSaddle:
         r0 = int(first.min())  # rows before it are zero in every new column of W
         R = self.layout.band_rows(new, r0)
         if new.size <= _SWEEP_COLUMNS:
-            Wn = _band_sweep(self.cb[:, r0:], R, "T")
+            Wn = _band_sweep(self.cb[:, r0:], R, "N")
         else:
             Wn = _forward_substitution(self.cb[:, r0:], R)
         # Gram products with each earlier batch, over the rows where both can be nonzero
@@ -540,7 +544,7 @@ class _CondensedSaddle:
         if not np.all(np.isfinite(v)):
             raise SolverError(_diagnose_saddle_failure(self.K, B_A, "non-finite solution"))
         u = np.empty_like(v)
-        u[layout.order] = _band_sweep(self.cb, v, "N")
+        u[layout.order] = _band_sweep(self.cb, v, "T")
         self.residual_u = np.linalg.norm(layout.matvec(self.K, u) + layout.scatter(B_A.T @ lam) - self.F)
         res = np.hypot(self.residual_u, np.linalg.norm(B_A @ u[layout.cols] - g))
         rhs_norm = np.hypot(np.linalg.norm(self.F), np.linalg.norm(g))

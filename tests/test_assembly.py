@@ -207,6 +207,13 @@ class TestGaussRule:
         val = 0.5 * (rule.weights * x ** 5).sum()
         assert abs(val - 1.0 / 6.0) <= 1e-15
 
+    def test_one_shared_read_only_rule_per_order(self):
+        rule = gauss_rule(6)
+        assert gauss_rule(6) is rule and gauss_rule(5) is not rule
+        assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
     def test_order_out_of_range(self):
         with pytest.raises(AssemblyError):
             gauss_rule(0)

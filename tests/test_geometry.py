@@ -31,6 +31,8 @@ from igacontact.geometry import (
     unit_square_patch,
 )
 
+from igacontact.splines import _direction_matrices, _grid_fields
+
 from helpers import jacobians, map_points
 
 
@@ -278,6 +280,35 @@ class TestMeshView:
         bounds, sizes = corner_sizes(trace.space.space.knot_vectors, lambda pts: map_points(trace, pts), trace.ndim)
         assert np.array_equal(t_bounds, bounds)
         assert np.abs(t_sizes - sizes).max() <= 1e-14 * sizes.max()
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            quarter_disc_patch(1.0).refine_to_breakpoints(
+                [graded_breakpoints_toward_end(16, 0.8, 0.1)[1:-1], graded_breakpoints(24, 0.8, 0.1)[1:-1]]
+            ),
+            sphere_octant_patch(1.0).refine_to_breakpoints(
+                [[0.5], graded_breakpoints(4, 0.5, 0.2)[1:-1], [0.4, 0.8]]
+            ),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_sizes_equal_the_full_corner_table_bit_for_bit(self, patch):
+        # the mapped breakpoint grid read through the oracle's table of all corner pairs
+        # gives the same sizes to the last bit, so h columns and band sizes cannot move
+        face = QUARTER_DISC_CONTACT_FACE if patch.ndim == 2 else SPHERE_OCTANT_CONTACT_FACE
+        for obj, view in ((patch, mesh_view), (extract_trace(patch, face), trace_mesh_sizes)):
+            kvs = obj.space.space.knot_vectors
+            breaks = [np.append(kv.element_bounds[:, 0], kv.element_bounds[-1, 1]) for kv in kvs]
+            mats = [_direction_matrices(kv, b, 0) for kv, b in zip(kvs, breaks)]
+            grid = _grid_fields(obj.space.homogeneous(obj.control_points), mats, None)[0]
+
+            def on_grid(pts):
+                idx = tuple(np.abs(pts[:, d, None] - b).argmin(axis=1) for d, b in enumerate(breaks))
+                return grid[(slice(None), *idx)].T
+
+            _, sizes = corner_sizes(kvs, on_grid, len(kvs))
+            assert np.array_equal(view(obj)[1], sizes)
 
 
 class TestDegreeElevation:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -75,11 +76,17 @@ def test_script_exits_0_and_writes_its_files(script, tmp_path):
                 assert len(set(reference)) == REFERENCE_LOAD_STEPS[out]
 
 
-def wrap_targets():
-    """The (layer, module, attribute path) targets that ``perfbench/tracer.py`` wraps."""
+def benchmark_tracer():
+    """``perfbench/tracer.py``, loaded from its file: it defines the target lists and installs nothing."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)  # defines the target lists; installs nothing
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def wrap_targets():
+    """The (layer, module, attribute path) targets that ``perfbench/tracer.py`` wraps."""
+    tracer = benchmark_tracer()
     return tracer.SETUP_TARGETS + tracer.LAYER_TARGETS + tracer.GENERATOR_TARGETS
 
 
@@ -95,6 +102,17 @@ def test_every_benchmark_wrap_target_resolves():
             missing.append(f"{module}.{path}")
     assert targets
     assert missing == []
+
+
+def test_generator_wrap_targets_are_generators():
+    """The harness counts a pass per call and a span per item only of a generator function."""
+    targets = benchmark_tracer().GENERATOR_TARGETS
+    assert targets
+    for _, module, path in targets:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert inspect.isgeneratorfunction(owner), f"{module}.{path}"
 
 
 def referenced_names(tree, skip=None):

@@ -569,10 +569,11 @@ class TestBandOrder:
 
 
 def dense_band(A, u):
-    """Oracle: the upper band of a dense matrix in LAPACK storage ab[u + r - c, c]."""
-    ab = np.zeros((u + 1, A.shape[0]))
+    """Oracle: the upper band of a dense matrix, transposed into LAPACK's lower storage ab[r - c, c] = A[c, r]."""
+    n = A.shape[0]
+    ab = np.zeros((u + 1, n))
     for k in range(u + 1):
-        ab[u - k, k:] = np.diag(A, k)
+        ab[k, : n - k] = np.diag(A, k)
     return ab
 
 
@@ -596,10 +597,37 @@ class TestBandLayout:
         order = layout.order
         Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in problem.constraints})
         PKP = Kc.toarray()[np.ix_(order, order)]
-        assert not np.triu(PKP, layout.u + 1).any()
+        assert not np.tril(PKP, -layout.u - 1).any()
         assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
         x = np.random.default_rng(4).normal(size=n)
         assert np.array_equal(layout.matvec(K, x), Kc @ x)
+
+    def test_lower_storage_diagonal_in_row_zero(self, monkeypatch):
+        # the band is LAPACK's lower storage: row 0 holds the diagonal of P K P^T (unit
+        # on the fixed dofs), and the factorization is asked for L with A = L L^T
+        problem = hertz2d_level1()
+        K, nd = problem.stiffness, problem.patch.ndim
+        shape = problem.patch.space.space.n_basis
+        none = np.zeros(problem.coupling.shape[0], dtype=bool)
+        layout = solver._band_layout(K.indptr, K.indices, shape, nd, problem.coupling, problem.constraints, none)
+        Kc, _ = apply_constraints(K, np.zeros(K.shape[0]), problem.constraints)
+        ab = layout.fill(K.data)
+        assert np.array_equal(ab[0], Kc.diagonal()[layout.order])
+        assert np.array_equal(ab[0, layout.pos[layout.fixed]], np.ones(layout.fixed.size))
+        factored = []
+        original = solver.sla.cholesky_banded
+
+        def recording(band, **kwargs):
+            factored.append((band[0].copy(), kwargs.get("lower", False)))
+            return original(band, **kwargs)
+
+        monkeypatch.setattr(solver.sla, "cholesky_banded", recording)
+        saddle = _CondensedSaddle(K, problem.load, layout)
+        [(diagonal, lower)] = factored
+        assert lower
+        shifted = Kc.diagonal()[layout.order]
+        shifted[layout.pos[layout.i]] += saddle.rho
+        assert np.array_equal(diagonal, shifted)
 
     def test_fixed_dofs_solve_as_constrained_matrix(self):
         # the Newton path hands the raw tangent and its fixed dofs to the layout
@@ -711,16 +739,16 @@ class TestForwardSubstitution:
         A += np.diag(2.0 * u + 1.0 + rng.random(n))  # diagonally dominant, so SPD
         ab = np.zeros((u + 1, n))
         for k in range(u + 1):
-            ab[u - k, k:] = np.diag(A, k)
-        cb = sla.cholesky_banded(ab)
-        U = sla.cholesky(A)
+            ab[k, : n - k] = np.diag(A, -k)
+        cb = sla.cholesky_banded(ab, lower=True)
+        L = sla.cholesky(A, lower=True)
         # first nonzero rows, in order: at a slab start, mid-slab, in the last (short)
         # slab when n is not a multiple of u, and none
         R = rng.normal(size=(n, 6))
         for col, first in enumerate([0, 1, u + 2, min(2 * u + 3, n - 1), n - 1]):
             R[:first, col] = 0.0
         R[:, 5] = 0.0
-        want = sla.solve_triangular(U, R, trans="T")
+        want = sla.solve_triangular(L, R, lower=True)
         # a full slab's coupling block reaches BLAS as an F-contiguous view of the factor,
         # so it is read in place, not copied
         in_place = []
@@ -769,7 +797,7 @@ class TestCondensedSaddle:
 
         monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
         saddle = condensed_saddle(K, F, Bhat, grid)
-        assert sweeps == [("T", 0), ("T", 0)]
+        assert sweeps == [("N", 0), ("N", 0)]
         solved = np.zeros(Bhat.shape[0], dtype=bool)
         for active in actives:
             act = np.flatnonzero(active)
@@ -777,8 +805,8 @@ class TestCondensedSaddle:
             saddle.solve(act, g[act])
             new = int((active & ~solved).sum())
             solved |= active
-            batch = [("T", new)] if 0 < new <= solver._SWEEP_COLUMNS else []
-            assert sweeps[start:] == batch + [("N", 0)]
+            batch = [("N", new)] if 0 < new <= solver._SWEEP_COLUMNS else []
+            assert sweeps[start:] == batch + [("T", 0)]
 
     @pytest.mark.parametrize("width", [1, 3, solver._SWEEP_COLUMNS, solver._SWEEP_COLUMNS + 1])
     def test_narrow_batch_is_one_sweep(self, monkeypatch, width):
@@ -792,7 +820,7 @@ class TestCondensedSaddle:
         u, lam = saddle.solve(act, g[act])
         narrow = width <= solver._SWEEP_COLUMNS
         assert len(substitutions) == (0 if narrow else 1)
-        assert [a[2] for a in sweeps] == (["T", "N"] if narrow else ["N"])
+        assert [a[2] for a in sweeps] == (["N", "T"] if narrow else ["T"])
         u_ref, lam_ref = saddle_solve(K, F, Bhat[act], g[act])
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
@@ -838,18 +866,18 @@ class TestCondensedSaddle:
 
         monkeypatch.setattr(solver.sla.lapack, "dtbtrs", counting)
         saddle.set_rhs(0.5 * F)
-        assert sweeps == [("T", 1)]
+        assert sweeps == [("N", 1)]
         u, lam = saddle.solve(act, g[act])
-        assert substitutions == [] and sweeps == [("T", 1), ("N", 1)]
+        assert substitutions == [] and sweeps == [("N", 1), ("T", 1)]
         u_ref, lam_ref = saddle_solve(K, 0.5 * F, Bhat[act], g[act])
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
 
     def test_band_sweep_failures_raise(self):
-        # a zero diagonal (LAPACK info > 0) and an overflowing sweep
+        # a zero diagonal (LAPACK info > 0) and an overflowing sweep, on lower factors
         with pytest.raises(SolverError, match="info 2"):
-            solver._band_sweep(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), "N")
+            solver._band_sweep(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), "T")
         with pytest.raises(SolverError, match="non-finite"):
-            solver._band_sweep(np.array([[0.0, 1.0], [1e-300, 1.0]]), np.array([1e300, 1.0]), "T")
+            solver._band_sweep(np.array([[1e-300, 1.0], [1.0, 0.0]]), np.array([1e300, 1.0]), "N")
 
     def test_one_factorization_per_solve(self, monkeypatch):
         problem = hertz2d_level1()
