@@ -7,8 +7,14 @@ come from one outer product of per-direction tables and one batched
 matmul against the local weights, gradients kept transposed (component
 before basis function) until the physical gradients are formed.  Element matrices are batched matrix
 products, summed into one CSR pattern per patch through a scatter plan.
-The plan is closed-form: its pattern, ranks and slots are broadcasts of
-per-direction coupling tables, with no search or sort.  A linear
+Every operator assembled here, the stiffness and the Neo-Hookean
+tangent, is symmetric and is stored once, as its upper triangle
+(column >= row) in a :class:`SymmetricCSR`: the plan scatters only the
+element matrices' upper triangles, and ``tocsr()`` or ``toarray()``
+gives the full matrix.  The plan is closed-form: its pattern, ranks and
+slots are broadcasts of per-direction coupling tables, with no search
+or sort, and its index arrays are read-only and shared by every matrix
+built on it.  A linear
 element matrix needs one quadrature pair product sum_q wdet g_ai g_bk,
 from which the lam term, the mu swap term and the mu (g_a . g_b)
 delta_ik term are all read.  What a Neo-Hookean tangent needs of the
@@ -165,39 +171,100 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
         yield ElementBlock(dofs=dofs, values=rvals, grads_phys=grads_phys, wdet=wq * det)
 
 
+@functools.cache
+def _upper_entries(nloc: int, nd: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the upper triangle (column >= row) of an element matrix, row by row.
+
+    Entry (a i, b k) of the matrix sits at row a nd + i and column
+    b nd + k, m = nloc nd.  Returns, per upper entry, read-only: ``flat``,
+    its position in the flat m x m matrix; ``swap``, that of entry
+    (a k, b i); ``pair``, the position a nloc + b in a flat nloc x nloc
+    matrix of function pairs; and ``diag``, whether i == k.
+    """
+    m = nloc * nd
+    la, lb = np.triu_indices(m)
+    (a, i), (b, k) = np.divmod(la, nd), np.divmod(lb, nd)
+    tables = (la * m + lb, (a * nd + k) * m + b * nd + i, a * nloc + b, i == k)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@dataclass(frozen=True)
+class SymmetricCSR:
+    """A symmetric matrix stored once, as its upper triangle U (column >= row) in CSR.
+
+    ``data``, ``indices`` and ``indptr`` are U's arrays, indices sorted in
+    every row.  ``A @ x`` applies the whole matrix to a vector, ``U x +
+    U^T x - diag(U) x``; :meth:`tocsr` and :meth:`toarray` build it in full.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.size - 1
+        return n, n
+
+    @functools.cached_property
+    def _upper(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    @functools.cached_property
+    def _lower(self) -> sp.csc_matrix:
+        return self._upper.T  # U^T in CSC on U's own arrays
+
+    @functools.cached_property
+    def _diagonal(self) -> np.ndarray:
+        return self._upper.diagonal()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._upper @ x + self._lower @ x - self._diagonal * x
+
+    def tocsr(self) -> sp.csr_matrix:
+        return (self._upper + sp.triu(self._upper, k=1).T).tocsr()
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsr().toarray()
+
+
 @dataclass(frozen=True)
 class ScatterPlan:
-    """CSR pattern of a patch's element matrices and the slot of every entry.
+    """CSR pattern of the upper triangle of a patch's element matrices, and the slot of every entry.
 
-    Row ``e`` of ``slots`` lists, in the row-major order of element e's
-    (nloc * n_comp)^2 matrix, the position of each entry in ``indices``
-    and in the data array.  Indices are sorted within each row.
+    Row ``e`` of ``slots`` lists, for the upper triangle (column >= row)
+    of element e's (nloc * n_comp)^2 matrix, row by row, the position of
+    each entry in ``indices`` and in the data array.  Element dofs increase
+    with the local index, so these are the entries with column >= row in
+    the global matrix.  Indices are sorted within each row.  The arrays are
+    read-only: every matrix of the plan shares them.
     """
 
     indptr: np.ndarray  # (n_dofs + 1,) int32
     indices: np.ndarray  # (nnz,) int32
-    slots: np.ndarray  # (n_elements, (nloc * n_comp) ** 2) int32
+    slots: np.ndarray  # (n_elements, m (m + 1) / 2) int32, m = nloc * n_comp
 
     @property
     def nnz(self) -> int:
         return self.indices.size
 
     def add(self, data: np.ndarray, start: int, ke: np.ndarray) -> None:
-        """Add the matrices ke (ce, n, n) of elements start .. start + ce - 1 into data.
+        """Add the upper triangles ke (ce, m (m + 1) / 2) of elements start .. start + ce - 1 into data.
 
-        One ``bincount`` per call sums in element order, so a fixed
-        sequence of calls is bitwise reproducible.  It spans only the
-        slots the chunk touches, not the whole pattern.
+        Each row of ke holds its element's entries in the order of
+        :func:`_upper_entries`.  One ``bincount`` per call sums in element
+        order, so a fixed sequence of calls is bitwise reproducible.  It
+        spans only the slots the chunk touches, not the whole pattern.
         """
         slots = self.slots[start : start + ke.shape[0]].ravel()
         lo = int(slots.min())
         part = np.bincount(slots - lo, weights=ke.ravel())
         data[lo : lo + part.size] += part
 
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        n = self.indptr.size - 1
-        # the matrix gets its own index arrays: scipy may sort or prune them in place
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+    def matrix(self, data: np.ndarray) -> SymmetricCSR:
+        return SymmetricCSR(data, self.indices, self.indptr)
 
 
 def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
@@ -209,13 +276,16 @@ def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
     lo[a] .. lo[a] + count[a] - 1.  So a basis row's coupled functions,
     sorted, are the C-order product of its per-direction runs, and the
     rank of one of them in the row is its per-direction ranks read in
-    mixed radix.  Every table below is a broadcast of per-direction ones.
+    mixed radix.  An upper row is the tail of the full row from its
+    diagonal, whose position is the row function's rank in its own row:
+    its start, and each entry's slot, are a per-row shift of the full
+    row's.  Every table below is a broadcast of per-direction ones.
     """
     nc = patch.ndim
     space = patch.space.space
     nd, n_basis = space.ndim, space.n_basis
     comp = np.arange(nc, dtype=np.int32)
-    los, counts, offset = [], [], np.zeros((), dtype=np.int32)
+    los, counts, owns, offset = [], [], [], np.zeros((), dtype=np.int32)
     for d, kv in enumerate(space.knot_vectors):
         local = (kv.spans - kv.degree).astype(np.int32)[:, None] + np.arange(kv.degree + 1, dtype=np.int32)
         coupled = np.zeros((n_basis[d], n_basis[d]), dtype=bool)
@@ -223,6 +293,7 @@ def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
         lo, count = coupled.argmax(axis=1).astype(np.int32), coupled.sum(axis=1, dtype=np.int32)
         los.append(lo)
         counts.append(count)
+        owns.append(np.arange(n_basis[d], dtype=np.int32) - lo)  # rank of each function in its own run
         # nc x the rank of local function j in the row of local function i, per element,
         # on the axes (element, i, j) of direction d; the last direction's j carries k too
         rank = nc * (local[:, None, :] - lo[local][:, :, None])
@@ -233,33 +304,53 @@ def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
         offset = offset * count[local].reshape(shape[: 2 * nd] + [1] * nd) + rank.reshape(shape)
     dofs = _element_dofs(space)
     ne, nloc = dofs.shape
+    m = nloc * nc
     count = functools.reduce(np.multiply.outer, counts).ravel()  # coupled functions per basis row
-    first = np.cumsum(count, dtype=np.int32) - count  # index of each basis row's first pair
-    nnz = int(nc * nc * count.sum())
-    # dof row b * nc + i holds all nc components of each function coupled to b
-    row_start = nc * nc * first[:, None] + (nc * count)[:, None] * comp  # (basis row, i)
-    # element entry (a i, b k) sits at the start of dof row (a, i) plus nc x the rank of b, plus k
-    slots = row_start[dofs][:, :, :, None] + offset.reshape(ne, nloc, 1, nloc * nc)
-    # with its ranks in all directions but the last fixed, a dof row's columns are one run
-    # of nc x count consecutive indices: runs on a padded (basis row, i, leading ranks) grid
+    own = np.zeros((), dtype=np.int32)
+    for d in range(nd):
+        own = own[..., None] * counts[d] + owns[d]
+    # dof row b * nc + i starts at its diagonal, nc x the rank of b in its row plus i, and
+    # holds the nc components of each function coupled to b from there on
+    diag = nc * own.reshape(-1, 1) + comp
+    length = nc * count[:, None] - diag  # (basis row, i)
+    indptr = np.zeros(length.size + 1, dtype=np.int32)
+    np.cumsum(length, out=indptr[1:])
+    shift = indptr[:-1] - diag.ravel()  # entry at position p of the full row sits at shift + p
+    # element entry (a i, b k), b k >= a i, sits at the shift of dof row (a, i) plus nc x the rank of b, plus k
+    la, lb = np.divmod(_upper_entries(nloc, nc)[0], m)
+    row_shift = shift[dofs[:, :, None] * nc + comp].reshape(ne, m)
+    slots = np.take(offset.reshape(ne, nloc * m), la // nc * m + lb, axis=1)
+    slots += np.take(row_shift, la, axis=1)
+    # with its ranks in all directions but the last fixed, a full row's columns are one run
+    # of nc x count consecutive indices: runs on a padded (basis row, i, leading ranks) grid.
+    # An upper row keeps the runs whose leading ranks come at or after its own in C-order,
+    # the one at them from the diagonal on
     start, keep = np.zeros((), dtype=np.int32), np.ones((), dtype=bool)
+    lead, own_lead = np.zeros((), dtype=np.int32), np.zeros((), dtype=np.int32)
     for d in range(nd - 1):
         r = np.arange(counts[d].max(), dtype=np.int32)
         shape = [1] * (2 * nd)
         shape[d], shape[nd + 1 + d] = n_basis[d], r.size
         start = start * n_basis[d] + (los[d][:, None] + r).reshape(shape)
         keep = keep & (r < counts[d][:, None]).reshape(shape)
+        lead_shape, own_shape = [1] * (2 * nd), [1] * (2 * nd)
+        lead_shape[nd + 1 + d], own_shape[d] = r.size, n_basis[d]
+        lead = lead * r.size + r.reshape(lead_shape)
+        own_lead = own_lead * r.size + owns[d].reshape(own_shape)
     shape = [1] * (2 * nd)
-    shape[nd - 1] = n_basis[-1]
-    start = nc * (start * n_basis[-1] + los[-1].reshape(shape))
+    shape[nd - 1], shape[nd] = n_basis[-1], nc
+    cut = (lead == own_lead) * (nc * owns[-1][:, None] + comp).reshape(shape)  # the diagonal's position in its run
+    keep = keep & (lead >= own_lead)
+    start = nc * (start * n_basis[-1] + los[-1].reshape(shape[:nd] + [1] * nd)) + cut
     grid = n_basis + (nc,) + tuple(int(c.max()) for c in counts[:-1])
     keep = np.broadcast_to(keep, grid)
     start = np.broadcast_to(start, grid)[keep]
-    length = np.broadcast_to((nc * counts[-1]).reshape(shape), grid)[keep]
-    end = np.cumsum(length, dtype=np.int32)
-    indices = np.repeat(start - end + length, length) + np.arange(nnz, dtype=np.int32)
-    indptr = np.append(row_start.ravel(), np.int32(nnz))
-    return ScatterPlan(indptr=indptr, indices=indices, slots=slots.reshape(ne, -1))
+    run = np.broadcast_to((nc * counts[-1]).reshape(shape[:nd] + [1] * nd) - cut, grid)[keep]
+    end = np.cumsum(run, dtype=np.int32)
+    indices = np.repeat(start - end + run, run) + np.arange(int(indptr[-1]), dtype=np.int32)
+    for a in (indptr, indices, slots):
+        a.flags.writeable = False
+    return ScatterPlan(indptr=indptr, indices=indices, slots=slots)
 
 
 def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -306,11 +397,12 @@ def _swap_correction(ke: np.ndarray, w: np.ndarray, c_swap: np.ndarray) -> None:
             ke[:, :, k, :, i] += X
 
 
-def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> sp.csr_matrix:
-    """Linear elastic stiffness of the isoparametric displacement space.
+def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> SymmetricCSR:
+    """Linear elastic stiffness of the isoparametric displacement space, stored as its upper triangle.
 
     The material is isotropic, so the kernel needs only its Lame
     parameters: a_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
+    ``tocsr()`` of the result is the full matrix.
     """
     nd = patch.ndim
     mu, lam = mat.lame()
@@ -319,15 +411,16 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> sp.csr_matrix:
     start = 0
     for block in iter_element_blocks(patch, max(patch.degrees) + 1):
         # P = sum_q wdet g_ai g_bk carries all three terms: lam P, its swap mu P_(ak)(bi),
-        # and mu (g_a . g_b) delta_ik from its trace over i = k
+        # and mu (g_a . g_b) delta_ik from its trace over i = k; they are read at the
+        # upper entries only
         P = _pair_products(block.grads_phys, block.wdet)
-        ke = lam * P
-        ke += mu * P.transpose(0, 1, 4, 3, 2)
         ce, nloc = block.dofs.shape
+        flat, swap, pair, diag = _upper_entries(nloc, nd)
+        ke = lam * np.take(P.reshape(ce, -1), flat, axis=1)
+        ke += mu * np.take(P.reshape(ce, -1), swap, axis=1)
         grad = mu * sum(P[:, :, i, :, i] for i in range(nd))
-        for i in range(nd):
-            ke[:, :, i, :, i] += grad
-        plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
+        ke[:, diag] += np.take(grad.reshape(ce, -1), pair[diag], axis=1)
+        plan.add(data, start, ke)
         start += ce
     return plan.matrix(data)
 
@@ -409,7 +502,10 @@ def dirichlet_on_face(patch: NurbsPatch, face: int, component: int, value: float
 
 
 def _canonical_csr(A) -> sp.csr_matrix:
-    """A in CSR with sorted indices and no duplicates; a copy when A is not already so."""
+    """A in CSR with sorted indices and no duplicates; a copy when A is not already so.
+
+    A :class:`SymmetricCSR` gives its full matrix.
+    """
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
@@ -417,10 +513,11 @@ def _canonical_csr(A) -> sp.csr_matrix:
     return A
 
 
-def apply_constraints(K: sp.csr_matrix, F: np.ndarray, constraints: dict[int, float]):
+def apply_constraints(K, F: np.ndarray, constraints: dict[int, float]):
     """Symmetric elimination: unit diagonal rows/cols, right-hand side shifted.
 
-    Works on K's own CSR slots in O(nnz): the entries of fixed rows and
+    K is a sparse matrix or a :class:`SymmetricCSR`, taken in full; the
+    result is a full CSR matrix.  Works on K's CSR slots in O(nnz): the entries of fixed rows and
     columns are dropped and the fixed diagonals set to one, the result
     the sparse products ``D K D + diag`` give, bit for bit.
     """
@@ -462,13 +559,13 @@ class PatchQuadrature:
     tangents builds it once with :func:`patch_quadrature`.  Gradients are
     kept in the (e, a, (q, j)) layout only; ``grad_data`` is the part of
     the tangent that does not depend on the state, up to the factor mu,
-    as data of the scatter plan's CSR pattern.
+    as data of the scatter plan's upper-triangle pattern.
     """
 
     dofs: np.ndarray  # (ne, nloc) flat basis indices
     gt: np.ndarray  # (ne, nloc, nq * d) physical gradients, _grad_layout
     wdet: np.ndarray  # (ne, nq) quadrature weight x |J|
-    grad_data: np.ndarray  # (nnz,) sum_q wdet g_qa . g_qb delta_ik, summed over elements
+    grad_data: np.ndarray  # (plan.nnz,) sum_q wdet g_qa . g_qb delta_ik, summed over elements
     plan: ScatterPlan
 
     @property
@@ -481,14 +578,12 @@ def patch_quadrature(patch: NurbsPatch) -> PatchQuadrature:
     parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in blocks]
     dofs, gt, wdet = (np.concatenate(p) for p in zip(*parts))
     plan = scatter_plan(patch)
-    nd = patch.ndim
-    eye = np.eye(nd)[None, None, :, None, :]
+    _, _, pair, diag = _upper_entries(dofs.shape[1], patch.ndim)
     grad_data = np.zeros(plan.nnz)
     for start in range(0, dofs.shape[0], _CHUNK):
         chunk = slice(start, start + _CHUNK)
         k_grad = _grad_products(gt[chunk], wdet[chunk])
-        ce, nloc, _ = k_grad.shape
-        plan.add(grad_data, start, (k_grad[:, :, None, :, None] * eye).reshape(ce, nloc * nd, nloc * nd))
+        plan.add(grad_data, start, np.take(k_grad.reshape(k_grad.shape[0], -1), pair, axis=1) * diag)
     return PatchQuadrature(dofs=dofs, gt=gt, wdet=wdet, grad_data=grad_data, plan=plan)
 
 
@@ -542,13 +637,15 @@ def neo_hookean_residual(quad: PatchQuadrature, mat: NeoHookeanMaterial, u: np.n
 
 def neo_hookean_tangent(
     quad: PatchQuadrature, mat: NeoHookeanMaterial, state: NeoHookeanState
-) -> sp.csr_matrix:
-    """Consistent tangent at the state whose residual phase gave ``state``.
+) -> SymmetricCSR:
+    """Consistent tangent at the state whose residual phase gave ``state``, stored as its upper triangle.
 
     dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam ln J) swap-term: the
     first term is the patch's ``grad_data`` times mu, and the other two are
     contracted per term with w = g F^-1 instead of forming the
-    fourth-order tensor.
+    fourth-order tensor.  The tangent of a hyperelastic law is symmetric,
+    so the element matrices' upper triangles are all that is scattered;
+    ``tocsr()`` of the result is the full matrix.
     """
     nd = quad.ndim
     ne, nloc, nqd = quad.gt.shape
@@ -564,7 +661,7 @@ def neo_hookean_tangent(
         ke = _pair_products(w, lam * wdet + c_swap)
         _swap_correction(ke, w, c_swap)
         del w  # freed before the scatter's temporaries, which set the peak memory
-        quad.plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
+        quad.plan.add(data, start, np.take(ke.reshape(ce, -1), _upper_entries(nloc, nd)[0], axis=1))
     return quad.plan.matrix(data)
 
 
@@ -574,7 +671,8 @@ def neo_hookean_forces(
     """Internal force vector and consistent tangent at displacement state u.
 
     The two phases :func:`neo_hookean_residual` and
-    :func:`neo_hookean_tangent` in one call; raises
+    :func:`neo_hookean_tangent` in one call, the tangent stored as its
+    upper triangle (``tocsr()`` is the full matrix); raises
     :class:`ElementInversionError` when det F <= 0 at any quadrature
     point.  ``quad`` is the patch's :func:`patch_quadrature`; it is built
     here when not given.

@@ -1,5 +1,9 @@
 """Active-set solvers for the mixed contact problem.
 
+The stiffness and the Newton tangent come as their upper triangle
+(:class:`~.assembly.SymmetricCSR`), which is all the factor reads, and
+are applied from it; ``tocsr()`` gives the full matrix, which only
+:func:`saddle_solve` and :func:`~.assembly.apply_constraints` build.
 Every linear solve factors the shifted stiffness or tangent once, as a
 banded Cholesky factorization ``A = L L^T`` in LAPACK's lower band
 storage, in an order taken from the patch's basis grid
@@ -8,8 +12,8 @@ each saddle solve is then a small dense system in the active
 multipliers (:class:`_CondensedSaddle`).  The factorization is followed
 by two forward sweeps, of the load and of the shift's unit vector, and
 each solve by one back sweep for u; the triangular sweeps call LAPACK
-directly.  Both drivers set up through one band layout per CSR pattern
-(:func:`_band_layout`), built once: it splits the constraint dict into
+directly.  Both drivers set up through one band layout per stored
+pattern (:func:`_band_layout`), built once: it splits the constraint dict into
 fixed dofs and prescribed values, walks the grid towards the contact
 rows the driver expects active (the linear driver's warm set, else the
 closest approach; the Newton driver's starting set), so that their
@@ -51,6 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    SymmetricCSR,
     _canonical_csr,
     apply_constraints,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
     assemble_load,
@@ -122,7 +127,7 @@ def saddle_solve(K: sp.spmatrix, F: np.ndarray, B_active: sp.spmatrix, g=None):
     n = F.size
     nK = B_active.shape[0]
     if nK == 0:
-        mat = sp.csc_matrix(K)
+        mat = _canonical_csr(K).tocsc()
         rhs = F
     else:
         mat = _saddle_matrix(K, B_active)
@@ -148,8 +153,7 @@ def _saddle_matrix(K, B) -> sp.csc_matrix:
     The first n columns are the CSC of the stacked rows ``[K; B]``; the
     last m, ``[B^T; 0]``, have B's CSR arrays as their CSC arrays.  K and
     B are taken in canonical form (sorted, duplicates summed), as bmat
-    leaves them.  K is converted, not read as its own transpose: a
-    Newton tangent need not be bitwise symmetric.
+    leaves them; a :class:`~.assembly.SymmetricCSR` is taken in full.
     """
     K, B = _canonical_csr(K), _canonical_csr(B)
     left = sp.vstack([K, B], format="csr").tocsc()  # CSR blocks stack by concatenation
@@ -176,7 +180,8 @@ def _diagnose_saddle_failure(K, B_active, exc) -> str:
 class SmallDeformationProblem:
     """Assembled data of one linear contact solve.
 
-    ``constraints`` maps a dof to its prescribed value.  ``initial_active``
+    ``stiffness`` is stored as its upper triangle (``tocsr()`` gives the
+    full matrix).  ``constraints`` maps a dof to its prescribed value.  ``initial_active``
     optionally seeds the active set and the band walk (a warm start: the
     benchmarks give the coarsest level the analytic mask and every finer
     level the coarser level's contact zone inside it); the loop still
@@ -184,7 +189,7 @@ class SmallDeformationProblem:
     """
 
     patch: object
-    stiffness: sp.csr_matrix
+    stiffness: SymmetricCSR
     load: np.ndarray
     constraints: dict[int, float]
     coupling: sp.csr_matrix
@@ -227,17 +232,19 @@ def _band_halfwidth(shape, n_comp: int, degree: int) -> int:
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """What every condensed solve on one CSR pattern shares, built once by :func:`_band_layout`.
+    """What every condensed solve on one stored pattern shares, built once by :func:`_band_layout`.
 
-    The constraint dict is split into ``fixed`` dofs and their prescribed
-    ``values``.  ``fill(data)`` is a gather: the lower band, in LAPACK
-    storage ``ab[r - c, c]`` (the diagonal in row 0), of ``P
-    apply_constraints(K) P^T`` for the K with that pattern and data, where
-    ``P`` puts dof ``order[k]`` in row k and the fixed rows and columns
-    are dropped and get a unit diagonal; :meth:`prescribe` gives the
-    right-hand side that goes with it.  A tangent that is symmetric up to
-    rounding is read as its upper half, each entry stored as its
-    transpose.  The coupling B is kept as one dense block over the dofs
+    K is a :class:`~.assembly.SymmetricCSR`, the upper triangle U of a
+    symmetric matrix.  The constraint dict is split into ``fixed`` dofs
+    and their prescribed ``values``.  ``fill(data)`` is a gather: the
+    lower band, in LAPACK storage ``ab[r - c, c]`` (the diagonal in row
+    0), of ``P apply_constraints(K) P^T`` for the K with that pattern and
+    data, where ``P`` puts dof ``order[k]`` in row k and the fixed rows
+    and columns are dropped and get a unit diagonal; each stored entry
+    goes to the band once, at its band rows in increasing order.
+    :meth:`matvec` and :meth:`prescribe` apply K as ``U x + U^T x -
+    diag(U) x`` (``K @ x``), so the residual checks use exactly the
+    matrix that is factored.  The coupling B is kept as one dense block over the dofs
     where it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]``
     and ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B
     with the fixed columns zeroed, and ``first`` is the first band row of
@@ -248,7 +255,7 @@ class _BandLayout:
     order: np.ndarray  # (n,) int32, the dof placed k-th
     pos: np.ndarray  # (n,) int32, band row of every dof
     u: int  # half-bandwidth
-    src: np.ndarray  # CSR data positions of the band entries
+    src: np.ndarray  # data positions of the stored entries that go to the band
     dest: np.ndarray  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
     fixed: np.ndarray  # (k,) int64, the constrained dofs in the constraint dict's order
     values: np.ndarray  # (k,) their prescribed values
@@ -268,13 +275,13 @@ class _BandLayout:
         abT[self.unit] = 1.0
         return abT.reshape(n, w).T
 
-    def matvec(self, K: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    def matvec(self, K: SymmetricCSR, x: np.ndarray) -> np.ndarray:
         """``apply_constraints(K) @ x``: fixed rows and columns act as the identity."""
         if self.free is None:
             return K @ x
         return np.where(self.free, K @ np.where(self.free, x, 0.0), x)
 
-    def prescribe(self, rhs: np.ndarray, K: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    def prescribe(self, rhs: np.ndarray, K: SymmetricCSR, x: np.ndarray) -> np.ndarray:
         """``rhs - K x`` on the free rows and ``x`` on the fixed ones; K is not read when x is zero.
 
         For an x that is zero on the free dofs, the eliminated system
@@ -303,7 +310,12 @@ class _BandLayout:
 
 
 def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constraints, expected) -> _BandLayout:
-    """The :class:`_BandLayout` of a canonical CSR pattern (sorted, no duplicates) and coupling B.
+    """The :class:`_BandLayout` of a stored upper-triangle pattern and coupling B.
+
+    ``indptr`` and ``indices`` are a :class:`~.assembly.SymmetricCSR`'s
+    (sorted, no duplicates).  A stored entry (r, c) of two free dofs goes
+    to band rows ``(min, max)`` of ``(pos[r], pos[c])``; the fixed dofs
+    take band row -1, so one comparison keeps the free pairs.
 
     The dofs are those of a tensor-grid patch with basis grid ``shape`` and
     ``n_comp`` components; ``constraints`` maps a dof to its prescribed
@@ -323,13 +335,23 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
     order = band_order(shape, n_comp, last=np.unique(cols[(Bhc[expected] != 0).any(axis=0)] // n_comp))
     pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    r, c = pos[rows], pos[indices]
-    src = np.flatnonzero((r <= c) & free[rows] & free[indices])
-    r, c = r[src], c[src]
-    u = int((c - r).max()) if src.size else 0
+    # the per-entry arrays are reused in place and freed early: at 149,768 dofs each is 15 MB,
+    # and what they leave on the heap stays under the band for the rest of the solve
+    band = np.where(free, pos, np.int32(-1))
+    r, c = np.repeat(band, np.diff(indptr)), np.take(band, indices)
+    lo = np.minimum(r, c)
+    width = np.maximum(r, c, out=c)
+    del r
+    keep = lo >= 0
+    lo, width = lo[keep], width[keep]
+    width -= lo  # hi - lo
+    u = int(width.max()) if width.size else 0
     index = np.int32 if n * (u + 1) < 2**31 else np.int64
-    dest = r.astype(index) * (u + 1) + (c - r)  # the upper entry (r, c) stored as its transpose (c, r)
+    src = np.flatnonzero(keep).astype(index)
+    del keep
+    dest = lo.astype(index)
+    dest *= u + 1
+    dest += width  # the upper entry (lo, hi) stored as its transpose (hi, lo)
     bpos = pos[cols]
     weight = np.zeros(n)
     weight[cols] = (Bhc * Bhc).sum(axis=0)
@@ -337,7 +359,7 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
         order=order,
         pos=pos,
         u=u,
-        src=src.astype(index),
+        src=src,
         dest=dest,
         fixed=fixed,
         values=np.fromiter(constraints.values(), dtype=float, count=fixed.size),
@@ -418,8 +440,8 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
 class _CondensedSaddle:
     """Saddle solves ``[[K, B_A^T], [B_A, 0]] [u, lam] = [F, g]`` on one factorization of K.
 
-    K is read through ``layout`` (:func:`_band_layout`, built for K's
-    pattern), which eliminates the layout's fixed dofs as
+    K, a :class:`~.assembly.SymmetricCSR`, is read through ``layout``
+    (:func:`_band_layout`, built for K's stored pattern), which eliminates the layout's fixed dofs as
     :func:`apply_constraints` does, in the factor and in the residual
     check alike; ``B`` is the layout's coupling with the fixed columns
     zeroed, kept as one dense block.  K may have one kernel mode, a
@@ -448,7 +470,7 @@ class _CondensedSaddle:
     as ``residual_u``.
     """
 
-    def __init__(self, K: sp.csr_matrix, F: np.ndarray, layout: _BandLayout):
+    def __init__(self, K: SymmetricCSR, F: np.ndarray, layout: _BandLayout):
         n = F.size
         self.K, self.layout = K, layout
         ab = layout.fill(K.data)
@@ -618,7 +640,7 @@ def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
     eliminates the constrained dofs, with no constrained copy of K; each iteration
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
     """
-    K = _canonical_csr(problem.stiffness)
+    K = problem.stiffness
     B, measures, warm, patch = problem.coupling, problem.measures, problem.initial_active, problem.patch
     # the band walks towards the warm set, else the rows in contact before the prescribed
     # displacements act, else the closest approach

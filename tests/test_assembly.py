@@ -80,7 +80,7 @@ def double_knot_patch(nd):
 
 
 def unique_scatter_plan(patch):
-    """Oracle: the scatter plan from np.unique over every element's (row, column) basis pairs."""
+    """Oracle: the full scatter plan from np.unique over every element's (row, column) basis pairs."""
     nc = patch.ndim
     n_basis = patch.space.dim
     dofs = assembly._element_dofs(patch.space.space)
@@ -98,6 +98,20 @@ def unique_scatter_plan(patch):
     indices[slot] = col[:, None, None] * nc + comp
     slots = slot[pair_of.reshape(ne, nloc, nloc)].transpose(0, 1, 3, 2, 4).reshape(ne, -1)
     return indptr.astype(np.int32), indices, slots.astype(np.int32)
+
+
+def upper_scatter_plan(patch):
+    """Oracle: the unique oracle's plan cut to its upper triangle (column >= row), entries renumbered."""
+    indptr, indices, slots = unique_scatter_plan(patch)
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keep = indices >= rows
+    renumber = np.cumsum(keep) - 1
+    upper_indptr = np.zeros(n + 1, dtype=np.int32)
+    upper_indptr[1:] = np.cumsum(np.bincount(rows[keep], minlength=n))
+    m = math.isqrt(slots.shape[1])
+    local = np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))
+    return upper_indptr, indices[keep], renumber[slots[:, local]].astype(np.int32)
 
 
 def stiffness_tensor(mat, ndim):
@@ -283,7 +297,7 @@ class TestStiffness:
     def test_translation_in_kernel(self):
         patch = disc_patch(3)
         K = assemble_stiffness(patch, MAT)
-        scale = abs(K).max()
+        scale = abs(K.tocsr()).max()
         for comp in range(2):
             u = np.zeros(K.shape[0])
             u[comp::2] = 1.0
@@ -294,7 +308,7 @@ class TestStiffness:
         K = assemble_stiffness(patch, MAT)
         W = np.array([[0.0, -1.0], [1.0, 0.0]])
         u = (patch.control_points @ W.T).ravel()
-        scale = abs(K).max() * max(1.0, np.abs(u).max())
+        scale = abs(K.tocsr()).max() * max(1.0, np.abs(u).max())
         assert np.abs(K @ u).max() <= 1e-10 * scale
 
     def test_rigid_body_kernel_dimension(self):
@@ -302,10 +316,41 @@ class TestStiffness:
         w = np.linalg.eigvalsh(K.toarray())
         assert np.sum(np.abs(w) < 1e-10 * w.max()) == 3
 
-    def test_symmetry(self):
-        K = assemble_stiffness(disc_patch(3), MAT)
-        diff = abs(K - K.T).max()
-        assert diff <= 1e-12 * abs(K).max()
+    def test_symmetry(self, monkeypatch):
+        # one stored triangle is enough because every element matrix is symmetric: the
+        # linear kernel lam P + mu P_(ak)(bi) + mu (g_a . g_b) delta_ik of the pair products
+        # P, and the tangent's kernel after its swap correction; what each scatters is the
+        # upper triangle of that matrix
+        pairs, corrected, added = [], [], []
+
+        def record(owner, name, log, result_of):
+            original = getattr(owner, name)
+
+            def recording(*args):
+                out = original(*args)
+                log.append(result_of(args, out).copy())
+                return out
+
+            monkeypatch.setattr(owner, name, recording)
+
+        record(assembly, "_pair_products", pairs, lambda args, out: out)
+        record(assembly, "_swap_correction", corrected, lambda args, out: args[0])
+        record(assembly.ScatterPlan, "add", added, lambda args, out: args[3])
+        patch = disc_patch(3)
+        mu, lam = MAT.lame()
+        assemble_stiffness(patch, MAT)
+        neo_hookean_forces(patch, NeoHookeanMaterial(1.0, 0.3), smooth_state(patch, 2))
+        assert len(pairs) == len(corrected) + 1 == 2 and len(added) == 3  # one chunk each
+        P = pairs[0]
+        linear = lam * P + mu * P.transpose(0, 1, 4, 3, 2)
+        for i in range(2):
+            linear[:, :, i, :, i] += mu * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1])
+        ce, m = P.shape[0], P.shape[1] * P.shape[2]
+        upper = np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))
+        for ke, scattered in ((linear, added[0]), (corrected[0], added[2])):
+            ke = ke.reshape(ce, m, m)
+            assert np.abs(ke - ke.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(ke).max()
+            assert np.array_equal(scattered, ke.reshape(ce, -1)[:, upper])
 
     def test_constant_strain_energy_plane_strain(self):
         # u = (x, 0) on the unit square: eps_11 = 1, energy = lam + 2 mu
@@ -331,8 +376,7 @@ class TestStiffness:
         got, want = np.zeros(plan.nnz), np.zeros(plan.nnz)
         for start in range(0, ne, 5):
             n = ke[start : start + 5].shape[0]
-            side = math.isqrt(size)
-            plan.add(got, start, ke[start : start + n].reshape(n, side, side))
+            plan.add(got, start, ke[start : start + n])
             slots = plan.slots[start : start + n]
             want += np.bincount(slots.ravel(), weights=ke[start : start + n].ravel(), minlength=plan.nnz)
         assert np.array_equal(got, want)
@@ -352,7 +396,7 @@ class TestStiffness:
     )
     def test_scatter_plan_matches_unique_oracle(self, patch):
         plan = scatter_plan(patch)
-        for got, want in zip((plan.indptr, plan.indices, plan.slots), unique_scatter_plan(patch)):
+        for got, want in zip((plan.indptr, plan.indices, plan.slots), upper_scatter_plan(patch)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_patch_test_linear_field_reproduced(self):
@@ -370,6 +414,47 @@ class TestStiffness:
         K, F = apply_constraints(K_free, np.zeros(K_free.shape[0]), constraints)
         u = spla.spsolve(K.tocsc(), F)
         np.testing.assert_allclose(u, exact, atol=1e-10)
+
+
+class TestSymmetricStorage:
+    @pytest.mark.parametrize("kind", ["linear", "neo-hookean"])
+    @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
+    def test_one_triangle_matches_oracle(self, patch, kind):
+        # the operator stores the diagonal and one entry of each symmetric pair, builds
+        # the whole matrix on request and applies it without building it
+        if kind == "linear":
+            K, ref = assemble_stiffness(patch, MAT), einsum_stiffness(patch, MAT)
+        else:
+            mat = NeoHookeanMaterial(1.0, 0.3)
+            u = smooth_state(patch, 5)
+            K, (ref, _) = neo_hookean_forces(patch, mat, u)[1], einsum_neo_hookean(patch, mat, u)
+        n = ref.shape[0]
+        full_nnz = unique_scatter_plan(patch)[1].size
+        assert K.data.size == K.indices.size == (full_nnz + n) // 2
+        assert np.all(K.indices >= np.repeat(np.arange(n), np.diff(K.indptr)))
+        A = K.tocsr()
+        assert A.has_canonical_format
+        assert np.abs(A.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+        x = np.random.default_rng(6).normal(size=n)
+        dense = K.toarray()
+        assert np.abs(K @ x - dense @ x).max() <= 1e-13 * (np.abs(dense) @ np.abs(x)).max()
+
+    def test_tangents_share_the_plans_read_only_index_arrays(self):
+        # no matrix copies the plan's index arrays, and an in-place sort of them raises
+        patch = disc_patch(3)
+        quad = patch_quadrature(patch)
+        mat = NeoHookeanMaterial(1.0, 0.3)
+        tangents = [
+            assembly.neo_hookean_tangent(quad, mat, neo_hookean_residual(quad, mat, smooth_state(patch, seed)))
+            for seed in (1, 2)
+        ]
+        for name in ("indices", "indptr"):
+            shared = getattr(quad.plan, name)
+            assert not shared.flags.writeable
+            assert all(np.shares_memory(getattr(K, name), shared) for K in tangents)
+        assert not quad.plan.slots.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tangents[0].indices.sort()
 
 
 class TestLoads:
@@ -447,7 +532,7 @@ class TestConstraints:
             merge_constraints({3: 0.0}, {3: 1.0})
 
     def test_matches_sparse_product_oracle(self):
-        K = assemble_stiffness(disc_patch(3), MAT).tolil()
+        K = assemble_stiffness(disc_patch(3), MAT).tocsr().tolil()
         K[4, 4] = 0.0  # a fixed dof whose diagonal K does not store
         K = K.tocsr()
         K.eliminate_zeros()
@@ -484,8 +569,8 @@ class TestNeoHookean:
         mat = NeoHookeanMaterial(1.0, 0.3)
         f, K_T = neo_hookean_forces(patch, mat, np.zeros(patch.space.dim * 2))
         assert np.abs(f).max() <= 1e-14
-        K_lin = assemble_stiffness(patch, MAT)
-        diff = abs(K_T - K_lin).max()
+        K_lin = assemble_stiffness(patch, MAT).tocsr()
+        diff = abs(K_T.tocsr() - K_lin).max()
         assert diff <= 1e-8 * abs(K_lin).max()
 
     def test_uniform_dilation_stress_series(self):
@@ -548,7 +633,8 @@ class TestNeoHookean:
             ke = two_product_element_matrices(g @ Finv, lam * wdet, c_swap).reshape(ce, nloc, nd, nloc, nd)
             for i in range(nd):
                 ke[:, :, i, :, i] += k_grad
-            plan.add(data, start, ke.reshape(ce, nloc * nd, nloc * nd))
+            m = nloc * nd
+            plan.add(data, start, ke.reshape(ce, m * m)[:, np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))])
             start += g.shape[0]
         assert np.array_equal(K_T.indices, plan.indices) and np.array_equal(K_T.indptr, plan.indptr)
         assert np.abs(K_T.data - data).max() <= 1e-14 * np.abs(data).max()

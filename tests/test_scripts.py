@@ -10,7 +10,8 @@ level of the high-load convergence run must settle in at most 2
 active-set records, and the reference level of each large-deformation
 run must take one load step.  Together the scripts take about 18 s and
 up to 1.4 GB of memory, so they run only with ``pytest --run-scripts``.
-The harness check always runs.
+The harness checks always run, its smoke check ``perfbench/selfcheck.py``
+(about 4 s) among them.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -102,6 +104,16 @@ def test_every_benchmark_wrap_target_resolves():
             missing.append(f"{module}.{path}")
     assert targets
     assert missing == []
+
+
+def test_benchmark_selfcheck_prints_ok():
+    """The harness's smoke check passes: its calls succeed, every wrap target is found, and traced outputs match plain ones."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["selfcheck"] == "ok"
 
 
 def test_generator_wrap_targets_are_generators():

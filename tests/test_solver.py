@@ -437,6 +437,12 @@ def warm_set(setup, config):
     return benchmarks._warm_active_set(setup, config.radius, a)
 
 
+def upper(A):
+    """A symmetric matrix in the solvers' storage: its upper triangle as a SymmetricCSR."""
+    U = sp.triu(A, format="csr")
+    return assembly.SymmetricCSR(U.data, U.indices, U.indptr)
+
+
 def plain_layout(K, B, grid):
     """The band layout of K's pattern in the band_order of ``grid``, (shape, n_comp): nothing fixed, no walk."""
     shape, n_comp = grid
@@ -444,7 +450,8 @@ def plain_layout(K, B, grid):
 
 
 def condensed_saddle(K, F, Bhat, grid):
-    """_CondensedSaddle of a constrained K on the band layout of its own pattern."""
+    """_CondensedSaddle of a constrained K, stored as its upper triangle, on the band layout of that pattern."""
+    K = upper(K)
     return _CondensedSaddle(K, F, plain_layout(K, Bhat, grid))
 
 
@@ -600,7 +607,7 @@ class TestBandLayout:
         assert not np.tril(PKP, -layout.u - 1).any()
         assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
         x = np.random.default_rng(4).normal(size=n)
-        assert np.array_equal(layout.matvec(K, x), Kc @ x)
+        assert np.array_equal(layout.matvec(K, x), upper(Kc) @ x)
 
     def test_lower_storage_diagonal_in_row_zero(self, monkeypatch):
         # the band is LAPACK's lower storage: row 0 holds the diagonal of P K P^T (unit
@@ -654,6 +661,7 @@ class TestBandLayout:
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
         # the constrained matrix, nothing fixed, in the same order
+        Kc = upper(Kc)
         constrained = solver._band_layout(Kc.indptr, Kc.indices, shape, 2, Bhat, {}, warm)
         assert np.array_equal(constrained.order, layout.order)
         assert np.array_equal(u, _CondensedSaddle(Kc, F, constrained).solve(act, g)[0])
@@ -832,8 +840,9 @@ class TestCondensedSaddle:
         # a new load on a built saddle: the same (u, lam) as a saddle built on it,
         # on the columns solved for the old load and on new ones, and the oracle's
         K, F, Bhat, g, grid, actives = build()
-        layout = plain_layout(K, Bhat, grid)
-        saddle = _CondensedSaddle(K, F, layout)
+        K_up = upper(K)
+        layout = plain_layout(K_up, Bhat, grid)
+        saddle = _CondensedSaddle(K_up, F, layout)
         first = np.flatnonzero(actives[0])
         saddle.solve(first, g[first])
         F2 = np.random.default_rng(31).normal(size=F.size) * np.abs(F).max()
@@ -842,7 +851,7 @@ class TestCondensedSaddle:
         assert (saddle.col[grown] < 0).any()
         for act in (first, grown):
             u, lam = saddle.solve(act, g[act])
-            u_new, lam_new = _CondensedSaddle(K, F2, layout).solve(act, g[act])
+            u_new, lam_new = _CondensedSaddle(K_up, F2, layout).solve(act, g[act])
             assert np.abs(u - u_new).max() <= 1e-13 * np.abs(u_new).max()
             assert np.abs(lam - lam_new).max() <= 1e-13 * np.abs(lam_new).max()
             u_ref, lam_ref = saddle_solve(K, F2, Bhat[act], g[act])
