@@ -50,6 +50,7 @@ from .verification import (
     hertz_3d,
     multiplier_error_analytic,
     multiplier_error_reference,
+    reference_pressure,
 )
 
 __all__ = [
@@ -60,6 +61,6 @@ __all__ = [
     "LinearMaterial", "make_open_knot_vector", "mesh_view", "multiplier_basis",
     "multiplier_error_analytic", "multiplier_error_reference", "multiplier_space",
     "MultiplierBasis", "neo_hookean_forces", "NeoHookeanMaterial", "NurbsPatch", "QuadratureRule",
-    "quarter_disc_patch", "saddle_solve", "SolutionBundle", "solve_large_deformation",
+    "quarter_disc_patch", "reference_pressure", "saddle_solve", "SolutionBundle", "solve_large_deformation",
     "solve_small_deformation", "sphere_octant_patch", "TensorSpace", "weighted_gap", "WeightedSpace",
 ]

@@ -29,8 +29,14 @@ the force product reads.  A tangent element matrix needs one pair
 product, of (lam + mu - lam ln J) wdet, and for each component pair
 i < k one antisymmetric nloc x nloc correction that turns its share of
 the pair term into the swap term.
-Accumulation order is fixed, so repeated assembly of the same data is
-bitwise reproducible.
+Element loops take chunks sized by the element matrix (:func:`_chunk`):
+256 elements while m = nloc n_comp is at most 32, fewer above, so that a
+chunk holds at most 256 32^2 element-matrix entries (39 elements in 3D
+at degree 2) and the transient arrays of a 3D chunk stay as small as a
+2D one's.  The chunks' element values are summed in groups of 256
+elements whatever the chunk (:func:`_in_groups`), one ``bincount`` per
+group, so the chunk size changes no sum.  Accumulation order is fixed,
+so repeated assembly of the same data is bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -45,7 +51,47 @@ from .geometry import BoundaryTrace, NurbsPatch, extract_trace, face_basis_indic
 from .materials import ElementInversionError, LinearMaterial, NeoHookeanMaterial, det_and_inverse
 from .splines import _direction_matrices, eval_basis_batch, grid_basis_matrix
 
-_CHUNK = 256
+
+_GROUP = 256  # elements whose values one scatter sums
+
+
+def _chunk(nloc: int, n_comp: int) -> int:
+    """Elements per chunk of an element loop: 256, fewer when the element matrices exceed 32 x 32.
+
+    With m = nloc n_comp, a chunk holds at most 256 32^2 element-matrix
+    entries: 256 elements in every 2D run of degree 2 or 3, 39 in 3D at
+    degree 2.
+    """
+    return min(_GROUP, _GROUP * 32**2 // (nloc * n_comp) ** 2)
+
+
+def _in_groups(chunks):
+    """Regroup the (ce, w) element rows that ``chunks`` yields, in element order, into groups of _GROUP.
+
+    Yields (start, rows) per group, the rows of elements start ..
+    start + len(rows) - 1; a chunk that is a whole group passes through,
+    others are copied into one reused buffer, so each group must be
+    consumed before the next is asked for.  A sum over a group is then
+    the same whatever the chunks that computed its rows.
+    """
+    buf = None
+    start = fill = 0
+    for rows in chunks:
+        if not fill and len(rows) == _GROUP:
+            yield start, rows
+            start += _GROUP
+            continue
+        if buf is None:
+            buf = np.empty((_GROUP, rows.shape[1]))
+        while len(rows):
+            n = min(len(rows), _GROUP - fill)
+            buf[fill : fill + n] = rows[:n]
+            rows, fill = rows[n:], fill + n
+            if fill == _GROUP:
+                yield start, buf
+                start, fill = start + _GROUP, 0
+    if fill:
+        yield start, buf[:fill]
 
 
 class AssemblyError(ValueError):
@@ -127,10 +173,10 @@ class ElementBlock:
     wdet: np.ndarray  # (ce, nq) quadrature weight x |J|
 
 
-def _geometry_det_and_inverse(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det J and J^-1 of geometry Jacobians in closed form; AssemblyError where det J <= 0."""
+def _geometry_det_and_inverse(J: np.ndarray, J_inv: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """det J and J^-1 (into ``J_inv`` if given) of geometry Jacobians in closed form; AssemblyError where det J <= 0."""
     try:
-        return det_and_inverse(J)
+        return det_and_inverse(J, F_inv=J_inv)
     except ElementInversionError:
         raise AssemblyError("singular or inverted geometry Jacobian at a quadrature point") from None
 
@@ -152,8 +198,9 @@ def iter_element_blocks(patch: NurbsPatch, n_gauss: int):
     weights = patch.space.weights
     ctrl = patch.control_points
 
-    for start in range(0, all_dofs.shape[0], _CHUNK):
-        dofs = all_dofs[start : start + _CHUNK]
+    chunk = _chunk(all_dofs.shape[1], nd)
+    for start in range(0, all_dofs.shape[0], chunk):
+        dofs = all_dofs[start : start + chunk]
         ce = dofs.shape[0]
         multi = np.array(np.unravel_index(np.arange(start, start + ce), nel_dir)).T  # (ce, nd)
         bspl = _tensor_combine([basis[d][multi[:, d]] for d in range(nd)])  # (ce, nq, 1 + d, nloc)
@@ -408,20 +455,23 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> SymmetricCSR:
     mu, lam = mat.lame()
     plan = scatter_plan(patch)
     data = np.zeros(plan.nnz)
-    start = 0
-    for block in iter_element_blocks(patch, max(patch.degrees) + 1):
-        # P = sum_q wdet g_ai g_bk carries all three terms: lam P, its swap mu P_(ak)(bi),
-        # and mu (g_a . g_b) delta_ik from its trace over i = k; they are read at the
-        # upper entries only
-        P = _pair_products(block.grads_phys, block.wdet)
-        ce, nloc = block.dofs.shape
-        flat, swap, pair, diag = _upper_entries(nloc, nd)
-        ke = lam * np.take(P.reshape(ce, -1), flat, axis=1)
-        ke += mu * np.take(P.reshape(ce, -1), swap, axis=1)
-        grad = mu * sum(P[:, :, i, :, i] for i in range(nd))
-        ke[:, diag] += np.take(grad.reshape(ce, -1), pair[diag], axis=1)
+
+    def upper_rows():
+        for block in iter_element_blocks(patch, max(patch.degrees) + 1):
+            # P = sum_q wdet g_ai g_bk carries all three terms: lam P, its swap mu P_(ak)(bi),
+            # and mu (g_a . g_b) delta_ik from its trace over i = k; they are read at the
+            # upper entries only
+            P = _pair_products(block.grads_phys, block.wdet)
+            ce, nloc = block.dofs.shape
+            flat, swap, pair, diag = _upper_entries(nloc, nd)
+            ke = lam * np.take(P.reshape(ce, -1), flat, axis=1)
+            ke += mu * np.take(P.reshape(ce, -1), swap, axis=1)
+            grad = mu * sum(P[:, :, i, :, i] for i in range(nd))
+            ke[:, diag] += np.take(grad.reshape(ce, -1), pair[diag], axis=1)
+            yield ke
+
+    for start, ke in _in_groups(upper_rows()):
         plan.add(data, start, ke)
-        start += ce
     return plan.matrix(data)
 
 
@@ -580,10 +630,16 @@ def patch_quadrature(patch: NurbsPatch) -> PatchQuadrature:
     plan = scatter_plan(patch)
     _, _, pair, diag = _upper_entries(dofs.shape[1], patch.ndim)
     grad_data = np.zeros(plan.nnz)
-    for start in range(0, dofs.shape[0], _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        k_grad = _grad_products(gt[chunk], wdet[chunk])
-        plan.add(grad_data, start, np.take(k_grad.reshape(k_grad.shape[0], -1), pair, axis=1) * diag)
+
+    def upper_rows():
+        size = _chunk(dofs.shape[1], patch.ndim)
+        for start in range(0, dofs.shape[0], size):
+            chunk = slice(start, start + size)
+            k_grad = _grad_products(gt[chunk], wdet[chunk])
+            yield np.take(k_grad.reshape(k_grad.shape[0], -1), pair, axis=1) * diag
+
+    for start, rows in _in_groups(upper_rows()):
+        plan.add(grad_data, start, rows)
     return PatchQuadrature(dofs=dofs, gt=gt, wdet=wdet, grad_data=grad_data, plan=plan)
 
 
@@ -616,21 +672,26 @@ def neo_hookean_residual(quad: PatchQuadrature, mat: NeoHookeanMaterial, u: np.n
     J = np.empty((ne, nq))
     Finv = np.empty((ne, nq, nd, nd))
     comp = np.tile(np.arange(nd), nloc)
-    for start in range(0, ne, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        gt, wdet = quad.gt[chunk], quad.wdet[chunk]
-        ce = gt.shape[0]
-        # F^T = I + H^T in the (e, q, j, i) layout the force product reads, then P^T in place
-        Ft = np.matmul(gt.transpose(0, 2, 1), np.take(u_mat, quad.dofs[chunk], axis=0))
-        Ft = Ft.reshape(ce, nq, nd, nd)
-        Ft.reshape(ce, nq, nd * nd)[:, :, :: nd + 1] += 1.0
-        det_and_inverse(Ft.swapaxes(2, 3), J[chunk], Finv[chunk])
-        Pt = mat.pk1(Ft, J[chunk], Finv[chunk].swapaxes(2, 3), out=Ft)
-        Pt *= wdet[:, :, None, None]
-        # f_ai = sum_q,j g_qaj P_qij wdet_q
-        fe = np.matmul(gt, Pt.reshape(ce, nq * nd, nd))
+
+    def element_forces():
+        size = _chunk(nloc, nd)
+        for start in range(0, ne, size):
+            chunk = slice(start, start + size)
+            gt, wdet = quad.gt[chunk], quad.wdet[chunk]
+            ce = gt.shape[0]
+            # F^T = I + H^T in the (e, q, j, i) layout the force product reads, then P^T in place
+            Ft = np.matmul(gt.transpose(0, 2, 1), np.take(u_mat, quad.dofs[chunk], axis=0))
+            Ft = Ft.reshape(ce, nq, nd, nd)
+            Ft.reshape(ce, nq, nd * nd)[:, :, :: nd + 1] += 1.0
+            det_and_inverse(Ft.swapaxes(2, 3), J[chunk], Finv[chunk])
+            Pt = mat.pk1(Ft, J[chunk], Finv[chunk].swapaxes(2, 3), out=Ft)
+            Pt *= wdet[:, :, None, None]
+            # f_ai = sum_q,j g_qaj P_qij wdet_q
+            yield np.matmul(gt, Pt.reshape(ce, nq * nd, nd)).reshape(ce, -1)
+
+    for start, fe in _in_groups(element_forces()):
         # the dof of every (element, local function, component), in the order of fe
-        edofs = np.repeat(quad.dofs[chunk] * nd, nd).reshape(ce, -1) + comp
+        edofs = np.repeat(quad.dofs[start : start + len(fe)] * nd, nd).reshape(len(fe), -1) + comp
         f_int += np.bincount(edofs.ravel(), weights=fe.ravel(), minlength=f_int.size)
     return NeoHookeanState(f_int=f_int, J=J, Finv=Finv)
 
@@ -652,16 +713,22 @@ def neo_hookean_tangent(
     nq = nqd // nd
     mu, lam = mat.lame()
     data = mu * quad.grad_data
-    for start in range(0, ne, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        gt, wdet = quad.gt[chunk], quad.wdet[chunk]
-        ce = gt.shape[0]
-        w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), state.Finv[chunk])
-        c_swap = (mu - lam * np.log(state.J[chunk])) * wdet
-        ke = _pair_products(w, lam * wdet + c_swap)
-        _swap_correction(ke, w, c_swap)
-        del w  # freed before the scatter's temporaries, which set the peak memory
-        quad.plan.add(data, start, np.take(ke.reshape(ce, -1), _upper_entries(nloc, nd)[0], axis=1))
+
+    def upper_rows():
+        size = _chunk(nloc, nd)
+        for start in range(0, ne, size):
+            chunk = slice(start, start + size)
+            gt, wdet = quad.gt[chunk], quad.wdet[chunk]
+            ce = gt.shape[0]
+            w = np.matmul(gt.reshape(ce, nloc, nq, nd).transpose(0, 2, 1, 3), state.Finv[chunk])
+            c_swap = (mu - lam * np.log(state.J[chunk])) * wdet
+            ke = _pair_products(w, lam * wdet + c_swap)
+            _swap_correction(ke, w, c_swap)
+            del w  # freed before the scatter's temporaries, which set the peak memory
+            yield np.take(ke.reshape(ce, -1), _upper_entries(nloc, nd)[0], axis=1)
+
+    for start, ke in _in_groups(upper_rows()):
+        quad.plan.add(data, start, ke)
     return quad.plan.matrix(data)
 
 

@@ -287,7 +287,7 @@ def trace_grid_map(trace: BoundaryTrace, mats) -> tuple[np.ndarray, np.ndarray]:
     points and the tangents t_j; the measure is |t_0| on a curve and
     |t_0 x t_1| on a surface.
     """
-    x, t = _grid_fields(trace.space.homogeneous(trace.control_points), mats, None)
+    x, t = _grid_fields(trace.space.homogeneous(trace.control_points), mats)
     nd = x.shape[0]
     t = t.reshape(nd, trace.ndim, -1)
     jac_vec = t[:, 0] if trace.ndim == 1 else np.cross(t[:, 0], t[:, 1], axis=0)
@@ -336,7 +336,7 @@ def _element_sizes(space: WeightedSpace, control_points) -> tuple[np.ndarray, np
     nel = tuple(b.shape[0] for b in per_dir)
     nd = len(nel)
     mats = [_direction_matrices(kv, np.append(b[:, 0], b[-1, 1]), 0) for kv, b in zip(knot_vectors, per_dir)]
-    mapped = _grid_fields(space.homogeneous(control_points), mats, None)[0]  # (components, *grid)
+    mapped = _grid_fields(space.homogeneous(control_points), mats)[0]  # (components, *grid)
     corners = [mapped[(..., *(slice(c, c + n) for c, n in zip(at, nel)))] for at in product((0, 1), repeat=nd)]
     corners = np.stack(corners).reshape(2 ** nd, len(mapped), -1)
     first, second = np.array(list(combinations(range(2 ** nd), 2))).T

@@ -47,7 +47,7 @@ which a kept correction of the solve has missed that prediction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -241,10 +241,12 @@ class _BandLayout:
     0), of ``P apply_constraints(K) P^T`` for the K with that pattern and
     data, where ``P`` puts dof ``order[k]`` in row k and the fixed rows
     and columns are dropped and get a unit diagonal; each stored entry
-    goes to the band once, at its band rows in increasing order.
-    :meth:`matvec` and :meth:`prescribe` apply K as ``U x + U^T x -
-    diag(U) x`` (``K @ x``), so the residual checks use exactly the
-    matrix that is factored.  The coupling B is kept as one dense block over the dofs
+    goes to the band once, at its band rows in increasing order.  Its
+    gather indices ``src`` and ``dest`` are two per stored entry: the
+    linear driver fills once and then drops them (None), the Newton
+    driver refills and keeps them.  :meth:`matvec` and :meth:`prescribe`
+    apply K as ``U x + U^T x - diag(U) x`` (``K @ x``), so the residual
+    checks use exactly the matrix that is factored.  The coupling B is kept as one dense block over the dofs
     where it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]``
     and ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B
     with the fixed columns zeroed, and ``first`` is the first band row of
@@ -255,8 +257,8 @@ class _BandLayout:
     order: np.ndarray  # (n,) int32, the dof placed k-th
     pos: np.ndarray  # (n,) int32, band row of every dof
     u: int  # half-bandwidth
-    src: np.ndarray  # data positions of the stored entries that go to the band
-    dest: np.ndarray  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
+    src: np.ndarray | None  # data positions of the stored entries that go to the band
+    dest: np.ndarray | None  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
     fixed: np.ndarray  # (k,) int64, the constrained dofs in the constraint dict's order
     values: np.ndarray  # (k,) their prescribed values
     unit: np.ndarray  # flat positions of the fixed dofs' unit diagonals
@@ -656,6 +658,8 @@ def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
     active = warm.copy() if warm is not None else gap0 / measures <= _GAP_TOL
     records: list[IterationRecord] = []
     saddle = _CondensedSaddle(K, layout.prescribe(problem.load, K, u_fix), layout)
+    # K is factored once, so the gather indices are not needed past its fill
+    saddle.layout = layout = replace(layout, src=None, dest=None)
     u, state = _settle_active_set(saddle, active, problem.gap_integrals, -gap0, measures, records)
     return SolutionBundle(
         u=u,

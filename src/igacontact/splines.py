@@ -8,7 +8,9 @@ of the Oslo algorithm.
 Every evaluation of a tensor-product or rational (NURBS) space is on a
 tensor grid: the C-order grid of per-direction abscissae.  One sparse
 value matrix per direction, with a derivative matrix where gradients are
-wanted (:func:`_direction_matrices`), is the whole evaluator.  Their Kronecker
+wanted (:func:`_direction_matrices`), is the whole evaluator; a grid taken
+in slabs along direction 0 builds every slab's pair from one evaluation
+of that direction (:func:`_slab_matrices`).  Their Kronecker
 product is the basis matrix of the grid (:func:`grid_basis_matrix`,
 rational with weights), and applied one axis at a time to a homogeneous
 (weight-scaled) coefficient net they give rational fields and their
@@ -322,7 +324,9 @@ def _point_basis_matrix(idx: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_mat
     order the evaluation returns them in.
     """
     m, nloc = idx.shape
-    return sp.csr_matrix((vals.ravel(), idx.ravel(), np.arange(0, m * nloc + 1, nloc)), shape=(m, n))
+    # int32, which scipy keeps for a matrix this small: handed over as such, they skip its check and copy
+    indptr = np.arange(0, m * nloc + 1, nloc, dtype=np.int32)
+    return sp.csr_matrix((vals.ravel(), idx.ravel().astype(np.int32), indptr), shape=(m, n))
 
 
 def _direction_matrices(kv: KnotVector, z: np.ndarray, n_deriv: int = 1) -> tuple:
@@ -333,6 +337,25 @@ def _direction_matrices(kv: KnotVector, z: np.ndarray, n_deriv: int = 1) -> tupl
     first, vals, ders = eval_basis_batch(kv, z, n_deriv)
     idx = first[:, None] + np.arange(kv.degree + 1)
     return tuple(_point_basis_matrix(idx, t, kv.n_basis) for t in (vals, *np.moveaxis(ders, 1, 0)))
+
+
+def _slab_matrices(knot_vectors, abscissae, step: int) -> list[list[tuple]]:
+    """The :func:`_direction_matrices` of a tensor grid, one list per slab of ``step`` direction-0 points.
+
+    Slab s holds the grid points whose direction-0 abscissa is one of
+    ``abscissae[0][s * step : (s + 1) * step]``.  Direction 0 is evaluated
+    once, at all its points, and each slab's value/derivative pair is
+    built straight from its rows of that evaluation; the other
+    directions' pairs are evaluated once and shared by every slab.
+    """
+    kv, *rest = knot_vectors
+    first, vals, ders = eval_basis_batch(kv, abscissae[0], 1)
+    idx = first[:, None] + np.arange(kv.degree + 1)
+    shared = [_direction_matrices(kv_a, z) for kv_a, z in zip(rest, abscissae[1:])]
+    return [
+        [tuple(_point_basis_matrix(idx[rows], t[rows], kv.n_basis) for t in (vals, ders[:, 0])), *shared]
+        for rows in (slice(s, s + step) for s in range(0, idx.shape[0], step))
+    ]
 
 
 def grid_basis_matrix(value_mats, weights=None) -> sp.csr_matrix:
@@ -352,26 +375,24 @@ def grid_basis_matrix(value_mats, weights=None) -> sp.csr_matrix:
 
 def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:
     """Contract axis ``axis`` of X with the sparse (Q, n) matrix ``mat``."""
-    X = np.moveaxis(X, axis, 0)
+    rest = [a for a in range(X.ndim) if a != axis]
+    X = X.transpose(axis, *rest)  # the axis first, as np.moveaxis puts it, without its checks
     Y = mat @ X.reshape(X.shape[0], -1)
-    return np.moveaxis(Y.reshape((mat.shape[0],) + X.shape[1:]), 0, axis)
+    return Y.reshape((mat.shape[0],) + X.shape[1:]).transpose(*range(1, axis + 1), 0, *range(axis + 1, X.ndim))
 
 
-def _grid_fields(coefs: np.ndarray, mats, rows: slice | None):
-    """Rational fields and their parametric gradients on a tensor grid, or on a slab of it.
+def _grid_fields(coefs: np.ndarray, mats):
+    """Rational fields and their parametric gradients on a tensor grid.
 
     ``coefs`` (k, n_0, ..., n_{d-1}) holds homogeneous coefficients, the
     weights last (:meth:`WeightedSpace.homogeneous`); ``mats[a]`` is the
-    :func:`_direction_matrices` of direction a, of which direction 0
-    keeps only the grid rows ``rows`` (all of them when ``rows`` is
-    None).  Returns the k - 1 fields (k-1, Q_s, Q_1, ...) and their
-    gradients (k-1, d, Q_s, Q_1, ...) by the quotient rule; the
-    gradients are None when every direction has its values only.
+    :func:`_direction_matrices` of direction a, or of a slab of its
+    points (:func:`_slab_matrices`).  Returns the k - 1 fields (k-1, Q_0,
+    Q_1, ...) and their gradients (k-1, d, Q_0, Q_1, ...) by the quotient
+    rule; the gradients are None when every direction has its values only.
     """
     grid = {None: coefs}  # keyed by the differentiated direction, None for values
     for a, (vals, *ders) in enumerate(mats):
-        if a == 0 and rows is not None:
-            vals, ders = vals[rows], [d[rows] for d in ders]
         nxt = {key: _along(vals, arr, a + 1) for key, arr in grid.items()}
         if ders:
             nxt[a] = _along(ders[0], grid[None], a + 1)
@@ -380,5 +401,10 @@ def _grid_fields(coefs: np.ndarray, mats, rows: slice | None):
     f = grid[None][:-1] / W
     if len(grid) == 1:
         return f, None
-    grads = [(grid[a][:-1] - f * grid[a][-1]) / W for a in range(len(mats))]
-    return f, np.stack(grads, axis=1)
+    # the quotient rule (d_a(w f) - f d_a w) / w, into one C-ordered array: no temporaries, no stacking copy
+    grads = np.empty((f.shape[0], len(mats)) + f.shape[1:])
+    for a, g in enumerate(grads.swapaxes(0, 1)):
+        np.multiply(f, grid[a][-1], out=g)
+        np.subtract(grid[a][:-1], g, out=g)
+        g /= W
+    return f, grads

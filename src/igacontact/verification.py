@@ -2,14 +2,23 @@
 
 Displacement errors are integrated in the shared parametric domain on
 the reference mesh's tensor Gauss grid (coarse and reference solutions
-live on the same patch geometry).  Both fields and the geometry are
-evaluated there by the sum-factorized evaluator of :mod:`splines`.
+live on the same patch geometry), in slabs of element rows along
+direction 0.  Both fields and the geometry are evaluated there by the
+sum-factorized evaluator of :mod:`splines`: each field's direction-0
+basis is evaluated once, at all the grid's points, and each slab's
+value/derivative matrices are built from its rows of that evaluation
+(:func:`~.splines._slab_matrices`).  The gradient mismatch is contracted
+with J^-1 entry by entry, each entry one grid array, so no batch of
+small matrix products is formed; every sum keeps its order.
 
 Multiplier errors are L2 norms of the pressure mismatch on the contact
 boundary, integrated on a trace quadrature grid where each multiplier
 field is its basis matrix times its coefficients; the classical profile
 is mapped through the arc-length coordinate measured from the contact
-pole, whose speeds come from the same evaluator.
+pole, whose speeds come from the same evaluator.  The errors against
+the reference multiplier share one reference trace quadrature and the
+reference pressure on it (:func:`reference_pressure`), which a run
+builds once for all its coarse levels.
 """
 from __future__ import annotations
 
@@ -21,7 +30,7 @@ import numpy as np
 from .assembly import TraceQuadrature, _gauss_points, _geometry_det_and_inverse, build_trace_quadrature, gauss_rule
 from .contact import MultiplierBasis
 from .geometry import BoundaryTrace, NurbsPatch, trace_grid_map
-from .splines import _direction_matrices, _grid_fields, grid_basis_matrix
+from .splines import _direction_matrices, _grid_fields, _slab_matrices, grid_basis_matrix
 
 _SLAB_POINTS = 1 << 14  # reference quadrature points per slab of element rows
 _REFERENCE_GAUSS = 6  # Gauss points per direction of the multiplier reference error
@@ -100,7 +109,11 @@ def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> lis
     gauss = [_gauss_points(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
     pts = [p.ravel() for p, _ in gauss]
     wts = [w.ravel() for _, w in gauss]
-    fields = []  # (pair index, homogeneous coefficients, direction matrices)
+    w_rest = wts[1]
+    for w in wts[2:]:
+        w_rest = w_rest[..., None] * w
+    step = n_gauss * max(1, _SLAB_POINTS // (n_gauss * w_rest.size))
+    fields = []  # (pair index, homogeneous coefficients, direction matrices of every slab)
     for k, (u_coarse, patch_coarse) in enumerate(coarse):
         if patch_coarse.ndim != nd:
             raise VerificationError("geometry dimension mismatch")
@@ -110,28 +123,33 @@ def displacement_errors(coarse, u_ref: np.ndarray, patch_ref: NurbsPatch) -> lis
         if uc.shape == ur.shape and np.array_equal(uc, ur):
             continue  # identical fields differ by the zero function
         coef_c = patch_coarse.space.homogeneous(uc)
-        mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
-        fields.append((k, coef_c, mats_c))
+        fields.append((k, coef_c, _slab_matrices(patch_coarse.knot_vectors, pts, step)))
     sums = np.zeros((len(coarse), 2))  # squared L2 norm and H1 seminorm of each difference
     if not fields:
         return [(0.0, 0.0)] * len(coarse)
-    mats_r = [_direction_matrices(kv, z) for kv, z in zip(patch_ref.knot_vectors, pts)]
     coef_r = patch_ref.space.homogeneous(np.hstack([patch_ref.control_points, ur]))
-    w_rest = wts[1]
-    for w in wts[2:]:
-        w_rest = w_rest[..., None] * w
-    step = n_gauss * max(1, _SLAB_POINTS // (n_gauss * w_rest.size))
-    for start in range(0, pts[0].size, step):
-        rows = slice(start, start + step)
-        xu_r, grads_r = _grid_fields(coef_r, mats_r, rows)  # geometry, then u_ref
-        det, jac_inv = _geometry_det_and_inverse(np.moveaxis(grads_r[:nd], (0, 1), (-2, -1)))
-        wdet = wts[0][rows].reshape((-1,) + (1,) * (nd - 1)) * w_rest * det
-        for k, coef_c, mats_c in fields:
-            u_c, grads_c = _grid_fields(coef_c, mats_c, rows)
+    for s, mats_r in enumerate(_slab_matrices(patch_ref.knot_vectors, pts, step)):
+        xu_r, grads_r = _grid_fields(coef_r, mats_r)  # geometry, then u_ref
+        # J^-1[a, j] = dxi_a/dx_j, each entry one grid array
+        jac_inv = np.empty_like(grads_r[:nd])
+        det, _ = _geometry_det_and_inverse(
+            np.moveaxis(grads_r[:nd], (0, 1), (-2, -1)), np.moveaxis(jac_inv, (0, 1), (-2, -1))
+        )
+        wdet = wts[0][s * step : (s + 1) * step].reshape((-1,) + (1,) * (nd - 1)) * w_rest * det
+        for k, coef_c, slabs_c in fields:
+            u_c, grads_c = _grid_fields(coef_c, slabs_c[s])
             dv = u_c - xu_r[nd:]
-            dg = np.matmul(np.moveaxis(grads_c - grads_r[nd:], (0, 1), (-2, -1)), jac_inv)
+            # |(grad u_c - grad u_ref) J^-1|^2, summed over the entries (i, j) in C-order
+            h1 = np.zeros_like(det)
+            for i in range(nd):
+                d_i = [grads_c[i, a] - grads_r[nd + i, a] for a in range(nd)]
+                for j in range(nd):
+                    g = d_i[0] * jac_inv[0, j]
+                    for a in range(1, nd):
+                        g += d_i[a] * jac_inv[a, j]
+                    h1 += g * g
             sums[k, 0] += float(((dv * dv).sum(axis=0) * wdet).sum())
-            sums[k, 1] += float(((dg * dg).sum(axis=(-2, -1)) * wdet).sum())
+            sums[k, 1] += float((h1 * wdet).sum())
     return [(math.sqrt(l2_sq), math.sqrt(l2_sq + h1_sq)) for l2_sq, h1_sq in sums.tolist()]
 
 
@@ -192,16 +210,27 @@ def multiplier_error_analytic(
     return math.sqrt(float(((p_h - p) ** 2 * tq.wmeas).sum()))
 
 
+def reference_pressure(lam_ref: np.ndarray, basis_ref: MultiplierBasis) -> tuple[TraceQuadrature, np.ndarray]:
+    """The reference trace quadrature of :func:`multiplier_error_reference`, and the reference pressure at its points.
+
+    It depends on the reference multiplier alone, so a run builds it once
+    for the errors of all its coarse levels.
+    """
+    tq = build_trace_quadrature(basis_ref.trace, _REFERENCE_GAUSS)
+    return tq, multiplier_pressure_at(lam_ref, basis_ref, tq)
+
+
 def multiplier_error_reference(
     lam_coarse: np.ndarray,
     basis_coarse: MultiplierBasis,
-    lam_ref: np.ndarray,
-    basis_ref: MultiplierBasis,
+    reference: tuple[TraceQuadrature, np.ndarray],
 ) -> float:
-    """L2 mismatch between two multiplier fields, integrated on the reference trace."""
-    tq = build_trace_quadrature(basis_ref.trace, _REFERENCE_GAUSS)
+    """L2 mismatch between a multiplier field and the reference one, integrated on the reference trace.
+
+    ``reference`` is the :func:`reference_pressure` of the reference multiplier.
+    """
+    tq, p_r = reference
     p_c = multiplier_pressure_at(lam_coarse, basis_coarse, tq)
-    p_r = multiplier_pressure_at(lam_ref, basis_ref, tq)
     return math.sqrt(float(((p_c - p_r) ** 2 * tq.wmeas).sum()))
 
 

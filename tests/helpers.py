@@ -16,7 +16,7 @@ def grid_map(space, control_points, abscissae):
     """
     coefs = space.homogeneous(np.asarray(control_points, dtype=float))
     mats = [_direction_matrices(kv, np.asarray(z, dtype=float)) for kv, z in zip(space.space.knot_vectors, abscissae)]
-    x, grads = _grid_fields(coefs, mats, None)
+    x, grads = _grid_fields(coefs, mats)
     k, d = grads.shape[:2]
     return x.reshape(k, -1).T, np.moveaxis(grads.reshape(k, d, -1), -1, 0)
 

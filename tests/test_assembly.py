@@ -416,6 +416,45 @@ class TestStiffness:
         np.testing.assert_allclose(u, exact, atol=1e-10)
 
 
+class TestChunks:
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_two_dimensional_runs_keep_256_elements(self, degree):
+        assert assembly._chunk((degree + 1) ** 2, 2) == 256
+
+    def test_smaller_3d_chunks_match_einsum_oracle(self):
+        # 81 x 81 element matrices take 39 elements per chunk: two chunks on 64 elements
+        patch = octant_patch(4)
+        assert assembly._chunk(27, 3) == 39
+        sizes = [b.dofs.shape[0] for b in iter_element_blocks(patch, 3)]
+        assert sizes == [39, 25]
+        K = assemble_stiffness(patch, MAT).toarray()
+        ref = einsum_stiffness(patch, MAT)
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_groups_take_the_rows_in_element_order(self):
+        rows = np.arange(1200.0).reshape(600, 2)
+        chunks = (rows[s : s + 39] for s in range(0, 600, 39))
+        groups = [(start, g.copy()) for start, g in assembly._in_groups(chunks)]
+        assert [(start, len(g)) for start, g in groups] == [(0, 256), (256, 256), (512, 88)]
+        assert np.array_equal(np.concatenate([g for _, g in groups]), rows)
+
+    def test_chunk_size_changes_no_sum(self, monkeypatch):
+        # 343 elements: the 39-element chunks cross the 256-element group boundary, and
+        # every scattered sum equals that of 256-element chunks bit for bit
+        patch = octant_patch(7)
+        u = smooth_state(patch, 5)
+
+        def sums():
+            quad = patch_quadrature(patch)
+            f, K = neo_hookean_forces(patch, NeoHookeanMaterial(young=1.0, poisson=0.3), u, quad)
+            return assemble_stiffness(patch, MAT).data, quad.grad_data, f, K.data
+
+        chunked = sums()
+        monkeypatch.setattr(assembly, "_chunk", lambda nloc, n_comp: 256)
+        for got, want in zip(chunked, sums()):
+            assert np.array_equal(got, want)
+
+
 class TestSymmetricStorage:
     @pytest.mark.parametrize("kind", ["linear", "neo-hookean"])
     @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])

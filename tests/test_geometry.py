@@ -301,7 +301,7 @@ class TestMeshView:
             kvs = obj.space.space.knot_vectors
             breaks = [np.append(kv.element_bounds[:, 0], kv.element_bounds[-1, 1]) for kv in kvs]
             mats = [_direction_matrices(kv, b, 0) for kv, b in zip(kvs, breaks)]
-            grid = _grid_fields(obj.space.homogeneous(obj.control_points), mats, None)[0]
+            grid = _grid_fields(obj.space.homogeneous(obj.control_points), mats)[0]
 
             def on_grid(pts):
                 idx = tuple(np.abs(pts[:, d, None] - b).argmin(axis=1) for d, b in enumerate(breaks))

@@ -11,7 +11,8 @@ active-set records, and the reference level of each large-deformation
 run must take one load step.  Together the scripts take about 18 s and
 up to 1.4 GB of memory, so they run only with ``pytest --run-scripts``.
 The harness checks always run, its smoke check ``perfbench/selfcheck.py``
-(about 4 s) among them.
+(about 4 s) among them, and so do the CLI calls on three harness
+workloads, whose error tables must match ``perfbench/reference.json``.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from igacontact.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_FILES = ("disp.csv", "mult.csv", "rates.txt", "pressure_profile.csv", "iterations.log", "contact_state.csv")
@@ -114,6 +117,23 @@ def test_benchmark_selfcheck_prints_ok():
     )
     assert proc.returncode == 0, (proc.stdout + proc.stderr)[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["selfcheck"] == "ok"
+
+
+@pytest.mark.parametrize("workload", ["hertz2d-p003", "hertz2d-large-p01", "hertz3d-coarse"])
+def test_harness_workload_outputs_match_reference(workload, tmp_path, monkeypatch):
+    """The CLI on a harness workload's argv writes error tables within the harness's RTOL/ATOL of its references.
+
+    ``rates.txt``, ``disp.csv`` and ``mult.csv`` are compared with
+    ``perfbench/reference.json`` by the harness's own check.
+    """
+    monkeypatch.setitem(sys.modules, "tracer", benchmark_tracer())  # run.py imports it by that name
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, harness)  # its dataclasses look their module up there
+    spec.loader.exec_module(harness)
+    references = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert main([*harness.WORKLOADS[workload].argv, "--out", str(tmp_path)]) == 0
+    assert harness.compare_values(harness.parse_outputs(tmp_path), references[workload]) == []
 
 
 def test_generator_wrap_targets_are_generators():

@@ -448,8 +448,8 @@ class TestGridEvaluator:
         mats = [_direction_matrices(kv, z) for kv, z in zip(kvs, abscissae)]
         values = grid_basis_matrix([v for v, _ in mats], patch.space.weights).toarray()  # (m, n)
         m = values.shape[0]
-        grads = _grid_fields(patch.space.homogeneous(np.eye(n)), mats, None)[1].reshape(n, nd, m)
-        jac = _grid_fields(patch.space.homogeneous(patch.control_points), mats, None)[1].reshape(nd, nd, m)
+        grads = _grid_fields(patch.space.homogeneous(np.eye(n)), mats)[1].reshape(n, nd, m)
+        jac = _grid_fields(patch.space.homogeneous(patch.control_points), mats)[1].reshape(nd, nd, m)
         jac_inv = np.linalg.inv(np.moveaxis(jac, -1, 0))  # (m, j, i): dzeta_j / dx_i
         grads_phys = np.einsum("ajq,qji->qai", grads, jac_inv)  # (m, n, d)
         # grid point of Gauss point q of element e: e_d * n_gauss + q_d in each direction

@@ -9,9 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from igacontact import assembly, verification
-from igacontact.assembly import AssemblyError, iter_element_blocks
-from igacontact.benchmarks import RunConfig, quarter_disc_level_patch, sphere_octant_level_patch
+from igacontact import assembly, benchmarks, verification
+from igacontact.assembly import (
+    AssemblyError,
+    _gauss_points,
+    _geometry_det_and_inverse,
+    build_trace_quadrature,
+    gauss_rule,
+    iter_element_blocks,
+)
+from igacontact.benchmarks import RunConfig, quarter_disc_level_patch, run_benchmark, sphere_octant_level_patch
 from igacontact.contact import multiplier_basis
 from igacontact.geometry import (
     NurbsPatch,
@@ -31,7 +38,10 @@ from igacontact.verification import (
     hertz_3d,
     multiplier_error_analytic,
     multiplier_error_reference,
+    multiplier_pressure_at,
+    reference_pressure,
 )
+from igacontact.splines import _direction_matrices, _grid_fields
 
 from helpers import grid_map
 
@@ -121,6 +131,57 @@ def displacement_errors_oracle(u_coarse, patch_coarse, u_ref, patch_ref, n_gauss
     return math.sqrt(l2_sq), math.sqrt(l2_sq + h1_semi_sq)
 
 
+def displacement_errors_row_sliced(coarse, u_ref, patch_ref):
+    """The error pass with direction 0's CSR matrices built once for all points and
+    row-sliced for every slab, and the gradient mismatch contracted with J^-1 by a
+    batched matmul: the same sums in the same order as :func:`displacement_errors`."""
+    nd = patch_ref.ndim
+    n_gauss = max(patch_ref.degrees) + 1
+    ur = np.asarray(u_ref, dtype=float).reshape(-1, nd)
+    gauss = [_gauss_points(kv, gauss_rule(n_gauss)) for kv in patch_ref.knot_vectors]
+    pts = [p.ravel() for p, _ in gauss]
+    wts = [w.ravel() for _, w in gauss]
+    fields = []
+    for k, (u_coarse, patch_coarse) in enumerate(coarse):
+        uc = np.asarray(u_coarse, dtype=float).reshape(-1, nd)
+        if uc.shape == ur.shape and np.array_equal(uc, ur):
+            continue
+        mats_c = [_direction_matrices(kv, z) for kv, z in zip(patch_coarse.knot_vectors, pts)]
+        fields.append((k, patch_coarse.space.homogeneous(uc), mats_c))
+    sums = np.zeros((len(coarse), 2))
+    mats_r = [_direction_matrices(kv, z) for kv, z in zip(patch_ref.knot_vectors, pts)]
+    coef_r = patch_ref.space.homogeneous(np.hstack([patch_ref.control_points, ur]))
+    w_rest = wts[1]
+    for w in wts[2:]:
+        w_rest = w_rest[..., None] * w
+    step = n_gauss * max(1, verification._SLAB_POINTS // (n_gauss * w_rest.size))
+    for start in range(0, pts[0].size, step):
+        rows = slice(start, start + step)
+
+        def sliced(mats):
+            (vals, ders), *rest = mats
+            return [(vals[rows], ders[rows]), *rest]
+
+        xu_r, grads_r = _grid_fields(coef_r, sliced(mats_r))
+        det, jac_inv = _geometry_det_and_inverse(np.moveaxis(grads_r[:nd], (0, 1), (-2, -1)))
+        wdet = wts[0][rows].reshape((-1,) + (1,) * (nd - 1)) * w_rest * det
+        for k, coef_c, mats_c in fields:
+            u_c, grads_c = _grid_fields(coef_c, sliced(mats_c))
+            dv = u_c - xu_r[nd:]
+            dg = np.matmul(np.moveaxis(grads_c - grads_r[nd:], (0, 1), (-2, -1)), jac_inv)
+            sums[k, 0] += float(((dv * dv).sum(axis=0) * wdet).sum())
+            sums[k, 1] += float(((dg * dg).sum(axis=(-2, -1)) * wdet).sum())
+    return [(math.sqrt(l2_sq), math.sqrt(l2_sq + h1_sq)) for l2_sq, h1_sq in sums.tolist()]
+
+
+def multiplier_error_reference_per_call(lam_coarse, basis_coarse, lam_ref, basis_ref):
+    """The multiplier reference error with its own reference trace quadrature and pressure."""
+    tq = build_trace_quadrature(basis_ref.trace, verification._REFERENCE_GAUSS)
+    p_c = multiplier_pressure_at(lam_coarse, basis_coarse, tq)
+    p_r = multiplier_pressure_at(lam_ref, basis_ref, tq)
+    return math.sqrt(float(((p_c - p_r) ** 2 * tq.wmeas).sum()))
+
+
 def _disc_config(degree=2):
     return RunConfig(benchmark="hertz2d", degree=degree, base_spans=(3, 6), grading=(0.8, 0.1))
 
@@ -169,6 +230,21 @@ class TestDisplacementErrors:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w
 
+    @pytest.mark.parametrize("pair", ORACLE_PAIRS.values(), ids=ORACLE_PAIRS.keys())
+    @pytest.mark.parametrize("slab_points", [None, 1], ids=["default-slabs", "row-slabs"])
+    def test_equals_row_sliced_pass(self, pair, slab_points, monkeypatch):
+        # bit for bit, one field per call and three in one call (two on the coarse patch,
+        # one on the reference patch)
+        if slab_points:
+            monkeypatch.setattr(verification, "_SLAB_POINTS", slab_points)
+        coarse, ref = pair()
+        nd = ref.ndim
+        rng = np.random.default_rng(31)
+        u_r = rng.normal(size=ref.space.dim * nd)
+        fields = [(rng.normal(size=patch.space.dim * nd), patch) for patch in (coarse, coarse, ref)]
+        for call in ([fields[0]], fields):
+            assert displacement_errors(call, u_r, ref) == displacement_errors_row_sliced(call, u_r, ref)
+
     def test_reference_evaluated_once_for_all_levels(self, monkeypatch):
         # three coarse fields in one call: each equals its own call bit for bit, and
         # every slab evaluates the reference once and each coarse field once
@@ -185,9 +261,9 @@ class TestDisplacementErrors:
         evaluations = []
         original = verification._grid_fields
 
-        def counting(coefs, mats, rows):
+        def counting(coefs, mats):
             evaluations.append(coefs.shape[0])
-            return original(coefs, mats, rows)
+            return original(coefs, mats)
 
         monkeypatch.setattr(verification, "_grid_fields", counting)
         together = displacement_errors(coarse + [(u_r, ref)], u_r, ref)
@@ -303,8 +379,34 @@ class TestMultiplierErrors:
     def test_reference_mode_self_comparison_is_zero(self):
         basis = self.flat_basis(4)
         lam = np.array([-1.0, -2.0, -0.5, 0.0])
-        err = multiplier_error_reference(lam, basis, lam, basis)
+        err = multiplier_error_reference(lam, basis, reference_pressure(lam, basis))
         assert err <= 1e-15
+
+    def test_run_builds_the_reference_trace_once(self, tmp_path, monkeypatch):
+        # one reference trace quadrature for all coarse levels of a run, and each error
+        # equals the one built on its own reference trace bit for bit
+        built, errors = [], []
+        original_build, original_error = verification.build_trace_quadrature, benchmarks.multiplier_error_reference
+
+        def building(trace, n_gauss):
+            built.append((trace, n_gauss))
+            return original_build(trace, n_gauss)
+
+        def recording(lam, basis, reference):
+            errors.append((lam, basis, original_error(lam, basis, reference)))
+            return errors[-1][2]
+
+        monkeypatch.setattr(verification, "build_trace_quadrature", building)
+        monkeypatch.setattr(benchmarks, "multiplier_error_reference", recording)
+        config = RunConfig(benchmark="hertz2d", levels=4, base_spans=(3, 6), grading=(0.8, 0.1), out=str(tmp_path))
+        result = run_benchmark(config)
+        ref = result.reference
+        # on the reference trace: the analytic error's rule and the reference rule, once each
+        assert sorted(n for trace, n in built if trace is ref.setup.basis.trace) == [verification._REFERENCE_GAUSS, 8]
+        assert sum(n == verification._REFERENCE_GAUSS for _, n in built) == 1
+        assert len(errors) == len(result.levels) == 3
+        for (lam, basis, err), row in zip(errors, result.mult_rows):
+            assert err == row[3] == multiplier_error_reference_per_call(lam, basis, ref.bundle.lam, ref.setup.basis)
 
     def test_arc_coordinate_quarter_circle(self):
         from igacontact.geometry import QUARTER_DISC_CONTACT_FACE, quarter_disc_patch
