@@ -5,21 +5,24 @@ with basis functions in flat C-order.  Element loops are chunked and
 vectorized over quadrature points; the rational basis and its gradient
 come from one outer product of per-direction tables and one batched
 matmul against the local weights, gradients kept transposed (component
-before basis function) until the physical gradients are formed.  Element matrices are batched matrix
-products, summed into one CSR pattern per patch through a scatter plan.
-Every operator assembled here, the stiffness and the Neo-Hookean
-tangent, is symmetric and is stored once, as its upper triangle
-(column >= row) in a :class:`SymmetricCSR`: the plan scatters only the
-element matrices' upper triangles, and ``tocsr()`` or ``toarray()``
-gives the full matrix.  The plan is closed-form: its pattern, ranks and
-slots are broadcasts of per-direction coupling tables, with no search
-or sort, and its index arrays are read-only and shared by every matrix
-built on it.  A linear
-element matrix needs one quadrature pair product sum_q wdet g_ai g_bk,
+before basis function) until the physical gradients are formed.  Element
+matrices are batched matrix products.  Every operator assembled here,
+the stiffness and the Neo-Hookean tangent, is symmetric and is stored
+once, as its upper diagonals on the tensor grid
+(:class:`SymmetricDiagonals`): on one patch of degree p every dof couples
+to the same (2p+1)^d neighbours at the same dof offsets
+(:class:`GridStencil`), so the upper triangle is a fixed set of
+diagonals, with no index arrays.  An element's upper entry lands at a
+slot that is affine in the element's first functions per direction plus
+a per-entry constant (:class:`_ElementSlots`), so the slots of a group of
+elements are one broadcast add, and each group is summed by one
+``bincount`` into a row-major block of the rows it covers, which is added
+to the diagonals.  ``tocsr()`` or ``toarray()`` gives the full matrix.
+A linear element matrix needs one quadrature pair product sum_q wdet g_ai g_bk,
 from which the lam term, the mu swap term and the mu (g_a . g_b)
 delta_ik term are all read.  What a Neo-Hookean tangent needs of the
-patch (gradients in kernel layout, the state-free gradient term as CSR
-data) is built once per patch.  A Neo-Hookean evaluation has two
+patch (gradients in kernel layout, the state-free gradient term as
+diagonal data) is built once per patch.  A Neo-Hookean evaluation has two
 phases: the residual phase gives the internal force and keeps the
 kinematics (det F, F^-1) at every quadrature point, and the tangent
 phase assembles the tangent from them, so a caller that needs only the
@@ -238,166 +241,172 @@ def _upper_entries(nloc: int, nd: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class SymmetricCSR:
-    """A symmetric matrix stored once, as its upper triangle U (column >= row) in CSR.
+class GridStencil:
+    """The couplings of degree-p functions on a tensor grid, and the diagonals that hold them.
 
-    ``data``, ``indices`` and ``indptr`` are U's arrays, indices sorted in
-    every row.  ``A @ x`` applies the whole matrix to a vector, ``U x +
-    U^T x - diag(U) x``; :meth:`tocsr` and :meth:`toarray` build it in full.
+    Dofs are numbered ``basis_index * n_comp + component``, basis
+    functions in C-order on the grid ``shape``.  Dof (g, i) and dof
+    (g + o, k) share an element only if |o_a| <= p in every direction; the
+    upper entry of such a pair (o at or after 0 in C-order, and k >= i
+    when o = 0) lies on the diagonal of dof offset ``Delta = n_comp sum_a
+    o_a stride_a + k - i``, which depends on (o, i, k) alone.  So the upper
+    triangle of every operator on the grid is a fixed set of diagonals:
+    ``offsets`` are their distinct Deltas, increasing from 0, and
+    ``couplings`` lists every (o, i, k) as a row ``(o_0 .. o_{d-1}, i, k,
+    j)``, j the index of its diagonal.  Built once per grid by
+    :func:`_grid_stencil`; the arrays are read-only.
     """
 
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    shape: tuple[int, ...]  # basis grid
+    n_comp: int
+    degree: int
+    offsets: np.ndarray  # (n_diag,) int64
+    couplings: np.ndarray  # (n_couplings, d + 3) int64
+
+    @property
+    def n(self) -> int:
+        return int(np.prod(self.shape)) * self.n_comp
+
+    def zeros(self) -> np.ndarray:
+        """Zero data of a :class:`SymmetricDiagonals` on this grid, (n_diag, n + 1)."""
+        return np.zeros((self.offsets.size, self.n + 1))
+
+
+@functools.cache
+def _grid_stencil(shape: tuple[int, ...], n_comp: int, degree: int) -> GridStencil:
+    """The :class:`GridStencil` of degree ``degree`` on the basis grid ``shape``.
+
+    The offsets o range over [-p, p] in each direction, cut to the grid:
+    a direction of n functions has none beyond n - 1.
+    """
+    reach = [min(degree, n - 1) for n in shape]
+    o = np.indices([2 * r + 1 for r in reach]).reshape(len(shape), -1).T - reach  # C-order, 0 in the middle
+    o = o[o.shape[0] // 2 :]  # those at or after 0
+    i, k = np.divmod(np.arange(n_comp * n_comp), n_comp)
+    o, i, k = np.repeat(o, i.size, axis=0), np.tile(i, o.shape[0]), np.tile(k, o.shape[0])
+    keep = o.any(axis=1) | (k >= i)
+    o, i, k = o[keep], i[keep], k[keep]
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    offsets, j = np.unique(n_comp * (o @ strides) + k - i, return_inverse=True)
+    couplings = np.column_stack([o, i, k, j])
+    for a in (offsets, couplings):
+        a.flags.writeable = False
+    return GridStencil(shape=shape, n_comp=n_comp, degree=degree, offsets=offsets, couplings=couplings)
+
+
+@dataclass(frozen=True)
+class SymmetricDiagonals:
+    """A symmetric matrix on a tensor grid, stored as its upper diagonals.
+
+    ``data[j, r]`` is entry (r, r + Delta_j) of the matrix, Delta_j =
+    ``stencil.offsets[j]``: row j of ``data`` is the diagonal Delta_j,
+    indexed by its upper entries' rows, which is also the lower
+    triangle's diagonal -Delta_j indexed by column, as ``scipy.sparse``'s
+    DIA format stores it.  Entries past the last row, and the one column
+    of padding, are zero.  ``A @ x`` applies the whole matrix by compiled
+    DIA products on views of ``data``, with no copy: the lower triangle in
+    one, and each run of consecutive upper diagonals in one more, row r
+    of the run read from position ``r - Delta`` of its row of ``data``, a
+    shift the padding makes uniform.  :meth:`tocsr` and :meth:`toarray`
+    build the full matrix.
+    """
+
+    data: np.ndarray  # (n_diag, n + 1)
+    stencil: GridStencil
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.indptr.size - 1
+        n = self.stencil.n
         return n, n
 
     @functools.cached_property
-    def _upper(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    @functools.cached_property
-    def _lower(self) -> sp.csc_matrix:
-        return self._upper.T  # U^T in CSC on U's own arrays
-
-    @functools.cached_property
-    def _diagonal(self) -> np.ndarray:
-        return self._upper.diagonal()
+    def _products(self) -> list[sp.dia_matrix]:
+        n, w = self.shape[0], self.data.shape[1]
+        off = self.stencil.offsets
+        flat = self.data.reshape(-1)
+        parts = [sp.dia_matrix((self.data, -off), shape=self.shape)]
+        # runs of consecutive upper diagonals past the main one: in a run from j0, row j0 + t
+        # of a (len, w - 1) view starting at j0 w - Delta_j0 is row j0 + t of data shifted by Delta
+        ends = np.flatnonzero(np.diff(off[1:]) != 1) + 2
+        for j0, j1 in zip(np.r_[1, ends], np.r_[ends, off.size]):
+            if j1 > j0:
+                start = j0 * w - off[j0]
+                view = flat[start : start + (j1 - j0) * (w - 1)].reshape(j1 - j0, w - 1)
+                parts.append(sp.dia_matrix((view, off[j0:j1]), shape=(n, n)))
+        return parts
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._upper @ x + self._lower @ x - self._diagonal * x
+        lower, *upper = self._products
+        y = lower @ x
+        for part in upper:
+            y += part @ x
+        return y
 
     def tocsr(self) -> sp.csr_matrix:
-        return (self._upper + sp.triu(self._upper, k=1).T).tocsr()
+        n = self.shape[0]
+        rows = np.broadcast_to(np.arange(n), (self.stencil.offsets.size, n))
+        cols = rows + self.stencil.offsets[:, None]
+        vals = self.data[:, :n]
+        keep = (cols < n) & (vals != 0)
+        U = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=self.shape)
+        return (U + sp.triu(U, k=1).T).tocsr()
 
     def toarray(self) -> np.ndarray:
         return self.tocsr().toarray()
 
 
 @dataclass(frozen=True)
-class ScatterPlan:
-    """CSR pattern of the upper triangle of a patch's element matrices, and the slot of every entry.
+class _ElementSlots:
+    """Where the upper entries of a patch's element matrices go in :class:`SymmetricDiagonals` data.
 
-    Row ``e`` of ``slots`` lists, for the upper triangle (column >= row)
-    of element e's (nloc * n_comp)^2 matrix, row by row, the position of
-    each entry in ``indices`` and in the data array.  Element dofs increase
-    with the local index, so these are the entries with column >= row in
-    the global matrix.  Indices are sorted within each row.  The arrays are
-    read-only: every matrix of the plan shares them.
+    Element e's upper entry u is entry (r, r + Delta_j) with r = ``first[e]
+    + row(u)``; ``entries[u]`` is ``row(u) n_diag + j``, so its slot in a
+    row-major block of rows from r0 is ``(first[e] - r0) n_diag +
+    entries[u]``.  ``first`` is affine in the element's first functions per
+    direction, ``kv.spans - kv.degree``; both are closed form, with no
+    search and no per-element table.
     """
 
-    indptr: np.ndarray  # (n_dofs + 1,) int32
-    indices: np.ndarray  # (nnz,) int32
-    slots: np.ndarray  # (n_elements, m (m + 1) / 2) int32, m = nloc * n_comp
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
+    first: np.ndarray  # (n_elements,) dof of each element's first function, component 0
+    entries: np.ndarray  # (m (m + 1) / 2,), m = nloc * n_comp, in the order of _upper_entries
+    span: int  # dof rows one element covers
+    stencil: GridStencil
 
     def add(self, data: np.ndarray, start: int, ke: np.ndarray) -> None:
         """Add the upper triangles ke (ce, m (m + 1) / 2) of elements start .. start + ce - 1 into data.
 
-        Each row of ke holds its element's entries in the order of
-        :func:`_upper_entries`.  One ``bincount`` per call sums in element
-        order, so a fixed sequence of calls is bitwise reproducible.  It
-        spans only the slots the chunk touches, not the whole pattern.
+        One ``bincount`` sums them, in element order, into a row-major
+        block over the rows the elements cover, and the block is added to
+        those columns of ``data``: a fixed sequence of calls is bitwise
+        reproducible, and each spans only the rows its elements touch.
         """
-        slots = self.slots[start : start + ke.shape[0]].ravel()
-        lo = int(slots.min())
-        part = np.bincount(slots - lo, weights=ke.ravel())
-        data[lo : lo + part.size] += part
+        first = self.first[start : start + ke.shape[0]]
+        r0 = int(first[0])
+        rows = int(first[-1]) - r0 + self.span
+        n_diag = data.shape[0]
+        slots = ((first - r0) * n_diag)[:, None] + self.entries
+        part = np.bincount(slots.ravel(), weights=ke.ravel(), minlength=rows * n_diag)
+        data[:, r0 : r0 + rows] += part.reshape(rows, n_diag).T
 
-    def matrix(self, data: np.ndarray) -> SymmetricCSR:
-        return SymmetricCSR(data, self.indices, self.indptr)
 
-
-def scatter_plan(patch: NurbsPatch) -> ScatterPlan:
-    """Scatter plan of the vector-valued (n_comp = ndim) element matrices of a patch.
-
-    The pattern is known in closed form.  Two functions of a tensor grid
-    share an element iff their 1D factors share one in every direction,
-    and in 1D the functions coupled to function a are the contiguous run
-    lo[a] .. lo[a] + count[a] - 1.  So a basis row's coupled functions,
-    sorted, are the C-order product of its per-direction runs, and the
-    rank of one of them in the row is its per-direction ranks read in
-    mixed radix.  An upper row is the tail of the full row from its
-    diagonal, whose position is the row function's rank in its own row:
-    its start, and each entry's slot, are a per-row shift of the full
-    row's.  Every table below is a broadcast of per-direction ones.
-    """
+def _element_slots(patch: NurbsPatch) -> _ElementSlots:
+    """The :class:`_ElementSlots` of the vector-valued (n_comp = ndim) element matrices of a patch."""
     nc = patch.ndim
     space = patch.space.space
-    nd, n_basis = space.ndim, space.n_basis
-    comp = np.arange(nc, dtype=np.int32)
-    los, counts, owns, offset = [], [], [], np.zeros((), dtype=np.int32)
-    for d, kv in enumerate(space.knot_vectors):
-        local = (kv.spans - kv.degree).astype(np.int32)[:, None] + np.arange(kv.degree + 1, dtype=np.int32)
-        coupled = np.zeros((n_basis[d], n_basis[d]), dtype=bool)
-        coupled[local[:, :, None], local[:, None, :]] = True
-        lo, count = coupled.argmax(axis=1).astype(np.int32), coupled.sum(axis=1, dtype=np.int32)
-        los.append(lo)
-        counts.append(count)
-        owns.append(np.arange(n_basis[d], dtype=np.int32) - lo)  # rank of each function in its own run
-        # nc x the rank of local function j in the row of local function i, per element,
-        # on the axes (element, i, j) of direction d; the last direction's j carries k too
-        rank = nc * (local[:, None, :] - lo[local][:, :, None])
-        if d == nd - 1:
-            rank = (rank[..., None] + comp).reshape(rank.shape[0], rank.shape[1], -1)
-        shape = [1] * (3 * nd)
-        shape[d], shape[nd + d], shape[2 * nd + d] = rank.shape
-        offset = offset * count[local].reshape(shape[: 2 * nd] + [1] * nd) + rank.reshape(shape)
-    dofs = _element_dofs(space)
-    ne, nloc = dofs.shape
-    m = nloc * nc
-    count = functools.reduce(np.multiply.outer, counts).ravel()  # coupled functions per basis row
-    own = np.zeros((), dtype=np.int32)
-    for d in range(nd):
-        own = own[..., None] * counts[d] + owns[d]
-    # dof row b * nc + i starts at its diagonal, nc x the rank of b in its row plus i, and
-    # holds the nc components of each function coupled to b from there on
-    diag = nc * own.reshape(-1, 1) + comp
-    length = nc * count[:, None] - diag  # (basis row, i)
-    indptr = np.zeros(length.size + 1, dtype=np.int32)
-    np.cumsum(length, out=indptr[1:])
-    shift = indptr[:-1] - diag.ravel()  # entry at position p of the full row sits at shift + p
-    # element entry (a i, b k), b k >= a i, sits at the shift of dof row (a, i) plus nc x the rank of b, plus k
-    la, lb = np.divmod(_upper_entries(nloc, nc)[0], m)
-    row_shift = shift[dofs[:, :, None] * nc + comp].reshape(ne, m)
-    slots = np.take(offset.reshape(ne, nloc * m), la // nc * m + lb, axis=1)
-    slots += np.take(row_shift, la, axis=1)
-    # with its ranks in all directions but the last fixed, a full row's columns are one run
-    # of nc x count consecutive indices: runs on a padded (basis row, i, leading ranks) grid.
-    # An upper row keeps the runs whose leading ranks come at or after its own in C-order,
-    # the one at them from the diagonal on
-    start, keep = np.zeros((), dtype=np.int32), np.ones((), dtype=bool)
-    lead, own_lead = np.zeros((), dtype=np.int32), np.zeros((), dtype=np.int32)
-    for d in range(nd - 1):
-        r = np.arange(counts[d].max(), dtype=np.int32)
-        shape = [1] * (2 * nd)
-        shape[d], shape[nd + 1 + d] = n_basis[d], r.size
-        start = start * n_basis[d] + (los[d][:, None] + r).reshape(shape)
-        keep = keep & (r < counts[d][:, None]).reshape(shape)
-        lead_shape, own_shape = [1] * (2 * nd), [1] * (2 * nd)
-        lead_shape[nd + 1 + d], own_shape[d] = r.size, n_basis[d]
-        lead = lead * r.size + r.reshape(lead_shape)
-        own_lead = own_lead * r.size + owns[d].reshape(own_shape)
-    shape = [1] * (2 * nd)
-    shape[nd - 1], shape[nd] = n_basis[-1], nc
-    cut = (lead == own_lead) * (nc * owns[-1][:, None] + comp).reshape(shape)  # the diagonal's position in its run
-    keep = keep & (lead >= own_lead)
-    start = nc * (start * n_basis[-1] + los[-1].reshape(shape[:nd] + [1] * nd)) + cut
-    grid = n_basis + (nc,) + tuple(int(c.max()) for c in counts[:-1])
-    keep = np.broadcast_to(keep, grid)
-    start = np.broadcast_to(start, grid)[keep]
-    run = np.broadcast_to((nc * counts[-1]).reshape(shape[:nd] + [1] * nd) - cut, grid)[keep]
-    end = np.cumsum(run, dtype=np.int32)
-    indices = np.repeat(start - end + run, run) + np.arange(int(indptr[-1]), dtype=np.int32)
-    for a in (indptr, indices, slots):
-        a.flags.writeable = False
-    return ScatterPlan(indptr=indptr, indices=indices, slots=slots)
+    kvs = space.knot_vectors
+    stencil = _grid_stencil(space.n_basis, nc, max(patch.degrees))
+    strides = np.cumprod((1,) + space.n_basis[:0:-1])[::-1]
+    first = functools.reduce(np.add.outer, [nc * s * (kv.spans - kv.degree) for s, kv in zip(strides, kvs)])
+    local = np.indices([kv.degree + 1 for kv in kvs]).reshape(len(kvs), -1).T @ strides  # (nloc,)
+    la, lb = np.divmod(_upper_entries(local.size, nc)[0], local.size * nc)
+    (a, i), (b, k) = np.divmod(la, nc), np.divmod(lb, nc)
+    j = np.searchsorted(stencil.offsets, nc * (local[b] - local[a]) + k - i)
+    return _ElementSlots(
+        first=first.ravel(),
+        entries=(nc * local[a] + i) * stencil.offsets.size + j,
+        span=int(nc * local[-1] + nc),
+        stencil=stencil,
+    )
 
 
 def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -408,14 +417,8 @@ def _pair_products(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return prod.reshape(ce, nloc, nd, nloc, nd)
 
 
-def _grad_layout(g: np.ndarray) -> np.ndarray:
-    """Gradients (ce, nq, nloc, d) as (ce, nloc, nq * d), the (e, a, (q, j)) layout of the kernels."""
-    ce, nq, nloc, nd = g.shape
-    return g.transpose(0, 2, 1, 3).reshape(ce, nloc, nq * nd)
-
-
 def _grad_products(gt: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_q c_eq g_qa . g_qb as (ce, nloc, nloc), one batched matmul over gt = _grad_layout(g)."""
+    """sum_q c_eq g_qa . g_qb as (ce, nloc, nloc), one batched matmul over gt, the (e, a, (q, j)) gradients."""
     nd = gt.shape[2] // c.shape[1]
     return np.matmul(gt * np.repeat(c, nd, axis=1)[:, None, :], gt.transpose(0, 2, 1))
 
@@ -444,17 +447,19 @@ def _swap_correction(ke: np.ndarray, w: np.ndarray, c_swap: np.ndarray) -> None:
             ke[:, :, k, :, i] += X
 
 
-def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> SymmetricCSR:
-    """Linear elastic stiffness of the isoparametric displacement space, stored as its upper triangle.
+def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> SymmetricDiagonals:
+    """Linear elastic stiffness of the isoparametric displacement space, stored as its upper diagonals.
 
     The material is isotropic, so the kernel needs only its Lame
-    parameters: a_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
-    ``tocsr()`` of the result is the full matrix.
+    parameters: a_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).  Each
+    group of element matrices' upper triangles goes to its slots
+    (:class:`_ElementSlots`) by one ``bincount``; ``tocsr()`` of the
+    result is the full matrix.
     """
     nd = patch.ndim
     mu, lam = mat.lame()
-    plan = scatter_plan(patch)
-    data = np.zeros(plan.nnz)
+    slots = _element_slots(patch)
+    data = slots.stencil.zeros()
 
     def upper_rows():
         for block in iter_element_blocks(patch, max(patch.degrees) + 1):
@@ -471,8 +476,8 @@ def assemble_stiffness(patch: NurbsPatch, mat: LinearMaterial) -> SymmetricCSR:
             yield ke
 
     for start, ke in _in_groups(upper_rows()):
-        plan.add(data, start, ke)
-    return plan.matrix(data)
+        slots.add(data, start, ke)
+    return SymmetricDiagonals(data, slots.stencil)
 
 
 @dataclass(frozen=True)
@@ -554,7 +559,7 @@ def dirichlet_on_face(patch: NurbsPatch, face: int, component: int, value: float
 def _canonical_csr(A) -> sp.csr_matrix:
     """A in CSR with sorted indices and no duplicates; a copy when A is not already so.
 
-    A :class:`SymmetricCSR` gives its full matrix.
+    A :class:`SymmetricDiagonals` gives its full matrix.
     """
     A = A.tocsr()
     if not A.has_canonical_format:
@@ -566,8 +571,8 @@ def _canonical_csr(A) -> sp.csr_matrix:
 def apply_constraints(K, F: np.ndarray, constraints: dict[int, float]):
     """Symmetric elimination: unit diagonal rows/cols, right-hand side shifted.
 
-    K is a sparse matrix or a :class:`SymmetricCSR`, taken in full; the
-    result is a full CSR matrix.  Works on K's CSR slots in O(nnz): the entries of fixed rows and
+    K is a sparse matrix or a :class:`SymmetricDiagonals`, taken in full;
+    the result is a full CSR matrix.  Works on K's CSR slots in O(nnz): the entries of fixed rows and
     columns are dropped and the fixed diagonals set to one, the result
     the sparse products ``D K D + diag`` give, bit for bit.
     """
@@ -609,14 +614,15 @@ class PatchQuadrature:
     tangents builds it once with :func:`patch_quadrature`.  Gradients are
     kept in the (e, a, (q, j)) layout only; ``grad_data`` is the part of
     the tangent that does not depend on the state, up to the factor mu,
-    as data of the scatter plan's upper-triangle pattern.
+    as :class:`SymmetricDiagonals` data on ``slots.stencil``, the
+    element slots every tangent of the patch is summed through.
     """
 
     dofs: np.ndarray  # (ne, nloc) flat basis indices
-    gt: np.ndarray  # (ne, nloc, nq * d) physical gradients, _grad_layout
+    gt: np.ndarray  # (ne, nloc, nq * d) physical gradients in the (e, a, (q, j)) layout
     wdet: np.ndarray  # (ne, nq) quadrature weight x |J|
-    grad_data: np.ndarray  # (plan.nnz,) sum_q wdet g_qa . g_qb delta_ik, summed over elements
-    plan: ScatterPlan
+    grad_data: np.ndarray  # (n_diag, n + 1) sum_q wdet g_qa . g_qb delta_ik, summed over elements
+    slots: _ElementSlots
 
     @property
     def ndim(self) -> int:
@@ -624,23 +630,34 @@ class PatchQuadrature:
 
 
 def patch_quadrature(patch: NurbsPatch) -> PatchQuadrature:
-    blocks = iter_element_blocks(patch, max(patch.degrees) + 1)
-    parts = [(b.dofs, _grad_layout(b.grads_phys), b.wdet) for b in blocks]
-    dofs, gt, wdet = (np.concatenate(p) for p in zip(*parts))
-    plan = scatter_plan(patch)
-    _, _, pair, diag = _upper_entries(dofs.shape[1], patch.ndim)
-    grad_data = np.zeros(plan.nnz)
+    """The :class:`PatchQuadrature` of a patch; each chunk's data is written into arrays for the whole patch."""
+    nd = patch.ndim
+    n_gauss = max(patch.degrees) + 1
+    dofs = _element_dofs(patch.space.space)
+    ne, nloc = dofs.shape
+    nq = n_gauss**nd
+    gt = np.empty((ne, nloc, nq * nd))
+    wdet = np.empty((ne, nq))
+    start = 0
+    for b in iter_element_blocks(patch, n_gauss):
+        rows = slice(start, start + b.wdet.shape[0])
+        gt[rows].reshape(-1, nloc, nq, nd)[...] = b.grads_phys.transpose(0, 2, 1, 3)
+        wdet[rows] = b.wdet
+        start = rows.stop
+    slots = _element_slots(patch)
+    _, _, pair, diag = _upper_entries(nloc, nd)
+    grad_data = slots.stencil.zeros()
 
     def upper_rows():
-        size = _chunk(dofs.shape[1], patch.ndim)
-        for start in range(0, dofs.shape[0], size):
+        size = _chunk(nloc, nd)
+        for start in range(0, ne, size):
             chunk = slice(start, start + size)
             k_grad = _grad_products(gt[chunk], wdet[chunk])
             yield np.take(k_grad.reshape(k_grad.shape[0], -1), pair, axis=1) * diag
 
     for start, rows in _in_groups(upper_rows()):
-        plan.add(grad_data, start, rows)
-    return PatchQuadrature(dofs=dofs, gt=gt, wdet=wdet, grad_data=grad_data, plan=plan)
+        slots.add(grad_data, start, rows)
+    return PatchQuadrature(dofs=dofs, gt=gt, wdet=wdet, grad_data=grad_data, slots=slots)
 
 
 @dataclass(frozen=True)
@@ -698,15 +715,16 @@ def neo_hookean_residual(quad: PatchQuadrature, mat: NeoHookeanMaterial, u: np.n
 
 def neo_hookean_tangent(
     quad: PatchQuadrature, mat: NeoHookeanMaterial, state: NeoHookeanState
-) -> SymmetricCSR:
-    """Consistent tangent at the state whose residual phase gave ``state``, stored as its upper triangle.
+) -> SymmetricDiagonals:
+    """Consistent tangent at the state whose residual phase gave ``state``, stored as its upper diagonals.
 
     dP/dF = mu I (x) I + lam F^-T (x) F^-T + (mu - lam ln J) swap-term: the
     first term is the patch's ``grad_data`` times mu, and the other two are
     contracted per term with w = g F^-1 instead of forming the
     fourth-order tensor.  The tangent of a hyperelastic law is symmetric,
-    so the element matrices' upper triangles are all that is scattered;
-    ``tocsr()`` of the result is the full matrix.
+    so the element matrices' upper triangles are all that is summed, each
+    group by one ``bincount`` through the patch's element slots
+    (``quad.slots``); ``tocsr()`` of the result is the full matrix.
     """
     nd = quad.ndim
     ne, nloc, nqd = quad.gt.shape
@@ -728,8 +746,8 @@ def neo_hookean_tangent(
             yield np.take(ke.reshape(ce, -1), _upper_entries(nloc, nd)[0], axis=1)
 
     for start, ke in _in_groups(upper_rows()):
-        quad.plan.add(data, start, ke)
-    return quad.plan.matrix(data)
+        quad.slots.add(data, start, ke)
+    return SymmetricDiagonals(data, quad.slots.stencil)
 
 
 def neo_hookean_forces(
@@ -739,7 +757,7 @@ def neo_hookean_forces(
 
     The two phases :func:`neo_hookean_residual` and
     :func:`neo_hookean_tangent` in one call, the tangent stored as its
-    upper triangle (``tocsr()`` is the full matrix); raises
+    upper diagonals (``tocsr()`` is the full matrix); raises
     :class:`ElementInversionError` when det F <= 0 at any quadrature
     point.  ``quad`` is the patch's :func:`patch_quadrature`; it is built
     here when not given.

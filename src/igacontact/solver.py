@@ -1,8 +1,9 @@
 """Active-set solvers for the mixed contact problem.
 
-The stiffness and the Newton tangent come as their upper triangle
-(:class:`~.assembly.SymmetricCSR`), which is all the factor reads, and
-are applied from it; ``tocsr()`` gives the full matrix, which only
+The stiffness and the Newton tangent come as their upper diagonals on
+the patch's tensor grid (:class:`~.assembly.SymmetricDiagonals`), which
+is all the factor reads, and are applied from them by compiled DIA
+products; ``tocsr()`` gives the full matrix, which only
 :func:`saddle_solve` and :func:`~.assembly.apply_constraints` build.
 Every linear solve factors the shifted stiffness or tangent once, as a
 banded Cholesky factorization ``A = L L^T`` in LAPACK's lower band
@@ -12,14 +13,16 @@ each saddle solve is then a small dense system in the active
 multipliers (:class:`_CondensedSaddle`).  The factorization is followed
 by two forward sweeps, of the load and of the shift's unit vector, and
 each solve by one back sweep for u; the triangular sweeps call LAPACK
-directly.  Both drivers set up through one band layout per stored
-pattern (:func:`_band_layout`), built once: it splits the constraint dict into
+directly.  Both drivers set up through one band layout per grid
+(:func:`_band_layout`), built once: it splits the constraint dict into
 fixed dofs and prescribed values, walks the grid towards the contact
 rows the driver expects active (the linear driver's warm set, else the
 closest approach; the Newton driver's starting set), so that their
-columns of the condensation come last in the band, and keeps the gather
-indices, by which a matrix with that pattern goes into the band, and
-the coupling as one dense block over the dofs it touches.  Its
+columns of the condensation come last in the band, and keeps the
+coupling as one dense block over the dofs it touches.  The walk is
+affine in the grid index, so each coupling of the grid's stencil is one
+band row: a matrix goes into the band by one strided copy per coupling,
+with no index arrays.  Its
 ``prescribe`` gives the right-hand side of the eliminated system.  One
 active-set loop (:func:`_settle_active_set`) serves both drivers: on one
 factor it alternates saddle solves (gap pinned to zero on the active
@@ -35,8 +38,8 @@ every unconverged iterate runs the loop on its own tangent's factor; the gap
 is linear in u, so the set it settles is exact for the linearization,
 and a change of activity costs a condensed solve, not a tangent and a
 factorization.  Each Newton iterate evaluates the residual first, and
-the tangent is assembled and factored, through the one layout of the tangent's fixed pattern, only when the
-iterate is not converged.  The factor of a step's last Newton solve
+the tangent is assembled and factored, through the one layout of the
+patch's grid, only when the iterate is not converged.  The factor of a step's last Newton solve
 serves the next step's first, with only its right-hand side replaced.
 A correction keeps the factor of the one before it, once, when Newton's
 quadratic rate predicts that a chord step on it converges (residual r,
@@ -47,7 +50,7 @@ which a kept correction of the solve has missed that prediction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,7 +58,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    SymmetricCSR,
+    GridStencil,
+    SymmetricDiagonals,
     _canonical_csr,
     apply_constraints,  # noqa: F401  not called here, but perfbench/tracer.py wraps this name
     assemble_load,
@@ -153,7 +157,7 @@ def _saddle_matrix(K, B) -> sp.csc_matrix:
     The first n columns are the CSC of the stacked rows ``[K; B]``; the
     last m, ``[B^T; 0]``, have B's CSR arrays as their CSC arrays.  K and
     B are taken in canonical form (sorted, duplicates summed), as bmat
-    leaves them; a :class:`~.assembly.SymmetricCSR` is taken in full.
+    leaves them; a :class:`~.assembly.SymmetricDiagonals` is taken in full.
     """
     K, B = _canonical_csr(K), _canonical_csr(B)
     left = sp.vstack([K, B], format="csr").tocsc()  # CSR blocks stack by concatenation
@@ -180,8 +184,8 @@ def _diagnose_saddle_failure(K, B_active, exc) -> str:
 class SmallDeformationProblem:
     """Assembled data of one linear contact solve.
 
-    ``stiffness`` is stored as its upper triangle (``tocsr()`` gives the
-    full matrix).  ``constraints`` maps a dof to its prescribed value.  ``initial_active``
+    ``stiffness`` is stored as its upper diagonals on the patch's grid
+    (``tocsr()`` gives the full matrix).  ``constraints`` maps a dof to its prescribed value.  ``initial_active``
     optionally seeds the active set and the band walk (a warm start: the
     benchmarks give the coarsest level the analytic mask and every finer
     level the coarser level's contact zone inside it); the loop still
@@ -189,7 +193,7 @@ class SmallDeformationProblem:
     """
 
     patch: object
-    stiffness: SymmetricCSR
+    stiffness: SymmetricDiagonals
     load: np.ndarray
     constraints: dict[int, float]
     coupling: sp.csr_matrix
@@ -201,6 +205,15 @@ class SmallDeformationProblem:
 # a singular K with no active row left reads about 1e-16; solvable systems read
 # 2e-5 and above up to 75,272 dofs (hertz2d p=0.01), falling about 2x per level
 _RCOND_MIN = 1e-10
+
+
+def _band_walk(shape, last=()) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The walk of :func:`band_order`: its axis order (slowest first) and the axes it walks backwards."""
+    flips = ()
+    if len(last):
+        centre = np.mean(np.unravel_index(np.asarray(last), shape), axis=1)
+        flips = tuple(int(a) for a in np.flatnonzero(centre < (np.array(shape) - 1) / 2))
+    return np.argsort([-n for n in shape], kind="stable"), flips
 
 
 def band_order(shape, n_comp: int, last=()) -> np.ndarray:
@@ -216,11 +229,8 @@ def band_order(shape, n_comp: int, last=()) -> np.ndarray:
     functions ``last`` (flat indices), so that they come as late as the
     walk allows; the direction leaves the bandwidth unchanged.
     """
-    grid = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
-    if len(last):
-        centre = np.mean(np.unravel_index(np.asarray(last), shape), axis=1)
-        grid = np.flip(grid, axis=tuple(np.flatnonzero(centre < (np.array(shape) - 1) / 2)))
-    grid = grid.transpose(np.argsort([-n for n in shape], kind="stable"))
+    perm, flips = _band_walk(shape, last)
+    grid = np.flip(np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape), axis=flips).transpose(perm)
     return (grid.reshape(-1, 1) * n_comp + np.arange(n_comp, dtype=np.int32)).ravel()
 
 
@@ -232,21 +242,22 @@ def _band_halfwidth(shape, n_comp: int, degree: int) -> int:
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """What every condensed solve on one stored pattern shares, built once by :func:`_band_layout`.
+    """What every condensed solve on one grid shares, built once by :func:`_band_layout`.
 
-    K is a :class:`~.assembly.SymmetricCSR`, the upper triangle U of a
-    symmetric matrix.  The constraint dict is split into ``fixed`` dofs
-    and their prescribed ``values``.  ``fill(data)`` is a gather: the
-    lower band, in LAPACK storage ``ab[r - c, c]`` (the diagonal in row
-    0), of ``P apply_constraints(K) P^T`` for the K with that pattern and
-    data, where ``P`` puts dof ``order[k]`` in row k and the fixed rows
-    and columns are dropped and get a unit diagonal; each stored entry
-    goes to the band once, at its band rows in increasing order.  Its
-    gather indices ``src`` and ``dest`` are two per stored entry: the
-    linear driver fills once and then drops them (None), the Newton
-    driver refills and keeps them.  :meth:`matvec` and :meth:`prescribe`
-    apply K as ``U x + U^T x - diag(U) x`` (``K @ x``), so the residual
-    checks use exactly the matrix that is factored.  The coupling B is kept as one dense block over the dofs
+    K is a :class:`~.assembly.SymmetricDiagonals` on the grid.  The
+    constraint dict is split into ``fixed`` dofs and their prescribed
+    ``values``.  ``fill(data)`` gives the lower band, in LAPACK storage
+    ``ab[r - c, c]`` (the diagonal in row 0), of ``P apply_constraints(K)
+    P^T`` for the K with that data, where ``P`` puts dof ``order[k]`` in row
+    k and the fixed rows and columns are dropped and get a unit diagonal.
+    The walk's axis permutation, flips and interleaved components are all
+    affine in the grid index, so every coupling (o, i, k) of the grid's
+    stencil lands on one band row, ``|pos(g + o, k) - pos(g, i)|``, for all
+    g: the fill is one strided copy per coupling (``copies``, pairs of
+    source and target indices into the data and into the band seen on the
+    natural grid), with no gather indices.  :meth:`matvec` and
+    :meth:`prescribe` apply K as ``K @ x``, so the residual checks use
+    exactly the matrix that is factored.  The coupling B is kept as one dense block over the dofs
     where it has a stored entry (``cols``): ``B @ x`` is ``Bc @ x[cols]``
     and ``B^T lam`` is ``scatter(Bc^T lam)``; ``Bhc`` is the block of B
     with the fixed columns zeroed, and ``first`` is the first band row of
@@ -257,11 +268,10 @@ class _BandLayout:
     order: np.ndarray  # (n,) int32, the dof placed k-th
     pos: np.ndarray  # (n,) int32, band row of every dof
     u: int  # half-bandwidth
-    src: np.ndarray | None  # data positions of the stored entries that go to the band
-    dest: np.ndarray | None  # their flat positions in the C-order transpose, shape (n, u + 1), of the band
+    walk: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # the band's walked shape, axes, flips
+    copies: tuple[tuple[tuple, tuple], ...]  # (index into data, index into the natural band) per coupling
     fixed: np.ndarray  # (k,) int64, the constrained dofs in the constraint dict's order
     values: np.ndarray  # (k,) their prescribed values
-    unit: np.ndarray  # flat positions of the fixed dofs' unit diagonals
     free: np.ndarray | None  # free-dof mask; None when nothing is fixed
     cols: np.ndarray  # sorted dofs where B has a stored entry
     bpos: np.ndarray  # their band rows, pos[cols]
@@ -272,18 +282,29 @@ class _BandLayout:
 
     def fill(self, data: np.ndarray) -> np.ndarray:
         n, w = self.order.size, self.u + 1
-        abT = np.zeros(n * w)
-        abT[self.dest] = np.take(data, self.src)
-        abT[self.unit] = 1.0
-        return abT.reshape(n, w).T
+        abT = np.zeros((n, w))  # ab[r - c, c] at abT[c, r - c]: ab = abT.T is F-contiguous
+        shape, axes, flips = self.walk
+        band = np.flip(abT.reshape(shape).transpose(axes), axis=flips)  # [grid index..., comp, r - c]
+        grid = data[:, :n].reshape((data.shape[0],) + band.shape[:-1])
+        for src, dest in self.copies:
+            band[dest] = grid[src]
+        if self.fixed.size:
+            # drop the fixed columns (rows of abT) and rows (entries abT[p - j, j]), unit diagonals
+            p = self.pos[self.fixed].astype(np.int64)
+            abT[p] = 0.0
+            j = np.arange(1, w)
+            r = p[:, None] - j
+            abT.reshape(-1)[(r * w + j)[r >= 0]] = 0.0
+            abT[p, 0] = 1.0
+        return abT.T
 
-    def matvec(self, K: SymmetricCSR, x: np.ndarray) -> np.ndarray:
+    def matvec(self, K: SymmetricDiagonals, x: np.ndarray) -> np.ndarray:
         """``apply_constraints(K) @ x``: fixed rows and columns act as the identity."""
         if self.free is None:
             return K @ x
         return np.where(self.free, K @ np.where(self.free, x, 0.0), x)
 
-    def prescribe(self, rhs: np.ndarray, K: SymmetricCSR, x: np.ndarray) -> np.ndarray:
+    def prescribe(self, rhs: np.ndarray, K: SymmetricDiagonals, x: np.ndarray) -> np.ndarray:
         """``rhs - K x`` on the free rows and ``x`` on the fixed ones; K is not read when x is zero.
 
         For an x that is zero on the free dofs, the eliminated system
@@ -311,22 +332,46 @@ class _BandLayout:
         return R
 
 
-def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constraints, expected) -> _BandLayout:
-    """The :class:`_BandLayout` of a stored upper-triangle pattern and coupling B.
+def _band_copies(stencil: GridStencil, perm, flips) -> tuple[tuple[tuple, tuple], ...]:
+    """The strided copies that put a matrix on ``stencil`` into the band of the walk (perm, flips).
 
-    ``indptr`` and ``indices`` are a :class:`~.assembly.SymmetricCSR`'s
-    (sorted, no duplicates).  A stored entry (r, c) of two free dofs goes
-    to band rows ``(min, max)`` of ``(pos[r], pos[c])``; the fixed dofs
-    take band row -1, so one comparison keeps the free pairs.
+    Coupling (o, i, k) of diagonal j holds, for every g with g + o on
+    the grid, the entry of dofs (g, i) and (g + o, k); they are
+    ``delta = n_comp sum_a sign_a o_a t_a + k - i`` apart in band order,
+    t_a the walk's stride of axis a and sign_a -1 on the walked-back axes,
+    so it goes to band row |delta| at the lower of the two, (g, i) or
+    (g + o, k).
+    """
+    shape, nc = stencil.shape, stencil.n_comp
+    walked = np.cumprod((1,) + tuple(shape[a] for a in perm[:0:-1]))[::-1]
+    stride = np.empty(len(shape), dtype=np.int64)
+    stride[perm] = walked
+    stride[list(flips)] *= -1
+    copies = []
+    for *o, i, k, j in stencil.couplings.tolist():
+        g = tuple(slice(max(0, -a), n - max(0, a)) for a, n in zip(o, shape))
+        delta = nc * int(np.dot(stride, o)) + k - i
+        if delta >= 0:
+            dest = g + (i, delta)
+        else:
+            dest = tuple(slice(max(0, a), n + min(0, a)) for a, n in zip(o, shape)) + (k, -delta)
+        copies.append(((j,) + g + (i,), dest))
+    return tuple(copies)
 
-    The dofs are those of a tensor-grid patch with basis grid ``shape`` and
-    ``n_comp`` components; ``constraints`` maps a dof to its prescribed
-    value.  The dof order is :func:`band_order` walked towards the
-    functions that the rows ``expected`` (a mask) of Bhc couple to: a
+
+def _band_layout(stencil: GridStencil, B: sp.csr_matrix, constraints, expected) -> _BandLayout:
+    """The :class:`_BandLayout` of the matrices on ``stencil``'s grid and coupling B.
+
+    The dofs are those of a tensor-grid patch, with the grid and
+    ``n_comp`` components of ``stencil``; ``constraints`` maps a dof to its
+    prescribed value.  The half-bandwidth is :func:`_band_halfwidth` of the
+    stencil's degree.  The dof order is :func:`band_order` walked towards
+    the functions that the rows ``expected`` (a mask) of Bhc couple to: a
     column of ``W = L^-1 P B^T`` is forward-substituted from its first
     nonzero row to the end, so the rows expected active go last.
     """
-    n = indptr.size - 1
+    shape, nc = stencil.shape, stencil.n_comp
+    n = stencil.n
     fixed = np.fromiter(constraints.keys(), dtype=np.int64, count=len(constraints))
     free = np.ones(n, dtype=bool)
     free[fixed] = False
@@ -334,26 +379,13 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
     cols = np.unique(B.indices)
     Bc = B[:, cols].toarray()
     Bhc = Bc if free[cols].all() else np.where(free[cols], Bc, 0.0)
-    order = band_order(shape, n_comp, last=np.unique(cols[(Bhc[expected] != 0).any(axis=0)] // n_comp))
+    last = np.unique(cols[(Bhc[expected] != 0).any(axis=0)] // nc)
+    order = band_order(shape, nc, last=last)
+    perm, flips = _band_walk(shape, last)
     pos = np.empty(n, dtype=np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
-    # the per-entry arrays are reused in place and freed early: at 149,768 dofs each is 15 MB,
-    # and what they leave on the heap stays under the band for the rest of the solve
-    band = np.where(free, pos, np.int32(-1))
-    r, c = np.repeat(band, np.diff(indptr)), np.take(band, indices)
-    lo = np.minimum(r, c)
-    width = np.maximum(r, c, out=c)
-    del r
-    keep = lo >= 0
-    lo, width = lo[keep], width[keep]
-    width -= lo  # hi - lo
-    u = int(width.max()) if width.size else 0
-    index = np.int32 if n * (u + 1) < 2**31 else np.int64
-    src = np.flatnonzero(keep).astype(index)
-    del keep
-    dest = lo.astype(index)
-    dest *= u + 1
-    dest += width  # the upper entry (lo, hi) stored as its transpose (hi, lo)
+    u = _band_halfwidth(shape, nc, stencil.degree)
+    d = len(shape)
     bpos = pos[cols]
     weight = np.zeros(n)
     weight[cols] = (Bhc * Bhc).sum(axis=0)
@@ -361,11 +393,14 @@ def _band_layout(indptr, indices, shape, n_comp: int, B: sp.csr_matrix, constrai
         order=order,
         pos=pos,
         u=u,
-        src=src,
-        dest=dest,
+        walk=(
+            tuple(shape[a] for a in perm) + (nc, u + 1),
+            tuple(int(a) for a in np.argsort(perm)) + (d, d + 1),
+            flips,
+        ),
+        copies=_band_copies(stencil, perm, flips),
         fixed=fixed,
         values=np.fromiter(constraints.values(), dtype=float, count=fixed.size),
-        unit=pos[fixed].astype(index) * (u + 1),
         free=free if fixed.size else None,
         cols=cols,
         bpos=bpos,
@@ -442,8 +477,9 @@ def _forward_substitution(cb: np.ndarray, R: np.ndarray) -> np.ndarray:
 class _CondensedSaddle:
     """Saddle solves ``[[K, B_A^T], [B_A, 0]] [u, lam] = [F, g]`` on one factorization of K.
 
-    K, a :class:`~.assembly.SymmetricCSR`, is read through ``layout``
-    (:func:`_band_layout`, built for K's stored pattern), which eliminates the layout's fixed dofs as
+    K, a :class:`~.assembly.SymmetricDiagonals`, is read through ``layout``
+    (:func:`_band_layout`, built for K's grid), which fills the band by
+    strided copies of K's diagonals and eliminates the layout's fixed dofs as
     :func:`apply_constraints` does, in the factor and in the residual
     check alike; ``B`` is the layout's coupling with the fixed columns
     zeroed, kept as one dense block.  K may have one kernel mode, a
@@ -469,10 +505,11 @@ class _CondensedSaddle:
     replaces F on the same factor: one forward sweep for ``z_F``, and
     ``W^T z_F`` re-read over the kept columns.  Each solve checks its
     residual and keeps the norm of its u rows, ``|K u + B_A^T lam - F|``,
-    as ``residual_u``.
+    as ``residual_u``, with ``K u`` the DIA products on K's own diagonals
+    (:meth:`_BandLayout.matvec`).
     """
 
-    def __init__(self, K: SymmetricCSR, F: np.ndarray, layout: _BandLayout):
+    def __init__(self, K: SymmetricDiagonals, F: np.ndarray, layout: _BandLayout):
         n = F.size
         self.K, self.layout = K, layout
         ab = layout.fill(K.data)
@@ -643,23 +680,20 @@ def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
     """
     K = problem.stiffness
-    B, measures, warm, patch = problem.coupling, problem.measures, problem.initial_active, problem.patch
+    B, measures, warm = problem.coupling, problem.measures, problem.initial_active
     # the band walks towards the warm set, else the rows in contact before the prescribed
     # displacements act, else the closest approach
     wg = problem.gap_integrals / measures
     expected = warm if warm is not None else wg <= _GAP_TOL
     if not expected.any():
         expected = wg == wg.min()
-    shape = patch.space.space.n_basis
-    layout = _band_layout(K.indptr, K.indices, shape, patch.ndim, B, problem.constraints, expected)
+    layout = _band_layout(K.stencil, B, problem.constraints, expected)
     u_fix = np.zeros(K.shape[0])
     u_fix[layout.fixed] = layout.values
     gap0 = problem.gap_integrals + B @ u_fix
     active = warm.copy() if warm is not None else gap0 / measures <= _GAP_TOL
     records: list[IterationRecord] = []
     saddle = _CondensedSaddle(K, layout.prescribe(problem.load, K, u_fix), layout)
-    # K is factored once, so the gather indices are not needed past its fill
-    saddle.layout = layout = replace(layout, src=None, dest=None)
     u, state = _settle_active_set(saddle, active, problem.gap_integrals, -gap0, measures, records)
     return SolutionBundle(
         u=u,
@@ -711,10 +745,10 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
     n_steps``.  A step whose first factorization, of the tangent where it
     starts, fails raises at once: the tangent does not depend on the load
     factor, so a halved step would factor the same matrix.
-    The patch's element data and scatter plan are
+    The patch's element data and element slots are
     built once and reused for every tangent of the solve, and so is the
-    band layout of the tangent's pattern: each tangent goes into the
-    banded factor by one gather.  A step starts at the u where the last
+    band layout of the patch's grid: each tangent goes into the banded
+    factor by one strided copy per coupling of the grid's stencil.  A step starts at the u where the last
     step converged, so the residual phase its convergence check evaluated
     there is carried into its first iteration, and so is the last
     :class:`_CondensedSaddle` of that step: its factor, of the tangent
@@ -724,7 +758,6 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
     """
     patch = problem.patch
     quad = patch_quadrature(patch)
-    nd = patch.ndim
     F_full = assemble_load(patch, problem.tractions)
     B, measures = problem.coupling, problem.measures
 
@@ -736,8 +769,7 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
     else:
         u, active = start
         dt = 1.0
-    shape = patch.space.space.n_basis
-    layout = _band_layout(quad.plan.indptr, quad.plan.indices, shape, nd, B, problem.constraints, active)
+    layout = _band_layout(quad.slots.stencil, B, problem.constraints, active)
 
     records: list[IterationRecord] = []
     # (residual state at u, saddle or None) in a list the step takes it from: the

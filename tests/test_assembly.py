@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import scipy.sparse.linalg as spla
 from igacontact import assembly
 from igacontact.assembly import (
     AssemblyError,
-    _grad_layout,
     _grad_products,
     _pair_products,
     _swap_correction,
@@ -27,9 +27,9 @@ from igacontact.assembly import (
     neo_hookean_forces,
     neo_hookean_residual,
     patch_quadrature,
-    scatter_plan,
 )
 from igacontact import splines
+from igacontact.benchmarks import RunConfig, quarter_disc_level_patch
 from igacontact.geometry import (
     QUARTER_DISC_CONTACT_FACE,
     QUARTER_DISC_LOAD_FACE,
@@ -204,6 +204,19 @@ def einsum_neo_hookean(patch, mat, u):
     return dense_oracle_assembly(patch, matrices, forces)
 
 
+def record_groups(monkeypatch):
+    """Record every (start, upper rows) group that the element slots add, in order."""
+    groups = []
+    original = assembly._ElementSlots.add
+
+    def recording(self, data, start, ke):
+        groups.append((start, ke.copy()))
+        return original(self, data, start, ke)
+
+    monkeypatch.setattr(assembly._ElementSlots, "add", recording)
+    return groups
+
+
 class TestGaussRule:
     def test_one_point(self):
         rule = gauss_rule(1)
@@ -321,7 +334,7 @@ class TestStiffness:
         # linear kernel lam P + mu P_(ak)(bi) + mu (g_a . g_b) delta_ik of the pair products
         # P, and the tangent's kernel after its swap correction; what each scatters is the
         # upper triangle of that matrix
-        pairs, corrected, added = [], [], []
+        pairs, corrected = [], []
 
         def record(owner, name, log, result_of):
             original = getattr(owner, name)
@@ -335,7 +348,7 @@ class TestStiffness:
 
         record(assembly, "_pair_products", pairs, lambda args, out: out)
         record(assembly, "_swap_correction", corrected, lambda args, out: args[0])
-        record(assembly.ScatterPlan, "add", added, lambda args, out: args[3])
+        added = record_groups(monkeypatch)
         patch = disc_patch(3)
         mu, lam = MAT.lame()
         assemble_stiffness(patch, MAT)
@@ -347,7 +360,7 @@ class TestStiffness:
             linear[:, :, i, :, i] += mu * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1])
         ce, m = P.shape[0], P.shape[1] * P.shape[2]
         upper = np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))
-        for ke, scattered in ((linear, added[0]), (corrected[0], added[2])):
+        for ke, (_, scattered) in ((linear, added[0]), (corrected[0], added[2])):
             ke = ke.reshape(ce, m, m)
             assert np.abs(ke - ke.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(ke).max()
             assert np.array_equal(scattered, ke.reshape(ce, -1)[:, upper])
@@ -369,17 +382,21 @@ class TestStiffness:
 
     @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])
     def test_scatter_add_matches_full_bincount(self, patch):
-        # chunk sums over the touched slots only equal full-length bincounts bit for bit
-        plan = scatter_plan(patch)
-        ne, size = plan.slots.shape
+        # chunk sums into a block over the touched rows only, added to the diagonals, equal
+        # full-length bincounts over row-major (row, diagonal) slots bit for bit
+        slots = assembly._element_slots(patch)
+        ne, size = slots.first.size, slots.entries.size
         ke = np.random.default_rng(3).normal(size=(ne, size))
-        got, want = np.zeros(plan.nnz), np.zeros(plan.nnz)
+        got = slots.stencil.zeros()
+        n_diag, n = got.shape[0], slots.stencil.n
+        want = np.zeros(n * n_diag)
         for start in range(0, ne, 5):
-            n = ke[start : start + 5].shape[0]
-            plan.add(got, start, ke[start : start + n])
-            slots = plan.slots[start : start + n]
-            want += np.bincount(slots.ravel(), weights=ke[start : start + n].ravel(), minlength=plan.nnz)
-        assert np.array_equal(got, want)
+            rows = ke[start : start + 5]
+            slots.add(got, start, rows)
+            flat = slots.first[start : start + len(rows), None] * n_diag + slots.entries
+            want += np.bincount(flat.ravel(), weights=rows.ravel(), minlength=want.size)
+        assert np.array_equal(got[:, :n], want.reshape(n, n_diag).T)
+        assert not got[:, n].any()
 
     @pytest.mark.parametrize(
         "patch",
@@ -395,9 +412,20 @@ class TestStiffness:
         ids=["2d", "2d-aniso", "3d", "2d-p3", "3d-p3", "2d-p3-double-knot", "3d-p3-double-knot"],
     )
     def test_scatter_plan_matches_unique_oracle(self, patch):
-        plan = scatter_plan(patch)
-        for got, want in zip((plan.indptr, plan.indices, plan.slots), upper_scatter_plan(patch)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the closed-form slot of every element's upper entry is the (row, column) pair the
+        # np.unique oracle's pattern gives it, and the pattern lies on the stencil's diagonals
+        slots = assembly._element_slots(patch)
+        offsets = slots.stencil.offsets
+        assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
+        indptr, indices, plan = upper_scatter_plan(patch)
+        n = indptr.size - 1
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        n_diag = offsets.size
+        got_row = slots.first[:, None] + slots.entries // n_diag
+        got_col = got_row + offsets[slots.entries % n_diag]
+        assert np.array_equal(got_row, rows[plan]) and np.array_equal(got_col, indices[plan])
+        assert slots.span == got_row.max(initial=0) - slots.first.max() + 1
+        assert np.isin(indices - rows, offsets).all()
 
     def test_patch_test_linear_field_reproduced(self):
         patch = unit_square_patch(2, 3)
@@ -468,18 +496,23 @@ class TestSymmetricStorage:
             u = smooth_state(patch, 5)
             K, (ref, _) = neo_hookean_forces(patch, mat, u)[1], einsum_neo_hookean(patch, mat, u)
         n = ref.shape[0]
-        full_nnz = unique_scatter_plan(patch)[1].size
-        assert K.data.size == K.indices.size == (full_nnz + n) // 2
-        assert np.all(K.indices >= np.repeat(np.arange(n), np.diff(K.indptr)))
+        offsets = K.stencil.offsets
+        assert K.data.shape == (offsets.size, n + 1)
+        # nothing is stored past the last row or in the padding column
+        assert not K.data[np.arange(n + 1) + offsets[:, None] >= n].any()
         A = K.tocsr()
         assert A.has_canonical_format
+        indptr, indices, _ = unique_scatter_plan(patch)
+        pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=A.shape)
+        assert abs(A).multiply(pattern).nnz == A.nnz  # within the oracle's pattern
         assert np.abs(A.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
         x = np.random.default_rng(6).normal(size=n)
         dense = K.toarray()
         assert np.abs(K @ x - dense @ x).max() <= 1e-13 * (np.abs(dense) @ np.abs(x)).max()
 
     def test_tangents_share_the_plans_read_only_index_arrays(self):
-        # no matrix copies the plan's index arrays, and an in-place sort of them raises
+        # a matrix keeps no index array: every tangent, and the stiffness, shares the grid's
+        # one stencil, whose read-only tables an in-place sort cannot change
         patch = disc_patch(3)
         quad = patch_quadrature(patch)
         mat = NeoHookeanMaterial(1.0, 0.3)
@@ -487,13 +520,99 @@ class TestSymmetricStorage:
             assembly.neo_hookean_tangent(quad, mat, neo_hookean_residual(quad, mat, smooth_state(patch, seed)))
             for seed in (1, 2)
         ]
-        for name in ("indices", "indptr"):
-            shared = getattr(quad.plan, name)
-            assert not shared.flags.writeable
-            assert all(np.shares_memory(getattr(K, name), shared) for K in tangents)
-        assert not quad.plan.slots.flags.writeable
+        stencil = quad.slots.stencil
+        assert all(K.stencil is stencil for K in tangents) and assemble_stiffness(patch, MAT).stencil is stencil
+        assert not any(np.shares_memory(K.data, stencil.offsets) for K in tangents)
+        assert not stencil.offsets.flags.writeable and not stencil.couplings.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            tangents[0].indices.sort()
+            stencil.offsets.sort()
+
+
+def unique_pair_scatter(patch, groups, data):
+    """Oracle: groups summed into ``data``, one full-length bincount each, through the unique oracle's upper pattern."""
+    _, _, plan = upper_scatter_plan(patch)
+    for start, ke in groups:
+        data = data + np.bincount(plan[start : start + len(ke)].ravel(), weights=ke.ravel(), minlength=data.size)
+    return data
+
+
+DIAGONAL_PATCHES = [
+    disc_patch(3),
+    octant_patch(2),
+    elevate_bezier_degree(quarter_disc_patch(1.0)),
+    elevate_bezier_degree(sphere_octant_patch(1.0)),
+    double_knot_patch(2),
+]
+DIAGONAL_IDS = ["2d", "3d", "2d-p3-base", "3d-p3-base", "2d-p3-double-knot"]
+
+
+class TestDiagonalStorage:
+    @pytest.mark.parametrize("patch", DIAGONAL_PATCHES, ids=DIAGONAL_IDS)
+    def test_tocsr_matches_einsum_and_unique_pair_oracles(self, patch, monkeypatch):
+        groups = record_groups(monkeypatch)
+        K = assemble_stiffness(patch, MAT)
+        indptr, indices, _ = upper_scatter_plan(patch)
+        U = sp.csr_matrix((unique_pair_scatter(patch, groups, np.zeros(indices.size)), indices, indptr))
+        A = K.tocsr()
+        assert A.has_canonical_format
+        assert np.array_equal(A.toarray(), (U + sp.triu(U, k=1).T).toarray())
+        ref = einsum_stiffness(patch, MAT)
+        assert np.abs(A.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["linear", "neo-hookean"])
+    @pytest.mark.parametrize("patch", DIAGONAL_PATCHES, ids=DIAGONAL_IDS)
+    def test_data_equals_unique_pair_scatter(self, patch, kind, monkeypatch):
+        # the element rows summed through the closed-form slots equal the same rows summed
+        # through the np.unique pattern, bit for bit, and nothing else is stored
+        groups = record_groups(monkeypatch)
+        indptr, indices, _ = upper_scatter_plan(patch)
+        zero = np.zeros(indices.size)
+        if kind == "linear":
+            K = assemble_stiffness(patch, MAT)
+            want = unique_pair_scatter(patch, groups, zero)
+        else:
+            mat = NeoHookeanMaterial(1.0, 0.3)
+            quad = patch_quadrature(patch)
+            n_grad = len(groups)
+            K = assembly.neo_hookean_tangent(quad, mat, neo_hookean_residual(quad, mat, smooth_state(patch, 5)))
+            grad = unique_pair_scatter(patch, groups[:n_grad], zero)
+            want = unique_pair_scatter(patch, groups[n_grad:], mat.lame()[0] * grad)
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        j = np.searchsorted(K.stencil.offsets, indices - rows)
+        assert np.array_equal(K.data[j, rows], want)
+        rest = K.data.copy()
+        rest[j, rows] = 0.0
+        assert not rest.any()
+
+    @pytest.mark.parametrize("kind", ["linear", "neo-hookean"])
+    @pytest.mark.parametrize("patch", DIAGONAL_PATCHES, ids=DIAGONAL_IDS)
+    def test_product_matches_dense(self, patch, kind):
+        if kind == "linear":
+            K = assemble_stiffness(patch, MAT)
+        else:
+            K = neo_hookean_forces(patch, NeoHookeanMaterial(1.0, 0.3), smooth_state(patch, 3))[1]
+        dense = K.toarray()
+        x = np.random.default_rng(7).normal(size=dense.shape[0])
+        want = dense @ x
+        assert np.abs(K @ x - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_assembly_peak_memory(self):
+        # the reference level of hertz2d-p003 (50 x 98 functions, 9,800 dofs): assembly
+        # holds the returned data and one chunk's element transients (basis tables,
+        # gradients, pair products, upper rows and slots), bounded here by eight
+        # 256-element chunks of full 18 x 18 element matrices; no per-patch slot table
+        config = RunConfig(benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1))
+        patch = quarter_disc_level_patch(config, 4)
+        assert patch.space.space.n_basis == (50, 98)
+        assemble_stiffness(patch, MAT)  # caches warmed
+        tracemalloc.start()
+        try:
+            K = assemble_stiffness(patch, MAT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = 9 * 2
+        assert peak <= K.data.nbytes + 8 * assembly._GROUP * m * m * 8
 
 
 class TestLoads:
@@ -659,23 +778,24 @@ class TestNeoHookean:
         u = (0.05 * np.sin(x) + 0.02 * x ** 2).ravel()
         f, K_T = neo_hookean_forces(patch, mat, u, quad=patch_quadrature(patch))
         nd = patch.ndim
-        plan = scatter_plan(patch)
-        data = np.zeros(plan.nnz)
+        slots = assembly._element_slots(patch)
+        data = slots.stencil.zeros()
         start = 0
         for b in iter_element_blocks(patch, max(patch.degrees) + 1):
             g, wdet = b.grads_phys, b.wdet
             Fdef = np.eye(nd) + np.einsum("eai,eqaj->eqij", u.reshape(-1, nd)[b.dofs], g)
             J, Finv = det_and_inverse(Fdef)
-            k_grad = _grad_products(_grad_layout(g), mu * wdet)
+            k_grad = _grad_products(g.transpose(0, 2, 1, 3).reshape(g.shape[0], g.shape[2], -1), mu * wdet)
             c_swap = (mu - lam * np.log(J)) * wdet
             ce, nloc = b.dofs.shape
             ke = two_product_element_matrices(g @ Finv, lam * wdet, c_swap).reshape(ce, nloc, nd, nloc, nd)
             for i in range(nd):
                 ke[:, :, i, :, i] += k_grad
             m = nloc * nd
-            plan.add(data, start, ke.reshape(ce, m * m)[:, np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))])
+            upper = np.flatnonzero(np.triu(np.ones((m, m), dtype=bool)))
+            slots.add(data, start, ke.reshape(ce, m * m)[:, upper])
             start += g.shape[0]
-        assert np.array_equal(K_T.indices, plan.indices) and np.array_equal(K_T.indptr, plan.indptr)
+        assert K_T.stencil is slots.stencil
         assert np.abs(K_T.data - data).max() <= 1e-14 * np.abs(data).max()
 
     @pytest.mark.parametrize("patch", [disc_patch(3), octant_patch(2)], ids=["2d", "3d"])

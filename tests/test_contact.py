@@ -281,7 +281,7 @@ class TestContactResidualAndTangent:
         constraints = {} if fixed_face is None else dirichlet_on_face(patch, fixed_face, component=1)
         K = assemble_stiffness(patch, LinearMaterial(1.0, 0.3))
         none = np.zeros(B.shape[0], dtype=bool)  # plain band order, no walk
-        layout = solver._band_layout(K.indptr, K.indices, patch.space.space.n_basis, 2, B, constraints, none)
+        layout = solver._band_layout(K.stencil, B, constraints, none)
         fixed = np.fromiter(constraints, dtype=np.int64, count=len(constraints))
         assert np.array_equal(layout.fixed, fixed)  # the layout's split of the constraints
         return layout, B, basis, fixed

@@ -41,6 +41,8 @@ from igacontact.geometry import (
     GeometryError,
     extract_trace,
     face_id,
+    quarter_disc_patch,
+    sphere_octant_patch,
     unit_square_patch,
 )
 from igacontact.materials import LinearMaterial
@@ -437,22 +439,27 @@ def warm_set(setup, config):
     return benchmarks._warm_active_set(setup, config.radius, a)
 
 
-def upper(A):
-    """A symmetric matrix in the solvers' storage: its upper triangle as a SymmetricCSR."""
-    U = sp.triu(A, format="csr")
-    return assembly.SymmetricCSR(U.data, U.indices, U.indptr)
-
-
-def plain_layout(K, B, grid):
-    """The band layout of K's pattern in the band_order of ``grid``, (shape, n_comp): nothing fixed, no walk."""
+def upper(A, grid):
+    """A symmetric matrix on the degree-2 basis grid ``grid``, (shape, n_comp), in the solvers' storage: its upper diagonals."""
     shape, n_comp = grid
-    return solver._band_layout(K.indptr, K.indices, shape, n_comp, B, {}, np.zeros(B.shape[0], dtype=bool))
+    stencil = assembly._grid_stencil(tuple(shape), n_comp, 2)
+    U = sp.triu(A, format="coo")
+    j = np.minimum(np.searchsorted(stencil.offsets, U.col - U.row), stencil.offsets.size - 1)
+    assert np.array_equal(stencil.offsets[j], U.col - U.row)  # every entry lies on a diagonal of the grid
+    data = stencil.zeros()
+    data[j, U.row] = U.data
+    return assembly.SymmetricDiagonals(data, stencil)
+
+
+def plain_layout(K, B):
+    """The band layout of K's grid in plain band_order: nothing fixed, no walk."""
+    return solver._band_layout(K.stencil, B, {}, np.zeros(B.shape[0], dtype=bool))
 
 
 def condensed_saddle(K, F, Bhat, grid):
-    """_CondensedSaddle of a constrained K, stored as its upper triangle, on the band layout of that pattern."""
-    K = upper(K)
-    return _CondensedSaddle(K, F, plain_layout(K, Bhat, grid))
+    """_CondensedSaddle of a constrained K on the basis grid ``grid``, stored as its upper diagonals."""
+    K = upper(K, grid)
+    return _CondensedSaddle(K, F, plain_layout(K, Bhat))
 
 
 def count_step_attempts(monkeypatch):
@@ -571,7 +578,7 @@ class TestBandOrder:
         assert patch.space.space.n_basis == (26, 50)
         K = assemble_stiffness(patch, MAT)
         n = K.shape[0]
-        ab = plain_layout(K, sp.csr_matrix((1, n)), ((26, 50), 2)).fill(K.data)
+        ab = plain_layout(K, sp.csr_matrix((1, n))).fill(K.data)
         assert ab.shape == (110, n)
 
 
@@ -600,14 +607,14 @@ class TestBandLayout:
             u = 0.03 * np.column_stack([np.sin(2 * x[:, 0]), np.cos(x[:, 1])]).ravel()
             K = neo_hookean_forces(patch, problem.material, u)[1]
         shape, warm = patch.space.space.n_basis, warm_set(setup, config)
-        layout = solver._band_layout(K.indptr, K.indices, shape, 2, problem.coupling, problem.constraints, warm)
+        layout = solver._band_layout(K.stencil, problem.coupling, problem.constraints, warm)
         order = layout.order
         Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in problem.constraints})
         PKP = Kc.toarray()[np.ix_(order, order)]
         assert not np.tril(PKP, -layout.u - 1).any()
         assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
         x = np.random.default_rng(4).normal(size=n)
-        assert np.array_equal(layout.matvec(K, x), upper(Kc) @ x)
+        assert np.array_equal(layout.matvec(K, x), upper(Kc, (shape, 2)) @ x)
 
     def test_lower_storage_diagonal_in_row_zero(self, monkeypatch):
         # the band is LAPACK's lower storage: row 0 holds the diagonal of P K P^T (unit
@@ -616,7 +623,7 @@ class TestBandLayout:
         K, nd = problem.stiffness, problem.patch.ndim
         shape = problem.patch.space.space.n_basis
         none = np.zeros(problem.coupling.shape[0], dtype=bool)
-        layout = solver._band_layout(K.indptr, K.indices, shape, nd, problem.coupling, problem.constraints, none)
+        layout = solver._band_layout(K.stencil, problem.coupling, problem.constraints, none)
         Kc, _ = apply_constraints(K, np.zeros(K.shape[0]), problem.constraints)
         ab = layout.fill(K.data)
         assert np.array_equal(ab[0], Kc.diagonal()[layout.order])
@@ -654,15 +661,15 @@ class TestBandLayout:
         F[fixed] = 0.0
         act = np.flatnonzero(warm)
         g = 1e-3 * rng.normal(size=act.size)
-        layout = solver._band_layout(K_T.indptr, K_T.indices, shape, 2, problem.coupling, problem.constraints, warm)
+        layout = solver._band_layout(K_T.stencil, problem.coupling, problem.constraints, warm)
         raw = _CondensedSaddle(K_T, F, layout)
         u, lam = raw.solve(act, g)
         u_ref, lam_ref = saddle_solve(Kc, F, Bhat[act], g)
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
         # the constrained matrix, nothing fixed, in the same order
-        Kc = upper(Kc)
-        constrained = solver._band_layout(Kc.indptr, Kc.indices, shape, 2, Bhat, {}, warm)
+        Kc = upper(Kc, (shape, 2))
+        constrained = solver._band_layout(Kc.stencil, Bhat, {}, warm)
         assert np.array_equal(constrained.order, layout.order)
         assert np.array_equal(u, _CondensedSaddle(Kc, F, constrained).solve(act, g)[0])
 
@@ -678,7 +685,7 @@ class TestBandLayout:
         Bhat = masked_coupling(B, fixed)
         shape, nd = problem.patch.space.space.n_basis, problem.patch.ndim
         none = np.zeros(m, dtype=bool)
-        layout = solver._band_layout(K.indptr, K.indices, shape, nd, B, {int(d): 0.0 for d in fixed}, none)
+        layout = solver._band_layout(K.stencil, B, {int(d): 0.0 for d in fixed}, none)
         order = layout.order
         assert np.array_equal(order, band_order(shape, nd))
         assert np.array_equal(layout.cols, np.unique(B.indices))
@@ -698,6 +705,59 @@ class TestBandLayout:
         for take in (rows, rows[rows.size // 2 :], rows[-1:]):
             r0 = int(layout.first[take].min())
             assert np.array_equal(layout.band_rows(take, r0), Bband[take, r0:].T)
+
+    @pytest.mark.parametrize("walk", ["natural", "flipped", "3d"])
+    def test_strided_copies_match_dense_band(self, walk):
+        # every coupling of the grid's stencil is one strided copy into one band row: the
+        # band equals that of P apply_constraints(K) P^T bit for bit on a natural walk, on
+        # one walked back along every axis (last=) and on a 3D one, each with fixed dofs
+        if walk == "3d":
+            patch = sphere_octant_patch(1.0).refine_to_breakpoints([[0.5], [0.25, 0.5, 0.75], [0.3, 0.6]])
+        else:
+            patch = quarter_disc_patch(1.0).refine_to_breakpoints([[0.3, 0.6], [0.2, 0.4, 0.6, 0.8]])
+        nd, shape = patch.ndim, patch.space.space.n_basis
+        K = assemble_stiffness(patch, MAT)
+        n = K.shape[0]
+        # one coupling row on the function at the grid's far corner (natural), at its origin
+        # (flipped: every axis walked back) or at (0, last, 0) (3D: axes 0 and 2 walked back)
+        corner = {"natural": [s - 1 for s in shape], "flipped": [0] * nd, "3d": [0, shape[1] - 1, 0]}[walk]
+        coupled = int(np.ravel_multi_index(corner, shape)) * nd + np.arange(nd)
+        B = sp.csr_matrix((np.ones(nd), (np.zeros(nd, dtype=int), coupled)), shape=(1, n))
+        fixed = np.setdiff1d(np.random.default_rng(9).choice(n, size=n // 7, replace=False), coupled)
+        constraints = {int(d): 0.0 for d in fixed}
+        layout = solver._band_layout(K.stencil, B, constraints, np.ones(1, dtype=bool))
+        assert layout.walk[2] == {"natural": (), "flipped": tuple(range(nd)), "3d": (0, 2)}[walk]
+        assert np.array_equal(layout.order, band_order(shape, nd, last=coupled[:1] // nd))
+        Kc, _ = apply_constraints(K, np.zeros(n), constraints)
+        PKP = Kc.toarray()[np.ix_(layout.order, layout.order)]
+        assert not np.tril(PKP, -layout.u - 1).any()
+        assert np.array_equal(layout.fill(K.data), dense_band(PKP, layout.u))
+
+    @pytest.mark.parametrize("level", ["hertz2d-p003", "hertz2d-large-p01", "hertz3d-coarse", "hertz3d-0"])
+    def test_halfwidth_is_the_measured_one(self, level):
+        # the half-bandwidth of the degree formula is the widest free pair of the constrained
+        # pattern in the layout's order, on the reference levels of the gated workloads
+        if level.startswith("hertz3d"):
+            config = RunConfig(benchmark="hertz3d", pressure=1e-4, levels=2, base_spans=(2, 4, 2), grading=(0.5, 0.2))
+            patch = sphere_octant_level_patch(config, 2 if level == "hertz3d-coarse" else 0)
+            problem = build_hertz3d_problem(patch, config)[0]
+        elif level == "hertz2d-p003":
+            config = RunConfig(benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1))
+            patch = quarter_disc_level_patch(config, 4)
+            problem = build_hertz2d_problem(patch, config)[0]
+        else:
+            config = RunConfig(benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45))
+            patch = quarter_disc_level_patch(config, 3)
+            problem = build_large_deformation_problem(patch, config)[0]
+        K = assemble_stiffness(patch, MAT)
+        none = np.zeros(problem.coupling.shape[0], dtype=bool)
+        layout = solver._band_layout(K.stencil, problem.coupling, problem.constraints, none)
+        A = apply_constraints(K, np.zeros(K.shape[0]), problem.constraints)[0].tocoo()
+        free = np.ones(K.shape[0], dtype=bool)
+        free[layout.fixed] = False
+        pair = free[A.row] & free[A.col]
+        measured = np.abs(layout.pos[A.row[pair]].astype(np.int64) - layout.pos[A.col[pair]]).max()
+        assert layout.u == measured == solver._band_halfwidth(patch.space.space.n_basis, patch.ndim, 2)
 
     @pytest.mark.parametrize("grid", ["26x50", "10x18x10"])
     def test_contact_rows_come_last(self, grid):
@@ -724,8 +784,8 @@ class TestBandLayout:
         assert "x".join(map(str, shape)) == grid
         n = patch.space.dim * nd
         plain = band_order(shape, nd)
-        plan = assembly.scatter_plan(patch)
-        order = solver._band_layout(plan.indptr, plan.indices, shape, nd, setup.coupling, {}, warm).order
+        stencil = assembly._grid_stencil(shape, nd, max(patch.degrees))
+        order = solver._band_layout(stencil, setup.coupling, {}, warm).order
         assert np.array_equal(np.sort(order), np.arange(n))
         rows = setup.coupling[np.flatnonzero(warm)]
         pos = np.empty(n, dtype=np.int64)
@@ -840,8 +900,8 @@ class TestCondensedSaddle:
         # a new load on a built saddle: the same (u, lam) as a saddle built on it,
         # on the columns solved for the old load and on new ones, and the oracle's
         K, F, Bhat, g, grid, actives = build()
-        K_up = upper(K)
-        layout = plain_layout(K_up, Bhat, grid)
+        K_up = upper(K, grid)
+        layout = plain_layout(K_up, Bhat)
         saddle = _CondensedSaddle(K_up, F, layout)
         first = np.flatnonzero(actives[0])
         saddle.solve(first, g[first])
@@ -987,10 +1047,7 @@ class TestLargeDeformation:
         F_t = 0.5 * assemble_load(patch, problem.tractions)
         quad = patch_quadrature(patch)
         empty = np.zeros(problem.coupling.shape[0], dtype=bool)
-        layout = solver._band_layout(
-            quad.plan.indptr, quad.plan.indices, patch.space.space.n_basis, 2, problem.coupling,
-            problem.constraints, empty,
-        )
+        layout = solver._band_layout(quad.slots.stencil, problem.coupling, problem.constraints, empty)
         settled = record_settled(monkeypatch)
         calls = count_factorizations(monkeypatch)
         *_, records = solver._newton_contact_step(
@@ -1016,10 +1073,7 @@ class TestLargeDeformation:
         assert not any(problem.constraints.values())
         F_t = 1.5 * assemble_load(patch, problem.tractions)
         residual = neo_hookean_residual(quad, problem.material, half.u)
-        layout = solver._band_layout(
-            quad.plan.indptr, quad.plan.indices, patch.space.space.n_basis, 2, problem.coupling,
-            problem.constraints, half.active,
-        )
+        layout = solver._band_layout(quad.slots.stencil, problem.coupling, problem.constraints, half.active)
         settled = record_settled(monkeypatch)
         solver._newton_contact_step(
             problem, quad, half.u, half.lam, half.active, layout, F_t, 1.5, 1, 1.0, (residual, None),
