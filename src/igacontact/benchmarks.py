@@ -173,47 +173,38 @@ class RunConfig:
 
 
 def bisect_breakpoints(breaks: np.ndarray, times: int) -> np.ndarray:
+    """Halve every span of the increasing ``breaks`` ``times`` times, each midpoint interleaved after its left end."""
     out = np.asarray(breaks, dtype=float)
     for _ in range(times):
-        mids = 0.5 * (out[:-1] + out[1:])
-        out = np.sort(np.concatenate([out, mids]))
+        finer = np.empty(2 * out.size - 1)
+        finer[::2] = out
+        finer[1::2] = 0.5 * (out[:-1] + out[1:])
+        out = finer
     return out
 
 
-def _base_patch(config: RunConfig, maker) -> NurbsPatch:
-    patch = maker(config.radius)
-    if config.degree == 3:
-        patch = elevate_bezier_degree(patch)
-    return patch
+def _base_patch(config: RunConfig) -> NurbsPatch:
+    """The single-element patch every level of a run refines: the sphere octant for hertz3d, else the quarter disc."""
+    patch = (sphere_octant_patch if config.benchmark == "hertz3d" else quarter_disc_patch)(config.radius)
+    return elevate_bezier_degree(patch) if config.degree == 3 else patch
 
 
-def _quarter_disc_mesh(config: RunConfig, level: int):
-    """The base patch and the interior breakpoints of each axis at ``level``."""
-    rad_n, arc_n = config.base_spans
-    sf, lf = config.grading
-    rad = bisect_breakpoints(graded_breakpoints_toward_end(rad_n, sf, lf), level)
-    arc = bisect_breakpoints(graded_breakpoints(arc_n, sf, lf), level)
-    return _base_patch(config, quarter_disc_patch), [rad[1:-1], arc[1:-1]]
-
-
-def _sphere_octant_mesh(config: RunConfig, level: int):
-    """The base patch and the interior breakpoints of each axis at ``level``."""
-    az_n, pol_n, rad_n = config.base_spans
-    sf, lf = config.grading
-    az = bisect_breakpoints(np.linspace(0.0, 1.0, az_n + 1), level)
-    pol = bisect_breakpoints(graded_breakpoints(pol_n, sf, lf), level)
-    rad = bisect_breakpoints(graded_breakpoints_toward_end(rad_n, sf, lf), level)
-    return _base_patch(config, sphere_octant_patch), [az[1:-1], pol[1:-1], rad[1:-1]]
+def _level_breakpoints(config: RunConfig, level: int) -> list[np.ndarray]:
+    """The interior breakpoints of each axis of the base patch at ``level``."""
+    n, g = config.base_spans, config.grading
+    if config.benchmark == "hertz3d":  # azimuth, polar, radial
+        axes = [np.linspace(0.0, 1.0, n[0] + 1), graded_breakpoints(n[1], *g), graded_breakpoints_toward_end(n[2], *g)]
+    else:  # radial, arc
+        axes = [graded_breakpoints_toward_end(n[0], *g), graded_breakpoints(n[1], *g)]
+    return [bisect_breakpoints(b, level)[1:-1] for b in axes]
 
 
 def quarter_disc_level_patch(config: RunConfig, level: int) -> NurbsPatch:
-    base, breaks = _quarter_disc_mesh(config, level)
-    return base.refine_to_breakpoints(breaks)
+    """The base patch of ``config`` (:func:`_base_patch`) refined to ``level``."""
+    return _base_patch(config).refine_to_breakpoints(_level_breakpoints(config, level))
 
 
-def sphere_octant_level_patch(config: RunConfig, level: int) -> NurbsPatch:
-    base, breaks = _sphere_octant_mesh(config, level)
-    return base.refine_to_breakpoints(breaks)
+sphere_octant_level_patch = quarter_disc_level_patch  # the hertz3d name, which perfbench/tracer.py wraps too
 
 
 @dataclass
@@ -427,15 +418,14 @@ def _physical_memory() -> int:
 def _check_levels_fit(config: RunConfig, level_ids) -> None:
     """Raise the :func:`_too_large` error of the first level whose banded factor exceeds physical memory.
 
-    The basis grid of every level comes from the base patch's knot
-    vectors and the level's breakpoints, so nothing is refined or
-    assembled.
+    The basis grid of every level comes from the knot vectors of the
+    base patch, built once, and the level's breakpoints, so nothing is
+    refined or assembled.
     """
-    mesh = _sphere_octant_mesh if config.benchmark == "hertz3d" else _quarter_disc_mesh
+    base = _base_patch(config)
     memory = _physical_memory()
     for level in level_ids:
-        base, breaks = mesh(config, level)
-        shape = base.refined_grid_shape(breaks)
+        shape = base.refined_grid_shape(_level_breakpoints(config, level))
         if _band_bytes(shape, base.ndim, config.degree)[2] > memory:
             raise _too_large(level, shape, base.ndim, config.degree)
 
@@ -454,10 +444,7 @@ def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> Lev
     factor it needs, and any other solver failure is prefixed with the
     level.
     """
-    if config.benchmark == "hertz3d":
-        patch = sphere_octant_level_patch(config, level)
-    else:
-        patch = quarter_disc_level_patch(config, level)
+    patch = (sphere_octant_level_patch if config.benchmark == "hertz3d" else quarter_disc_level_patch)(config, level)
     try:
         if config.benchmark == "hertz2d":
             problem, setup = build_hertz2d_problem(patch, config, prev)

@@ -2,18 +2,20 @@
 
 The multiplier space lives on the contact face and has degree p - 2 per
 direction.  Its measures, weighted gaps, coupling and stability masses
-are moments of that basis on the face, each a product of sparse basis
-matrices: with M the (m, n_multipliers) matrix of the multiplier basis
-B_K at the m trace quadrature points, E the matrix of the primal trace
-basis N_A there and w the quadrature weights times the surface measure,
+are moments of that basis on the face: with M the (m, n_multipliers)
+matrix of the multiplier basis B_K at the m trace quadrature points, E
+the matrix of the primal trace basis N_A there and w the quadrature
+weights times the surface measure,
 
     measures        integral(B_K)                   = M^T w
     weighted gaps   integral(B_K g) / integral(B_K) = M^T (g w) / measures
     coupling        integral(B_K N_A)               = M^T (w E)
 
-and the stability masses are the Gram products E^T (w E) and M^T (w M).
-The vector coupling to the displacement dofs is the scalar one with its
-columns sent to the normal components.  A multiplier dof K is active
+and the stability masses are the Gram products E^T (w E) and M^T (w M),
+each summed from the matrices' per-point tables as the sparse products
+would sum it (:func:`_moments`, :func:`_pair_moments`).  The vector
+coupling to the displacement dofs is the scalar one with its columns
+sent to the normal components.  A multiplier dof K is active
 when its constraint ``weighted_gap_K = 0`` is enforced; inactive dofs
 have their multiplier pinned to zero.  This module holds the whole
 activity decision: the update rule (:func:`active_set_update`), the
@@ -57,16 +59,33 @@ class MultiplierBasis:
 
 
 def multiplier_basis(trace: BoundaryTrace) -> MultiplierBasis:
-    """Build the multiplier space of a trace and integrate its basis measures."""
+    """Build the multiplier space of a trace, its basis matrix M and the measures M^T wmeas (:func:`_moments`)."""
     space = multiplier_space(trace.space.space)
     # rational surface measures are not polynomial; one extra point keeps
     # the partition-of-unity identity of the measures below 1e-10
     tq = build_trace_quadrature(trace, max(trace.space.space.degrees) + 2)
     values = grid_basis_matrix([_direction_matrices(kv, z, 0)[0] for kv, z in zip(space.knot_vectors, tq.abscissae)])
-    measures = values.T @ tq.wmeas
+    measures = _moments(values, tq.wmeas)
     if np.any(measures <= 0):
         raise ContactError("degenerate multiplier basis: nonpositive basis measure")
     return MultiplierBasis(trace=trace, space=space, quadrature=tq, values=values, measures=measures)
+
+
+def _moments(A: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
+    """A^T f of a point basis matrix A (every row holds equally many entries), summed as A.T @ f sums."""
+    return np.bincount(A.indices, (A.data.reshape(f.size, -1) * f[:, None]).ravel(), minlength=A.shape[1])
+
+
+def _pair_moments(A: sp.csr_matrix, C: sp.csr_matrix, w: np.ndarray):
+    """The entries ``(rows, cols, values)`` of A^T (w C) in CSR order, for point basis matrices A and C.
+
+    Each point adds its products (C_j w) A_i to the pair (i, j), in point order from zero, as the sparse product does.
+    """
+    m, n = w.size, C.shape[1]
+    pairs = A.indices.reshape(m, -1, 1).astype(np.int64) * n + C.indices.reshape(m, 1, -1)
+    keys, at = np.unique(pairs.ravel(), return_inverse=True)
+    wC = C.data.reshape(m, -1) * w[:, None]
+    return *np.divmod(keys, n), np.bincount(at, (wC[:, None, :] * A.data.reshape(m, -1, 1)).ravel())
 
 
 def weighted_gap(values, basis: MultiplierBasis) -> np.ndarray:
@@ -79,28 +98,24 @@ def weighted_gap(values, basis: MultiplierBasis) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != tq.weights.shape:
         raise ContactError("field values must align with the basis quadrature points")
-    return basis.values.T @ (v * tq.wmeas) / basis.measures
-
-
-def _weighted(A: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
-    """w A: a point basis matrix with each point's row scaled by its weight."""
-    return sp.csr_matrix((A.data * np.repeat(w, np.diff(A.indptr)), A.indices, A.indptr), shape=A.shape)
+    return _moments(basis.values, v * tq.wmeas) / basis.measures
 
 
 def coupling_matrix(basis: MultiplierBasis, n_comp: int, n_vol_basis: int) -> sp.csr_matrix:
     """Coupling B[K, dof] = integral(B_K N_A n_c) for dof = A n_comp + c; columns live on contact-face dofs.
 
-    The scalar coupling M^T (w E), with each stored entry (K, A) sent to
-    the volume dof of A for every nonzero normal component c and scaled
-    by n_c.
+    The scalar coupling M^T (w E) (:func:`_pair_moments`), with each
+    entry (K, A) sent to the volume dof of A for every nonzero normal
+    component c and scaled by n_c, in one CSR matrix.
     """
-    Bs = (basis.values.T @ _weighted(basis.quadrature.values, basis.quadrature.wmeas)).tocsr()
+    M = basis.values
+    rows, face_cols, values = _pair_moments(M, basis.quadrature.values, basis.quadrature.wmeas)
     n = basis.trace.normal
     comps = np.flatnonzero(n)
-    cols = basis.trace.dof_map[Bs.indices][:, None] * n_comp + comps
-    data = Bs.data[:, None] * n[comps]
-    shape = (Bs.shape[0], n_vol_basis * n_comp)
-    return sp.csr_matrix((data.ravel(), cols.ravel(), Bs.indptr * comps.size), shape=shape)
+    cols = basis.trace.dof_map[face_cols][:, None] * n_comp + comps
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=M.shape[1]))]) * comps.size
+    shape = (M.shape[1], n_vol_basis * n_comp)
+    return sp.csr_matrix(((values[:, None] * n[comps]).ravel(), cols.ravel(), indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -149,8 +164,12 @@ def scalar_coupling_and_masses(basis: MultiplierBasis):
     as dense arrays.
     """
     M, E, w = basis.values, basis.quadrature.values, basis.quadrature.wmeas
-    wE = _weighted(E, w)
-    return (M.T @ wE).toarray(), (E.T @ wE).toarray(), (M.T @ _weighted(M, w)).toarray()
+    out = []
+    for A, C in ((M, E), (E, E), (M, M)):
+        rows, cols, values = _pair_moments(A, C, w)
+        out.append(np.zeros((A.shape[1], C.shape[1])))
+        out[-1][rows, cols] = values
+    return tuple(out)
 
 
 def dump_contact_state(state: ContactState, path) -> None:

@@ -21,6 +21,7 @@ and 1 at parameter 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -82,26 +83,20 @@ class NurbsPatch:
     def degrees(self) -> tuple[int, ...]:
         return self.space.space.degrees
 
-    def homogeneous_controls(self) -> np.ndarray:
-        w = self.space.weights
-        return np.concatenate([self.control_points * w[:, None], w[:, None]], axis=1)
-
     def refine_to_breakpoints(self, breakpoints_per_axis) -> "NurbsPatch":
-        """Insert every listed breakpoint (once) that is not yet a knot; the map is unchanged.
+        """Insert every listed breakpoint that is not yet a knot (:func:`_new_breakpoints`); the map is unchanged.
 
         Each axis gets one knot-insertion matrix, applied to the
         homogeneous net (w x, w) along that axis.
         """
         kvs = list(self.knot_vectors)
-        refined = False
-        hw = self.homogeneous_controls().reshape(self.space.space.n_basis + (self.ndim + 1,))
+        hw = np.moveaxis(self.space.homogeneous(self.control_points), 0, -1)  # (*grid, (w x, w))
         for axis, breaks in enumerate(breakpoints_per_axis):
             new = _new_breakpoints(kvs[axis], breaks)
             if new.size:
                 kvs[axis], T = insertion_matrix(kvs[axis], new)
                 hw = np.moveaxis(np.tensordot(T, hw, axes=(1, axis)), 0, axis)
-                refined = True
-        if not refined:
+        if all(a is b for a, b in zip(kvs, self.knot_vectors)):
             return self
         weights = hw[..., -1].ravel()
         controls = hw[..., :-1].reshape(-1, self.ndim) / weights[:, None]
@@ -120,9 +115,15 @@ class NurbsPatch:
 
 
 def _new_breakpoints(kv: KnotVector, breaks) -> np.ndarray:
-    """The distinct values of ``breaks`` that are not yet breakpoints of ``kv``."""
+    """The distinct values of ``breaks`` that are not yet breakpoints of ``kv``.
+
+    A value within 4 ulps of the domain's larger end (8.9e-16 on [0, 1]) of
+    a breakpoint is that breakpoint: two sorted searches count the window.
+    """
     z = np.unique(np.asarray(breaks, dtype=float))
-    return z[~np.isclose(z[:, None], kv.breakpoints).any(axis=1)]
+    known = kv.breakpoints
+    tol = 4 * np.spacing(max(abs(known[0]), abs(known[-1])))
+    return z[known.searchsorted(z - tol) == known.searchsorted(z + tol, side="right")]
 
 
 def graded_breakpoints(n_spans: int, span_fraction: float, length_fraction: float) -> np.ndarray:
@@ -200,12 +201,9 @@ def sphere_octant_patch(R: float) -> NurbsPatch:
     # surface of revolution of the pole-to-equator quarter arc about the z axis
     profile = np.array([[0.0, 0.0, -R], [R, 0.0, -R], [R, 0.0, 0.0]])
     profile_w = np.array([1.0, _ARC_WEIGHT, 1.0])
-    surf_ctrl = np.zeros((3, 3, 3))  # (azimuth, polar, xyz)
-    surf_w = np.zeros((3, 3))
-    for j in range(3):
-        r, z = profile[j, 0], profile[j, 2]
-        surf_ctrl[:, j] = [[r, 0.0, z], [r, r, z], [0.0, r, z]]
-        surf_w[:, j] = profile_w[j] * np.array([1.0, _ARC_WEIGHT, 1.0])
+    r, zero, z = profile.T  # surf_ctrl is (azimuth, polar, xyz)
+    surf_ctrl = np.stack([np.stack(xyz, axis=-1) for xyz in ((r, zero, z), (r, r, z), (zero, r, z))])
+    surf_w = np.outer([1.0, _ARC_WEIGHT, 1.0], profile_w)
     ctrl = np.zeros((3, 3, 3, 3))  # (azimuth, polar, radial, xyz)
     ctrl[:, :, 1] = 0.5 * surf_ctrl
     ctrl[:, :, 2] = surf_ctrl
@@ -230,26 +228,15 @@ def unit_square_patch(degree: int, n_spans: int) -> NurbsPatch:
 
 def elevate_bezier_degree(patch: NurbsPatch) -> NurbsPatch:
     """Raise every direction's degree by one on a single-element patch."""
-    for kv in patch.knot_vectors:
-        if kv.n_elements != 1:
-            raise GeometryError("degree elevation implemented for single-element patches only")
-    shape = patch.space.space.n_basis
-    hw = patch.homogeneous_controls().reshape(shape + (patch.ndim + 1,))
+    if any(kv.n_elements != 1 for kv in patch.knot_vectors):
+        raise GeometryError("degree elevation implemented for single-element patches only")
+    hw = np.moveaxis(patch.space.homogeneous(patch.control_points), 0, -1)
     kvs = []
     for axis, kv in enumerate(patch.knot_vectors):
         p = kv.degree
-        hw = np.moveaxis(hw, axis, 0)
-        old = hw
-        new = np.zeros((p + 2,) + old.shape[1:])
-        for i in range(p + 2):
-            a = i / (p + 1.0)
-            if i == 0:
-                new[i] = old[0]
-            elif i == p + 1:
-                new[i] = old[p]
-            else:
-                new[i] = a * old[i - 1] + (1 - a) * old[i]
-        hw = np.moveaxis(new, 0, axis)
+        old = np.moveaxis(hw, axis, 0)  # new point i = a_i old_(i-1) + (1 - a_i) old_i, a_i = i / (p + 1)
+        a = (np.arange(1, p + 1) / (p + 1.0)).reshape((p,) + (1,) * (old.ndim - 1))
+        hw = np.moveaxis(np.concatenate([old[:1], a * old[:-1] + (1 - a) * old[1:], old[-1:]]), 0, axis)
         lo, hi = kv.domain
         kvs.append(make_open_knot_vector([lo, hi], p + 1))
     weights = hw[..., -1].ravel()
@@ -311,8 +298,7 @@ def extract_trace(patch: NurbsPatch, face: int, rigid_normal=None) -> BoundaryTr
         normal = np.zeros(patch.ndim)
     else:
         normal = np.asarray(rigid_normal, dtype=float)
-        nrm = np.linalg.norm(normal)
-        if not np.isclose(nrm, 1.0):
+        if not math.isclose(math.hypot(*normal), 1.0, rel_tol=1e-5, abs_tol=1e-8):
             raise GeometryError("rigid normal must be a unit vector")
     return BoundaryTrace(
         patch=patch,

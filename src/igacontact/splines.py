@@ -27,8 +27,9 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,12 +123,7 @@ def make_open_knot_vector(breakpoints, degree, interior_multiplicities=None) -> 
             raise SplineError("one interior multiplicity per interior breakpoint")
     if n_int and (mult.min() < 1 or mult.max() > max(degree - 1, 1)):
         raise SplineError(f"interior multiplicities must lie in [1, {max(degree - 1, 1)}]")
-    knots = np.concatenate(
-        [np.full(degree + 1, z[0])]
-        + [np.full(m, zb) for zb, m in zip(z[1:-1], mult)]
-        + [np.full(degree + 1, z[-1])]
-    )
-    return KnotVector(knots, degree)
+    return KnotVector(np.repeat(z, np.concatenate([[degree + 1], mult, [degree + 1]])), degree)
 
 
 def find_spans(kv: KnotVector, zetas) -> np.ndarray:
@@ -197,11 +193,12 @@ def insertion_matrix(kv: KnotVector, values):
     The matrix T (n_fine, n_coarse) maps coefficients on ``kv`` to the
     same function's coefficients on the refined knots, ``c_fine = T @
     c_coarse``.  Its rows are the discrete B-splines of the Oslo
-    algorithm (Cohen, Lyche & Riesenfeld 1980), all rows in one pass.
+    algorithm (Cohen, Lyche & Riesenfeld 1980), raised degree by degree
+    for all rows at once in one (n_fine, p+1) array.
     """
     values = np.asarray(values, dtype=float)
     lo, hi = kv.domain
-    if np.any(values <= lo) or np.any(values >= hi):
+    if (values <= lo).any() or (values >= hi).any():
         raise SplineError("insertion points must lie strictly inside the domain")
     p, t = kv.degree, kv.knots
     tau = np.sort(np.concatenate([t, values]))
@@ -209,16 +206,18 @@ def insertion_matrix(kv: KnotVector, values):
     if mult.max(initial=0) > max(p - 1, 1):
         raise SplineError(f"an inserted knot's multiplicity would exceed {max(p - 1, 1)}")
     n = tau.size - p - 1
-    rows = np.arange(n)
-    mu = np.searchsorted(t, tau[:n], side="right")[:, None] - 1  # t[mu] <= tau[i] < t[mu + 1]
-    b = np.ones((n, 1))
+    mu = np.searchsorted(t, tau[:n], side="right") - 1  # t[mu] <= tau[i] < t[mu + 1]
+    near = t[mu[:, None] + np.arange(1 - p, p + 1)]  # column c holds t[mu + 1 - p + c]
+    b = np.eye(1, p + 1).repeat(n, axis=0)  # each row's degree-0 discrete B-spline
     for k in range(1, p + 1):
-        j = np.arange(k)
-        t1, t2 = t[mu - k + 1 + j], t[mu + 1 + j]
-        w = (tau[rows + k][:, None] - t1) / (t2 - t1)
-        b = np.pad((1.0 - w) * b, ((0, 0), (0, 1))) + np.pad(w * b, ((0, 0), (1, 0)))
+        t1, t2 = near[:, p - k : p], near[:, p : p + k]
+        w = (tau[k : k + n, None] - t1) / (t2 - t1)
+        right = w * b[:, :k]
+        b[:, :k] *= 1.0 - w
+        b[:, 0] += 0.0  # -0.0 becomes 0.0, as when the row was padded with a zero
+        b[:, 1 : k + 1] += right
     T = np.zeros((n, kv.n_basis))
-    T[rows[:, None], mu - p + np.arange(p + 1)] = b
+    T.reshape(-1)[(mu - p + np.arange(0, T.size, kv.n_basis))[:, None] + np.arange(p + 1)] = b
     return KnotVector(tau, p), T
 
 
@@ -261,7 +260,7 @@ class TensorSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.n_basis))
+        return math.prod(self.n_basis)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -365,12 +364,21 @@ def grid_basis_matrix(value_mats, weights=None) -> sp.csr_matrix:
     value matrix per direction): row q holds the products of one nonzero
     function per direction at grid point q, in ascending flat C-order
     index.  With ``weights`` the basis is rational, w_A N_A / sum_B w_B N_B.
+    The products are taken direction by direction from the matrices'
+    per-point tables, and the matrix is built once.
     """
-    E = reduce(lambda A, B: sp.kron(A, B, format="csr"), value_mats)
-    if weights is None:
-        return E
-    num = (weights[E.indices] * E.data).reshape(E.shape[0], -1)
-    return sp.csr_matrix(((num / num.sum(axis=1)[:, None]).ravel(), E.indices, E.indptr), shape=E.shape)
+    A, *rest = value_mats
+    if not rest and weights is None:
+        return A
+    idx, vals = A.indices.reshape(A.shape[0], -1), A.data.reshape(A.shape[0], -1)
+    for B in rest:
+        m = idx.shape[0] * B.shape[0]
+        idx = (idx[:, None, :, None] * B.shape[1] + B.indices.reshape(1, B.shape[0], 1, -1)).reshape(m, -1)
+        vals = (vals[:, None, :, None] * B.data.reshape(1, B.shape[0], 1, -1)).reshape(m, -1)
+    if weights is not None:
+        num = weights[idx] * vals
+        vals = num / num.sum(axis=1)[:, None]
+    return _point_basis_matrix(idx, vals, math.prod(A.shape[1] for A in value_mats))
 
 
 def _along(mat, X: np.ndarray, axis: int) -> np.ndarray:

@@ -227,9 +227,9 @@ def test_too_large_run_fails_before_any_work(tmp_path, capsys, monkeypatch):
     ids=lambda c: f"{c.benchmark}-p{c.degree}",
 )
 def test_memory_check_reads_each_level_grid_off_the_knot_vectors(config):
-    mesh = benchmarks._sphere_octant_mesh if config.benchmark == "hertz3d" else benchmarks._quarter_disc_mesh
+    base = benchmarks._base_patch(config)
     for level in range(3):
-        base, breaks = mesh(config, level)
+        breaks = benchmarks._level_breakpoints(config, level)
         assert base.refined_grid_shape(breaks) == base.refine_to_breakpoints(breaks).space.space.n_basis
 
 

@@ -51,7 +51,7 @@ def knot_insertion(kv, controls, zeta_new):
 def boehm_refine(patch, breakpoints_per_axis):
     """Oracle: the patch refined by sequential Boehm insertion of each new breakpoint."""
     kvs = list(patch.knot_vectors)
-    hw = patch.homogeneous_controls().reshape(patch.space.space.n_basis + (patch.ndim + 1,))
+    hw = np.moveaxis(patch.space.homogeneous(patch.control_points), 0, -1)
     for axis, breaks in enumerate(breakpoints_per_axis):
         hw = np.moveaxis(hw, axis, 0)
         for z in breaks:
