@@ -6,13 +6,14 @@ With ``levels = N`` the reported meshes are the dyadic levels
 twice more, so the reference spacing satisfies ``4 h_ref = h_finest``.
 Displacement errors are measured against the reference solve, the
 multiplier error both against the closed-form pressure profile and the
-reference multiplier.  The levels are solved coarse to fine, and the
-linear active-set loop of every level after the first starts from the
-contact zone the level before it settled (:func:`_seed_active_set`).
-Every Newton level takes the whole load in one step: a level after the
-first from the coarser level's displacement, prolongated exactly, and
-contact zone (:func:`_newton_start`), the coarsest from rest; stepping
-the load up from rest is the fallback.  Before any level is refined,
+reference multiplier.  The levels are solved coarse to fine, and every
+level of either driver starts from one rule (:func:`.solver._start`):
+the contact zone of the coarser level (:func:`_coarse_contact_zone`),
+else the dofs in contact at u = 0, which may be none.  Every Newton
+level takes the whole load in one step, from the coarser level's
+displacement, prolongated exactly, where that level presses on the
+plane, else from rest; stepping the load up from rest is the fallback.
+Before any level is refined,
 :func:`_check_levels_fit` stops a run whose banded factor would not fit
 in physical memory.
 
@@ -74,7 +75,6 @@ from .solver import (
     SolverError,
     _band_halfwidth,
     inf_sup_estimate,
-    rest_start,
     solve_large_deformation,
     solve_small_deformation,
 )
@@ -226,48 +226,19 @@ def _contact_setup(patch: NurbsPatch, contact_face: int, normal, offset: float) 
     return ContactSetup(basis=basis, coupling=coupling, gap_integrals=gap_integrals)
 
 
-def _warm_active_set(setup: ContactSetup, radius: float, halfwidth: float) -> np.ndarray:
-    """The analytic mask: dofs expected in contact from the closed-form half-width.
-
-    Dofs whose mean initial gap is below the parabolic approach at
-    1.3 * halfwidth are marked (none when the half-width is zero), a
-    superset of the settled set.  The mask starts the coarsest level of
-    a linear run and bounds the seed of every finer one
-    (:func:`_seed_active_set`).
-    """
-    if halfwidth <= 0:
-        return np.zeros(setup.gap_integrals.shape, dtype=bool)
-    threshold = (1.3 * halfwidth) ** 2 / (2.0 * radius)
-    return setup.gap_integrals / setup.basis.measures <= threshold
-
-
-def _coarse_contact_zone(prev: LevelResult, setup: ContactSetup) -> np.ndarray:
+def _coarse_contact_zone(prev: LevelResult | None, setup: ContactSetup) -> np.ndarray | None:
     """The multiplier dofs of ``setup`` where the coarser level ``prev`` presses on the plane.
 
     The coarser level's contact pressure is sampled at this level's
     (nested) trace quadrature and averaged over each multiplier function;
-    the dofs where the average is positive are marked.
+    the dofs where the average is positive are marked.  None when there
+    is no coarser level or it presses nowhere.
     """
+    if prev is None:
+        return None
     p = multiplier_pressure_at(prev.bundle.lam, prev.setup.basis, setup.basis.quadrature)
-    return weighted_gap(p, setup.basis) > 0.0
-
-
-def _seed_active_set(setup: ContactSetup, radius: float, halfwidth: float, prev: LevelResult | None):
-    """Starting active set of a linear level: the coarser level's contact zone inside the analytic mask.
-
-    The dofs of :func:`_coarse_contact_zone` that are also in
-    :func:`_warm_active_set` start active; both sets hold the settled
-    one, and the active-set loop sheds surplus dofs slowly, so the
-    tighter seed wins.  If the intersection is empty the first non-empty
-    of the coarse zone and the mask is taken; the coarsest level (no
-    ``prev``) starts from the mask.  None when every candidate is empty.
-    """
-    warm = _warm_active_set(setup, radius, halfwidth)
-    candidates = [warm]
-    if prev is not None:
-        coarse = _coarse_contact_zone(prev, setup)
-        candidates = [coarse & warm, coarse, warm]
-    return next((seed for seed in candidates if seed.any()), None)
+    zone = weighted_gap(p, setup.basis) > 0.0
+    return zone if zone.any() else None
 
 
 def _prolongate(prev: LevelResult, patch: NurbsPatch) -> np.ndarray:
@@ -286,25 +257,12 @@ def _prolongate(prev: LevelResult, patch: NurbsPatch) -> np.ndarray:
     return fine.control_points.ravel()
 
 
-def _newton_start(prev: LevelResult, patch: NurbsPatch, setup: ContactSetup):
-    """The start of a finer Newton level: the prolongated displacement and the coarser contact zone.
-
-    None when the coarser level presses nowhere, so that the level starts
-    from rest as the coarsest one does.
-    """
-    active = _coarse_contact_zone(prev, setup)
-    if not active.any():
-        return None
-    return _prolongate(prev, patch), active
-
-
-def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResult | None = None):
-    """Small-deformation quarter-disc problem against the plane x = R; ``prev`` is the coarser level, if solved."""
+def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig):
+    """Small-deformation quarter-disc problem against the plane x = R."""
     mat = LinearMaterial(config.young, config.poisson)
     setup = _contact_setup(
         patch, QUARTER_DISC_CONTACT_FACE, [-1.0, 0.0], -config.radius
     )
-    analytic = hertz_2d(config.radius, config.young, config.poisson, config.pressure)
     problem = SmallDeformationProblem(
         patch=patch,
         stiffness=assemble_stiffness(patch, mat),
@@ -313,18 +271,16 @@ def build_hertz2d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResul
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
-        initial_active=_seed_active_set(setup, config.radius, analytic.a, prev),
     )
     return problem, setup
 
 
-def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResult | None = None):
-    """Small-deformation ball-octant problem against the plane z = -R; ``prev`` is the coarser level, if solved."""
+def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig):
+    """Small-deformation ball-octant problem against the plane z = -R."""
     mat = LinearMaterial(config.young, config.poisson)
     setup = _contact_setup(
         patch, SPHERE_OCTANT_CONTACT_FACE, [0.0, 0.0, 1.0], -config.radius
     )
-    analytic = hertz_3d(config.radius, config.young, config.poisson, config.pressure)
     problem = SmallDeformationProblem(
         patch=patch,
         stiffness=assemble_stiffness(patch, mat),
@@ -336,7 +292,6 @@ def build_hertz3d_problem(patch: NurbsPatch, config: RunConfig, prev: LevelResul
         coupling=setup.coupling,
         gap_integrals=setup.gap_integrals,
         measures=setup.basis.measures,
-        initial_active=_seed_active_set(setup, config.radius, analytic.a, prev),
     )
     return problem, setup
 
@@ -433,12 +388,13 @@ def _check_levels_fit(config: RunConfig, level_ids) -> None:
 def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> LevelResult:
     """Set up and solve one level; ``prev`` is the coarser level solved before it, if any.
 
-    Every level of a large-deformation run takes the whole load in one
-    step from a start computed here, not in
-    :func:`build_large_deformation_problem`: the coarser level's converged
-    state (:func:`_newton_start`) where it presses on the plane, else the
-    rest state (:func:`rest_start`), as on the coarsest level.  If that
-    step fails, the level steps the load up from rest in
+    Every level starts from the coarser level's contact zone
+    (:func:`_coarse_contact_zone`), computed here for either driver and
+    handed to it; with none, the solver starts from the dofs in contact
+    at u = 0.  Every level of a large-deformation run takes the whole
+    load in one step, from the coarser level's converged displacement,
+    prolongated, where there is a zone, else from rest.  If that step
+    fails, the level steps the load up from rest in
     ``config.n_load_steps`` increments.  A level that runs out of memory
     raises :class:`SolverError` naming its dofs and the size of the banded
     factor it needs, and any other solver failure is prefixed with the
@@ -447,15 +403,17 @@ def _solve_level(config: RunConfig, level: int, prev: LevelResult | None) -> Lev
     patch = (sphere_octant_level_patch if config.benchmark == "hertz3d" else quarter_disc_level_patch)(config, level)
     try:
         if config.benchmark == "hertz2d":
-            problem, setup = build_hertz2d_problem(patch, config, prev)
-            bundle = solve_small_deformation(problem)
+            problem, setup = build_hertz2d_problem(patch, config)
         elif config.benchmark == "hertz3d":
-            problem, setup = build_hertz3d_problem(patch, config, prev)
-            bundle = solve_small_deformation(problem)
+            problem, setup = build_hertz3d_problem(patch, config)
         else:
             problem, setup = build_large_deformation_problem(patch, config)
-            start = None if prev is None else _newton_start(prev, patch, setup)
-            bundle = solve_large_deformation(problem, config.n_load_steps, start or rest_start(problem))
+        zone = _coarse_contact_zone(prev, setup)
+        if isinstance(problem, SmallDeformationProblem):
+            bundle = solve_small_deformation(problem, zone)
+        else:
+            u0 = np.zeros(problem.coupling.shape[1]) if zone is None else _prolongate(prev, patch)
+            bundle = solve_large_deformation(problem, config.n_load_steps, (u0, zone))
     except MemoryError:
         raise _too_large(level, patch.space.space.n_basis, patch.ndim, config.degree) from None
     except SolverError as exc:

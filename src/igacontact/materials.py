@@ -20,41 +20,26 @@ class ElementInversionError(MaterialError):
     """Deformation gradient with nonpositive determinant."""
 
 
-def _check_elastic(young: float, poisson: float):
-    if young <= 0:
-        raise MaterialError("Young's modulus must be positive")
-    if not (0 <= poisson < 0.5):
-        raise MaterialError("Poisson's ratio must lie in [0, 0.5)")
-
-
-def _lame(young: float, poisson: float) -> tuple[float, float]:
-    mu = young / (2.0 * (1.0 + poisson))
-    lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
-    return mu, lam
-
-
 @dataclass(frozen=True)
 class LinearMaterial:
     young: float
     poisson: float
 
     def __post_init__(self):
-        _check_elastic(self.young, self.poisson)
+        if self.young <= 0:
+            raise MaterialError("Young's modulus must be positive")
+        if not (0 <= self.poisson < 0.5):
+            raise MaterialError("Poisson's ratio must lie in [0, 0.5)")
 
     def lame(self) -> tuple[float, float]:
-        return _lame(self.young, self.poisson)
+        mu = self.young / (2.0 * (1.0 + self.poisson))
+        lam = self.young * self.poisson / ((1.0 + self.poisson) * (1.0 - 2.0 * self.poisson))
+        return mu, lam
 
 
 @dataclass(frozen=True)
-class NeoHookeanMaterial:
-    young: float
-    poisson: float
-
-    def __post_init__(self):
-        _check_elastic(self.young, self.poisson)
-
-    def lame(self) -> tuple[float, float]:
-        return _lame(self.young, self.poisson)
+class NeoHookeanMaterial(LinearMaterial):
+    """The Neo-Hookean law of the same Lame parameters, which linearizes to :class:`LinearMaterial` at F = I."""
 
     def pk1(self, F, J=None, F_inv=None, out=None) -> np.ndarray:
         """First Piola-Kirchhoff stress, batched over leading axes.

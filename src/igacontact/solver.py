@@ -13,13 +13,15 @@ each saddle solve is then a small dense system in the active
 multipliers (:class:`_CondensedSaddle`).  The factorization is followed
 by two forward sweeps, of the load and of the shift's unit vector, and
 each solve by one back sweep for u; the triangular sweeps call LAPACK
-directly.  Both drivers set up through one band layout per grid
-(:func:`_band_layout`), built once: it splits the constraint dict into
-fixed dofs and prescribed values, walks the grid towards the contact
-rows the driver expects active (the linear driver's warm set, else the
-closest approach; the Newton driver's starting set), so that their
-columns of the condensation come last in the band, and keeps the
-coupling as one dense block over the dofs it touches.  The walk is
+directly.  Both drivers start by one rule (:func:`_start`): the active
+set is the coarser level's contact zone when the caller gives one, else
+the rows in contact at u = 0, which may be none.  They set up through
+one band layout per grid (:func:`_band_layout`), built once: it splits
+the constraint dict into fixed dofs and prescribed values, walks the
+grid towards the starting set, or towards the closest approach when
+that set is empty, so that those rows' columns of the condensation come
+last in the band, and keeps the coupling as one dense block over the
+dofs it touches.  The walk is
 affine in the grid index, so each coupling of the grid's stencil is one
 band row: a matrix goes into the band by one strided copy per coupling,
 with no index arrays.  Its
@@ -31,7 +33,7 @@ update's set, until the set is stable and complementarity holds; it
 keeps no other state, and a loop that does not settle stops at its cap
 with a :class:`SolverError`.  Small deformation runs it once, on the
 stiffness.  Large deformation: Newton iterations on the combined
-residual, from a given start (a displacement and an active set: the
+residual, from a given start (a displacement and a contact zone: the
 benchmarks take the coarser level's, nested iteration, or the rest
 state) in one step of the whole load, else in load steps from rest;
 every unconverged iterate runs the loop on its own tangent's factor; the gap
@@ -185,11 +187,9 @@ class SmallDeformationProblem:
     """Assembled data of one linear contact solve.
 
     ``stiffness`` is stored as its upper diagonals on the patch's grid
-    (``tocsr()`` gives the full matrix).  ``constraints`` maps a dof to its prescribed value.  ``initial_active``
-    optionally seeds the active set and the band walk (a warm start: the
-    benchmarks give the coarsest level the analytic mask and every finer
-    level the coarser level's contact zone inside it); the loop still
-    iterates to the same optimality conditions.
+    (``tocsr()`` gives the full matrix).  ``constraints`` maps a dof to its prescribed value.
+    Where the solve starts is not part of the problem: it is an argument
+    of :func:`solve_small_deformation`.
     """
 
     patch: object
@@ -199,7 +199,6 @@ class SmallDeformationProblem:
     coupling: sp.csr_matrix
     gap_integrals: np.ndarray  # integral(B_K g0)
     measures: np.ndarray
-    initial_active: np.ndarray | None = None
 
 
 # a singular K with no active row left reads about 1e-16; solvable systems read
@@ -359,16 +358,18 @@ def _band_copies(stencil: GridStencil, perm, flips) -> tuple[tuple[tuple, tuple]
     return tuple(copies)
 
 
-def _band_layout(stencil: GridStencil, B: sp.csr_matrix, constraints, expected) -> _BandLayout:
+def _band_layout(stencil: GridStencil, B: sp.csr_matrix, constraints, walk) -> _BandLayout:
     """The :class:`_BandLayout` of the matrices on ``stencil``'s grid and coupling B.
 
     The dofs are those of a tensor-grid patch, with the grid and
     ``n_comp`` components of ``stencil``; ``constraints`` maps a dof to its
     prescribed value.  The half-bandwidth is :func:`_band_halfwidth` of the
     stencil's degree.  The dof order is :func:`band_order` walked towards
-    the functions that the rows ``expected`` (a mask) of Bhc couple to: a
-    column of ``W = L^-1 P B^T`` is forward-substituted from its first
-    nonzero row to the end, so the rows expected active go last.
+    the functions that the rows ``walk`` (a mask; the drivers give the
+    :func:`_start` rule's target) of Bhc couple to: a column of ``W = L^-1
+    P B^T`` is forward-substituted from its first nonzero row to the end,
+    so the rows expected active go last.  An empty ``walk`` leaves the
+    plain :func:`band_order`.
     """
     shape, nc = stencil.shape, stencil.n_comp
     n = stencil.n
@@ -379,7 +380,7 @@ def _band_layout(stencil: GridStencil, B: sp.csr_matrix, constraints, expected) 
     cols = np.unique(B.indices)
     Bc = B[:, cols].toarray()
     Bhc = Bc if free[cols].all() else np.where(free[cols], Bc, 0.0)
-    last = np.unique(cols[(Bhc[expected] != 0).any(axis=0)] // nc)
+    last = np.unique(cols[(Bhc[walk] != 0).any(axis=0)] // nc)
     order = band_order(shape, nc, last=last)
     perm, flips = _band_walk(shape, last)
     pos = np.empty(n, dtype=np.int32)
@@ -619,12 +620,16 @@ def _settle_active_set(saddle, active, gap, g, measures, records=None):
 
     ``gap`` holds the gap integrals where the unknown x that ``saddle``
     solves for is zero, ``g`` the right-hand side of every gap row
-    (``B x = g`` on the active rows), and ``active`` the starting set.
-    Each iteration solves on the kept factor, takes the set that
-    :func:`active_set_update` gives for the solved pair (lam, weighted gap
-    ``(gap + B x) / measures``), and stops when that set is the solved one
-    and :func:`complementarity_ok` holds.  When the stiffness alone is
-    singular with no active row, the dof closest to contact is seeded.
+    (``B x = g`` on the active rows), and ``active`` the starting set
+    (:func:`_start`).  Each iteration solves on the kept factor, takes the
+    set that :func:`active_set_update` gives for the solved pair (lam,
+    weighted gap ``(gap + B x) / measures``), and stops when that set is
+    the solved one and :func:`complementarity_ok` holds.  When the
+    stiffness alone is singular with no active row, the dof closest to
+    contact is seeded (the tangent-plane start), on the same factor: this
+    is the one place that activates the closest dof, and it fires on the
+    coarsest level of every pressure-driven benchmark run, which starts
+    with no row in contact.
     Each iteration is appended to ``records`` when it is given.  Returns x
     and the settled :class:`ContactState`; a loop still unsettled after
     ``_MAX_ACTIVE_SET_ITERS`` iterations raises :class:`SolverError` with
@@ -672,26 +677,37 @@ def _settle_active_set(saddle, active, gap, g, measures, records=None):
     )
 
 
-def solve_small_deformation(problem: SmallDeformationProblem) -> SolutionBundle:
-    """The active-set loop (:func:`_settle_active_set`) on the linear saddle problem.
+def _start(problem, zone=None) -> tuple[np.ndarray, np.ndarray]:
+    """The start rule of both drivers: the starting active set and the rows the band walks towards.
 
+    The set is ``zone``, the coarser level's contact zone, when one is
+    given, else the rows in contact at u = 0 (weighted gap at most
+    ``_GAP_TOL``), which may be none; an active-set strategy needs no
+    more than where it starts.  The band walks towards that set, or
+    towards the closest approach when it is empty.
+    """
+    wg = problem.gap_integrals / problem.measures
+    active = wg <= _GAP_TOL if zone is None else zone
+    return active, active if active.any() else wg == wg.min()
+
+
+def solve_small_deformation(problem: SmallDeformationProblem, zone=None) -> SolutionBundle:
+    """The active-set loop (:func:`_settle_active_set`) on the linear saddle problem, from :func:`_start`.
+
+    ``zone`` is the starting set that the rule takes when given: the
+    benchmarks give each level the coarser level's contact zone, and none
+    on the coarsest level or where the coarser level presses nowhere.
     The assembled stiffness is factored once per call through a band layout that
     eliminates the constrained dofs, with no constrained copy of K; each iteration
     solves a dense system in its active multipliers (:class:`_CondensedSaddle`).
     """
     K = problem.stiffness
-    B, measures, warm = problem.coupling, problem.measures, problem.initial_active
-    # the band walks towards the warm set, else the rows in contact before the prescribed
-    # displacements act, else the closest approach
-    wg = problem.gap_integrals / measures
-    expected = warm if warm is not None else wg <= _GAP_TOL
-    if not expected.any():
-        expected = wg == wg.min()
-    layout = _band_layout(K.stencil, B, problem.constraints, expected)
+    B, measures = problem.coupling, problem.measures
+    active, walk = _start(problem, zone)
+    layout = _band_layout(K.stencil, B, problem.constraints, walk)
     u_fix = np.zeros(K.shape[0])
     u_fix[layout.fixed] = layout.values
     gap0 = problem.gap_integrals + B @ u_fix
-    active = warm.copy() if warm is not None else gap0 / measures <= _GAP_TOL
     records: list[IterationRecord] = []
     saddle = _CondensedSaddle(K, layout.prescribe(problem.load, K, u_fix), layout)
     u, state = _settle_active_set(saddle, active, problem.gap_integrals, -gap0, measures, records)
@@ -718,27 +734,19 @@ class LargeDeformationProblem:
     measures: np.ndarray
 
 
-def rest_start(problem: LargeDeformationProblem):
-    """u = 0 and its active set: the dofs in contact there, else the closest one."""
-    wg0 = problem.gap_integrals / problem.measures
-    active = wg0 <= _GAP_TOL
-    if not active.any():
-        active[int(np.argmin(wg0))] = True
-    return np.zeros(problem.patch.space.dim * problem.patch.ndim), active
-
-
 def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10, start=None) -> SolutionBundle:
     """Incremental loading with Newton iterations, the active set settled on each Newton factor.
 
     Both tractions and prescribed displacements are scaled by the load
     factor.  With no ``start`` the load goes on in ``n_steps`` equal
-    steps from the rest state (:func:`rest_start`).  A ``start`` ``(u0,
-    active0)`` begins at load factor 0 with u = u0, lam = 0 and the set
-    ``active0``, and takes the whole load in one step; the benchmarks
-    give every level one, the coarser level's converged displacement,
-    prolongated, and its contact zone (nested iteration), or the rest
-    state.  If that step fails, the solve steps the load up from rest
-    as with no ``start``.  Otherwise element inversion inside a step, a
+    steps from rest, u = 0.  A ``start`` ``(u0, zone)`` begins at load
+    factor 0 with u = u0 and lam = 0, and takes the whole load in one
+    step; the benchmarks give every level one, the coarser level's
+    converged displacement, prolongated, and its contact zone (nested
+    iteration), or u = 0 and no zone.  Either way the first active set
+    is the :func:`_start` rule's, the stepped path's that of no zone.  If
+    the whole step fails, the solve steps the load up from rest as with
+    no ``start``.  Otherwise element inversion inside a step, a
     failed solve or an active-set loop that does not settle triggers
     step halving (up to 20 halvings), the retry starting where the last
     step converged; after a halving the step doubles back up to ``1 /
@@ -763,13 +771,10 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
 
     lam = np.zeros(B.shape[0])
     dt_base = 1.0 / n_steps
-    if start is None:
-        u, active = rest_start(problem)
-        dt = dt_base
-    else:
-        u, active = start
-        dt = 1.0
-    layout = _band_layout(quad.slots.stencil, B, problem.constraints, active)
+    u, zone = (np.zeros(B.shape[1]), None) if start is None else start
+    dt = dt_base if start is None else 1.0
+    active, walk = _start(problem, zone)
+    layout = _band_layout(quad.slots.stencil, B, problem.constraints, walk)
 
     records: list[IterationRecord] = []
     # (residual state at u, saddle or None) in a list the step takes it from: the
@@ -792,7 +797,7 @@ def solve_large_deformation(problem: LargeDeformationProblem, n_steps: int = 10,
             step -= 1
             if start is not None:
                 # the whole load from the start failed: step it up from rest instead
-                u, active = rest_start(problem)
+                u, (active, _) = np.zeros(u.size), _start(problem)
                 start, dt = None, dt_base
                 continue
             if isinstance(exc, _LoadIndependentError):

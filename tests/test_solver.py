@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from igacontact import assembly, benchmarks, solver
+from igacontact import assembly, benchmarks, contact, solver
 from igacontact.assembly import (
     apply_constraints,
     assemble_load,
@@ -315,15 +315,14 @@ def seeded_run(tmp_path_factory):
 
 
 class TestSeededActiveSet:
-    """Every linear level after the first starts from the coarser level's contact zone inside the analytic mask."""
+    """Every level of either driver starts from the coarser level's contact zone, else from the rows in contact at u = 0."""
 
     @pytest.mark.parametrize("name,coarse,fine", [("hertz2d-p003", 1, 2), ("hertz3d-coarse", 0, 1)])
-    def test_seed_is_the_children_of_coarse_active_dofs_in_the_mask(self, seeded_run, name, coarse, fine):
+    def test_start_is_the_coarse_zone(self, seeded_run, name, coarse, fine):
         result = seeded_run(name)
         levels = result.levels + [result.reference]
         prev, cur = levels[coarse], levels[fine]
-        radius, a = result.config.radius, result.analytic.a
-        seed = benchmarks._seed_active_set(cur.setup, radius, a, prev)
+        zone = benchmarks._coarse_contact_zone(prev, cur.setup)
         # p = 2: multipliers are element indicators, and a fine dof's parent is the coarse element holding its own
         cs, fs = prev.setup.basis.space, cur.setup.basis.space
         parents = [
@@ -331,37 +330,84 @@ class TestSeededActiveSet:
             for kc, kf in zip(cs.knot_vectors, fs.knot_vectors)
         ]
         parent = np.ravel_multi_index(np.meshgrid(*parents, indexing="ij"), cs.n_basis).ravel()
-        expected = prev.bundle.active[parent] & benchmarks._warm_active_set(cur.setup, radius, a)
+        expected = prev.bundle.active[parent]
         assert expected.any()
-        assert np.array_equal(seed, expected)
+        assert np.array_equal(zone, expected)
         assert cur.bundle.iterations[0].n_active == expected.sum()  # the level started from it
 
     @pytest.mark.parametrize("load", ["pull-away", "zero"])
     def test_no_coarse_pressure_gives_the_coarsest_level_start(self, seeded_run, load):
-        # a coarse level with no positive pressure seeds nothing: a pull-away leaves the analytic
-        # mask, and a zero load (half-width 0, an empty mask) no warm start at all
+        # a coarser level in tension (a pull-away) or at zero pressure has no contact zone, so
+        # the level starts as the coarsest one does, from the rows in contact at u = 0
         result = seeded_run("hertz2d-p003")
         prev, cur = result.levels[1], result.levels[2]
-        pulled = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
-        radius = result.config.radius
-        a = result.analytic.a if load == "pull-away" else 0.0
-        seed = benchmarks._seed_active_set(cur.setup, radius, a, pulled)
-        start = benchmarks._seed_active_set(cur.setup, radius, a, None)
-        if load == "zero":
-            assert seed is None and start is None
+        lam = np.abs(prev.bundle.lam) if load == "pull-away" else np.zeros_like(prev.bundle.lam)
+        released = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=lam))
+        assert benchmarks._coarse_contact_zone(released, cur.setup) is None
+        assert benchmarks._coarse_contact_zone(None, cur.setup) is None
+        started = benchmarks._solve_level(result.config, cur.level, released).bundle
+        coarsest = benchmarks._solve_level(result.config, cur.level, None).bundle
+        assert started.log_text() == coarsest.log_text()
+        assert np.array_equal(started.u, coarsest.u)
+
+    def test_coarsest_level_seeds_on_its_one_factor(self, monkeypatch, seeded_run):
+        # the linear counterpart of the Newton re-seed: the coarsest hertz2d-p003 level has no
+        # row in contact at u = 0, so it starts empty on a singular stiffness, and the loop
+        # seeds the closest dof on the one factor it built
+        config = seeded_run("hertz2d-p003").config
+        saddles = count_calls(monkeypatch, solver, "_CondensedSaddle")
+        starts = record_starts(monkeypatch)
+        updates = count_calls(monkeypatch, solver, "active_set_update")
+        level = benchmarks._solve_level(config, 0, None)
+        assert len(starts) == 1 and not starts[0].any()
+        assert len(saddles) == 1
+        closest = np.zeros_like(starts[0])
+        closest[np.argmin(level.setup.gap_integrals / level.setup.basis.measures)] = True
+        assert level.bundle.iterations[0].n_active == 1
+        assert np.array_equal(updates[0][0].active, closest)  # the set the first record solved on
+
+    @pytest.mark.parametrize("coarser", ["solved", "none", "released"])
+    def test_both_drivers_start_by_one_rule(self, monkeypatch, coarser):
+        # on one mesh and load, the linear and the Newton level start from the same set and
+        # walk the band towards the same rows: the contact zone of a solved coarser level,
+        # else, with no coarser level or one pressing nowhere, the rows in contact at u = 0
+        # and a walk towards the closest approach when there are none
+        config = SEEDED_RUNS["hertz2d-p003"]
+        prev = benchmarks._solve_level(config, 0, None)
+        if coarser == "none":
+            prev = None
+        elif coarser == "released":
+            prev = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
+        starts = record_starts(monkeypatch)
+        layouts = count_calls(monkeypatch, solver, "_band_layout")
+        linear = benchmarks._solve_level(config, 1, prev)
+        first = len(starts)
+        benchmarks._solve_level(dataclasses.replace(config, benchmark="hertz2d-large"), 1, prev)
+        walks = [args[3] for args in layouts]
+        assert len(walks) == 2 and np.array_equal(walks[0], walks[1])
+        assert np.array_equal(starts[0], starts[first])
+        wg = linear.setup.gap_integrals / linear.setup.basis.measures
+        if coarser == "solved":
+            zone = benchmarks._coarse_contact_zone(prev, linear.setup)
+            assert zone.sum() > 1 and np.array_equal(starts[0], zone) and np.array_equal(walks[0], zone)
         else:
-            assert np.array_equal(start, benchmarks._warm_active_set(cur.setup, radius, a))
-            assert np.array_equal(seed, start)
+            assert np.array_equal(starts[0], wg <= contact._GAP_TOL)
+            assert not starts[0].any() and np.array_equal(walks[0], wg == wg.min())
 
     def test_hertz2d_p003_records_per_level(self, seeded_run):
-        # from the analytic mask alone the levels took (2, 3, 4, 6) records, the reference shedding 60 -> 47 dofs
+        # the coarsest level starts empty, and its first record is the solve on the seeded closest dof
         result = seeded_run("hertz2d-p003")
-        assert [len(r.bundle.iterations) for r in result.levels + [result.reference]] == [2, 1, 1, 2]
+        assert [len(r.bundle.iterations) for r in result.levels + [result.reference]] == [3, 1, 1, 2]
 
     def test_hertz3d_coarse_reference_records(self, seeded_run):
-        # one record from the analytic mask alone; the coarse level's 2 active dofs seed 32 children
+        # the coarse level's 2 active dofs give a zone of 32 children, which the loop sheds to 24
+        # and to the 16 that settle
         result = seeded_run("hertz3d-coarse")
-        assert len(result.reference.bundle.iterations) <= 1
+        records = result.reference.bundle.iterations
+        assert [r.n_active for r in records] == [32, 24, 16]
+        # the first two polar rows of the 8 x 16 multiplier grid
+        settled = np.add.outer(16 * np.arange(8), [0, 1]).ravel()
+        assert np.array_equal(np.flatnonzero(result.reference.bundle.active), settled)
 
 
 def condensed_inputs(problem):
@@ -383,9 +429,7 @@ def masked_coupling(B, fixed):
 
 
 def hertz2d_level1():
-    config = RunConfig(
-        benchmark="hertz2d", pressure=0.003, levels=4, base_spans=(3, 6), grading=(0.8, 0.1)
-    )
+    config = SEEDED_RUNS["hertz2d-p003"]
     return build_hertz2d_problem(quarter_disc_level_patch(config, 1), config)[0]
 
 
@@ -394,8 +438,23 @@ def hertz3d_level0():
     return build_hertz3d_problem(sphere_octant_level_patch(config, 0), config)[0]
 
 
-def linear_case(build):
-    """Condensed-solve inputs of a linear problem: warm-start, converged and random active sets."""
+def coarse_zone(config, coarser, setup):
+    """The contact zone on ``setup``'s level of level ``coarser`` of a run of ``config``, solved from scratch."""
+    return benchmarks._coarse_contact_zone(benchmarks._solve_level(config, coarser, None), setup)
+
+
+def hertz2d_level1_zone():
+    """The set :func:`hertz2d_level1` starts from in its run: the contact zone of level 0."""
+    config = SEEDED_RUNS["hertz2d-p003"]
+    return coarse_zone(config, 0, build_hertz2d_problem(quarter_disc_level_patch(config, 1), config)[1])
+
+
+def linear_case(build, start=None):
+    """Condensed-solve inputs of a linear problem: starting, converged and random active sets.
+
+    ``start()`` gives the starting set; without it (a level with no
+    coarser one) the converged set stands in.
+    """
     problem = build()
     K, F, Bhat, g = condensed_inputs(problem)
     converged = solve_small_deformation(problem).active
@@ -403,7 +462,7 @@ def linear_case(build):
     subset = rng.random(converged.size) < 0.5
     subset[rng.integers(converged.size)] = True
     grid = (problem.patch.space.space.n_basis, problem.patch.ndim)
-    return K, F, Bhat, g, grid, (problem.initial_active, converged, subset)
+    return K, F, Bhat, g, grid, (converged if start is None else start(), converged, subset)
 
 
 def neo_hookean_case():
@@ -431,12 +490,6 @@ def neo_hookean_case():
         active[rng.integers(m)] = True
         actives.append(active)
     return K, F, Bhat, g, (patch.space.space.n_basis, 2), actives
-
-
-def warm_set(setup, config):
-    """The dofs a 2D run of ``config`` is expected to have active: the linear warm start of its mesh."""
-    a = hertz_2d(config.radius, config.young, config.poisson, config.pressure).a
-    return benchmarks._warm_active_set(setup, config.radius, a)
 
 
 def upper(A, grid):
@@ -512,6 +565,19 @@ def record_settled(monkeypatch):
 
     monkeypatch.setattr(solver, "_settle_active_set", recording)
     return settled
+
+
+def record_starts(monkeypatch):
+    """The starting set of every active-set loop the solver runs."""
+    starts = []
+    original = solver._settle_active_set
+
+    def recording(saddle, active, *args, **kwargs):
+        starts.append(active.copy())
+        return original(saddle, active, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_settle_active_set", recording)
+    return starts
 
 
 def count_kept_factors(monkeypatch):
@@ -606,8 +672,8 @@ class TestBandLayout:
             x = patch.control_points
             u = 0.03 * np.column_stack([np.sin(2 * x[:, 0]), np.cos(x[:, 1])]).ravel()
             K = neo_hookean_forces(patch, problem.material, u)[1]
-        shape, warm = patch.space.space.n_basis, warm_set(setup, config)
-        layout = solver._band_layout(K.stencil, problem.coupling, problem.constraints, warm)
+        shape, zone = patch.space.space.n_basis, coarse_zone(config, 0, setup)
+        layout = solver._band_layout(K.stencil, problem.coupling, problem.constraints, zone)
         order = layout.order
         Kc, _ = apply_constraints(K, np.zeros(n), {int(d): 0.0 for d in problem.constraints})
         PKP = Kc.toarray()[np.ix_(order, order)]
@@ -648,7 +714,7 @@ class TestBandLayout:
         config = RunConfig(benchmark="hertz2d-large", pressure=0.05, base_spans=(3, 3), levels=2)
         patch = quarter_disc_level_patch(config, 1)
         problem, setup = build_large_deformation_problem(patch, config)
-        warm = warm_set(setup, config)
+        zone = coarse_zone(config, 0, setup)
         n = patch.space.dim * 2
         x = patch.control_points
         K_T = neo_hookean_forces(patch, problem.material, 0.02 * np.sin(x).ravel())[1]
@@ -659,9 +725,9 @@ class TestBandLayout:
         rng = np.random.default_rng(8)
         F = rng.normal(size=n)
         F[fixed] = 0.0
-        act = np.flatnonzero(warm)
+        act = np.flatnonzero(zone)
         g = 1e-3 * rng.normal(size=act.size)
-        layout = solver._band_layout(K_T.stencil, problem.coupling, problem.constraints, warm)
+        layout = solver._band_layout(K_T.stencil, problem.coupling, problem.constraints, zone)
         raw = _CondensedSaddle(K_T, F, layout)
         u, lam = raw.solve(act, g)
         u_ref, lam_ref = saddle_solve(Kc, F, Bhat[act], g)
@@ -669,7 +735,7 @@ class TestBandLayout:
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
         # the constrained matrix, nothing fixed, in the same order
         Kc = upper(Kc, (shape, 2))
-        constrained = solver._band_layout(Kc.stencil, Bhat, {}, warm)
+        constrained = solver._band_layout(Kc.stencil, Bhat, {}, zone)
         assert np.array_equal(constrained.order, layout.order)
         assert np.array_equal(u, _CondensedSaddle(Kc, F, constrained).solve(act, g)[0])
 
@@ -761,33 +827,29 @@ class TestBandLayout:
 
     @pytest.mark.parametrize("grid", ["26x50", "10x18x10"])
     def test_contact_rows_come_last(self, grid):
-        # the warm-start rows' columns of W start in the second half of the band
-        if grid == "26x50":  # the reference level of hertz2d-large-p01
+        # the columns of W of the rows a level starts from, the contact zone of its coarser level,
+        # start in the second half of the band
+        if grid == "26x50":  # the reference level of hertz2d-large-p01, started from level 1
             config = RunConfig(
                 benchmark="hertz2d-large", pressure=0.1, levels=3, base_spans=(3, 6), grading=(0.7, 0.45)
             )
             patch = quarter_disc_level_patch(config, 3)
             _, setup = build_large_deformation_problem(patch, config)
-            # the set expected active at the first of its load steps
-            warm = warm_set(setup, dataclasses.replace(config, pressure=config.pressure / config.n_load_steps))
-        else:
-            config = RunConfig(
-                benchmark="hertz3d", pressure=1e-4, levels=2, base_spans=(2, 4, 2), grading=(0.5, 0.2)
-            )
+            # at the load of its first load step: the zone of the whole load covers 28 of 48 rows
+            zone = coarse_zone(dataclasses.replace(config, pressure=config.pressure / config.n_load_steps), 1, setup)
+        else:  # the reference level of hertz3d-coarse, started from level 0
+            config = SEEDED_RUNS["hertz3d-coarse"]
             patch = sphere_octant_level_patch(config, 2)
-            setup = benchmarks._contact_setup(
-                patch, SPHERE_OCTANT_CONTACT_FACE, [0.0, 0.0, 1.0], -config.radius
-            )
-            a = hertz_3d(config.radius, config.young, config.poisson, config.pressure).a
-            warm = benchmarks._warm_active_set(setup, config.radius, a)
+            _, setup = build_hertz3d_problem(patch, config)
+            zone = coarse_zone(config, 0, setup)
         shape, nd = patch.space.space.n_basis, patch.ndim
         assert "x".join(map(str, shape)) == grid
         n = patch.space.dim * nd
         plain = band_order(shape, nd)
         stencil = assembly._grid_stencil(shape, nd, max(patch.degrees))
-        order = solver._band_layout(stencil, setup.coupling, {}, warm).order
+        order = solver._band_layout(stencil, setup.coupling, {}, zone).order
         assert np.array_equal(np.sort(order), np.arange(n))
-        rows = setup.coupling[np.flatnonzero(warm)]
+        rows = setup.coupling[np.flatnonzero(zone)]
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n)
         assert pos[rows.indices[rows.data != 0]].min() > n / 2
@@ -838,7 +900,7 @@ class TestForwardSubstitution:
 class TestCondensedSaddle:
     @pytest.mark.parametrize(
         "build",
-        [functools.partial(linear_case, hertz2d_level1), functools.partial(linear_case, hertz3d_level0),
+        [functools.partial(linear_case, hertz2d_level1, hertz2d_level1_zone), functools.partial(linear_case, hertz3d_level0),
          neo_hookean_case],
         ids=["2d", "3d", "neo-hookean"],
     )
@@ -855,7 +917,7 @@ class TestCondensedSaddle:
     def test_two_forward_sweeps_then_one_back_sweep_per_solve(self, monkeypatch):
         # z_F and z_e at construction; every solve recovers u by one back sweep.  The
         # new W columns of a solve are one forward sweep when they are a narrow batch
-        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1)
+        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1, hertz2d_level1_zone)
         sweeps = []
         original = solver.sla.lapack.dtbtrs
 
@@ -894,7 +956,7 @@ class TestCondensedSaddle:
         assert np.abs(lam - lam_ref).max() <= 1e-10 * np.abs(lam_ref).max()
 
     @pytest.mark.parametrize(
-        "build", [functools.partial(linear_case, hertz2d_level1), neo_hookean_case], ids=["2d", "neo-hookean"]
+        "build", [functools.partial(linear_case, hertz2d_level1, hertz2d_level1_zone), neo_hookean_case], ids=["2d", "neo-hookean"]
     )
     def test_set_rhs_matches_fresh_factorization(self, build):
         # a new load on a built saddle: the same (u, lam) as a saddle built on it,
@@ -921,7 +983,7 @@ class TestCondensedSaddle:
     def test_set_rhs_reuses_the_solved_columns(self, monkeypatch):
         # one forward sweep for the new load; an active set already solved needs no
         # further forward substitution of W columns
-        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1)
+        K, F, Bhat, g, grid, actives = linear_case(hertz2d_level1, hertz2d_level1_zone)
         saddle = condensed_saddle(K, F, Bhat, grid)
         act = np.flatnonzero(actives[1])
         saddle.solve(act, g[act])
@@ -1331,13 +1393,17 @@ class TestNestedNewtonStart:
         assert_same_state(started.bundle, zero)
 
     def test_no_coarse_pressure_gives_no_start(self):
+        # a coarser level that presses nowhere gives no contact zone, and the level starts
+        # from rest as the coarsest one does
         config = RunConfig(benchmark="hertz2d-large", pressure=0.1, base_spans=(3, 3), levels=2)
         prev = benchmarks._solve_level(config, 0, None)
         patch = quarter_disc_level_patch(config, 1)
         _, setup = build_large_deformation_problem(patch, config)
-        assert benchmarks._newton_start(prev, patch, setup)[1].any()
+        assert benchmarks._coarse_contact_zone(prev, setup).any()
         released = dataclasses.replace(prev, bundle=dataclasses.replace(prev.bundle, lam=np.zeros_like(prev.bundle.lam)))
-        assert benchmarks._newton_start(released, patch, setup) is None
+        assert benchmarks._coarse_contact_zone(released, setup) is None
+        started = benchmarks._solve_level(config, 1, released).bundle
+        assert started.log_text() == benchmarks._solve_level(config, 1, None).bundle.log_text()
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_failed_full_step_steps_up_from_rest(self, monkeypatch, level):
@@ -1372,7 +1438,8 @@ class TestNestedNewtonStart:
         prev = benchmarks._solve_level(config, 0, None)
         patch = quarter_disc_level_patch(config, 1)
         problem, setup = build_large_deformation_problem(patch, config)
-        started = solve_large_deformation(problem, config.n_load_steps, benchmarks._newton_start(prev, patch, setup))
+        start = (benchmarks._prolongate(prev, patch), benchmarks._coarse_contact_zone(prev, setup))
+        started = solve_large_deformation(problem, config.n_load_steps, start)
         assert_same_state(started, solve_large_deformation(problem, config.n_load_steps))
 
     def test_large_p01_records_per_level(self, monkeypatch, tmp_path):
